@@ -11,7 +11,8 @@ from .recovery import PartialModel, actual_recovery_rate, load_partial, save_par
 from .reconstruct import ReconstructionMethod, oracle_min_abs, reconstruct_code, \
     reconstruct_model
 from .attack import (AttackTrace, FL2R, FlipRecord, GradientBaseline, RandomBits, apply_flips,
-                     filter_importance, filter_l2, load_trace, run_attack, save_trace,
-                     select_gradient_bits, select_random_bits, select_vulnerable_bits)
+                     evaluate_flips, filter_importance, filter_l2, load_trace, run_attack,
+                     save_trace, select_gradient_bits, select_random_bits,
+                     select_vulnerable_bits)
 from .synth import (SynthSpec, TrainConfig, TrainingDiverged, desk_architecture, gen_synthetic,
                     gradient, train)

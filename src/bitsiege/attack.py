@@ -5,12 +5,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Dataset, ModelFormatError, accuracy, filter_count, filter_size
-from .quantize import QuantModel, accuracy_quant, dequantize_model, flip_bit
+from .model import (Dataset, ModelFormatError, accuracy, filter_count, filter_size,
+                    forward_layers, top1_accuracy)
+from .quantize import QuantModel, dequantize_model, flip_bit
 from .reconstruct import ReconstructionMethod, reconstruct_model
 from .recovery import simulate_recovery
 
 TRACE_MAGIC = "bitsiege-trace-v1"
+TRACE_KEYS = ("nq", "rp", "seed", "ranking", "recon", "nbf")  # the config a trace records
 
 
 @dataclass(frozen=True)
@@ -169,22 +171,54 @@ def select_gradient_bits(reconstructed: QuantModel, batch: Dataset, n_bf: int):
     return records
 
 
+def _flip_code(codes, victim: QuantModel, r: FlipRecord) -> int:
+    """Check one record against the victim's shapes and XOR its bit into the writable
+    `codes` list; returns the flat index of the changed code within its layer."""
+    if not 0 <= r.layer < len(codes):
+        raise ValueError(f"bad layer index {r.layer}")
+    _, layer = victim.architecture.parametric_layers()[r.layer]
+    if not (0 <= r.filt < filter_count(layer) and 0 <= r.weight < filter_size(layer)):
+        raise ValueError(f"bad filter/weight index in {r}")
+    flat = codes[r.layer].reshape(-1)
+    idx = r.filt * filter_size(layer) + r.weight
+    flat[idx] = flip_bit(int(flat[idx]), r.bit, victim.params[r.layer].bitwidth)
+    return idx
+
+
 def apply_flips(victim: QuantModel, records) -> QuantModel:
     """XOR the named bits into a copy of the victim's true codes."""
     codes = [c.copy() for c in victim.codes]
-    layers = victim.architecture.parametric_layers()
     for r in records:
-        if not 0 <= r.layer < len(codes):
-            raise ValueError(f"bad layer index {r.layer}")
-        _, layer = layers[r.layer]
-        qp = victim.params[r.layer]
-        if not (0 <= r.filt < filter_count(layer) and 0 <= r.weight < filter_size(layer)):
-            raise ValueError(f"bad filter/weight index in {r}")
-        flat = codes[r.layer].reshape(-1)
-        idx = r.filt * filter_size(layer) + r.weight
-        flat[idx] = flip_bit(int(flat[idx]), r.bit, qp.bitwidth)
+        _flip_code(codes, victim, r)
     return QuantModel(victim.architecture, list(victim.params), codes,
                       [b.copy() for b in victim.biases])
+
+
+def evaluate_flips(victim: QuantModel, records, eval_data: Dataset) -> list:
+    """Accuracy of the victim before any flip and after each cumulative flip.
+
+    Incremental and exact: the victim is dequantized once; each flip rewrites
+    one code and its weight (`float64(code) * scale`, the product `dequantize`
+    forms) and re-runs the network only from the flipped parametric layer on,
+    starting at that layer's cached input. Every layer runs the same full-batch
+    operation as a fresh `forward_batch`, so each accuracy equals
+    `accuracy_quant(apply_flips(victim, records[:i]), eval_data)` exactly.
+    """
+    fm = dequantize_model(victim)
+    arch = victim.architecture
+    positions = [pos for pos, _ in arch.parametric_layers()]
+    codes = [c.copy() for c in victim.codes]
+    weights = [w.copy() for w in fm.weights]
+    cache = [None] * len(weights)
+    accs = [accuracy(fm, eval_data, cache)]
+    for r in records:
+        idx = _flip_code(codes, victim, r)
+        weights[r.layer].reshape(-1)[idx] = (np.float64(codes[r.layer].reshape(-1)[idx])
+                                             * victim.params[r.layer].scale)
+        logits = forward_layers(arch, weights, fm.biases, cache[r.layer], positions[r.layer],
+                                cache)
+        accs.append(top1_accuracy(logits, eval_data.labels))
+    return accs
 
 
 def _rank(method, surrogate, n_bf, eval_data):
@@ -202,15 +236,15 @@ def run_attack(victim: QuantModel, rp: float, seed: int, ranking, recon: Reconst
                n_bf: int, eval_data: Dataset) -> AttackTrace:
     """Full pipeline: simulate extraction, reconstruct a surrogate, rank on the
     surrogate only, then flip cumulatively on the victim, recording accuracy.
+
+    The accuracies come from `evaluate_flips`: incremental (each flip re-runs the
+    network only from its layer on) and exactly equal to re-evaluating the fully
+    flipped victim with `accuracy_quant` after every flip.
     """
     partial = simulate_recovery(victim, rp, seed)
     surrogate = reconstruct_model(partial, recon)
     records = _rank(ranking, surrogate, n_bf, eval_data)
-    accs = [accuracy_quant(victim, eval_data)]
-    current = victim
-    for r in records:
-        current = apply_flips(current, [r])
-        accs.append(accuracy_quant(current, eval_data))
+    accs = evaluate_flips(victim, records, eval_data)
     nq = victim.params[0].bitwidth if victim.params else 0
     config = {"rp": rp, "seed": seed, "ranking": ranking.name, "recon": recon.value,
               "nq": nq, "nbf": n_bf}
@@ -235,8 +269,11 @@ def save_trace(trace: AttackTrace, path):
 
 
 def load_trace(path) -> AttackTrace:
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(f"{path} byte {e.start}: trace is not UTF-8 text") from None
     if not lines or lines[0] != TRACE_MAGIC:
         raise ModelFormatError(f"{path} line 1: expected magic {TRACE_MAGIC!r}")
     cfg, records, accs = {}, [], []
@@ -257,4 +294,13 @@ def load_trace(path) -> AttackTrace:
                 raise ModelFormatError(f"{path} line {i}: unknown field {tok[0]!r}")
         except (ValueError, IndexError) as e:
             raise ModelFormatError(f"{path} line {i}: malformed line {line!r}") from e
-    return AttackTrace(tuple(records), tuple(accs), cfg)
+    missing = [k for k in TRACE_KEYS if k not in cfg]
+    if missing:
+        raise ModelFormatError(f"{path}: missing config field(s) {', '.join(missing)}")
+    if len(records) != cfg["nbf"] or len(accs) != len(records) + 1:
+        raise ModelFormatError(f"{path}: nbf {cfg['nbf']} with {len(records)} flip and "
+                               f"{len(accs)} acc lines; expected nbf flips and nbf+1 accs")
+    try:
+        return AttackTrace(tuple(records), tuple(accs), cfg)
+    except ValueError as e:
+        raise ModelFormatError(f"{path}: {e}") from None

@@ -14,7 +14,7 @@ import numpy as np
 from . import synth
 from .attack import FL2R, GradientBaseline, RandomBits, load_trace, run_attack, save_trace
 from .model import ModelFormatError, accuracy, load_dataset, load_model, save_dataset, save_model
-from .quantize import flip_bit, quantize_model
+from .quantize import BITWIDTHS, flip_bit, quantize_model
 from .reconstruct import ReconstructionMethod, oracle_min_abs, reconstruct_code
 from .recovery import simulate_recovery
 
@@ -48,18 +48,41 @@ def parse_config(path):
     return cfg
 
 
+def _cast(key, cast, value):
+    try:
+        return cast(value)
+    except ValueError:
+        raise _UsageError(f"config key {key!r}: {value!r} is not a valid {cast.__name__}") from None
+
+
 def _one(cfg, key, cast=str, default=None):
-    if key not in cfg:
+    if not cfg.get(key):
         if default is not None:
             return default
         raise _UsageError(f"config missing key {key!r}")
-    return cast(cfg[key][0])
+    return _cast(key, cast, cfg[key][0])
 
 
 def _many(cfg, key, cast=str):
     if key not in cfg or not cfg[key]:
         raise _UsageError(f"config missing list {key!r}")
-    return [cast(v) for v in cfg[key]]
+    return [_cast(key, cast, v) for v in cfg[key]]
+
+
+def _check_grid(nqs, rps, rankings, recons):
+    """Reject config values the pipeline does not support, before any run starts."""
+    for nq in nqs:
+        if nq not in BITWIDTHS:
+            raise _UsageError(f"nq must be one of {BITWIDTHS}, got {nq}")
+    for rp in rps:
+        if not 0.0 <= rp <= 1.0:
+            raise _UsageError(f"rp must be in [0, 1], got {rp!r}")
+    for r in rankings:
+        if r not in _RANKINGS:
+            raise _UsageError(f"unknown ranking {r!r}")
+    for r in recons:
+        if r not in _RECONS:
+            raise _UsageError(f"unknown reconstruction {r!r}")
 
 
 def _ranking_method(name, seed, batch):
@@ -108,6 +131,9 @@ def cmd_quantize(args):
 
 def _run_one(victim_path, eval_path, nq, rp, seed, ranking, recon, nbf, batch):
     victim = quantize_model(load_model(victim_path), nq)
+    total = sum(c.size for c in victim.codes)
+    if not 1 <= nbf <= total:
+        raise _UsageError(f"nbf must be in [1, {total}] for {victim_path}, got {nbf}")
     eval_ds = load_dataset(eval_path)
     method = _ranking_method(ranking, seed, batch)
     return run_attack(victim, rp, seed, method, _RECONS[recon], nbf, eval_ds)
@@ -115,10 +141,11 @@ def _run_one(victim_path, eval_path, nq, rp, seed, ranking, recon, nbf, batch):
 
 def cmd_attack(args):
     cfg = parse_config(args.config)
-    trace = _run_one(_one(cfg, "victim"), _one(cfg, "eval"), _one(cfg, "nq", int),
-                     _one(cfg, "rp", float), _one(cfg, "seeds", int, 0),
-                     _one(cfg, "ranking"), _one(cfg, "recon"), _one(cfg, "nbf", int),
-                     _one(cfg, "batch", int, 32))
+    nq, rp = _one(cfg, "nq", int), _one(cfg, "rp", float)
+    ranking, recon = _one(cfg, "ranking"), _one(cfg, "recon")
+    _check_grid([nq], [rp], [ranking], [recon])
+    trace = _run_one(_one(cfg, "victim"), _one(cfg, "eval"), nq, rp, _one(cfg, "seeds", int, 0),
+                     ranking, recon, _one(cfg, "nbf", int), _one(cfg, "batch", int, 32))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"trace_{_cfg_hash(trace.config)}.trace")
     save_trace(trace, path)
@@ -148,12 +175,7 @@ def cmd_sweep(args):
         seeds = [args.seed_base + i for i in range(len(seeds))]
     rankings = _many(cfg, "ranking")
     recons = _many(cfg, "recon")
-    for r in rankings:
-        if r not in _RANKINGS:
-            raise _UsageError(f"unknown ranking {r!r}")
-    for r in recons:
-        if r not in _RECONS:
-            raise _UsageError(f"unknown reconstruction {r!r}")
+    _check_grid(nqs, rps, rankings, recons)
     axes = list(itertools.product(nqs, rps, seeds, rankings, recons))
     jobs = [(victim_path, eval_path, nq, rp, seed, rk, rc, nbf, batch)
             for nq, rp, seed, rk, rc in axes]

@@ -177,23 +177,31 @@ def _conv2d(x, w, b, stride, padding):
 
 
 def _maxpool(x, w):
-    n, c, h, wd = x.shape
-    return x.reshape(n, c, h // w, w, wd // w, w).max(axis=(3, 5))
+    """Non-overlapping w x w max pool: elementwise max over the w*w strided window offsets."""
+    out = x[:, :, ::w, ::w].copy()
+    for i in range(w):
+        for j in range(w):
+            if i or j:
+                np.maximum(out, x[:, :, i::w, j::w], out=out)
+    return out
 
 
-def forward_batch(model: FloatModel, xs) -> np.ndarray:
-    """Logits for a batch shaped (N, *input_shape)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.shape[1:] != model.architecture.input_shape:
-        raise ValueError(f"input shape {xs.shape[1:]} != {model.architecture.input_shape}")
-    x = xs
-    p = 0
-    for layer in model.architecture.layers:
-        if isinstance(layer, Conv2D):
-            x = _conv2d(x, model.weights[p], model.biases[p], layer.stride, layer.padding)
-            p += 1
-        elif isinstance(layer, Dense):
-            x = x @ model.weights[p].T + model.biases[p]
+def forward_layers(arch: Architecture, weights, biases, x, start=0, cache=None) -> np.ndarray:
+    """Run `arch.layers[start:]` on the batch `x`, the input of layer `start`; returns logits.
+
+    If `cache` is given (a list with one slot per parametric layer), the input of
+    every parametric layer that runs is stored in its slot, so a later call can
+    restart from that layer's position with the stored activation.
+    """
+    p = sum(isinstance(l, (Conv2D, Dense)) for l in arch.layers[:start])
+    for layer in arch.layers[start:]:
+        if isinstance(layer, (Conv2D, Dense)):
+            if cache is not None:
+                cache[p] = x
+            if isinstance(layer, Conv2D):
+                x = _conv2d(x, weights[p], biases[p], layer.stride, layer.padding)
+            else:
+                x = x @ weights[p].T + biases[p]
             p += 1
         elif isinstance(layer, ReLU):
             x = np.maximum(x, 0.0)
@@ -204,17 +212,31 @@ def forward_batch(model: FloatModel, xs) -> np.ndarray:
     return x
 
 
+def forward_batch(model: FloatModel, xs, cache=None) -> np.ndarray:
+    """Logits for a batch shaped (N, *input_shape); `cache` as in `forward_layers`."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.shape[1:] != model.architecture.input_shape:
+        raise ValueError(f"input shape {xs.shape[1:]} != {model.architecture.input_shape}")
+    return forward_layers(model.architecture, model.weights, model.biases, xs, 0, cache)
+
+
 def forward(model: FloatModel, x) -> np.ndarray:
     """Logits for a single input."""
     return forward_batch(model, np.asarray(x, dtype=np.float64)[None])[0]
 
 
-def accuracy(model: FloatModel, data: Dataset) -> float:
-    """Top-1 accuracy; argmax ties break to the lowest class index."""
+def accuracy(model: FloatModel, data: Dataset, cache=None) -> float:
+    """Top-1 accuracy; argmax ties break to the lowest class index.
+
+    `cache` as in `forward_layers`."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    preds = np.argmax(forward_batch(model, data.inputs), axis=1)
-    return float(np.mean(preds == data.labels))
+    return top1_accuracy(forward_batch(model, data.inputs, cache), data.labels)
+
+
+def top1_accuracy(logits, labels) -> float:
+    """Share of rows whose argmax (ties to the lowest class index) equals the label."""
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 # ---------------------------------------------------------------- file formats
@@ -280,7 +302,10 @@ def _split_header(blob, path, magic):
     end = blob.find(_END_HEADER)
     if end < 0:
         raise ModelFormatError(f"{path}: missing end-header marker")
-    lines = blob[:end].decode("utf-8").splitlines()
+    try:
+        lines = blob[:end].decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(f"{path} byte {e.start}: header is not UTF-8 text") from None
     if not lines or lines[0] != magic:
         raise ModelFormatError(f"{path} line 1: expected magic {magic!r}")
     return lines[1:], blob[end + len(_END_HEADER):]
@@ -332,9 +357,12 @@ def load_model(path) -> FloatModel:
     arch = parse_arch_header(lines)
     r = _Reader(payload, path)
     ws, bs = [], []
-    for _, layer in arch.parametric_layers():
+    for p, (_, layer) in enumerate(arch.parametric_layers()):
+        start = r.pos
         ws.append(r.tensor("<f4", weight_shape(layer)))
         bs.append(r.tensor("<f4", (filter_count(layer),)))
+        if not (np.isfinite(ws[-1]).all() and np.isfinite(bs[-1]).all()):
+            raise ModelFormatError(f"{path} byte {start}: non-finite parameter in parametric layer {p}")
     r.done()
     return FloatModel(arch, ws, bs)
 

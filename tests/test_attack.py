@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bitsiege as bs
 from bitsiege.attack import FlipRecord
+from bitsiege.model import ModelFormatError
 from bitsiege.model import filter_count, filter_size
 
 from conftest import random_qmodel
@@ -198,3 +200,84 @@ def test_trace_roundtrip(tmp_path, desk):
     assert loaded.records == tr.records
     assert loaded.accuracies == tr.accuracies
     assert loaded.config == tr.config
+
+
+def reference_accuracies(victim, records, data):
+    """Slow reference: rebuild the flipped victim and evaluate it from scratch after each flip."""
+    accs, current = [bs.accuracy_quant(victim, data)], victim
+    for r in records:
+        current = bs.apply_flips(current, [r])
+        accs.append(bs.accuracy_quant(current, data))
+    return accs
+
+
+@pytest.fixture(scope="module")
+def victims(desk):
+    return {8: desk["qmodel"], 4: bs.quantize_model(desk["model"], 4)}
+
+
+@pytest.mark.parametrize("nq", [8, 4])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_evaluate_flips_matches_reference(desk, victims, nq, data):
+    q = victims[nq]
+    layers = q.architecture.parametric_layers()
+
+    def record(layer, bit):
+        _, l = layers[layer]
+        return FlipRecord(layer, data.draw(st.integers(0, filter_count(l) - 1)),
+                          data.draw(st.integers(0, filter_size(l) - 1)), data.draw(bit))
+
+    # a sign and a non-sign bit in every parametric layer, some free picks,
+    # then one bit flipped a second time, in a drawn order
+    records = [record(p, st.just(nq - 1)) for p in range(len(layers))]
+    records += [record(p, st.integers(0, nq - 2)) for p in range(len(layers))]
+    records += [record(data.draw(st.integers(0, len(layers) - 1)), st.integers(0, nq - 1))
+                for _ in range(data.draw(st.integers(0, 4)))]
+    records.append(data.draw(st.sampled_from(records)))
+    records = data.draw(st.permutations(records))
+    assert bs.evaluate_flips(q, records, desk["test"]) == reference_accuracies(q, records, desk["test"])
+
+
+@pytest.mark.parametrize("nq", [8, 4])
+@pytest.mark.parametrize("ranking", [bs.FL2R(), bs.RandomBits(11)])
+def test_run_attack_accuracies_match_reference(desk, victims, nq, ranking):
+    q = victims[nq]
+    tr = bs.run_attack(q, 0.8, 2, ranking, bs.ReconstructionMethod.CZR, 40, desk["test"])
+    assert list(tr.accuracies) == reference_accuracies(q, tr.records, desk["test"])
+
+
+@pytest.mark.parametrize("bad", [FlipRecord(3, 0, 0, 7), FlipRecord(-1, 0, 0, 7),
+                                 FlipRecord(0, 8, 0, 7), FlipRecord(1, 0, 72, 7),
+                                 FlipRecord(2, 0, 0, 8), FlipRecord(2, 0, 0, -1)])
+def test_evaluate_flips_rejects_bad_record(desk, bad):
+    good = FlipRecord(1, 3, 10, 7)
+    with pytest.raises(ValueError):
+        bs.evaluate_flips(desk["qmodel"], [good, bad], desk["test"])
+    with pytest.raises(ValueError):
+        bs.apply_flips(desk["qmodel"], [good, bad])
+
+
+def test_load_trace_rejects_inconsistent_traces(tmp_path, desk):
+    tr = bs.run_attack(desk["qmodel"], 1.0, 0, bs.FL2R(), bs.ReconstructionMethod.CZR, 3,
+                       desk["test"])
+    p = tmp_path / "t.trace"
+    bs.save_trace(tr, p)
+    lines = p.read_text(encoding="utf-8").splitlines()
+    flips = [l for l in lines if l.startswith("flip")]
+    accs = [l for l in lines if l.startswith("acc")]
+    header = lines[:7]
+    cases = {
+        "no config": [lines[0], flips[0], accs[0]],
+        "missing rp": [l for l in lines if not l.startswith("rp ")],
+        "one acc short": header + flips + accs[:-1],
+        "one flip short": header + flips[:-1] + accs[:-1],
+        "accuracy above 1": header + flips + accs[:-1] + ["acc 1.5"],
+    }
+    for text in cases.values():
+        p.write_text("\n".join(text) + "\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError):
+            bs.load_trace(p)
+    p.write_bytes(b"bitsiege-trace-v1\nrecon \xff\n")
+    with pytest.raises(ModelFormatError):
+        bs.load_trace(p)

@@ -145,3 +145,34 @@ def test_verify_command(capsys):
     assert main(["verify"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3 and all(l.startswith("PASS") for l in lines)
+
+
+@pytest.mark.parametrize("line", ["rp = abc", "nq = 5", "nbf = 99999"])
+def test_bad_config_value_is_one_error_line(workdir, tmp_path, capsys, line):
+    values = {"nq": "8", "rp": "0.8", "nbf": "5"}
+    key, _, value = line.partition(" = ")
+    values[key] = value
+    cfg = write_cfg(tmp_path / "bad.cfg", f"""
+victim = {workdir / 'victim.model'}
+eval = {workdir / 'test.data'}
+ranking = fl2r
+recon = czr
+""" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert main(["attack", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+
+def test_bad_model_file_exits_io(workdir, tmp_path, capsys):
+    blob = (workdir / "victim.model").read_bytes()
+    non_utf8 = tmp_path / "header.model"
+    non_utf8.write_bytes(blob.replace(b"classes 4", b"classes \xff", 1))
+    non_finite = tmp_path / "nan.model"
+    body = blob.index(b"end-header\n") + len(b"end-header\n")
+    first = body + 4 + 4 * 4  # ndim and four dims of the first weight tensor
+    non_finite.write_bytes(blob[:first] + np.array([np.nan], dtype="<f4").tobytes() + blob[first + 4:])
+    for path in (non_utf8, non_finite):
+        rc = main(["quantize", "--model", str(path), "--nq", "8", "--out", str(tmp_path / "q")])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(path) in err[0]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bitsiege as bs
-from bitsiege.model import ModelFormatError
+from bitsiege.model import ModelFormatError, _maxpool, forward_layers
 
 from conftest import make_tiny_dense
 
@@ -150,6 +151,9 @@ def test_load_model_rejects_garbage(tmp_path):
     bad.write_bytes(b"bitsiege-model-v1\nlayer dense 3 3\nend-header\n")
     with pytest.raises(ModelFormatError):
         bs.load_model(bad)
+    bad.write_bytes(b"bitsiege-model-v1\nclasses \xff\nend-header\n")
+    with pytest.raises(ModelFormatError, match="UTF-8"):
+        bs.load_model(bad)
 
 
 def test_load_model_truncated_payload(tmp_path, desk):
@@ -170,3 +174,26 @@ def test_dataset_roundtrip(tmp_path, desk):
     p2 = tmp_path / "d2.data"
     bs.save_dataset(loaded, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 4), oh=st.integers(1, 5), ow=st.integers(1, 5),
+       w=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_maxpool_equals_reshape_max(n, c, oh, ow, w, seed):
+    # small integer values make ties inside a window common
+    x = np.random.default_rng(seed).integers(-3, 4, size=(n, c, oh * w, ow * w)).astype(np.float64)
+    ref = x.reshape(n, c, oh, w, ow, w).max(axis=(3, 5))
+    got = _maxpool(x, w)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
+
+
+def test_forward_layers_restart_from_cache_is_exact(desk):
+    model, xs = desk["model"], desk["test"].inputs
+    arch = model.architecture
+    cache = [None] * len(model.weights)
+    full = bs.forward_batch(model, xs, cache)
+    for p, (pos, _) in enumerate(arch.parametric_layers()):
+        again = forward_layers(arch, model.weights, model.biases, cache[p], pos)
+        assert np.array_equal(again, full)
+
