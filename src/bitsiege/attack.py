@@ -209,14 +209,14 @@ def evaluate_flips(victim: QuantModel, records, eval_data: Dataset) -> list:
     positions = [pos for pos, _ in arch.parametric_layers()]
     codes = [c.copy() for c in victim.codes]
     weights = [w.copy() for w in fm.weights]
-    cache = [None] * len(weights)
+    cache = dict.fromkeys(positions)
     accs = [accuracy(fm, eval_data, cache)]
     for r in records:
         idx = _flip_code(codes, victim, r)
         weights[r.layer].reshape(-1)[idx] = (np.float64(codes[r.layer].reshape(-1)[idx])
                                              * victim.params[r.layer].scale)
-        logits = forward_layers(arch, weights, fm.biases, cache[r.layer], positions[r.layer],
-                                cache)
+        pos = positions[r.layer]
+        logits = forward_layers(arch, weights, fm.biases, cache[pos], pos, cache)
         accs.append(top1_accuracy(logits, eval_data.labels))
     return accs
 

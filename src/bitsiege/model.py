@@ -8,6 +8,7 @@ import numpy as np
 
 MODEL_MAGIC = "bitsiege-model-v1"
 DATA_MAGIC = "bitsiege-data-v1"
+DATA_MAX_CLASSES = 256  # `.data` files store labels as uint8
 _END_HEADER = b"end-header\n"
 
 
@@ -189,19 +190,20 @@ def _maxpool(x, w):
 def forward_layers(arch: Architecture, weights, biases, x, start=0, cache=None) -> np.ndarray:
     """Run `arch.layers[start:]` on the batch `x`, the input of layer `start`; returns logits.
 
-    If `cache` is given (a list with one slot per parametric layer), the input of
-    every parametric layer that runs is stored in its slot, so a later call can
-    restart from that layer's position with the stored activation.
+    If `cache` is given (a dict keyed by layer position), the input of every layer
+    that runs and has a key in it is stored under that key, so a later call can
+    restart from that position with the stored activation, or backprop through it.
     """
     p = sum(isinstance(l, (Conv2D, Dense)) for l in arch.layers[:start])
-    for layer in arch.layers[start:]:
-        if isinstance(layer, (Conv2D, Dense)):
-            if cache is not None:
-                cache[p] = x
-            if isinstance(layer, Conv2D):
-                x = _conv2d(x, weights[p], biases[p], layer.stride, layer.padding)
-            else:
-                x = x @ weights[p].T + biases[p]
+    for pos in range(start, len(arch.layers)):
+        layer = arch.layers[pos]
+        if cache is not None and pos in cache:
+            cache[pos] = x
+        if isinstance(layer, Conv2D):
+            x = _conv2d(x, weights[p], biases[p], layer.stride, layer.padding)
+            p += 1
+        elif isinstance(layer, Dense):
+            x = x @ weights[p].T + biases[p]
             p += 1
         elif isinstance(layer, ReLU):
             x = np.maximum(x, 0.0)
@@ -212,8 +214,65 @@ def forward_layers(arch: Architecture, weights, biases, x, start=0, cache=None) 
     return x
 
 
+def _conv_bwd(x, w, stride, padding, dout):
+    """(dw, db, dx) of `_conv2d` at input `x`, given the output gradient `dout`."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    _, _, hp, wp = xp.shape
+    k = w.shape[2]
+    ho, wo = dout.shape[2], dout.shape[3]
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    for i in range(k):
+        for j in range(k):
+            patch = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+            dw[:, :, i, j] = np.einsum("nchw,nohw->oc", patch, dout, optimize=True)
+            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
+                np.einsum("nohw,oc->nchw", dout, w[:, :, i, j], optimize=True)
+    db = dout.sum(axis=(0, 2, 3))
+    dx = dxp[:, :, padding:hp - padding, padding:wp - padding]
+    return dw, db, dx
+
+
+def _pool_bwd(x, w, dout):
+    """Input gradient of `_maxpool` at `x`: each window's gradient goes to its first maximum."""
+    n, c, h, wd = x.shape
+    xr = x.reshape(n, c, h // w, w, wd // w, w).transpose(0, 1, 2, 4, 3, 5) \
+          .reshape(n, c, h // w, wd // w, w * w)
+    idx = xr.argmax(axis=-1)
+    dxr = np.zeros((n, c, h // w, wd // w, w * w))
+    np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
+    return dxr.reshape(n, c, h // w, wd // w, w, w).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, wd)
+
+
+def backward_layers(arch: Architecture, weights, cache, dlogits):
+    """Backprop the loss gradient `dlogits` through every layer: (weight grads, bias grads).
+
+    `cache` holds every layer's input, as a `forward_layers` call from position 0 stores it."""
+    dws, dbs = [None] * len(weights), [None] * len(weights)
+    p = len(weights)
+    d = dlogits
+    for pos in reversed(range(len(arch.layers))):
+        layer, x = arch.layers[pos], cache[pos]
+        if isinstance(layer, Conv2D):
+            p -= 1
+            dws[p], dbs[p], d = _conv_bwd(x, weights[p], layer.stride, layer.padding, d)
+        elif isinstance(layer, Dense):
+            p -= 1
+            dws[p] = d.T @ x
+            dbs[p] = d.sum(axis=0)
+            d = d @ weights[p]
+        elif isinstance(layer, ReLU):
+            d = d * (x > 0)
+        elif isinstance(layer, MaxPool):
+            d = _pool_bwd(x, layer.window, d)
+        else:  # Flatten
+            d = d.reshape(x.shape)
+    return dws, dbs
+
+
 def forward_batch(model: FloatModel, xs, cache=None) -> np.ndarray:
-    """Logits for a batch shaped (N, *input_shape); `cache` as in `forward_layers`."""
+    """Logits for a batch shaped (N, *input_shape); `cache` (a dict keyed by layer
+    position) receives the input of each keyed layer, as in `forward_layers`."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.shape[1:] != model.architecture.input_shape:
         raise ValueError(f"input shape {xs.shape[1:]} != {model.architecture.input_shape}")
@@ -228,7 +287,7 @@ def forward(model: FloatModel, x) -> np.ndarray:
 def accuracy(model: FloatModel, data: Dataset, cache=None) -> float:
     """Top-1 accuracy; argmax ties break to the lowest class index.
 
-    `cache` as in `forward_layers`."""
+    `cache`: a dict keyed by layer position, filled as in `forward_layers`."""
     if len(data) == 0:
         raise ValueError("empty dataset")
     return top1_accuracy(forward_batch(model, data.inputs, cache), data.labels)
@@ -368,6 +427,8 @@ def load_model(path) -> FloatModel:
 
 
 def save_dataset(data: Dataset, path):
+    if len(data) and not 0 <= data.labels.min() <= data.labels.max() < DATA_MAX_CLASSES:
+        raise ValueError(f"labels must be in [0, {DATA_MAX_CLASSES - 1}] to be stored as uint8")
     shape = data.inputs.shape[1:]
     classes = int(data.labels.max()) + 1 if len(data) else 0
     header = "\n".join([DATA_MAGIC,
@@ -389,12 +450,15 @@ def load_dataset(path) -> Dataset:
         tok = line.split()
         if not tok or tok[0] not in ("shape", "classes", "samples"):
             raise ModelFormatError(f"{path} line {i}: unknown field {line!r}")
-        fields[tok[0]] = [int(t) for t in tok[1:]]
+        try:
+            fields[tok[0]] = [int(t) for t in tok[1:]]
+        except ValueError:
+            raise ModelFormatError(f"{path} line {i}: malformed header line {line!r}") from None
     try:
         shape = tuple(fields["shape"])
         n = fields["samples"][0]
-    except KeyError as e:
-        raise ModelFormatError(f"{path}: missing header field {e}") from e
+    except (KeyError, IndexError):
+        raise ModelFormatError(f"{path}: header needs a 'shape' and a 'samples <n>' line") from None
     r = _Reader(payload, path)
     size = int(np.prod(shape))
     inputs = np.frombuffer(r.take(4 * n * size), dtype="<f4").reshape((n,) + shape)

@@ -1,4 +1,4 @@
-"""Desk-scale victims: synthetic prototype datasets and a small SGD trainer with backprop."""
+"""Desk-scale victims: synthetic prototype datasets, cross-entropy loss and a small SGD trainer."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel, MaxPool, ReLU,
-                    filter_count, weight_shape)
+                    backward_layers, filter_count, forward_layers, weight_shape)
 
 
 class TrainingDiverged(Exception):
@@ -72,74 +72,7 @@ def gen_synthetic(spec: SynthSpec):
     return draw(spec.per_class), draw(spec.test_per_class)
 
 
-# ------------------------------------------------------------ forward/backward
-
-def _conv_fwd(x, w, b, stride, padding):
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    k = w.shape[2]
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    return np.einsum("nchwij,ocij->nohw", win, w, optimize=True) + b[None, :, None, None], x
-
-
-def _conv_bwd(xp, w, stride, padding, dout):
-    n, cin, hp, wp = xp.shape
-    k = w.shape[2]
-    ho, wo = dout.shape[2], dout.shape[3]
-    dw = np.zeros_like(w)
-    dxp = np.zeros_like(xp)
-    for i in range(k):
-        for j in range(k):
-            patch = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-            dw[:, :, i, j] = np.einsum("nchw,nohw->oc", patch, dout, optimize=True)
-            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                np.einsum("nohw,oc->nchw", dout, w[:, :, i, j], optimize=True)
-    db = dout.sum(axis=(0, 2, 3))
-    dx = dxp[:, :, padding:hp - padding, padding:wp - padding]
-    return dw, db, dx
-
-
-def _pool_fwd(x, w):
-    n, c, h, wd = x.shape
-    xr = x.reshape(n, c, h // w, w, wd // w, w).transpose(0, 1, 2, 4, 3, 5) \
-          .reshape(n, c, h // w, wd // w, w * w)
-    idx = xr.argmax(axis=-1)
-    out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-    return out, (idx, x.shape)
-
-
-def _pool_bwd(cache, w, dout):
-    idx, (n, c, h, wd) = cache
-    dxr = np.zeros((n, c, h // w, wd // w, w * w))
-    np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
-    return dxr.reshape(n, c, h // w, wd // w, w, w).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, wd)
-
-
-def _forward_train(arch, weights, biases, x):
-    caches = []
-    p = 0
-    for layer in arch.layers:
-        if isinstance(layer, Conv2D):
-            out, xp = _conv_fwd(x, weights[p], biases[p], layer.stride, layer.padding)
-            caches.append(("conv", p, layer, xp))
-            x = out
-            p += 1
-        elif isinstance(layer, Dense):
-            caches.append(("dense", p, layer, x))
-            x = x @ weights[p].T + biases[p]
-            p += 1
-        elif isinstance(layer, ReLU):
-            caches.append(("relu", None, layer, x))
-            x = np.maximum(x, 0.0)
-        elif isinstance(layer, MaxPool):
-            out, cache = _pool_fwd(x, layer.window)
-            caches.append(("pool", None, layer, cache))
-            x = out
-        else:
-            caches.append(("flatten", None, layer, x.shape))
-            x = x.reshape(len(x), -1)
-    return x, caches
-
+# ------------------------------------------------------------ loss and SGD
 
 def _softmax_ce(logits, labels):
     """Mean cross-entropy and its gradient w.r.t. logits."""
@@ -153,23 +86,10 @@ def _softmax_ce(logits, labels):
 
 
 def _grads(arch, weights, biases, inputs, labels):
-    logits, caches = _forward_train(arch, weights, biases, np.asarray(inputs, dtype=np.float64))
-    loss, d = _softmax_ce(logits, np.asarray(labels))
-    dws = [None] * len(weights)
-    dbs = [None] * len(biases)
-    for kind, p, layer, cache in reversed(caches):
-        if kind == "conv":
-            dws[p], dbs[p], d = _conv_bwd(cache, weights[p], layer.stride, layer.padding, d)
-        elif kind == "dense":
-            dws[p] = d.T @ cache
-            dbs[p] = d.sum(axis=0)
-            d = d @ weights[p]
-        elif kind == "relu":
-            d = d * (cache > 0)
-        elif kind == "pool":
-            d = _pool_bwd(cache, layer.window, d)
-        else:
-            d = d.reshape(cache)
+    cache = dict.fromkeys(range(len(arch.layers)))
+    logits = forward_layers(arch, weights, biases, np.asarray(inputs, dtype=np.float64), 0, cache)
+    loss, dlogits = _softmax_ce(logits, np.asarray(labels))
+    dws, dbs = backward_layers(arch, weights, cache, dlogits)
     return loss, dws, dbs
 
 

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import bitsiege as bs
-from bitsiege.cli import EXIT_OK, main
+from bitsiege.cli import EXIT_OK, _verify_czr, _verify_gradient, _verify_sign_flip, main
 from bitsiege.quantize import code_range
 from bitsiege.reconstruct import ReconstructionMethod
-from bitsiege.synth import batch_loss
 
 from conftest import random_qmodel
 
@@ -22,31 +21,15 @@ def report(name, ok, detail=""):
 
 def test_c01_czr_equals_exhaustive_oracle():
     t0 = time.time()
-    mismatches = 0
-    for nq in (4, 8):
-        for mask in range(1 << nq):
-            for bits in range(1 << nq):
-                known = bits & mask
-                if bs.reconstruct_code(known, mask, nq, ReconstructionMethod.CZR) != \
-                        bs.oracle_min_abs(known, mask, nq):
-                    mismatches += 1
+    ok, detail = _verify_czr()
     elapsed = time.time() - t0
-    report("criterion-01 czr-oracle-equivalence",
-           mismatches == 0 and elapsed < 30.0,
-           f"(mismatches={mismatches}, {elapsed:.1f}s)")
+    report("criterion-01 czr-oracle-equivalence", ok and elapsed < 30.0,
+           f"({detail}, {elapsed:.1f}s)")
 
 
 def test_c02_sign_bit_algebra():
-    bad = 0
-    for nq in (4, 6, 8):
-        lo, hi = code_range(nq)
-        half, quarter = 1 << (nq - 1), 1 << (nq - 3)
-        for c in range(lo, hi + 1):
-            if abs(bs.flip_bit(c, nq - 1, nq) - c) != half:
-                bad += 1
-            if half - quarter <= c <= half - 1 and abs(bs.flip_bit(c, nq - 1, nq)) > quarter:
-                bad += 1
-    report("criterion-02 sign-bit-algebra", bad == 0, f"(violations={bad})")
+    ok, detail = _verify_sign_flip()
+    report("criterion-02 sign-bit-algebra", ok, f"({detail})")
 
 
 def test_c03_quantization_round_trip():
@@ -63,29 +46,8 @@ def test_c03_quantization_round_trip():
 
 
 def test_c04_gradient_correctness():
-    rng = np.random.default_rng(5)
-    arch = bs.Architecture((bs.Conv2D(1, 2, 3), bs.ReLU(), bs.MaxPool(2), bs.Conv2D(2, 3, 3),
-                            bs.ReLU(), bs.Flatten(), bs.Dense(3, 3)), (1, 8, 8), 3)
-    from bitsiege.model import weight_shape, filter_count
-    ws = [rng.standard_normal(weight_shape(l)) * 0.5 for _, l in arch.parametric_layers()]
-    bsz = [rng.standard_normal(filter_count(l)) * 0.1 for _, l in arch.parametric_layers()]
-    model = bs.FloatModel(arch, ws, bsz)
-    inputs = rng.standard_normal((4, 1, 8, 8))
-    labels = np.array([0, 1, 2, 1])
-    dws, _ = bs.gradient(model, inputs, labels)
-    step = 1e-3
-    worst = 0.0
-    for p, dw in enumerate(dws):
-        flat = ws[p].reshape(-1)
-        for i in range(flat.size):
-            def loss_at(v):
-                mod = [w.copy() for w in ws]
-                mod[p].reshape(-1)[i] = v
-                return batch_loss(bs.FloatModel(arch, mod, bsz), inputs, labels)
-            fd = (loss_at(flat[i] + step) - loss_at(flat[i] - step)) / (2 * step)
-            g = dw.reshape(-1)[i]
-            worst = max(worst, abs(g - fd) / max(1.0, abs(fd)))
-    report("criterion-04 gradient-correctness", worst <= 1e-4, f"(worst rel err={worst:.2e})")
+    ok, detail = _verify_gradient()
+    report("criterion-04 gradient-correctness", ok, f"({detail})")
 
 
 def test_c05_fl2r_beats_random(desk):

@@ -37,6 +37,15 @@ def test_train_command(tmp_path):
     bs.load_model(out / "victim.model")
 
 
+def test_train_rejects_more_classes_than_labels_hold(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "t.cfg", "classes = 257\ninput_shape = 1 32 32\nepochs = 1\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "classes" in err[0]
+    assert not out.exists()
+
+
 def test_quantize_command(workdir, tmp_path):
     out = tmp_path / "v.qmodel"
     rc = main(["quantize", "--model", str(workdir / "victim.model"), "--nq", "8",
@@ -161,6 +170,24 @@ recon = czr
     assert main(["attack", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+
+@pytest.mark.parametrize("command", ["attack", "sweep"])
+def test_gradient_shortfall_is_one_error_line(workdir, tmp_path, capsys, command, desk):
+    nbf = sum(w.size for w in desk["model"].weights)  # far more than are gradient-aligned
+    cfg = write_cfg(tmp_path / "g.cfg", f"""
+victim = {workdir / 'victim.model'}
+eval = {workdir / 'test.data'}
+nq = 8
+rp = 0.8
+seeds = 0
+ranking = gradient
+recon = czr
+nbf = {nbf}
+""")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "gradient-aligned" in err[0]
 
 
 def test_bad_model_file_exits_io(workdir, tmp_path, capsys):

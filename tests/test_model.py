@@ -154,6 +154,10 @@ def test_load_model_rejects_garbage(tmp_path):
     bad.write_bytes(b"bitsiege-model-v1\nclasses \xff\nend-header\n")
     with pytest.raises(ModelFormatError, match="UTF-8"):
         bs.load_model(bad)
+    bad_data = tmp_path / "bad.data"
+    bad_data.write_bytes(b"bitsiege-data-v1\nshape 1 x 8\nclasses 4\nsamples 0\nend-header\n")
+    with pytest.raises(ModelFormatError, match="line 2"):
+        bs.load_dataset(bad_data)
 
 
 def test_load_model_truncated_payload(tmp_path, desk):
@@ -176,6 +180,14 @@ def test_dataset_roundtrip(tmp_path, desk):
     assert p.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("label", [-1, 256])
+def test_save_dataset_rejects_labels_beyond_uint8(tmp_path, label):
+    p = tmp_path / "d.data"
+    with pytest.raises(ValueError, match="uint8"):
+        bs.save_dataset(bs.Dataset(np.zeros((2, 3)), [0, label]), p)
+    assert not p.exists()
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 3), c=st.integers(1, 4), oh=st.integers(1, 5), ow=st.integers(1, 5),
        w=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -191,9 +203,14 @@ def test_maxpool_equals_reshape_max(n, c, oh, ow, w, seed):
 def test_forward_layers_restart_from_cache_is_exact(desk):
     model, xs = desk["model"], desk["test"].inputs
     arch = model.architecture
-    cache = [None] * len(model.weights)
+    positions = range(len(arch.layers))
+    cache = dict.fromkeys(positions)
     full = bs.forward_batch(model, xs, cache)
-    for p, (pos, _) in enumerate(arch.parametric_layers()):
-        again = forward_layers(arch, model.weights, model.biases, cache[p], pos)
+    for pos in positions:
+        again = forward_layers(arch, model.weights, model.biases, cache[pos], pos)
         assert np.array_equal(again, full)
-
+    parametric = {pos for pos, _ in arch.parametric_layers()}
+    keyed = dict.fromkeys(parametric)
+    bs.forward_batch(model, xs, keyed)  # stores only the keyed positions
+    assert keyed.keys() == parametric
+    assert all(np.array_equal(keyed[pos], cache[pos]) for pos in parametric)

@@ -68,12 +68,15 @@ def test_desk_victim_reaches_target_accuracy(desk):
     assert bs.accuracy(desk["model"], desk["test"]) >= 0.90
 
 
-@pytest.mark.parametrize("layer_set", ["conv", "dense"])
+@pytest.mark.parametrize("layer_set", ["conv", "dense", "strided-padded-conv"])
 def test_gradient_matches_finite_differences(layer_set):
     rng = np.random.default_rng(0)
     if layer_set == "conv":
         arch = bs.Architecture((bs.Conv2D(1, 2, 3), bs.ReLU(), bs.MaxPool(2),
                                 bs.Flatten(), bs.Dense(2, 3)), (1, 4, 4), 3)
+    elif layer_set == "strided-padded-conv":
+        arch = bs.Architecture((bs.Conv2D(1, 2, 3, stride=2, padding=1), bs.ReLU(), bs.MaxPool(2),
+                                bs.Flatten(), bs.Dense(8, 3)), (1, 8, 8), 3)
     else:
         arch = bs.Architecture((bs.Flatten(), bs.Dense(16, 5), bs.ReLU(), bs.Dense(5, 3)),
                                (1, 4, 4), 3)
@@ -81,7 +84,7 @@ def test_gradient_matches_finite_differences(layer_set):
     ws = [rng.standard_normal(weight_shape(l)) * 0.5 for _, l in arch.parametric_layers()]
     bsz = [rng.standard_normal(filter_count(l)) * 0.1 for _, l in arch.parametric_layers()]
     model = bs.FloatModel(arch, ws, bsz)
-    inputs = rng.standard_normal((4, 1, 4, 4))
+    inputs = rng.standard_normal((4,) + arch.input_shape)
     labels = np.array([0, 1, 2, 0])
     dws, dbs = bs.gradient(model, inputs, labels)
     step = 1e-3
