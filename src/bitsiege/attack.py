@@ -200,9 +200,10 @@ def evaluate_flips(victim: QuantModel, records, eval_data: Dataset) -> list:
     Incremental and exact: the victim is dequantized once; each flip rewrites
     one code and its weight (`float64(code) * scale`, the product `dequantize`
     forms) and re-runs the network only from the flipped parametric layer on,
-    starting at that layer's cached input. Every layer runs the same full-batch
-    operation as a fresh `forward_batch`, so each accuracy equals
-    `accuracy_quant(apply_flips(victim, records[:i]), eval_data)` exactly.
+    starting at that layer's cached input (a conv layer's patch matrix). Every
+    layer runs the same full-batch operation as a fresh `forward_batch`, so each
+    accuracy equals `accuracy_quant(apply_flips(victim, records[:i]), eval_data)`
+    exactly.
     """
     fm = dequantize_model(victim)
     arch = victim.architecture

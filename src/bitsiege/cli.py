@@ -70,8 +70,13 @@ def _many(cfg, key, cast=str):
     return [_cast(key, cast, v) for v in cfg[key]]
 
 
-def _check_grid(nqs, rps, rankings, recons):
+def _check_grid(nqs, rps, seeds, rankings, recons, batch):
     """Reject config values the pipeline does not support, before any run starts."""
+    if batch < 1:
+        raise _UsageError(f"batch must be >= 1, got {batch}")
+    for seed in seeds:
+        if seed < 0:
+            raise _UsageError(f"seeds must be >= 0, got {seed}")
     for nq in nqs:
         if nq not in BITWIDTHS:
             raise _UsageError(f"nq must be one of {BITWIDTHS}, got {nq}")
@@ -98,23 +103,30 @@ def _ranking_method(name, seed, batch):
 
 def cmd_train(args):
     cfg = parse_config(args.config)
-    spec = synth.SynthSpec(
-        classes=_one(cfg, "classes", int, 4),
-        per_class=_one(cfg, "per_class", int, 200),
-        test_per_class=_one(cfg, "test_per_class", int, 50),
-        input_shape=tuple(_many(cfg, "input_shape", int)) if "input_shape" in cfg else (1, 8, 8),
-        noise=_one(cfg, "noise", float, 0.5),
-        seed=_one(cfg, "data_seed", int, 7))
-    if spec.classes > DATA_MAX_CLASSES:
-        raise _UsageError(f"classes must be <= {DATA_MAX_CLASSES}: .data files store labels as uint8")
-    tc = synth.TrainConfig(
-        epochs=_one(cfg, "epochs", int, 30),
-        lr=_one(cfg, "lr", float, 0.1),
-        batch_size=_one(cfg, "batch", int, 32),
-        seed=_one(cfg, "train_seed", int, 2))
-    train_ds, test_ds = synth.gen_synthetic(spec)
-    arch = synth.desk_architecture(spec.classes, spec.input_shape)
-    model = synth.train(arch, train_ds, tc)
+    try:
+        spec = synth.SynthSpec(
+            classes=_one(cfg, "classes", int, 4),
+            per_class=_one(cfg, "per_class", int, 200),
+            test_per_class=_one(cfg, "test_per_class", int, 50),
+            input_shape=tuple(_many(cfg, "input_shape", int)) if "input_shape" in cfg else (1, 8, 8),
+            noise=_one(cfg, "noise", float, 0.5),
+            seed=_one(cfg, "data_seed", int, 7))
+        if spec.classes > DATA_MAX_CLASSES:
+            raise _UsageError(f"classes must be <= {DATA_MAX_CLASSES}: .data files store labels as uint8")
+        tc = synth.TrainConfig(
+            epochs=_one(cfg, "epochs", int, 30),
+            lr=_one(cfg, "lr", float, 0.1),
+            batch_size=_one(cfg, "batch", int, 32),
+            seed=_one(cfg, "train_seed", int, 2))
+        arch = synth.desk_architecture(spec.classes, spec.input_shape)
+        train_ds, test_ds = synth.gen_synthetic(spec)
+    except ValueError as e:
+        raise _UsageError(f"train config: {e}") from None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+            model = synth.train(arch, train_ds, tc)
+    except synth.TrainingDiverged as e:
+        raise _UsageError(f"training diverged ({e}); try a smaller lr") from None
     os.makedirs(args.out, exist_ok=True)
     save_model(model, os.path.join(args.out, "victim.model"))
     save_dataset(train_ds, os.path.join(args.out, "train.data"))
@@ -150,11 +162,11 @@ def _run_one(victim_path, eval_path, nq, rp, seed, ranking, recon, nbf, batch):
 
 def cmd_attack(args):
     cfg = parse_config(args.config)
-    nq, rp = _one(cfg, "nq", int), _one(cfg, "rp", float)
-    ranking, recon = _one(cfg, "ranking"), _one(cfg, "recon")
-    _check_grid([nq], [rp], [ranking], [recon])
-    trace = _run_one(_one(cfg, "victim"), _one(cfg, "eval"), nq, rp, _one(cfg, "seeds", int, 0),
-                     ranking, recon, _one(cfg, "nbf", int), _one(cfg, "batch", int, 32))
+    nq, rp, seed = _one(cfg, "nq", int), _one(cfg, "rp", float), _one(cfg, "seeds", int, 0)
+    ranking, recon, batch = _one(cfg, "ranking"), _one(cfg, "recon"), _one(cfg, "batch", int, 32)
+    _check_grid([nq], [rp], [seed], [ranking], [recon], batch)
+    trace = _run_one(_one(cfg, "victim"), _one(cfg, "eval"), nq, rp, seed,
+                     ranking, recon, _one(cfg, "nbf", int), batch)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"trace_{_cfg_hash(trace.config)}.trace")
     save_trace(trace, path)
@@ -184,7 +196,7 @@ def cmd_sweep(args):
         seeds = [args.seed_base + i for i in range(len(seeds))]
     rankings = _many(cfg, "ranking")
     recons = _many(cfg, "recon")
-    _check_grid(nqs, rps, rankings, recons)
+    _check_grid(nqs, rps, seeds, rankings, recons, batch)
     axes = list(itertools.product(nqs, rps, seeds, rankings, recons))
     jobs = [(victim_path, eval_path, nq, rp, seed, rk, rc, nbf, batch)
             for nq, rp, seed, rk, rc in axes]

@@ -101,17 +101,20 @@ class Architecture:
     layers: tuple
     input_shape: tuple
     num_classes: int
+    # shapes[pos]: the input shape of layer `pos` (no batch dim); shapes[-1]: the logits
+    shapes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
-        shape = self.input_shape
-        if any(d < 1 for d in shape):
+        if any(d < 1 for d in self.input_shape):
             raise ValueError("input dimensions must be positive")
+        shapes = [self.input_shape]
         for layer in self.layers:
-            shape = _layer_out_shape(layer, shape)
-        if shape != (self.num_classes,):
-            raise ValueError(f"final output shape {shape} != ({self.num_classes},)")
+            shapes.append(_layer_out_shape(layer, shapes[-1]))
+        object.__setattr__(self, "shapes", tuple(shapes))
+        if shapes[-1] != (self.num_classes,):
+            raise ValueError(f"final output shape {shapes[-1]} != ({self.num_classes},)")
         if not self.parametric_layers():
             raise ValueError("architecture needs at least one parametric layer")
 
@@ -167,14 +170,29 @@ class Dataset:
         return len(self.inputs)
 
 
-def _conv2d(x, w, b, stride, padding):
+def _patches(x, kernel, stride, padding):
+    """Patch matrix (C*k*k, N*Ho*Wo) of the batch `x` (N, C, H, W): column (n, h, w)
+    holds the k x k window of sample n under output pixel (h, w).
+
+    A strided (C, k, k, N, Ho, Wo) view of the (padded) input, reshaped; numpy
+    copies only where the reshape cannot be a view."""
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    k = w.shape[2]
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    out = np.einsum("nchwij,ocij->nohw", win, w, optimize=True)
-    return out + b[None, :, None, None]
+    n, c, h, w = x.shape
+    ho, wo = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    sn, sc, sh, sw = x.strides
+    win = np.lib.stride_tricks.as_strided(x, (c, kernel, kernel, n, ho, wo),
+                                          (sc, sh, sw, sn, sh * stride, sw * stride),
+                                          writeable=False)
+    return win.reshape(c * kernel * kernel, n * ho * wo)
+
+
+def _conv2d(cols, w, b, out_hw):
+    """Convolution as one GEMM over the patch matrix `cols` of `_patches`:
+    the (N, O, Ho, Wo) transpose of the (O, N*Ho*Wo) product, `out_hw` = (Ho, Wo)."""
+    o = len(w)
+    out = w.reshape(o, -1) @ cols + b[:, None]
+    return out.reshape((o, -1) + out_hw).transpose(1, 0, 2, 3)
 
 
 def _maxpool(x, w):
@@ -190,17 +208,21 @@ def _maxpool(x, w):
 def forward_layers(arch: Architecture, weights, biases, x, start=0, cache=None) -> np.ndarray:
     """Run `arch.layers[start:]` on the batch `x`, the input of layer `start`; returns logits.
 
-    If `cache` is given (a dict keyed by layer position), the input of every layer
-    that runs and has a key in it is stored under that key, so a later call can
-    restart from that position with the stored activation, or backprop through it.
+    A Conv2D turns a 4-D input into its patch matrix (`_patches`) first, and also
+    accepts that patch matrix as `x`. If `cache` is given (a dict keyed by layer
+    position), the input of every layer that runs and has a key in it is stored
+    under that key (a Conv2D's as its patch matrix), so a later call can restart
+    from that position with the stored activation, or backprop through it.
     """
     p = sum(isinstance(l, (Conv2D, Dense)) for l in arch.layers[:start])
     for pos in range(start, len(arch.layers)):
         layer = arch.layers[pos]
+        if isinstance(layer, Conv2D) and x.ndim == 4:
+            x = _patches(x, layer.kernel, layer.stride, layer.padding)
         if cache is not None and pos in cache:
             cache[pos] = x
         if isinstance(layer, Conv2D):
-            x = _conv2d(x, weights[p], biases[p], layer.stride, layer.padding)
+            x = _conv2d(x, weights[p], biases[p], arch.shapes[pos + 1][1:])
             p += 1
         elif isinstance(layer, Dense):
             x = x @ weights[p].T + biases[p]
@@ -214,22 +236,21 @@ def forward_layers(arch: Architecture, weights, biases, x, start=0, cache=None) 
     return x
 
 
-def _conv_bwd(x, w, stride, padding, dout):
-    """(dw, db, dx) of `_conv2d` at input `x`, given the output gradient `dout`."""
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-    _, _, hp, wp = xp.shape
-    k = w.shape[2]
+def _conv_bwd(cols, w, stride, padding, x_shape, dout):
+    """(dw, db, dx) of `_conv2d` at the patch matrix `cols` of an input shaped
+    `x_shape` (N, C, H, W), given the output gradient `dout` (N, O, Ho, Wo)."""
+    n, c, h, wd = x_shape
+    o, _, k, _ = w.shape
     ho, wo = dout.shape[2], dout.shape[3]
-    dw = np.zeros_like(w)
-    dxp = np.zeros_like(xp)
+    d2 = dout.transpose(1, 0, 2, 3).reshape(o, -1)
+    dw = (d2 @ cols.T).reshape(w.shape)
+    dcols = (w.reshape(o, -1).T @ d2).reshape(c, k, k, n, ho, wo)
+    dxp = np.zeros((c, n, h + 2 * padding, wd + 2 * padding))
     for i in range(k):
         for j in range(k):
-            patch = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-            dw[:, :, i, j] = np.einsum("nchw,nohw->oc", patch, dout, optimize=True)
-            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                np.einsum("nohw,oc->nchw", dout, w[:, :, i, j], optimize=True)
+            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
     db = dout.sum(axis=(0, 2, 3))
-    dx = dxp[:, :, padding:hp - padding, padding:wp - padding]
+    dx = dxp[:, :, padding:padding + h, padding:padding + wd].transpose(1, 0, 2, 3)
     return dw, db, dx
 
 
@@ -247,7 +268,8 @@ def _pool_bwd(x, w, dout):
 def backward_layers(arch: Architecture, weights, cache, dlogits):
     """Backprop the loss gradient `dlogits` through every layer: (weight grads, bias grads).
 
-    `cache` holds every layer's input, as a `forward_layers` call from position 0 stores it."""
+    `cache` holds every layer's input (a Conv2D's as its patch matrix), as a
+    `forward_layers` call from position 0 stores it."""
     dws, dbs = [None] * len(weights), [None] * len(weights)
     p = len(weights)
     d = dlogits
@@ -255,7 +277,8 @@ def backward_layers(arch: Architecture, weights, cache, dlogits):
         layer, x = arch.layers[pos], cache[pos]
         if isinstance(layer, Conv2D):
             p -= 1
-            dws[p], dbs[p], d = _conv_bwd(x, weights[p], layer.stride, layer.padding, d)
+            dws[p], dbs[p], d = _conv_bwd(x, weights[p], layer.stride, layer.padding,
+                                          (len(d),) + arch.shapes[pos], d)
         elif isinstance(layer, Dense):
             p -= 1
             dws[p] = d.T @ x

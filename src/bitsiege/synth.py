@@ -25,8 +25,10 @@ class SynthSpec:
     def __post_init__(self):
         if self.classes < 4 or self.per_class < 1 or self.test_per_class < 1:
             raise ValueError("need >= 4 classes and positive sample counts")
-        if self.noise < 0:
+        if not self.noise >= 0:
             raise ValueError("noise must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -37,12 +39,16 @@ class TrainConfig:
     seed: int = 2
 
     def __post_init__(self):
-        if self.epochs < 1 or self.lr <= 0 or self.batch_size < 1:
+        if self.epochs < 1 or not self.lr > 0 or self.batch_size < 1:
             raise ValueError("epochs/lr/batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def desk_architecture(classes: int = 4, input_shape=(1, 8, 8)) -> Architecture:
     """The frozen desk victim: two small conv blocks feeding one dense head."""
+    if len(input_shape) != 3:
+        raise ValueError(f"the desk architecture needs a (C, H, W) input shape, got {input_shape}")
     c, h, w = input_shape
     h2, w2 = (h - 2) // 2 - 2, (w - 2) // 2 - 2
     return Architecture((Conv2D(c, 8, 3), ReLU(), MaxPool(2), Conv2D(8, 16, 3), ReLU(),

@@ -46,6 +46,17 @@ def test_train_rejects_more_classes_than_labels_hold(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["classes = 2", "input_shape = 1 4 4", "input_shape = 8 8",
+                                  "lr = 0", "train_seed = -1", "lr = 1e120"])
+def test_bad_train_config_is_one_error_line(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path / "t.cfg", f"per_class = 10\ntest_per_class = 2\nepochs = 2\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not out.exists()
+
+
 def test_quantize_command(workdir, tmp_path):
     out = tmp_path / "v.qmodel"
     rc = main(["quantize", "--model", str(workdir / "victim.model"), "--nq", "8",
@@ -203,3 +214,27 @@ def test_bad_model_file_exits_io(workdir, tmp_path, capsys):
         assert rc == EXIT_IO
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(path) in err[0]
+
+
+@pytest.mark.parametrize("command, line, argv", [
+    ("attack", "batch = -5", []), ("attack", "seeds = -3", []),
+    ("sweep", "batch = -5", []), ("sweep", "seeds = 0 -3", []),
+    ("sweep", "seeds = 0 1", ["--seed-base", "-3"])])
+def test_negative_batch_or_seed_is_one_error_line(workdir, tmp_path, capsys, command, line, argv):
+    values = {"seeds": "0", "batch": "8"}
+    key, _, value = line.partition(" = ")
+    values[key] = value
+    cfg = write_cfg(tmp_path / "neg.cfg", f"""
+victim = {workdir / 'victim.model'}
+eval = {workdir / 'test.data'}
+nq = 8
+rp = 0.8
+ranking = gradient
+recon = czr
+nbf = 3
+""" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *argv]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0], err
+    assert not out.exists()

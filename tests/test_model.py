@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bitsiege as bs
-from bitsiege.model import ModelFormatError, _maxpool, forward_layers
+from bitsiege.model import (ModelFormatError, _conv2d, _conv_bwd, _maxpool, _patches,
+                            forward_layers)
 
 from conftest import make_tiny_dense
 
@@ -63,8 +64,7 @@ def test_conv_matches_six_loop_reference():
                         for k2 in range(3):
                             ref[o, h, wi] += x[c, h + k1, wi + k2] * w[o, c, k1, k2]
                 ref[o, h, wi] += b[o]
-    from bitsiege.model import _conv2d
-    got = _conv2d(x[None], w, b, 1, 0)[0]
+    got = _conv2d(_patches(x[None], 3, 1, 0), w, b, (3, 3))[0]
     assert np.allclose(got, ref, atol=1e-12)
     # and the composed forward sees the same feature map
     assert np.allclose(bs.forward(model, x)[0], ref.reshape(-1)[0])
@@ -74,12 +74,66 @@ def test_conv_stride_padding():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((1, 1, 5, 5))
     w = rng.standard_normal((1, 1, 3, 3))
-    from bitsiege.model import _conv2d
-    out = _conv2d(x, w, np.zeros(1), 2, 1)
+    out = _conv2d(_patches(x, 3, 2, 1), w, np.zeros(1), (3, 3))
     assert out.shape == (1, 1, 3, 3)
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     ref = sum(xp[0, 0, i:i + 5:2, j:j + 5:2] * w[0, 0, i, j] for i in range(3) for j in range(3))
     assert np.allclose(out[0, 0], ref)
+
+
+def _conv_reference(x, w, b, stride, padding, dout):
+    """Forward output and (dw, db, dx) by explicit loops over o, c, k1, k2, h, w."""
+    n, c_in, _, _ = x.shape
+    c_out, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho, wo = dout.shape[2:]
+    out = np.zeros((n, c_out, ho, wo))
+    dw, dxp = np.zeros_like(w), np.zeros_like(xp)
+    for o in range(c_out):
+        for c in range(c_in):
+            for k1 in range(k):
+                for k2 in range(k):
+                    for h in range(ho):
+                        for wi in range(wo):
+                            xv = xp[:, c, h * stride + k1, wi * stride + k2]
+                            out[:, o, h, wi] += xv * w[o, c, k1, k2]
+                            dw[o, c, k1, k2] += xv @ dout[:, o, h, wi]
+                            dxp[:, c, h * stride + k1, wi * stride + k2] += \
+                                w[o, c, k1, k2] * dout[:, o, h, wi]
+    out += b[None, :, None, None]
+    dx = dxp[:, :, padding:padding + x.shape[2], padding:padding + x.shape[3]]
+    return out, dw, dout.sum(axis=(0, 2, 3)), dx
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), c_in=st.integers(1, 8), c_out=st.integers(1, 8),
+       k=st.integers(1, 3), stride=st.integers(1, 2), padding=st.integers(0, 1),
+       extra_h=st.integers(0, 3), extra_w=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(n=5, c_in=1, c_out=3, k=3, stride=1, padding=0, extra_h=0, extra_w=0, seed=0)  # 1x1 out
+@example(n=7, c_in=4, c_out=2, k=1, stride=2, padding=1, extra_h=2, extra_w=1, seed=1)  # k = 1
+@example(n=40, c_in=8, c_out=8, k=3, stride=2, padding=1, extra_h=3, extra_w=0, seed=2)
+def test_conv_engine_matches_six_loop_reference(n, c_in, c_out, k, stride, padding,
+                                                extra_h, extra_w, seed):
+    # the smallest input that fits the kernel, plus extra rows/cols (strides may leave some unused)
+    h, wd = max(1, k - 2 * padding) + extra_h, max(1, k - 2 * padding) + extra_w
+    ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c_in, h, wd))
+    w = rng.standard_normal((c_out, c_in, k, k))
+    b = rng.standard_normal(c_out)
+    dout = rng.standard_normal((n, c_out, ho, wo))
+    ref_out, ref_dw, ref_db, ref_dx = _conv_reference(x, w, b, stride, padding, dout)
+
+    cols = _patches(x, k, stride, padding)
+    assert cols.shape == (c_in * k * k, n * ho * wo)
+    out = _conv2d(cols, w, b, (ho, wo))
+    assert out.shape == ref_out.shape
+    assert np.allclose(out, ref_out, rtol=0, atol=1e-12)
+    dw, db, dx = _conv_bwd(cols, w, stride, padding, x.shape, dout)
+    assert dw.shape == w.shape and db.shape == b.shape and dx.shape == x.shape
+    assert np.allclose(dw, ref_dw, rtol=0, atol=1e-12)
+    assert np.allclose(db, ref_db, rtol=0, atol=1e-12)
+    assert np.allclose(dx, ref_dx, rtol=0, atol=1e-12)
 
 
 def always_first_class_model():
@@ -200,15 +254,24 @@ def test_maxpool_equals_reshape_max(n, c, oh, ow, w, seed):
     assert np.array_equal(got, ref)
 
 
-def test_forward_layers_restart_from_cache_is_exact(desk):
+def test_forward_layers_restart_from_cache_is_exact(desk, monkeypatch):
     model, xs = desk["model"], desk["test"].inputs
     arch = model.architecture
     positions = range(len(arch.layers))
     cache = dict.fromkeys(positions)
     full = bs.forward_batch(model, xs, cache)
+    convs = [pos for pos in positions if isinstance(arch.layers[pos], bs.Conv2D)]
+    for pos in convs:  # a conv position caches its input's patch matrix
+        c, (_, ho, wo) = arch.shapes[pos][0], arch.shapes[pos + 1]
+        assert cache[pos].shape == (c * arch.layers[pos].kernel ** 2, len(xs) * ho * wo)
+    built = []
+    monkeypatch.setattr("bitsiege.model._patches", lambda *a: built.append(a) or _patches(*a))
     for pos in positions:
+        built.clear()
         again = forward_layers(arch, model.weights, model.biases, cache[pos], pos)
         assert np.array_equal(again, full)
+        # a restart builds the patch matrix of every conv after `pos`, never the cached one
+        assert len(built) == sum(p > pos for p in convs)
     parametric = {pos for pos, _ in arch.parametric_layers()}
     keyed = dict.fromkeys(parametric)
     bs.forward_batch(model, xs, keyed)  # stores only the keyed positions

@@ -120,3 +120,11 @@ def test_bad_specs_rejected():
         bs.SynthSpec(noise=-0.1)
     with pytest.raises(ValueError):
         bs.TrainConfig(lr=0.0)
+    for bad in (dict(noise=float("nan")), dict(seed=-1)):
+        with pytest.raises(ValueError):
+            bs.SynthSpec(**bad)
+    for bad in (dict(lr=float("nan")), dict(seed=-1)):
+        with pytest.raises(ValueError):
+            bs.TrainConfig(**bad)
+    with pytest.raises(ValueError):
+        bs.desk_architecture(4, (8, 8))
