@@ -6,8 +6,7 @@ from .model import (Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel, M
 from .quantize import (QuantModel, QuantParams, accuracy_quant, compute_scale, dequantize,
                        dequantize_model, flip_bit, forward_quant, load_qmodel, quantize,
                        quantize_model, save_qmodel, total_weight_bits)
-from .recovery import PartialModel, actual_recovery_rate, load_partial, save_partial, \
-    simulate_recovery
+from .recovery import PartialModel, actual_recovery_rate, simulate_recovery
 from .reconstruct import ReconstructionMethod, oracle_min_abs, reconstruct_code, \
     reconstruct_model
 from .attack import (AttackTrace, FL2R, FlipRecord, GradientBaseline, RandomBits, apply_flips,

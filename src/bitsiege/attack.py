@@ -27,17 +27,34 @@ class FlipRecord:
 class FL2R:
     name = "fl2r"
 
+    def select(self, surrogate, n_bf, eval_data):
+        return select_vulnerable_bits(surrogate, n_bf)
+
 
 @dataclass(frozen=True)
 class RandomBits:
     seed: int
     name = "random"
 
+    def select(self, surrogate, n_bf, eval_data):
+        return select_random_bits(surrogate, n_bf, self.seed)
+
 
 @dataclass(frozen=True)
 class GradientBaseline:
     batch_size: int
     name = "gradient"
+
+    def select(self, surrogate, n_bf, eval_data):
+        """Rank on the first `batch_size` samples of the evaluation set."""
+        batch = Dataset(eval_data.inputs[:self.batch_size], eval_data.labels[:self.batch_size])
+        return select_gradient_bits(surrogate, batch, n_bf)
+
+
+# Ranking name -> the method of a run with that seed and gradient batch size.
+RANKINGS = {FL2R.name: lambda seed, batch: FL2R(),
+            RandomBits.name: lambda seed, batch: RandomBits(seed),
+            GradientBaseline.name: lambda seed, batch: GradientBaseline(batch)}
 
 
 @dataclass(frozen=True)
@@ -113,6 +130,8 @@ def select_vulnerable_bits(model: QuantModel, n_bf: int):
         taken[best_f, w] = True
         codes[best_f, w] = flip_bit(int(codes[best_f, w]), qp.bitwidth - 1, qp.bitwidth)
         deq[best_f, w] = codes[best_f, w] * qp.scale
+        # Not filter_importance: its sqrt(sum(w*w)) differs in the last bit from this BLAS dot,
+        # which reorders tied filters and so changes recorded FL2R traces.
         imp[best_f] = np.linalg.norm(deq[best_f]) / deq.shape[1]
     return records
 
@@ -222,21 +241,11 @@ def evaluate_flips(victim: QuantModel, records, eval_data: Dataset) -> list:
     return accs
 
 
-def _rank(method, surrogate, n_bf, eval_data):
-    if isinstance(method, FL2R):
-        return select_vulnerable_bits(surrogate, n_bf)
-    if isinstance(method, RandomBits):
-        return select_random_bits(surrogate, n_bf, method.seed)
-    if isinstance(method, GradientBaseline):
-        batch = Dataset(eval_data.inputs[:method.batch_size], eval_data.labels[:method.batch_size])
-        return select_gradient_bits(surrogate, batch, n_bf)
-    raise TypeError(f"unknown ranking method {method!r}")
-
-
 def run_attack(victim: QuantModel, rp: float, seed: int, ranking, recon: ReconstructionMethod,
                n_bf: int, eval_data: Dataset) -> AttackTrace:
     """Full pipeline: simulate extraction, reconstruct a surrogate, rank on the
-    surrogate only, then flip cumulatively on the victim, recording accuracy.
+    surrogate only (`ranking.select`, `ranking` one of `RANKINGS`' methods), then
+    flip cumulatively on the victim, recording accuracy.
 
     The accuracies come from `evaluate_flips`: incremental (each flip re-runs the
     network only from its layer on) and exactly equal to re-evaluating the fully
@@ -244,7 +253,7 @@ def run_attack(victim: QuantModel, rp: float, seed: int, ranking, recon: Reconst
     """
     partial = simulate_recovery(victim, rp, seed)
     surrogate = reconstruct_model(partial, recon)
-    records = _rank(ranking, surrogate, n_bf, eval_data)
+    records = ranking.select(surrogate, n_bf, eval_data)
     accs = evaluate_flips(victim, records, eval_data)
     nq = victim.params[0].bitwidth if victim.params else 0
     config = {"rp": rp, "seed": seed, "ranking": ranking.name, "recon": recon.value,
@@ -281,8 +290,10 @@ def load_trace(path) -> AttackTrace:
     for i, line in enumerate(lines[1:], start=2):
         tok = line.split()
         try:
+            if len(tok) != (5 if tok[0] == "flip" else 2):
+                raise ValueError("wrong number of fields")
             if tok[0] == "flip":
-                records.append(FlipRecord(*(int(t) for t in tok[1:5])))
+                records.append(FlipRecord(*(int(t) for t in tok[1:])))
             elif tok[0] == "acc":
                 accs.append(float(tok[1]))
             elif tok[0] in ("nq", "seed", "nbf"):

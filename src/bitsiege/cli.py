@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import synth
-from .attack import FL2R, GradientBaseline, RandomBits, load_trace, run_attack, save_trace
+from .attack import RANKINGS, load_trace, run_attack, save_trace
 from .model import (DATA_MAX_CLASSES, ModelFormatError, accuracy, load_dataset, load_model,
                     save_dataset, save_model)
 from .quantize import BITWIDTHS, flip_bit, quantize_model
@@ -21,7 +21,6 @@ from .recovery import simulate_recovery
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO = 0, 1, 2, 3
 
-_RANKINGS = ("fl2r", "random", "gradient")
 _RECONS = {m.value: m for m in ReconstructionMethod}
 
 
@@ -84,21 +83,11 @@ def _check_grid(nqs, rps, seeds, rankings, recons, batch):
         if not 0.0 <= rp <= 1.0:
             raise _UsageError(f"rp must be in [0, 1], got {rp!r}")
     for r in rankings:
-        if r not in _RANKINGS:
-            raise _UsageError(f"unknown ranking {r!r}")
+        if r not in RANKINGS:
+            raise _UsageError(f"unknown ranking {r!r}; choose from {', '.join(RANKINGS)}")
     for r in recons:
         if r not in _RECONS:
             raise _UsageError(f"unknown reconstruction {r!r}")
-
-
-def _ranking_method(name, seed, batch):
-    if name == "fl2r":
-        return FL2R()
-    if name == "random":
-        return RandomBits(seed)
-    if name == "gradient":
-        return GradientBaseline(batch)
-    raise _UsageError(f"unknown ranking {name!r}; choose from {_RANKINGS}")
 
 
 def cmd_train(args):
@@ -128,7 +117,10 @@ def cmd_train(args):
     except synth.TrainingDiverged as e:
         raise _UsageError(f"training diverged ({e}); try a smaller lr") from None
     os.makedirs(args.out, exist_ok=True)
-    save_model(model, os.path.join(args.out, "victim.model"))
+    try:
+        save_model(model, os.path.join(args.out, "victim.model"))
+    except ValueError as e:  # weights that grew beyond float32 range
+        raise _UsageError(f"trained model cannot be saved ({e}); try a smaller lr") from None
     save_dataset(train_ds, os.path.join(args.out, "train.data"))
     save_dataset(test_ds, os.path.join(args.out, "test.data"))
     print(f"train accuracy {accuracy(model, train_ds):.4f}")
@@ -150,9 +142,9 @@ def _run_one(victim_path, eval_path, nq, rp, seed, ranking, recon, nbf, batch):
     if not 1 <= nbf <= total:
         raise _UsageError(f"nbf must be in [1, {total}] for {victim_path}, got {nbf}")
     eval_ds = load_dataset(eval_path)
-    method = _ranking_method(ranking, seed, batch)
     try:
-        return run_attack(victim, rp, seed, method, _RECONS[recon], nbf, eval_ds)
+        return run_attack(victim, rp, seed, RANKINGS[ranking](seed, batch), _RECONS[recon], nbf,
+                          eval_ds)
     except ValueError as e:  # e.g. fewer gradient-aligned sign flips than nbf
         if ranking != "gradient":
             raise

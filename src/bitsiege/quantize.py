@@ -1,14 +1,12 @@
 """Layer-wise symmetric uniform quantization and two's-complement bit algebra."""
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Architecture, FloatModel, ModelFormatError, _Reader, _END_HEADER,
-                    arch_header_lines, filter_count, parse_arch_header, weight_shape,
-                    _split_header)
+from .model import (Architecture, FloatModel, arch_header_lines, filter_count, parse_arch_header,
+                    read_artifact, weight_shape, write_artifact)
 
 QMODEL_MAGIC = "bitsiege-qmodel-v1"
 BITWIDTHS = (4, 6, 8)
@@ -92,13 +90,13 @@ class QuantModel:
         if not len(self.params) == len(self.codes) == len(self.biases) == len(layers):
             raise ValueError("params/codes/biases must match parametric layer count")
         cs, bs = [], []
-        for (_, layer), qp, c, b in zip(layers, self.params, self.codes, self.biases):
+        for p, ((_, layer), qp, c, b) in enumerate(zip(layers, self.params, self.codes, self.biases)):
             c = np.array(c, dtype=np.int16, order="C", copy=True)
             if c.shape != weight_shape(layer):
                 raise ValueError(f"code shape {c.shape} != {weight_shape(layer)}")
             lo, hi = code_range(qp.bitwidth)
             if c.min(initial=0) < lo or c.max(initial=0) > hi:
-                raise ValueError(f"code outside {qp.bitwidth}-bit range")
+                raise ValueError(f"parametric layer {p}: code outside {qp.bitwidth}-bit range")
             c.flags.writeable = False
             b = np.array(b, dtype=np.float64, order="C", copy=True)
             b.flags.writeable = False
@@ -137,38 +135,21 @@ def total_weight_bits(q: QuantModel) -> int:
 
 
 def save_qmodel(q: QuantModel, path):
-    header = "\n".join([QMODEL_MAGIC] + arch_header_lines(q.architecture)) + "\n"
-    payload = b""
-    for c, qp, b in zip(q.codes, q.params, q.biases):
-        payload += struct.pack("<B", qp.bitwidth) + struct.pack("<d", qp.scale)
-        payload += c.astype(np.int8).tobytes()  # sign-extended, one code per byte
-        payload += np.ascontiguousarray(b, dtype="<f4").tobytes()
-    with open(path, "wb") as f:
-        f.write(header.encode("utf-8") + _END_HEADER + payload)
-
-
-def _read_qlayer(r, layer):
-    nq, = struct.unpack("<B", r.take(1))
-    if nq not in BITWIDTHS:
-        raise ModelFormatError(f"{r.path} byte {r.pos}: bad bitwidth {nq}")
-    scale, = struct.unpack("<d", r.take(8))
-    n = int(np.prod(weight_shape(layer)))
-    codes = np.frombuffer(r.take(n), dtype=np.int8).astype(np.int16).reshape(weight_shape(layer))
-    bias = np.frombuffer(r.take(4 * filter_count(layer)), dtype="<f4").astype(np.float64)
-    return QuantParams(nq, scale), codes, bias
+    """Per parametric layer: the bitwidth as <B, the scale as <d, the codes as int8
+    (one sign-extended code per byte), then the float bias as <f4."""
+    records = []
+    for qp, c, b in zip(q.params, q.codes, q.biases):
+        records += [(qp.bitwidth, "<u1"), (qp.scale, "<f8"), (c, "<i1"), (b, "<f4")]
+    write_artifact(path, QMODEL_MAGIC, arch_header_lines(q.architecture), records)
 
 
 def load_qmodel(path) -> QuantModel:
-    with open(path, "rb") as f:
-        blob = f.read()
-    lines, payload = _split_header(blob, path, QMODEL_MAGIC)
-    arch = parse_arch_header(lines)
-    r = _Reader(payload, path)
-    params, codes, biases = [], [], []
-    for _, layer in arch.parametric_layers():
-        qp, c, b = _read_qlayer(r, layer)
-        params.append(qp)
-        codes.append(c)
-        biases.append(b)
-    r.done()
-    return QuantModel(arch, params, codes, biases)
+    def parse(lines, r):
+        arch = parse_arch_header(lines)
+        params, codes, biases = [], [], []
+        for _, layer in arch.parametric_layers():
+            params.append(QuantParams(int(r.read("<u1")), float(r.read("<f8"))))
+            codes.append(r.read("<i1", weight_shape(layer)))
+            biases.append(r.read("<f4", (filter_count(layer),)))
+        return QuantModel(arch, params, codes, biases)
+    return read_artifact(path, QMODEL_MAGIC, parse)

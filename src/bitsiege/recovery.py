@@ -1,16 +1,12 @@
 """Simulated partial parameter extraction: per-bit Bernoulli exposure of weight codes."""
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelFormatError, _END_HEADER, _Reader, _split_header, arch_header_lines, \
-    filter_count, parse_arch_header, weight_shape
-from .quantize import BITWIDTHS, QuantModel, QuantParams, codes_to_bits
-
-PARTIAL_MAGIC = "bitsiege-partial-v1"
+from .model import weight_shape
+from .quantize import QuantModel, codes_to_bits
 
 
 @dataclass(frozen=True)
@@ -72,38 +68,3 @@ def actual_recovery_rate(p: PartialModel) -> float:
     total = sum(m.size * qp.bitwidth for m, qp in zip(p.masks, p.params))
     return recovered / total
 
-
-def save_partial(p: PartialModel, path):
-    header = "\n".join([PARTIAL_MAGIC] + arch_header_lines(p.architecture)) + "\n"
-    payload = b""
-    for qp, cb, mk, b in zip(p.params, p.code_bits, p.masks, p.biases):
-        payload += struct.pack("<B", qp.bitwidth) + struct.pack("<d", qp.scale)
-        payload += cb.tobytes()
-        payload += np.ascontiguousarray(b, dtype="<f4").tobytes()
-        payload += mk.tobytes()
-    with open(path, "wb") as f:
-        f.write(header.encode("utf-8") + _END_HEADER + payload)
-
-
-def load_partial(path) -> PartialModel:
-    with open(path, "rb") as f:
-        blob = f.read()
-    lines, payload = _split_header(blob, path, PARTIAL_MAGIC)
-    arch = parse_arch_header(lines)
-    r = _Reader(payload, path)
-    params, code_bits, masks, biases = [], [], [], []
-    for _, layer in arch.parametric_layers():
-        nq, = struct.unpack("<B", r.take(1))
-        if nq not in BITWIDTHS:
-            raise ModelFormatError(f"{r.path} byte {r.pos}: bad bitwidth {nq}")
-        scale, = struct.unpack("<d", r.take(8))
-        n = int(np.prod(weight_shape(layer)))
-        cb = np.frombuffer(r.take(n), dtype=np.uint8).reshape(weight_shape(layer))
-        bias = np.frombuffer(r.take(4 * filter_count(layer)), dtype="<f4").astype(np.float64)
-        mk = np.frombuffer(r.take(n), dtype=np.uint8).reshape(weight_shape(layer))
-        params.append(QuantParams(nq, scale))
-        code_bits.append(cb)
-        masks.append(mk)
-        biases.append(bias)
-    r.done()
-    return PartialModel(arch, params, code_bits, masks, biases)

@@ -273,10 +273,11 @@ def test_load_trace_rejects_inconsistent_traces(tmp_path, desk):
         "one acc short": header + flips + accs[:-1],
         "one flip short": header + flips[:-1] + accs[:-1],
         "accuracy above 1": header + flips + accs[:-1] + ["acc 1.5"],
+        "short flip line": header + flips[:-1] + ["flip 0 5"] + accs,
     }
     for text in cases.values():
         p.write_text("\n".join(text) + "\n", encoding="utf-8")
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match=str(p)):
             bs.load_trace(p)
     p.write_bytes(b"bitsiege-trace-v1\nrecon \xff\n")
     with pytest.raises(ModelFormatError):

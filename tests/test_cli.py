@@ -57,6 +57,16 @@ def test_bad_train_config_is_one_error_line(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_train_refuses_weights_beyond_float32(tmp_path, capsys):
+    # lr 1e6 does not make the loss non-finite, but grows weights past float32
+    cfg = write_cfg(tmp_path / "t.cfg", "per_class = 20\nepochs = 2\nlr = 1000000\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "float32" in err[0], err
+    assert not (out / "victim.model").exists()
+
+
 def test_quantize_command(workdir, tmp_path):
     out = tmp_path / "v.qmodel"
     rc = main(["quantize", "--model", str(workdir / "victim.model"), "--nq", "8",

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -197,6 +199,60 @@ def test_model_roundtrip_byte_identical(tmp_path, desk):
         assert np.array_equal(a, b)
 
 
+# The documented layout, written out with `struct` rather than the codec under test:
+# a magic line, UTF-8 header lines, "end-header", then little-endian records.
+TINY_HEADER = (b"input_shape 1 3 3\nclasses 2\nlayer conv2d 1 1 2 1 0\nlayer flatten\n"
+               b"layer dense 4 2\nend-header\n")
+
+
+def qmodel_bytes(layers):
+    """`.qmodel` bytes of TINY_HEADER's model; `layers`: (nq, scale, codes, bias) per layer."""
+    out = b"bitsiege-qmodel-v1\n" + TINY_HEADER
+    for nq, scale, codes, bias in layers:
+        out += struct.pack("<Bd", nq, scale)
+        out += struct.pack(f"<{len(codes)}b", *codes) + struct.pack(f"<{len(bias)}f", *bias)
+    return out
+
+
+TINY_QLAYERS = [(4, 0.25, [-8, 7, 0, -1], [0.75]),
+                (8, 0.125, [-128, -30, 0, 1, 2, 30, 90, 127], [-0.5, 1.5])]
+
+
+def test_artifact_bytes_follow_documented_layout(tmp_path):
+    arch = bs.Architecture((bs.Conv2D(1, 1, 2), bs.Flatten(), bs.Dense(4, 2)), (1, 3, 3), 2)
+    shapes = [(1, 1, 2, 2), (2, 4)]
+    w0, b0 = np.reshape([0.5, -1.25, 2.0, 0.0], shapes[0]), np.array([0.75])
+    w1, b1 = np.arange(-4, 4).reshape(shapes[1]) / 8, np.array([-0.5, 1.5])
+
+    def tensor(a):  # .model record: <I ndim, <I per dim, then <f4 values
+        return (struct.pack("<I", a.ndim) + struct.pack(f"<{a.ndim}I", *a.shape)
+                + struct.pack(f"<{a.size}f", *a.ravel()))
+
+    bs.save_model(bs.FloatModel(arch, [w0, w1], [b0, b1]), tmp_path / "t.model")
+    assert (tmp_path / "t.model").read_bytes() == (
+        b"bitsiege-model-v1\n" + TINY_HEADER + tensor(w0) + tensor(b0) + tensor(w1) + tensor(b1))
+
+    q = bs.QuantModel(arch, [bs.QuantParams(nq, s) for nq, s, _, _ in TINY_QLAYERS],
+                      [np.reshape(c, shape) for (_, _, c, _), shape in zip(TINY_QLAYERS, shapes)],
+                      [b for *_, b in TINY_QLAYERS])
+    bs.save_qmodel(q, tmp_path / "t.qmodel")
+    assert (tmp_path / "t.qmodel").read_bytes() == qmodel_bytes(TINY_QLAYERS)
+
+    bs.save_dataset(bs.Dataset(np.array([[[0.5, -2.0]], [[1.0, 3.25]]]), [1, 0]),
+                    tmp_path / "t.data")
+    assert (tmp_path / "t.data").read_bytes() == (
+        b"bitsiege-data-v1\nshape 1 2\nclasses 2\nsamples 2\nend-header\n"
+        + struct.pack("<4f", 0.5, -2.0, 1.0, 3.25) + bytes([1, 0]))
+
+
+def test_save_model_refuses_weights_beyond_float32(tmp_path, desk):
+    m = desk["model"]
+    huge = bs.FloatModel(m.architecture, [w * 1e39 for w in m.weights], m.biases)
+    with pytest.raises(ValueError, match="float32"):
+        bs.save_model(huge, tmp_path / "huge.model")
+    assert not (tmp_path / "huge.model").exists()
+
+
 def test_load_model_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.model"
     bad.write_bytes(b"not a model\n")
@@ -212,6 +268,21 @@ def test_load_model_rejects_garbage(tmp_path):
     bad_data.write_bytes(b"bitsiege-data-v1\nshape 1 x 8\nclasses 4\nsamples 0\nend-header\n")
     with pytest.raises(ModelFormatError, match="line 2"):
         bs.load_dataset(bad_data)
+    payload = struct.pack("<2f", 1.0, 2.0) + bytes([0, 1])
+    for header in (b"shape -1 2\nclasses 2\nsamples -1\n", b"shape 1 -2\nclasses 2\nsamples -1\n",
+                   b"shape 1 2\nclasses 2\nsamples -1\n"):
+        bad_data.write_bytes(b"bitsiege-data-v1\n" + header + b"end-header\n" + payload)
+        with pytest.raises(ModelFormatError, match="negative") as e:
+            bs.load_dataset(bad_data)
+        assert str(bad_data) in str(e.value)
+    (nq, scale, codes, bias), second = TINY_QLAYERS
+    bad_q = tmp_path / "bad.qmodel"
+    for layer in [(nq, 0.0, codes, bias), (nq, -0.25, codes, bias), (nq, float("nan"), codes, bias),
+                  (nq, scale, [100] + codes[1:], bias), (nq, scale, codes, [float("inf")])]:
+        bad_q.write_bytes(qmodel_bytes([layer, second]))
+        with pytest.raises(ModelFormatError) as e:
+            bs.load_qmodel(bad_q)
+        assert str(bad_q) in str(e.value)
 
 
 def test_load_model_truncated_payload(tmp_path, desk):
@@ -221,6 +292,42 @@ def test_load_model_truncated_payload(tmp_path, desk):
     p.write_bytes(blob[:-8])
     with pytest.raises(ModelFormatError):
         bs.load_model(p)
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory, desk):
+    """A directory, and the valid bytes of one file per format with the loader that reads it."""
+    d = tmp_path_factory.mktemp("artifacts")
+    small = bs.Dataset(desk["test"].inputs[:4], desk["test"].labels[:4])
+    trace = bs.run_attack(desk["qmodel"], 0.8, 0, bs.FL2R(), bs.ReconstructionMethod.CZR, 20,
+                          desk["test"])
+    formats = {
+        "model": (lambda p: bs.save_model(desk["model"], p), bs.load_model),
+        "qmodel4": (lambda p: bs.save_qmodel(bs.quantize_model(desk["model"], 4), p), bs.load_qmodel),
+        "qmodel8": (lambda p: bs.save_qmodel(desk["qmodel"], p), bs.load_qmodel),
+        "data": (lambda p: bs.save_dataset(small, p), bs.load_dataset),
+        "trace": (lambda p: bs.save_trace(trace, p), bs.load_trace),
+    }
+    table = {}
+    for name, (save, load) in formats.items():
+        save(d / name)
+        table[name] = ((d / name).read_bytes(), load)
+    return d, table
+
+
+@settings(max_examples=400, deadline=None)
+@given(fmt=st.sampled_from(["model", "qmodel4", "qmodel8", "data", "trace"]), cut=st.booleans(),
+       bit=st.integers(0, 7), data=st.data())
+def test_loaders_survive_truncation_and_bit_flips(artifacts, fmt, cut, bit, data):
+    d, table = artifacts
+    blob, load = table[fmt]
+    i = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    path = d / f"mutated.{fmt}"
+    path.write_bytes(blob[:i] if cut else blob[:i] + bytes([blob[i] ^ (1 << bit)]) + blob[i + 1:])
+    try:  # a mutated file either still loads or is refused with its location
+        load(path)
+    except ModelFormatError as e:
+        assert str(path) in str(e)
 
 
 def test_dataset_roundtrip(tmp_path, desk):

@@ -73,19 +73,3 @@ def test_scales_and_arch_copied(desk):
     assert p.architecture == desk["qmodel"].architecture
     assert p.params == desk["qmodel"].params
 
-
-@pytest.mark.parametrize("nq", [4, 8])
-def test_partial_roundtrip(tmp_path, desk, nq):
-    q = bs.quantize_model(desk["model"], nq)
-    p = bs.simulate_recovery(q, 0.6, 11)
-    f1 = tmp_path / "a.partial"
-    f2 = tmp_path / "b.partial"
-    bs.save_partial(p, f1)
-    loaded = bs.load_partial(f1)
-    for a, b in zip(p.masks, loaded.masks):
-        assert np.array_equal(a, b)
-    for a, b in zip(p.code_bits, loaded.code_bits):
-        assert np.array_equal(a, b)
-    assert p.params == loaded.params
-    bs.save_partial(loaded, f2)
-    assert f1.read_bytes() == f2.read_bytes()
