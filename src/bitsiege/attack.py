@@ -5,9 +5,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (Dataset, ModelFormatError, accuracy, filter_count, filter_size,
-                    forward_layers, top1_accuracy)
-from .quantize import QuantModel, dequantize_model, flip_bit
+from .model import (Conv2D, Dataset, ModelFormatError, Workspace, filter_count, filter_size,
+                    forward_batch, forward_layers, top1_accuracy)
+from .quantize import BITWIDTHS, QuantModel, dequantize_model, flip_bit
 from .reconstruct import ReconstructionMethod, reconstruct_model
 from .recovery import simulate_recovery
 
@@ -55,6 +55,26 @@ class GradientBaseline:
 RANKINGS = {FL2R.name: lambda seed, batch: FL2R(),
             RandomBits.name: lambda seed, batch: RandomBits(seed),
             GradientBaseline.name: lambda seed, batch: GradientBaseline(batch)}
+RECONS = {m.value: m for m in ReconstructionMethod}
+
+# Config key -> (accepts value, what it must be): the one copy of the rules that both
+# `bitsiege attack`/`sweep` (before any run) and `load_trace` check.
+CONFIG_RULES = {
+    "nq": (lambda v: v in BITWIDTHS, f"one of {BITWIDTHS}"),
+    "rp": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "ranking": (lambda v: v in RANKINGS, "one of " + ", ".join(RANKINGS)),
+    "recon": (lambda v: v in RECONS, "one of " + ", ".join(RECONS)),
+    "nbf": (lambda v: v >= 1, ">= 1"),
+}
+
+
+def check_config(key, value, name=None):
+    """Raise ValueError unless a run accepts `value` for the config key `key` (one of
+    TRACE_KEYS); the message calls the key `name`, by default `key`."""
+    accepts, rule = CONFIG_RULES[key]
+    if not accepts(value):
+        raise ValueError(f"{name or key} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -213,32 +233,48 @@ def apply_flips(victim: QuantModel, records) -> QuantModel:
                       [b.copy() for b in victim.biases])
 
 
-def evaluate_flips(victim: QuantModel, records, eval_data: Dataset) -> list:
-    """Accuracy of the victim before any flip and after each cumulative flip.
+def _flip_logits(victim: QuantModel, records, eval_data: Dataset):
+    """Yield the victim's logits on `eval_data` before any flip, then after each
+    cumulative flip; each yielded array is rewritten by the next step.
 
-    Incremental and exact: the victim is dequantized once; each flip rewrites
-    one code and its weight (`float64(code) * scale`, the product `dequantize`
-    forms) and re-runs the network only from the flipped parametric layer on,
-    starting at that layer's cached input (a conv layer's patch matrix). Every
-    layer runs the same full-batch operation as a fresh `forward_batch`, so each
-    accuracy equals `accuracy_quant(apply_flips(victim, records[:i]), eval_data)`
-    exactly.
+    The victim is dequantized once, and one Workspace holds the pass over
+    `eval_data`. Each flip rewrites one code and its weight (`float64(code) * scale`,
+    the product `dequantize` forms) and re-runs the network from the flipped
+    parametric layer on, from that layer's stored input, writing into the
+    workspace. A conv flip in filter f re-runs that layer's full GEMM (a one-row
+    product would not give the full GEMM's bits), then carries only channel f
+    through the ReLU/MaxPool after it and into the next conv's patch matrix; see
+    `forward_layers`. The logits equal `forward_batch` of the fully flipped,
+    dequantized victim bit for bit.
     """
+    if len(eval_data) == 0:
+        raise ValueError("empty dataset")
     fm = dequantize_model(victim)
     arch = victim.architecture
-    positions = [pos for pos, _ in arch.parametric_layers()]
+    params = arch.parametric_layers()
     codes = [c.copy() for c in victim.codes]
     weights = [w.copy() for w in fm.weights]
-    cache = dict.fromkeys(positions)
-    accs = [accuracy(fm, eval_data, cache)]
+    ws = Workspace(arch)
+    yield forward_batch(fm, eval_data.inputs, ws)
     for r in records:
         idx = _flip_code(codes, victim, r)
         weights[r.layer].reshape(-1)[idx] = (np.float64(codes[r.layer].reshape(-1)[idx])
                                              * victim.params[r.layer].scale)
-        pos = positions[r.layer]
-        logits = forward_layers(arch, weights, fm.biases, cache[pos], pos, cache)
-        accs.append(top1_accuracy(logits, eval_data.labels))
-    return accs
+        pos, layer = params[r.layer]
+        channel = r.filt if isinstance(layer, Conv2D) else None
+        yield forward_layers(arch, weights, fm.biases, ws.input(pos), pos, ws, channel)
+
+
+def evaluate_flips(victim: QuantModel, records, eval_data: Dataset) -> list:
+    """Accuracy of the victim before any flip and after each cumulative flip.
+
+    Incremental and exact (`_flip_logits`): a flip re-runs the network only from
+    its parametric layer on, a conv flip past its own GEMM only for the flipped
+    filter's channel, with no activation allocated per flip. Each accuracy equals
+    `accuracy_quant(apply_flips(victim, records[:i]), eval_data)` exactly.
+    """
+    return [top1_accuracy(logits, eval_data.labels)
+            for logits in _flip_logits(victim, records, eval_data)]
 
 
 def run_attack(victim: QuantModel, rp: float, seed: int, ranking, recon: ReconstructionMethod,
@@ -248,8 +284,9 @@ def run_attack(victim: QuantModel, rp: float, seed: int, ranking, recon: Reconst
     flip cumulatively on the victim, recording accuracy.
 
     The accuracies come from `evaluate_flips`: incremental (each flip re-runs the
-    network only from its layer on) and exactly equal to re-evaluating the fully
-    flipped victim with `accuracy_quant` after every flip.
+    network only from its layer on, a conv flip past that layer's full GEMM only
+    for the flipped filter's channel) and exactly equal to re-evaluating the
+    fully flipped victim with `accuracy_quant` after every flip.
     """
     partial = simulate_recovery(victim, rp, seed)
     surrogate = reconstruct_model(partial, recon)
@@ -309,6 +346,11 @@ def load_trace(path) -> AttackTrace:
     missing = [k for k in TRACE_KEYS if k not in cfg]
     if missing:
         raise ModelFormatError(f"{path}: missing config field(s) {', '.join(missing)}")
+    try:
+        for k in TRACE_KEYS:
+            check_config(k, cfg[k])
+    except ValueError as e:
+        raise ModelFormatError(f"{path}: {e}") from None
     if len(records) != cfg["nbf"] or len(accs) != len(records) + 1:
         raise ModelFormatError(f"{path}: nbf {cfg['nbf']} with {len(records)} flip and "
                                f"{len(accs)} acc lines; expected nbf flips and nbf+1 accs")

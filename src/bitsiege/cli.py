@@ -12,16 +12,17 @@ import sys
 import numpy as np
 
 from . import synth
-from .attack import RANKINGS, load_trace, run_attack, save_trace
-from .model import (DATA_MAX_CLASSES, ModelFormatError, accuracy, load_dataset, load_model,
-                    save_dataset, save_model)
-from .quantize import BITWIDTHS, flip_bit, quantize_model
+from .attack import (RANKINGS, RECONS, _flip_logits, apply_flips, check_config, evaluate_flips,
+                     load_trace, run_attack, save_trace, select_random_bits,
+                     select_vulnerable_bits)
+from .model import (DATA_MAX_CLASSES, Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel,
+                    MaxPool, ModelFormatError, ReLU, accuracy, filter_count, forward_batch,
+                    load_dataset, load_model, save_dataset, save_model, weight_shape)
+from .quantize import (QuantModel, QuantParams, accuracy_quant, dequantize_model, flip_bit,
+                       quantize_model)
 from .reconstruct import ReconstructionMethod, oracle_min_abs, reconstruct_code
-from .recovery import simulate_recovery
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO = 0, 1, 2, 3
-
-_RECONS = {m.value: m for m in ReconstructionMethod}
 
 
 class _UsageError(Exception):
@@ -69,25 +70,17 @@ def _many(cfg, key, cast=str):
     return [_cast(key, cast, v) for v in cfg[key]]
 
 
-def _check_grid(nqs, rps, seeds, rankings, recons, batch):
+def _check_grid(nqs, rps, seeds, rankings, recons, nbf, batch):
     """Reject config values the pipeline does not support, before any run starts."""
     if batch < 1:
         raise _UsageError(f"batch must be >= 1, got {batch}")
-    for seed in seeds:
-        if seed < 0:
-            raise _UsageError(f"seeds must be >= 0, got {seed}")
-    for nq in nqs:
-        if nq not in BITWIDTHS:
-            raise _UsageError(f"nq must be one of {BITWIDTHS}, got {nq}")
-    for rp in rps:
-        if not 0.0 <= rp <= 1.0:
-            raise _UsageError(f"rp must be in [0, 1], got {rp!r}")
-    for r in rankings:
-        if r not in RANKINGS:
-            raise _UsageError(f"unknown ranking {r!r}; choose from {', '.join(RANKINGS)}")
-    for r in recons:
-        if r not in _RECONS:
-            raise _UsageError(f"unknown reconstruction {r!r}")
+    try:
+        for key, values in (("nq", nqs), ("rp", rps), ("seed", seeds), ("ranking", rankings),
+                            ("recon", recons), ("nbf", [nbf])):
+            for v in values:
+                check_config(key, v, "seeds" if key == "seed" else key)  # the config file's name
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
 
 
 def cmd_train(args):
@@ -116,9 +109,13 @@ def cmd_train(args):
             model = synth.train(arch, train_ds, tc)
     except synth.TrainingDiverged as e:
         raise _UsageError(f"training diverged ({e}); try a smaller lr") from None
-    os.makedirs(args.out, exist_ok=True)
+    victim = os.path.join(args.out, "victim.model")
     try:
-        save_model(model, os.path.join(args.out, "victim.model"))
+        try:
+            save_model(model, victim)
+        except FileNotFoundError:  # the weights passed the check; only now make the directory
+            os.makedirs(args.out)
+            save_model(model, victim)
     except ValueError as e:  # weights that grew beyond float32 range
         raise _UsageError(f"trained model cannot be saved ({e}); try a smaller lr") from None
     save_dataset(train_ds, os.path.join(args.out, "train.data"))
@@ -143,7 +140,7 @@ def _run_one(victim_path, eval_path, nq, rp, seed, ranking, recon, nbf, batch):
         raise _UsageError(f"nbf must be in [1, {total}] for {victim_path}, got {nbf}")
     eval_ds = load_dataset(eval_path)
     try:
-        return run_attack(victim, rp, seed, RANKINGS[ranking](seed, batch), _RECONS[recon], nbf,
+        return run_attack(victim, rp, seed, RANKINGS[ranking](seed, batch), RECONS[recon], nbf,
                           eval_ds)
     except ValueError as e:  # e.g. fewer gradient-aligned sign flips than nbf
         if ranking != "gradient":
@@ -156,9 +153,10 @@ def cmd_attack(args):
     cfg = parse_config(args.config)
     nq, rp, seed = _one(cfg, "nq", int), _one(cfg, "rp", float), _one(cfg, "seeds", int, 0)
     ranking, recon, batch = _one(cfg, "ranking"), _one(cfg, "recon"), _one(cfg, "batch", int, 32)
-    _check_grid([nq], [rp], [seed], [ranking], [recon], batch)
-    trace = _run_one(_one(cfg, "victim"), _one(cfg, "eval"), nq, rp, seed,
-                     ranking, recon, _one(cfg, "nbf", int), batch)
+    nbf = _one(cfg, "nbf", int)
+    _check_grid([nq], [rp], [seed], [ranking], [recon], nbf, batch)
+    trace = _run_one(_one(cfg, "victim"), _one(cfg, "eval"), nq, rp, seed, ranking, recon, nbf,
+                     batch)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"trace_{_cfg_hash(trace.config)}.trace")
     save_trace(trace, path)
@@ -188,7 +186,7 @@ def cmd_sweep(args):
         seeds = [args.seed_base + i for i in range(len(seeds))]
     rankings = _many(cfg, "ranking")
     recons = _many(cfg, "recon")
-    _check_grid(nqs, rps, seeds, rankings, recons, batch)
+    _check_grid(nqs, rps, seeds, rankings, recons, nbf, batch)
     axes = list(itertools.product(nqs, rps, seeds, rankings, recons))
     jobs = [(victim_path, eval_path, nq, rp, seed, rk, rc, nbf, batch)
             for nq, rp, seed, rk, rc in axes]
@@ -264,8 +262,6 @@ def _verify_sign_flip():
 
 
 def _verify_gradient():
-    from .model import Architecture, Conv2D, Dense, Flatten, FloatModel, MaxPool, ReLU, \
-        filter_count, weight_shape
     rng = np.random.default_rng(5)
     arch = Architecture((Conv2D(1, 2, 3), ReLU(), MaxPool(2), Conv2D(2, 3, 3), ReLU(),
                          Flatten(), Dense(3, 3)), (1, 8, 8), 3)
@@ -290,9 +286,33 @@ def _verify_gradient():
                            f"worst rel err {worst:.2e} (limit 1e-4)")
 
 
+def _verify_incremental():
+    rng = np.random.default_rng(11)
+    # a padded conv, then a strided one: restarts rewrite copied patch-matrix rows
+    arch = Architecture((Conv2D(1, 4, 3, 1, 1), ReLU(), MaxPool(2), Conv2D(4, 6, 3, 2, 1), ReLU(),
+                         Flatten(), Dense(24, 3)), (1, 8, 8), 3)
+    layers = [l for _, l in arch.parametric_layers()]
+    victim = QuantModel(arch, [QuantParams(8, 0.02)] * len(layers),
+                        [rng.integers(-128, 128, weight_shape(l)).astype(np.int16) for l in layers],
+                        [rng.standard_normal(filter_count(l)) * 0.1 for l in layers])
+    inputs = rng.standard_normal((48, 1, 8, 8))
+    # labelled by the clean victim, so that flips move the accuracy off 1.0
+    data = Dataset(inputs, forward_batch(dequantize_model(victim), inputs).argmax(axis=1))
+    records = select_vulnerable_bits(victim, 40) + select_random_bits(victim, 20, 11)
+    rng.shuffle(records)
+    for i, logits in enumerate(_flip_logits(victim, records, data)):
+        ref = forward_batch(dequantize_model(apply_flips(victim, records[:i])), data.inputs)
+        if logits.tobytes() != ref.tobytes():
+            return False, f"incremental logits differ from the apply_flips reference after flip {i}"
+    accs = [accuracy_quant(apply_flips(victim, records[:i]), data) for i in range(len(records) + 1)]
+    return evaluate_flips(victim, records, data) == accs, (
+        f"incremental evaluator vs apply_flips + accuracy_quant over {len(records)} flips "
+        "(padded and strided convs, pool, dense): logits bit-identical, accuracies equal")
+
+
 def cmd_verify(_args):
     checks = [("czr-oracle", _verify_czr), ("sign-flip-algebra", _verify_sign_flip),
-              ("gradient-check", _verify_gradient)]
+              ("gradient-check", _verify_gradient), ("incremental-eval", _verify_incremental)]
     failed = False
     for name, fn in checks:
         ok, detail = fn()

@@ -169,29 +169,78 @@ class Dataset:
         return len(self.inputs)
 
 
-def _patches(x, kernel, stride, padding):
-    """Patch matrix (C*k*k, N*Ho*Wo) of the batch `x` (N, C, H, W): column (n, h, w)
-    holds the k x k window of sample n under output pixel (h, w).
+class Workspace:
+    """The arrays of one batch's pass through `forward_layers`, which later passes over
+    the same batch rewrite in place instead of allocating new ones.
 
-    A strided (C, k, k, N, Ho, Wo) view of the (padded) input, reshaped; numpy
-    copies only where the reshape cannot be a view."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    `acts[pos]` is the input of layer `pos` as the layer before returned it (`acts[0]`
+    the batch, `acts[-1]` the logits); `patches[pos]` is a Conv2D's [padded input,
+    patch matrix]. The first pass fills them with the arrays the layers return, so
+    every later result has the memory layout a fresh pass gives it, and the GEMMs
+    take the same BLAS path. A workspace belongs to one caller and one batch.
+    """
+
+    def __init__(self, arch: Architecture):
+        self.layers = arch.layers
+        self.acts = [None] * (len(arch.layers) + 1)
+        self.patches = [[None, None] for _ in arch.layers]
+
+    def input(self, pos):
+        """What layer `pos` consumes: a Conv2D's patch matrix, any other layer's input."""
+        return self.patches[pos][1] if isinstance(self.layers[pos], Conv2D) else self.acts[pos]
+
+
+def _windows(x, kernel, stride):
+    """The strided (C, k, k, N, Ho, Wo) view of the batch `x` (N, C, H, W) whose
+    [c, i, j, n, h, w] is x[n, c, h*stride + i, w*stride + j]."""
     n, c, h, w = x.shape
     ho, wo = (h - kernel) // stride + 1, (w - kernel) // stride + 1
     sn, sc, sh, sw = x.strides
-    win = np.lib.stride_tricks.as_strided(x, (c, kernel, kernel, n, ho, wo),
-                                          (sc, sh, sw, sn, sh * stride, sw * stride),
-                                          writeable=False)
-    return win.reshape(c * kernel * kernel, n * ho * wo)
+    return np.lib.stride_tricks.as_strided(x, (c, kernel, kernel, n, ho, wo),
+                                           (sc, sh, sw, sn, sh * stride, sw * stride),
+                                           writeable=False)
 
 
-def _conv2d(cols, w, b, out_hw):
+def _patches(x, kernel, stride, padding, bufs=None, ch=slice(None)):
+    """Patch matrix (C*k*k, N*Ho*Wo) of the batch `x` (N, C, H, W): column (n, h, w)
+    holds the k x k window of sample n under output pixel (h, w).
+
+    `_windows` of the (padded) input, reshaped; numpy copies only where the
+    reshape cannot be a view. `bufs`: a Workspace's [padded input, patch matrix]
+    pair. Empty, it receives the arrays built here. Filled, only channels `ch` of
+    them are rewritten from `x`, in place; a patch matrix that is a view of its
+    (padded) input already follows it.
+    """
+    if bufs is not None and bufs[1] is not None:
+        xp, cols = bufs
+        if padding:
+            xp[:, ch, padding:padding + x.shape[2], padding:padding + x.shape[3]] = x[:, ch]
+        else:
+            xp = x
+        if not np.may_share_memory(cols, xp):
+            win = _windows(xp, kernel, stride)
+            cols.reshape(win.shape)[ch] = win[ch]
+        return cols
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    win = _windows(xp, kernel, stride)
+    cols = win.reshape(-1, math.prod(win.shape[3:]))
+    if bufs is not None:
+        bufs[:] = xp, cols
+    return cols
+
+
+def _conv2d(cols, w, b, out_hw, out=None):
     """Convolution as one GEMM over the patch matrix `cols` of `_patches`:
-    the (N, O, Ho, Wo) transpose of the (O, N*Ho*Wo) product, `out_hw` = (Ho, Wo)."""
+    the (N, O, Ho, Wo) transpose of the (O, N*Ho*Wo) product, `out_hw` = (Ho, Wo).
+
+    `out`: an array this function returned for the same shapes, rewritten in place.
+    The bias is added in place: a fresh `product + bias` array cost far more than
+    the GEMM (page faults on every call), for the same bits."""
     o = len(w)
-    out = w.reshape(o, -1) @ cols + b[:, None]
-    return out.reshape((o, -1) + out_hw).transpose(1, 0, 2, 3)
+    gemm = None if out is None else out.transpose(1, 0, 2, 3).reshape(o, -1)
+    gemm = np.matmul(w.reshape(o, -1), cols, out=gemm)
+    gemm += b[:, None]
+    return gemm.reshape((o, -1) + out_hw).transpose(1, 0, 2, 3)
 
 
 def _maxpool(x, w):
@@ -204,34 +253,65 @@ def _maxpool(x, w):
     return out
 
 
-def forward_layers(arch: Architecture, weights, biases, x, start=0, cache=None) -> np.ndarray:
+def forward_layers(arch: Architecture, weights, biases, x, start=0, ws=None,
+                   channel=None) -> np.ndarray:
     """Run `arch.layers[start:]` on the batch `x`, the input of layer `start`; returns logits.
 
     A Conv2D turns a 4-D input into its patch matrix (`_patches`) first, and also
-    accepts that patch matrix as `x`. If `cache` is given (a dict keyed by layer
-    position), the input of every layer that runs and has a key in it is stored
-    under that key (a Conv2D's as its patch matrix), so a later call can restart
-    from that position with the stored activation, or backprop through it.
+    accepts that patch matrix as `x`. With a Workspace `ws`, every layer that runs
+    stores its result there (a first pass) or writes it into the array stored
+    there (a later pass over the same batch, which then allocates no activation), so a
+    later call can restart at any position from `ws.input(pos)`, and
+    `backward_layers` can backprop through it.
+
+    `channel`: on a later pass that restarts at a Conv2D, the one output channel
+    whose filter changed since `ws` was last written. The conv still runs its
+    full GEMM: a one-row product `W[f:f+1] @ cols` does not give the full GEMM's
+    bits for that row, and every other row of the full GEMM comes out
+    bit-identical. The layers after it run on that channel only (ReLU, MaxPool and
+    Flatten are elementwise or copies), and the next Conv2D rewrites only that
+    channel's rows of its patch matrix; from the next parametric layer on, all
+    runs in full. So the result equals a fresh full pass bit for bit.
     """
     p = sum(isinstance(l, (Conv2D, Dense)) for l in arch.layers[:start])
+    if ws is not None and ws.acts[0] is None:  # a first pass, from position 0
+        ws.acts[0] = x
+    changed = slice(None)  # the channels of `x` that may differ from the stored pass
     for pos in range(start, len(arch.layers)):
         layer = arch.layers[pos]
-        if isinstance(layer, Conv2D) and x.ndim == 4:
-            x = _patches(x, layer.kernel, layer.stride, layer.padding)
-        if cache is not None and pos in cache:
-            cache[pos] = x
+        out = None if ws is None else ws.acts[pos + 1]
         if isinstance(layer, Conv2D):
-            x = _conv2d(x, weights[p], biases[p], arch.shapes[pos + 1][1:])
+            if x.ndim == 4:
+                x = _patches(x, layer.kernel, layer.stride, layer.padding,
+                             None if ws is None else ws.patches[pos], changed)
+            x = _conv2d(x, weights[p], biases[p], arch.shapes[pos + 1][1:], out)
             p += 1
+            changed = (slice(channel, channel + 1) if pos == start and channel is not None
+                       else slice(None))
         elif isinstance(layer, Dense):
-            x = x @ weights[p].T + biases[p]
+            x = np.matmul(x, weights[p].T, out=out)
+            x += biases[p]
             p += 1
-        elif isinstance(layer, ReLU):
-            x = np.maximum(x, 0.0)
-        elif isinstance(layer, MaxPool):
-            x = _maxpool(x, layer.window)
-        else:  # Flatten
-            x = x.reshape(len(x), -1)
+            changed = slice(None)
+        elif out is None:  # a first pass: allocate
+            if isinstance(layer, ReLU):
+                x = np.maximum(x, 0.0)
+            elif isinstance(layer, MaxPool):
+                x = _maxpool(x, layer.window)
+            else:  # Flatten
+                x = x.reshape(len(x), -1)
+        else:
+            if isinstance(layer, ReLU):
+                np.maximum(x[:, changed], 0.0, out=out[:, changed])
+            elif isinstance(layer, MaxPool):
+                # pooled into a fresh C-order array, then copied: numpy's buffered
+                # maximum into a strided channel of `out` ran about 3x slower
+                out[:, changed] = _maxpool(x[:, changed], layer.window)
+            elif not np.may_share_memory(out, x):  # a Flatten that copied
+                out.reshape(x.shape)[:, changed] = x[:, changed]
+            x = out
+        if ws is not None:
+            ws.acts[pos + 1] = x
     return x
 
 
@@ -264,16 +344,15 @@ def _pool_bwd(x, w, dout):
     return dxr.reshape(n, c, h // w, wd // w, w, w).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, wd)
 
 
-def backward_layers(arch: Architecture, weights, cache, dlogits):
+def backward_layers(arch: Architecture, weights, ws, dlogits):
     """Backprop the loss gradient `dlogits` through every layer: (weight grads, bias grads).
 
-    `cache` holds every layer's input (a Conv2D's as its patch matrix), as a
-    `forward_layers` call from position 0 stores it."""
+    `ws`: the Workspace of a `forward_layers` pass from position 0."""
     dws, dbs = [None] * len(weights), [None] * len(weights)
     p = len(weights)
     d = dlogits
     for pos in reversed(range(len(arch.layers))):
-        layer, x = arch.layers[pos], cache[pos]
+        layer, x = arch.layers[pos], ws.input(pos)
         if isinstance(layer, Conv2D):
             p -= 1
             dws[p], dbs[p], d = _conv_bwd(x, weights[p], layer.stride, layer.padding,
@@ -292,13 +371,13 @@ def backward_layers(arch: Architecture, weights, cache, dlogits):
     return dws, dbs
 
 
-def forward_batch(model: FloatModel, xs, cache=None) -> np.ndarray:
-    """Logits for a batch shaped (N, *input_shape); `cache` (a dict keyed by layer
-    position) receives the input of each keyed layer, as in `forward_layers`."""
+def forward_batch(model: FloatModel, xs, ws=None) -> np.ndarray:
+    """Logits for a batch shaped (N, *input_shape); `ws`: a Workspace that receives
+    every layer's result, as in `forward_layers`."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.shape[1:] != model.architecture.input_shape:
         raise ValueError(f"input shape {xs.shape[1:]} != {model.architecture.input_shape}")
-    return forward_layers(model.architecture, model.weights, model.biases, xs, 0, cache)
+    return forward_layers(model.architecture, model.weights, model.biases, xs, 0, ws)
 
 
 def forward(model: FloatModel, x) -> np.ndarray:
@@ -306,18 +385,16 @@ def forward(model: FloatModel, x) -> np.ndarray:
     return forward_batch(model, np.asarray(x, dtype=np.float64)[None])[0]
 
 
-def accuracy(model: FloatModel, data: Dataset, cache=None) -> float:
-    """Top-1 accuracy; argmax ties break to the lowest class index.
-
-    `cache`: a dict keyed by layer position, filled as in `forward_layers`."""
+def accuracy(model: FloatModel, data: Dataset) -> float:
+    """Top-1 accuracy; argmax ties break to the lowest class index."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    return top1_accuracy(forward_batch(model, data.inputs, cache), data.labels)
+    return top1_accuracy(forward_batch(model, data.inputs), data.labels)
 
 
 def top1_accuracy(logits, labels) -> float:
     """Share of rows whose argmax (ties to the lowest class index) equals the label."""
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
+    return int(np.count_nonzero(logits.argmax(axis=1) == labels)) / len(labels)
 
 
 # ---------------------------------------------------------------- file formats

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel, MaxPool, ReLU,
-                    backward_layers, filter_count, forward_layers, weight_shape)
+                    Workspace, backward_layers, filter_count, forward_layers, weight_shape)
 
 
 class TrainingDiverged(Exception):
@@ -92,10 +92,10 @@ def _softmax_ce(logits, labels):
 
 
 def _grads(arch, weights, biases, inputs, labels):
-    cache = dict.fromkeys(range(len(arch.layers)))
-    logits = forward_layers(arch, weights, biases, np.asarray(inputs, dtype=np.float64), 0, cache)
+    ws = Workspace(arch)
+    logits = forward_layers(arch, weights, biases, np.asarray(inputs, dtype=np.float64), 0, ws)
     loss, dlogits = _softmax_ce(logits, np.asarray(labels))
-    dws, dbs = backward_layers(arch, weights, cache, dlogits)
+    dws, dbs = backward_layers(arch, weights, ws, dlogits)
     return loss, dws, dbs
 
 

@@ -27,9 +27,9 @@ def make_tiny_dense(weights, biases=None):
     return bs.FloatModel(arch, [w], [b])
 
 
-def random_qmodel(rng, nq=8):
-    """Small random quantized model for fuzzing."""
-    arch = bs.Architecture(
+def random_qmodel(rng, nq=8, arch=None):
+    """Small random quantized model for fuzzing, by default conv -> ReLU -> dense."""
+    arch = arch or bs.Architecture(
         (bs.Conv2D(1, 2, 3), bs.ReLU(), bs.Flatten(), bs.Dense(2 * 4 * 4, 3)), (1, 6, 6), 3)
     lo, hi = -(1 << (nq - 1)), (1 << (nq - 1)) - 1
     params, codes, biases = [], [], []

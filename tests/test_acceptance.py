@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import bitsiege as bs
-from bitsiege.cli import EXIT_OK, _verify_czr, _verify_gradient, _verify_sign_flip, main
+from bitsiege.cli import (EXIT_OK, _verify_czr, _verify_gradient, _verify_incremental,
+                          _verify_sign_flip, main)
 from bitsiege.quantize import code_range
 from bitsiege.reconstruct import ReconstructionMethod
 
@@ -141,3 +142,8 @@ def test_c10_no_duplicate_and_involution_fuzz():
         involution &= all(np.array_equal(a, b) for a, b in zip(twice.codes, q.codes))
     report("criterion-10 no-duplicate-involution",
            dup_free and involution, f"(dup_free={dup_free}, involution={involution})")
+
+
+def test_c11_incremental_equals_reference():
+    ok, detail = _verify_incremental()
+    report("criterion-11 incremental-equals-reference", ok, f"({detail})")

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bitsiege as bs
-from bitsiege.attack import FlipRecord
+from bitsiege.attack import FlipRecord, _flip_logits
 from bitsiege.model import ModelFormatError
-from bitsiege.model import filter_count, filter_size
+from bitsiege.model import _layer_out_shape, filter_count, filter_size
 
 from conftest import random_qmodel
 
@@ -221,6 +223,14 @@ def victims(desk):
 @given(data=st.data())
 def test_evaluate_flips_matches_reference(desk, victims, nq, data):
     q = victims[nq]
+    records = draw_flips(data, q)
+    assert bs.evaluate_flips(q, records, desk["test"]) == reference_accuracies(q, records, desk["test"])
+
+
+def draw_flips(data, q):
+    """A sign and a non-sign bit in every parametric layer, some free picks, then one
+    bit flipped a second time, in a drawn order."""
+    nq = q.params[0].bitwidth
     layers = q.architecture.parametric_layers()
 
     def record(layer, bit):
@@ -228,15 +238,80 @@ def test_evaluate_flips_matches_reference(desk, victims, nq, data):
         return FlipRecord(layer, data.draw(st.integers(0, filter_count(l) - 1)),
                           data.draw(st.integers(0, filter_size(l) - 1)), data.draw(bit))
 
-    # a sign and a non-sign bit in every parametric layer, some free picks,
-    # then one bit flipped a second time, in a drawn order
     records = [record(p, st.just(nq - 1)) for p in range(len(layers))]
     records += [record(p, st.integers(0, nq - 2)) for p in range(len(layers))]
     records += [record(data.draw(st.integers(0, len(layers) - 1)), st.integers(0, nq - 1))
                 for _ in range(data.draw(st.integers(0, 4)))]
     records.append(data.draw(st.sampled_from(records)))
-    records = data.draw(st.permutations(records))
-    assert bs.evaluate_flips(q, records, desk["test"]) == reference_accuracies(q, records, desk["test"])
+    return data.draw(st.permutations(records))
+
+
+def draw_architecture(data):
+    """conv -> ReLU -> MaxPool -> conv, conv -> conv with no pool, or conv -> Flatten ->
+    Dense, each under a dense head; conv stride 1-2, padding 0-1, pool window 1-3."""
+    kind = data.draw(st.sampled_from(["conv-relu-pool-conv", "conv-conv", "conv-flatten-dense"]))
+    c_in = data.draw(st.integers(1, 2))
+    size = data.draw(st.integers(3, 9))
+
+    def conv(c):
+        return bs.Conv2D(c, data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)),
+                         data.draw(st.integers(1, 2)), data.draw(st.integers(0, 1)))
+
+    first = conv(c_in)
+    if kind == "conv-relu-pool-conv":
+        body = [first, bs.ReLU(), bs.MaxPool(data.draw(st.integers(1, 3))), conv(first.c_out),
+                bs.ReLU()]
+    elif kind == "conv-conv":
+        body = [first, conv(first.c_out)]
+    else:
+        body = [first]
+    shape = (c_in, size, size)
+    try:
+        for layer in body:
+            shape = _layer_out_shape(layer, shape)
+    except ValueError:  # a kernel or pool window that does not fit
+        assume(False)
+    classes = data.draw(st.integers(2, 4))
+    return bs.Architecture(tuple(body) + (bs.Flatten(), bs.Dense(math.prod(shape), classes)),
+                           (c_in, size, size), classes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_flip_logits_equal_fresh_forward_on_random_architectures(data):
+    arch = draw_architecture(data)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    q = random_qmodel(rng, data.draw(st.sampled_from([4, 8])), arch)
+    n = data.draw(st.integers(1, 12))
+    inputs = rng.standard_normal((n,) + arch.input_shape)
+    eval_data = bs.Dataset(inputs, rng.integers(0, arch.num_classes, n))
+    records = draw_flips(data, q)
+    steps = 0
+    for i, logits in enumerate(_flip_logits(q, records, eval_data)):
+        fresh = bs.forward_batch(bs.dequantize_model(bs.apply_flips(q, records[:i])), inputs)
+        assert logits.tobytes() == fresh.tobytes(), f"after flip {i}"
+        steps += 1
+    assert steps == len(records) + 1
+
+
+def test_evaluate_flips_leaves_shared_state_alone(desk):
+    q, test, model = desk["qmodel"], desk["test"], desk["model"]
+    batch = bs.Dataset(test.inputs[:48], test.labels[:48])
+
+    def training_bytes():
+        dws, dbs = bs.gradient(model, batch.inputs, batch.labels)
+        m = bs.train(model.architecture, batch, bs.TrainConfig(epochs=2, batch_size=16))
+        return b"".join(a.tobytes() for a in dws + dbs + m.weights + m.biases)
+
+    def inputs_bytes():
+        return b"".join(a.tobytes() for a in q.codes + q.biases + [test.inputs, test.labels])
+
+    before, inputs = training_bytes(), inputs_bytes()
+    records = bs.select_vulnerable_bits(q, 30) + bs.select_random_bits(q, 30, 4)
+    first = bs.evaluate_flips(q, records, test)
+    assert bs.evaluate_flips(q, records, test) == first
+    assert inputs_bytes() == inputs
+    assert training_bytes() == before
 
 
 @pytest.mark.parametrize("nq", [8, 4])
@@ -275,6 +350,11 @@ def test_load_trace_rejects_inconsistent_traces(tmp_path, desk):
         "accuracy above 1": header + flips + accs[:-1] + ["acc 1.5"],
         "short flip line": header + flips[:-1] + ["flip 0 5"] + accs,
     }
+    # values `bitsiege attack` would not accept
+    for line in ("nq 9", "rp 7.5", "rp nan", "ranking rand0m", "recon czr2", "seed -1"):
+        key = line.split()[0]
+        cases[line] = [line if l.split()[0] == key else l for l in lines]
+    cases["nbf 0"] = [l.replace("nbf 3", "nbf 0") for l in header] + accs[:1]
     for text in cases.values():
         p.write_text("\n".join(text) + "\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match=str(p)):

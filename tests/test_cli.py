@@ -64,7 +64,7 @@ def test_train_refuses_weights_beyond_float32(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "float32" in err[0], err
-    assert not (out / "victim.model").exists()
+    assert not out.exists()
 
 
 def test_quantize_command(workdir, tmp_path):
@@ -128,6 +128,31 @@ def test_sweep_and_report(workdir, tmp_path):
     assert len(summary) == 1 + 8  # nbf=4 keeps only flips=0 per configuration group
 
 
+@pytest.mark.parametrize("edit", [("nq 8", "nq 9"), ("rp 0.8", "rp 7.5"),
+                                  ("ranking fl2r", "ranking rand0m")])
+def test_report_rejects_trace_values_attack_would_not_accept(workdir, tmp_path, capsys, edit):
+    cfg = write_cfg(tmp_path / "a.cfg", f"""
+victim = {workdir / 'victim.model'}
+eval = {workdir / 'test.data'}
+nq = 8
+rp = 0.8
+ranking = fl2r
+recon = czr
+nbf = 2
+""")
+    out = tmp_path / "out"
+    assert main(["attack", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    (trace,) = out.glob("*.trace")
+    text = trace.read_text(encoding="utf-8")
+    assert f"\n{edit[0]}\n" in text
+    trace.write_text(text.replace(f"\n{edit[0]}\n", f"\n{edit[1]}\n"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(trace) in err[0] and edit[0].split()[0] in err[0], err
+    assert not (out / "summary.csv").exists()
+
+
 def test_sweep_deterministic_and_parallel(workdir, tmp_path):
     cfg = sweep_cfg(workdir, tmp_path)
     outs = []
@@ -174,7 +199,7 @@ nbf = 2
 def test_verify_command(capsys):
     assert main(["verify"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 3 and all(l.startswith("PASS") for l in lines)
+    assert len(lines) == 4 and all(l.startswith("PASS") for l in lines)
 
 
 @pytest.mark.parametrize("line", ["rp = abc", "nq = 5", "nbf = 99999"])

@@ -1,11 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bitsiege as bs
-from bitsiege.model import (ModelFormatError, _conv2d, _conv_bwd, _maxpool, _patches,
+from bitsiege.model import (ModelFormatError, Workspace, _conv2d, _conv_bwd, _maxpool, _patches,
                             forward_layers)
 
 from conftest import make_tiny_dense
@@ -365,22 +366,32 @@ def test_forward_layers_restart_from_cache_is_exact(desk, monkeypatch):
     model, xs = desk["model"], desk["test"].inputs
     arch = model.architecture
     positions = range(len(arch.layers))
-    cache = dict.fromkeys(positions)
-    full = bs.forward_batch(model, xs, cache)
+    ws = Workspace(arch)
+    full = bs.forward_batch(model, xs, ws).copy()
     convs = [pos for pos in positions if isinstance(arch.layers[pos], bs.Conv2D)]
-    for pos in convs:  # a conv position caches its input's patch matrix
+    for pos in convs:  # a conv position stores its input's patch matrix
         c, (_, ho, wo) = arch.shapes[pos][0], arch.shapes[pos + 1]
-        assert cache[pos].shape == (c * arch.layers[pos].kernel ** 2, len(xs) * ho * wo)
+        assert ws.input(pos).shape == (c * arch.layers[pos].kernel ** 2, len(xs) * ho * wo)
     built = []
     monkeypatch.setattr("bitsiege.model._patches", lambda *a: built.append(a) or _patches(*a))
     for pos in positions:
         built.clear()
-        again = forward_layers(arch, model.weights, model.biases, cache[pos], pos)
+        again = forward_layers(arch, model.weights, model.biases, ws.input(pos), pos)
         assert np.array_equal(again, full)
-        # a restart builds the patch matrix of every conv after `pos`, never the cached one
+        # a restart builds the patch matrix of every conv after `pos`, never the stored one
         assert len(built) == sum(p > pos for p in convs)
-    parametric = {pos for pos, _ in arch.parametric_layers()}
-    keyed = dict.fromkeys(parametric)
-    bs.forward_batch(model, xs, keyed)  # stores only the keyed positions
-    assert keyed.keys() == parametric
-    assert all(np.array_equal(keyed[pos], cache[pos]) for pos in parametric)
+        # a restart into the workspace rewrites its arrays in place
+        data = [a.__array_interface__["data"][0] for a in ws.acts]
+        again = forward_layers(arch, model.weights, model.biases, ws.input(pos), pos, ws)
+        assert again is ws.acts[-1] and np.array_equal(again, full)
+        assert [a.__array_interface__["data"][0] for a in ws.acts] == data
+    for pos, layer in arch.parametric_layers():
+        # a restart as a flip makes it (a conv's carrying one channel) allocates no
+        # activation: what is left is numpy's ufunc scratch and one pooled channel
+        channel = 1 if isinstance(layer, bs.Conv2D) else None
+        tracemalloc.start()
+        again = forward_layers(arch, model.weights, model.biases, ws.input(pos), pos, ws, channel)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert np.array_equal(again, full)
+        assert peak < ws.acts[1].nbytes / 4  # the first conv's output: 460 KB
