@@ -10,6 +10,7 @@ from .model import (Conv2D, Dataset, ModelFormatError, Workspace, filter_count, 
 from .quantize import BITWIDTHS, QuantModel, dequantize_model, flip_bit
 from .reconstruct import ReconstructionMethod, reconstruct_model
 from .recovery import simulate_recovery
+from .synth import gradient
 
 TRACE_MAGIC = "bitsiege-trace-v1"
 TRACE_KEYS = ("nq", "rp", "seed", "ranking", "recon", "nbf")  # the config a trace records
@@ -90,20 +91,6 @@ class AttackTrace:
             raise ValueError("accuracy outside [0,1]")
 
 
-def filter_l2(weights) -> float:
-    """Frobenius norm over one filter's (dequantized) weights."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size == 0:
-        raise ValueError("empty filter")
-    return float(np.sqrt(np.sum(w * w)))
-
-
-def filter_importance(weights) -> float:
-    """L2 norm normalized by the filter's element count (C_in*K*K, or in_features)."""
-    w = np.asarray(weights, dtype=np.float64)
-    return filter_l2(w) / w.size
-
-
 def _filter_matrices(model: QuantModel):
     """Per layer: (n_filters, filter_size) views of codes and dequantized weights."""
     out = []
@@ -124,8 +111,8 @@ def select_vulnerable_bits(model: QuantModel, n_bf: int):
     remaining weight, record its sign bit, flip it in the working copy, rescore.
 
     Ties break to the lowest (layer, filter), then lowest weight index. A weight
-    already selected is excluded from later inner argmaxes, so the output never
-    repeats a (weight, bit) pair.
+    already selected is excluded from later inner argmaxes, and a filter whose
+    weights are all taken scores -inf, so the output never repeats a (weight, bit) pair.
     """
     _check_nbf(model, n_bf)
     layers = []
@@ -139,10 +126,9 @@ def select_vulnerable_bits(model: QuantModel, n_bf: int):
     for _ in range(n_bf):
         best_l, best_f, best_v = -1, -1, -np.inf
         for l, (codes, deq, imp, taken, qp) in enumerate(layers):
-            eff = np.where(taken.all(axis=1), -np.inf, imp)
-            f = int(np.argmax(eff))
-            if eff[f] > best_v:
-                best_l, best_f, best_v = l, f, eff[f]
+            f = int(np.argmax(imp))
+            if imp[f] > best_v:
+                best_l, best_f, best_v = l, f, imp[f]
         codes, deq, imp, taken, qp = layers[best_l]
         sq = np.where(taken[best_f], -np.inf, deq[best_f] ** 2)
         w = int(np.argmax(sq))
@@ -150,9 +136,8 @@ def select_vulnerable_bits(model: QuantModel, n_bf: int):
         taken[best_f, w] = True
         codes[best_f, w] = flip_bit(int(codes[best_f, w]), qp.bitwidth - 1, qp.bitwidth)
         deq[best_f, w] = codes[best_f, w] * qp.scale
-        # Not filter_importance: its sqrt(sum(w*w)) differs in the last bit from this BLAS dot,
-        # which reorders tied filters and so changes recorded FL2R traces.
-        imp[best_f] = np.linalg.norm(deq[best_f]) / deq.shape[1]
+        imp[best_f] = (-np.inf if taken[best_f].all()
+                       else np.linalg.norm(deq[best_f]) / deq.shape[1])
     return records
 
 
@@ -160,19 +145,14 @@ def select_random_bits(model: QuantModel, n_bf: int, seed: int):
     """Uniform (weight, bit) pairs without replacement across all parametric layers."""
     _check_nbf(model, n_bf)
     sizes = [(c.size, qp.bitwidth) for c, qp in zip(model.codes, model.params)]
-    total_pairs = sum(n * nq for n, nq in sizes)
-    if n_bf > total_pairs:
-        raise ValueError("n_bf exceeds the number of (weight, bit) pairs")
     rng = np.random.default_rng(seed)
-    picks = rng.choice(total_pairs, size=n_bf, replace=False)
-    layer_info = [(filter_size(layer), qp.bitwidth)
-                  for (_, layer), qp in zip(model.architecture.parametric_layers(), model.params)]
+    picks = rng.choice(sum(n * nq for n, nq in sizes), size=n_bf, replace=False)
     records = []
     for idx in picks:
         idx = int(idx)
         for l, (n, nq) in enumerate(sizes):
             if idx < n * nq:
-                fs, _ = layer_info[l]
+                fs = model.codes[l][0].size
                 records.append(FlipRecord(l, (idx // nq) // fs, (idx // nq) % fs, idx % nq))
                 break
             idx -= n * nq
@@ -182,31 +162,30 @@ def select_random_bits(model: QuantModel, n_bf: int, seed: int):
 def select_gradient_bits(reconstructed: QuantModel, batch: Dataset, n_bf: int):
     """Single-shot gradient baseline: rank weights by |dLoss/dw| on the surrogate
     and flip the sign bit only when the flip moves the weight up the loss gradient.
+
+    Ties in |gradient| break to the lowest (layer, flat weight index): one stable
+    sort over the candidates concatenated in that order.
     """
-    from .synth import gradient
     _check_nbf(reconstructed, n_bf)
     if len(batch) == 0:
         raise ValueError("empty batch")
     fm = dequantize_model(reconstructed)
     grads, _ = gradient(fm, batch.inputs, batch.labels)
-    ranked = []
-    for l, g in enumerate(grads):
-        flat = g.reshape(-1)
-        for i in np.argsort(-np.abs(flat), kind="stable"):
-            ranked.append((float(np.abs(flat[i])), l, int(i), float(flat[i])))
-    ranked.sort(key=lambda t: (-t[0], t[1], t[2]))
+    ls, idx, mag = [], [], []  # per layer: the aligned weights' layer, flat index and |g|
+    for l, (g, c, qp) in enumerate(zip(grads, reconstructed.codes, reconstructed.params)):
+        g, half = g.reshape(-1), 1 << (qp.bitwidth - 1)
+        delta = np.where(c.reshape(-1) >= 0, -half, half) * qp.scale
+        aligned = np.flatnonzero(delta * g > 0)  # the flip raises the loss to first order
+        ls.append(np.full(len(aligned), l))
+        idx.append(aligned)
+        mag.append(np.abs(g[aligned]))
+    top = np.argsort(-np.concatenate(mag), kind="stable")[:n_bf]
+    if len(top) < n_bf:
+        raise ValueError(f"only {len(top)} gradient-aligned sign flips available")
     records = []
-    for _, l, i, g in ranked:
-        if len(records) == n_bf:
-            break
-        qp = reconstructed.params[l]
-        c = int(reconstructed.codes[l].reshape(-1)[i])
-        delta = (-(1 << (qp.bitwidth - 1)) if c >= 0 else (1 << (qp.bitwidth - 1))) * qp.scale
-        if delta * g > 0:  # loss increases to first order
-            fs = filter_size(reconstructed.architecture.parametric_layers()[l][1])
-            records.append(FlipRecord(l, i // fs, i % fs, qp.bitwidth - 1))
-    if len(records) < n_bf:
-        raise ValueError(f"only {len(records)} gradient-aligned sign flips available")
+    for l, i in zip(np.concatenate(ls)[top].tolist(), np.concatenate(idx)[top].tolist()):
+        fs = reconstructed.codes[l][0].size
+        records.append(FlipRecord(l, i // fs, i % fs, reconstructed.params[l].bitwidth - 1))
     return records
 
 

@@ -19,7 +19,7 @@ from .model import (DATA_MAX_CLASSES, Architecture, Conv2D, Dataset, Dense, Flat
                     MaxPool, ModelFormatError, ReLU, accuracy, filter_count, forward_batch,
                     load_dataset, load_model, save_dataset, save_model, weight_shape)
 from .quantize import (QuantModel, QuantParams, accuracy_quant, dequantize_model, flip_bit,
-                       quantize_model)
+                       quantize_model, save_qmodel)
 from .reconstruct import ReconstructionMethod, oracle_min_abs, reconstruct_code
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO = 0, 1, 2, 3
@@ -127,7 +127,6 @@ def cmd_train(args):
 
 def cmd_quantize(args):
     model = load_model(args.model)
-    from .quantize import save_qmodel
     save_qmodel(quantize_model(model, args.nq), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

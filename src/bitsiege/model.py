@@ -122,7 +122,8 @@ class Architecture:
         return [(i, l) for i, l in enumerate(self.layers) if isinstance(l, (Conv2D, Dense))]
 
 
-def _frozen(a, dtype):
+def frozen_array(a, dtype):
+    """A read-only, C-ordered copy of `a` as `dtype`."""
     out = np.array(a, dtype=dtype, order="C", copy=True)
     out.flags.writeable = False
     return out
@@ -140,8 +141,8 @@ class FloatModel:
             raise ValueError("one weight tensor and one bias vector per parametric layer")
         ws, bs = [], []
         for (_, layer), w, b in zip(params, self.weights, self.biases):
-            w = _frozen(w, np.float64)
-            b = _frozen(b, np.float64)
+            w = frozen_array(w, np.float64)
+            b = frozen_array(b, np.float64)
             if w.shape != weight_shape(layer):
                 raise ValueError(f"weight shape {w.shape} != {weight_shape(layer)}")
             if b.shape != (filter_count(layer),):
@@ -160,8 +161,8 @@ class Dataset:
     labels: np.ndarray  # (N,)
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", _frozen(self.inputs, np.float64))
-        object.__setattr__(self, "labels", _frozen(self.labels, np.int64))
+        object.__setattr__(self, "inputs", frozen_array(self.inputs, np.float64))
+        object.__setattr__(self, "labels", frozen_array(self.labels, np.int64))
         if len(self.inputs) != len(self.labels):
             raise ValueError("inputs/labels length mismatch")
 
@@ -378,11 +379,6 @@ def forward_batch(model: FloatModel, xs, ws=None) -> np.ndarray:
     if xs.shape[1:] != model.architecture.input_shape:
         raise ValueError(f"input shape {xs.shape[1:]} != {model.architecture.input_shape}")
     return forward_layers(model.architecture, model.weights, model.biases, xs, 0, ws)
-
-
-def forward(model: FloatModel, x) -> np.ndarray:
-    """Logits for a single input."""
-    return forward_batch(model, np.asarray(x, dtype=np.float64)[None])[0]
 
 
 def accuracy(model: FloatModel, data: Dataset) -> float:

@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Architecture, FloatModel, arch_header_lines, filter_count, parse_arch_header,
-                    read_artifact, weight_shape, write_artifact)
+from .model import (Architecture, FloatModel, accuracy, arch_header_lines, filter_count,
+                    frozen_array, parse_arch_header, read_artifact, weight_shape, write_artifact)
 
 QMODEL_MAGIC = "bitsiege-qmodel-v1"
 BITWIDTHS = (4, 6, 8)
@@ -36,12 +36,11 @@ def quantize(w, s, nq):
     if s <= 0:
         raise ValueError("scale must be positive")
     lo, hi = code_range(nq)
-    c = np.clip(_round_away(np.asarray(w, dtype=np.float64) / s), lo, hi)
-    return c.astype(np.int16) if c.ndim else int(c)
+    return np.clip(_round_away(np.asarray(w, dtype=np.float64) / s), lo, hi).astype(np.int16)
 
 
 def dequantize(c, s):
-    return np.asarray(c, dtype=np.float64) * s if np.ndim(c) else float(c) * s
+    return np.asarray(c, dtype=np.float64) * s
 
 
 def flip_bit(c: int, p: int, nq: int) -> int:
@@ -91,17 +90,14 @@ class QuantModel:
             raise ValueError("params/codes/biases must match parametric layer count")
         cs, bs = [], []
         for p, ((_, layer), qp, c, b) in enumerate(zip(layers, self.params, self.codes, self.biases)):
-            c = np.array(c, dtype=np.int16, order="C", copy=True)
+            c = frozen_array(c, np.int16)
             if c.shape != weight_shape(layer):
                 raise ValueError(f"code shape {c.shape} != {weight_shape(layer)}")
             lo, hi = code_range(qp.bitwidth)
             if c.min(initial=0) < lo or c.max(initial=0) > hi:
                 raise ValueError(f"parametric layer {p}: code outside {qp.bitwidth}-bit range")
-            c.flags.writeable = False
-            b = np.array(b, dtype=np.float64, order="C", copy=True)
-            b.flags.writeable = False
             cs.append(c)
-            bs.append(b)
+            bs.append(frozen_array(b, np.float64))
         object.__setattr__(self, "codes", cs)
         object.__setattr__(self, "biases", bs)
 
@@ -120,18 +116,8 @@ def dequantize_model(q: QuantModel) -> FloatModel:
     return FloatModel(q.architecture, ws, [b.copy() for b in q.biases])
 
 
-def forward_quant(q: QuantModel, x):
-    from .model import forward
-    return forward(dequantize_model(q), x)
-
-
 def accuracy_quant(q: QuantModel, data) -> float:
-    from .model import accuracy
     return accuracy(dequantize_model(q), data)
-
-
-def total_weight_bits(q: QuantModel) -> int:
-    return sum(c.size * qp.bitwidth for c, qp in zip(q.codes, q.params))
 
 
 def save_qmodel(q: QuantModel, path):

@@ -16,27 +16,22 @@ class ReconstructionMethod(Enum):
 
 
 def _reconstruct_bits(bits, mask, nq, method):
-    """Vectorized completion of raw bit patterns; returns signed code array."""
-    bits = np.asarray(bits, dtype=np.uint8)
+    """Vectorized completion of raw bit patterns; returns signed code array.
+
+    CZR is the smaller-magnitude of the all-zeros and all-ones fills, the all-zeros
+    one on a tie. That is the exhaustive argmin-|value| (`oracle_min_abs`): with the
+    sign 0, the all-zeros fill is the smallest value; with the sign 1, the all-ones
+    fill is the largest, nearest zero; an unknown sign takes whichever is nearer.
+    """
     mask = np.asarray(mask, dtype=np.uint8)
-    full = np.uint8((1 << nq) - 1)
-    known = bits & mask
-    unknown = ~mask & full
+    known = np.asarray(bits, dtype=np.uint8) & mask
+    zeros = bits_to_codes(known, nq)
     if method is ReconstructionMethod.ALL_ZEROS:
-        return bits_to_codes(known, nq)
+        return zeros
+    ones = bits_to_codes(known | ~mask, nq)
     if method is ReconstructionMethod.ALL_ONES:
-        return bits_to_codes(known | unknown, nq)
-    # CZR: sign known -> fill toward zero for that sign; sign unknown -> pick the
-    # smaller-|value| of the two sign hypotheses, non-negative on a tie.
-    sign_bit = np.uint8(1 << (nq - 1))
-    sign_known = (mask & sign_bit) != 0
-    negative = (known & sign_bit) != 0
-    filled = np.where(negative, known | unknown, known)
-    cand_pos = bits_to_codes(known, nq)             # sign bit unknown -> 0
-    cand_neg = bits_to_codes(known | unknown, nq)   # sign bit unknown -> 1
-    pick_neg = np.abs(cand_neg) < np.abs(cand_pos)
-    unknown_sign = np.where(pick_neg, cand_neg, cand_pos)
-    return np.where(sign_known, bits_to_codes(filled, nq), unknown_sign).astype(np.int16)
+        return ones
+    return np.where(np.abs(ones) < np.abs(zeros), ones, zeros)
 
 
 def reconstruct_code(bits: int, mask: int, nq: int, method: ReconstructionMethod) -> int:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import weight_shape
+from .model import frozen_array, weight_shape
 from .quantize import QuantModel, codes_to_bits
 
 
@@ -29,14 +29,12 @@ class PartialModel:
         cbs, mks = [], []
         for (_, layer), qp, cb, mk in zip(layers, self.params, self.code_bits, self.masks):
             full = (1 << qp.bitwidth) - 1
-            cb = np.array(cb, dtype=np.uint8, order="C", copy=True)
-            mk = np.array(mk, dtype=np.uint8, order="C", copy=True)
+            cb = frozen_array(cb, np.uint8)
+            mk = frozen_array(mk, np.uint8)
             if cb.shape != weight_shape(layer) or mk.shape != weight_shape(layer):
                 raise ValueError("code_bits/mask shape must mirror the weight tensor")
             if (mk & ~np.uint8(full)).any() or (cb & ~mk).any():
                 raise ValueError("bits set outside the mask or the bitwidth")
-            cb.flags.writeable = False
-            mk.flags.writeable = False
             cbs.append(cb)
             mks.append(mk)
         object.__setattr__(self, "code_bits", cbs)
@@ -61,10 +59,3 @@ def simulate_recovery(victim: QuantModel, rp: float, seed: int) -> PartialModel:
         masks.append(mask)
     return PartialModel(victim.architecture, list(victim.params), code_bits, masks,
                         [b.copy() for b in victim.biases])
-
-
-def actual_recovery_rate(p: PartialModel) -> float:
-    recovered = sum(int(np.unpackbits(m).sum()) for m in p.masks)
-    total = sum(m.size * qp.bitwidth for m, qp in zip(p.masks, p.params))
-    return recovered / total
-

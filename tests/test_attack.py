@@ -19,23 +19,6 @@ def two_filter_model(w0=5.0, w1=1.0):
     return bs.quantize_model(fm, 8)
 
 
-def test_filter_l2_examples():
-    assert bs.filter_l2([3.0, 4.0]) == 5.0
-    assert bs.filter_l2(np.zeros((2, 3, 3))) == 0.0
-    assert bs.filter_l2(np.full((2, 2, 2), 2.0)) == pytest.approx(4 * np.sqrt(2))
-
-
-def test_filter_importance_examples():
-    assert bs.filter_importance(np.full((1, 2, 2), 2.0)) == pytest.approx(1.0)
-    assert bs.filter_importance([3.0, 4.0]) == pytest.approx(2.5)  # dense row width 2
-
-
-def test_filter_importance_homogeneous():
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal((3, 3, 3))
-    assert bs.filter_importance(3.5 * w) == pytest.approx(3.5 * bs.filter_importance(w))
-
-
 def test_select_picks_larger_filter():
     q = two_filter_model()
     records = bs.select_vulnerable_bits(q, 1)
@@ -62,6 +45,15 @@ def test_select_rejects_bad_nbf():
         bs.select_vulnerable_bits(q, 0)
     with pytest.raises(ValueError):
         bs.select_vulnerable_bits(q, 3)  # only two weights
+
+
+def test_select_every_weight_once():
+    # n_bf = every weight: each filter is drained in turn, none is picked after its last weight
+    q = random_qmodel(np.random.default_rng(3))
+    total = sum(c.size for c in q.codes)
+    picks = [(r.layer, r.filt, r.weight) for r in bs.select_vulnerable_bits(q, total)]
+    assert sorted(picks) == [(l, f, w) for l, c in enumerate(q.codes)
+                             for f in range(len(c)) for w in range(c[0].size)]
 
 
 def test_selection_order_scale_invariant(desk):
@@ -151,6 +143,35 @@ def test_gradient_bits_ascend_loss(desk):
     base = batch_loss(bs.dequantize_model(q), batch.inputs, batch.labels)
     hit = bs.apply_flips(q, records[:1])
     assert batch_loss(bs.dequantize_model(hit), batch.inputs, batch.labels) > base
+
+
+def gradient_bits_reference(q, grads, n_bf):
+    """One (|g|, layer, index, g) tuple per weight, sorted on (-|g|, layer, index), then
+    the first n_bf whose sign flip raises the loss to first order."""
+    ranked = sorted(((abs(float(g)), l, i, float(g)) for l, gl in enumerate(grads)
+                     for i, g in enumerate(gl.reshape(-1))), key=lambda t: (-t[0], t[1], t[2]))
+    records = []
+    for _, l, i, g in ranked:
+        nq, scale = q.params[l].bitwidth, q.params[l].scale
+        c = int(q.codes[l].reshape(-1)[i])
+        if ((-(1 << (nq - 1)) if c >= 0 else 1 << (nq - 1)) * scale) * g > 0:
+            fs = q.codes[l][0].size
+            records.append(FlipRecord(l, i // fs, i % fs, nq - 1))
+    return records[:n_bf]
+
+
+def test_gradient_bits_ties_match_tuple_sort(monkeypatch):
+    # few distinct magnitudes, so most weights tie within and across layers
+    rng = np.random.default_rng(8)
+    q = random_qmodel(rng)
+    grads = [rng.integers(-2, 3, c.shape) * 0.25 for c in q.codes]
+    monkeypatch.setattr("bitsiege.attack.gradient", lambda fm, x, y: (grads, None))
+    batch = bs.Dataset(np.zeros((1, 1, 6, 6)), np.zeros(1, dtype=int))
+    n_aligned = len(gradient_bits_reference(q, grads, 10 ** 6))
+    for n_bf in (1, 7, 40, n_aligned):
+        assert bs.select_gradient_bits(q, batch, n_bf) == gradient_bits_reference(q, grads, n_bf)
+    with pytest.raises(ValueError, match=f"only {n_aligned} gradient-aligned"):
+        bs.select_gradient_bits(q, batch, n_aligned + 1)
 
 
 def test_gradient_bits_rejects_empty_batch(desk):

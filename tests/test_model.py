@@ -15,13 +15,13 @@ from conftest import make_tiny_dense
 def test_dense_identity():
     model = make_tiny_dense(np.eye(3))
     x = np.array([0.5, -2.0, 3.0])
-    assert np.array_equal(bs.forward(model, x), x)
+    assert np.array_equal(bs.forward_batch(model, x[None])[0], x)
 
 
 def test_relu_clamps_negatives():
     arch = bs.Architecture((bs.ReLU(), bs.Dense(3, 3)), (3,), 3)
     model = bs.FloatModel(arch, [np.eye(3)], [np.zeros(3)])
-    assert np.array_equal(bs.forward(model, [-1.0, 2.0, 0.0]), [0.0, 2.0, 0.0])
+    assert np.array_equal(bs.forward_batch(model, [[-1.0, 2.0, 0.0]])[0], [0.0, 2.0, 0.0])
 
 
 def test_1x1_conv_scales_constant_image():
@@ -29,22 +29,22 @@ def test_1x1_conv_scales_constant_image():
     model = bs.FloatModel(arch, [np.full((1, 1, 1, 1), 2.0), np.eye(2, 4)],
                           [np.zeros(1), np.zeros(2)])
     x = np.full((1, 2, 2), 3.0)
-    logits = bs.forward(model, x)
+    logits = bs.forward_batch(model, x[None])[0]
     assert np.allclose(logits, [6.0, 6.0])
 
 
 def test_forward_rejects_bad_shape():
     model = make_tiny_dense(np.eye(3))
     with pytest.raises(ValueError):
-        bs.forward(model, np.zeros(4))
+        bs.forward_batch(model, np.zeros((1, 4)))
 
 
 def test_forward_pure():
     rng = np.random.default_rng(0)
     model = make_tiny_dense(rng.standard_normal((3, 3)))
     x = rng.standard_normal(3)
-    a = bs.forward(model, x)
-    b = bs.forward(model, x)
+    a = bs.forward_batch(model, x[None])
+    b = bs.forward_batch(model, x[None])
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         model.weights[0][0, 0] = 99.0  # frozen storage
@@ -70,7 +70,7 @@ def test_conv_matches_six_loop_reference():
     got = _conv2d(_patches(x[None], 3, 1, 0), w, b, (3, 3))[0]
     assert np.allclose(got, ref, atol=1e-12)
     # and the composed forward sees the same feature map
-    assert np.allclose(bs.forward(model, x)[0], ref.reshape(-1)[0])
+    assert np.allclose(bs.forward_batch(model, x[None])[0, 0], ref.reshape(-1)[0])
 
 
 def test_conv_stride_padding():
@@ -175,8 +175,7 @@ def test_accuracy_empty_dataset_rejected():
 
 
 def test_accuracy_on_own_argmax_labels(desk):
-    from bitsiege.model import forward_batch
-    preds = np.argmax(forward_batch(desk["model"], desk["test"].inputs), axis=1)
+    preds = np.argmax(bs.forward_batch(desk["model"], desk["test"].inputs), axis=1)
     relabeled = bs.Dataset(desk["test"].inputs, preds)
     assert bs.accuracy(desk["model"], relabeled) == 1.0
 

