@@ -13,7 +13,6 @@ from .recovery import simulate_recovery
 from .synth import gradient
 
 TRACE_MAGIC = "bitsiege-trace-v1"
-TRACE_KEYS = ("nq", "rp", "seed", "ranking", "recon", "nbf")  # the config a trace records
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class RandomBits:
 
 @dataclass(frozen=True)
 class GradientBaseline:
-    batch_size: int
+    batch_size: int = 32
     name = "gradient"
 
     def select(self, surrogate, n_bf, eval_data):
@@ -52,28 +51,28 @@ class GradientBaseline:
         return select_gradient_bits(surrogate, batch, n_bf)
 
 
-# Ranking name -> the method of a run with that seed and gradient batch size.
-RANKINGS = {FL2R.name: lambda seed, batch: FL2R(),
-            RandomBits.name: lambda seed, batch: RandomBits(seed),
-            GradientBaseline.name: lambda seed, batch: GradientBaseline(batch)}
+# Ranking name -> the method of a run with that seed.
+RANKINGS = {FL2R.name: lambda seed: FL2R(), RandomBits.name: RandomBits,
+            GradientBaseline.name: lambda seed: GradientBaseline()}
 RECONS = {m.value: m for m in ReconstructionMethod}
 
-# Config key -> (accepts value, what it must be): the one copy of the rules that both
-# `bitsiege attack`/`sweep` (before any run) and `load_trace` check.
-CONFIG_RULES = {
-    "nq": (lambda v: v in BITWIDTHS, f"one of {BITWIDTHS}"),
-    "rp": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "seed": (lambda v: v >= 0, ">= 0"),
-    "ranking": (lambda v: v in RANKINGS, "one of " + ", ".join(RANKINGS)),
-    "recon": (lambda v: v in RECONS, "one of " + ", ".join(RECONS)),
-    "nbf": (lambda v: v >= 1, ">= 1"),
+# A run's config, in trace order: key -> (type, accepts value, what it must be). The one
+# description that `bitsiege attack`/`sweep` (before any run), `AttackTrace` and the
+# trace codec read.
+RUN_CONFIG = {
+    "nq": (int, lambda v: v in BITWIDTHS, f"one of {BITWIDTHS}"),
+    "rp": (float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "seed": (int, lambda v: v >= 0, ">= 0"),
+    "ranking": (str, lambda v: v in RANKINGS, "one of " + ", ".join(RANKINGS)),
+    "recon": (str, lambda v: v in RECONS, "one of " + ", ".join(RECONS)),
+    "nbf": (int, lambda v: v >= 1, ">= 1"),
 }
 
 
 def check_config(key, value, name=None):
-    """Raise ValueError unless a run accepts `value` for the config key `key` (one of
-    TRACE_KEYS); the message calls the key `name`, by default `key`."""
-    accepts, rule = CONFIG_RULES[key]
+    """Raise ValueError unless a run accepts `value` for the RUN_CONFIG key `key`; the
+    message calls the key `name`, by default `key`."""
+    _, accepts, rule = RUN_CONFIG[key]
     if not accepts(value):
         raise ValueError(f"{name or key} must be {rule}, got {value!r}")
 
@@ -82,22 +81,15 @@ def check_config(key, value, name=None):
 class AttackTrace:
     records: tuple
     accuracies: tuple  # length len(records)+1, baseline first
-    config: dict
+    config: dict       # RUN_CONFIG key -> value, stored as the table's type
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "config",
+                           {k: t(self.config[k]) for k, (t, _, _) in RUN_CONFIG.items()})
         object.__setattr__(self, "accuracies", tuple(float(a) for a in self.accuracies))
         if any(not 0.0 <= a <= 1.0 for a in self.accuracies):
             raise ValueError("accuracy outside [0,1]")
-
-
-def _filter_matrices(model: QuantModel):
-    """Per layer: (n_filters, filter_size) views of codes and dequantized weights."""
-    out = []
-    for (_, layer), c, qp in zip(model.architecture.parametric_layers(), model.codes, model.params):
-        flat = c.reshape(filter_count(layer), filter_size(layer))
-        out.append((flat, qp))
-    return out
 
 
 def _check_nbf(model, n_bf):
@@ -116,8 +108,8 @@ def select_vulnerable_bits(model: QuantModel, n_bf: int):
     """
     _check_nbf(model, n_bf)
     layers = []
-    for codes, qp in _filter_matrices(model):
-        codes = codes.copy()
+    for (_, layer), c, qp in zip(model.architecture.parametric_layers(), model.codes, model.params):
+        codes = c.reshape(filter_count(layer), filter_size(layer)).copy()
         deq = codes.astype(np.float64) * qp.scale
         imp = np.linalg.norm(deq, axis=1) / deq.shape[1]
         taken = np.zeros(codes.shape, dtype=bool)
@@ -272,24 +264,15 @@ def run_attack(victim: QuantModel, rp: float, seed: int, ranking, recon: Reconst
     records = ranking.select(surrogate, n_bf, eval_data)
     accs = evaluate_flips(victim, records, eval_data)
     nq = victim.params[0].bitwidth if victim.params else 0
-    config = {"rp": rp, "seed": seed, "ranking": ranking.name, "recon": recon.value,
-              "nq": nq, "nbf": n_bf}
+    config = {"nq": nq, "rp": rp, "seed": seed, "ranking": ranking.name, "recon": recon.value,
+              "nbf": n_bf}
     return AttackTrace(tuple(records), tuple(accs), config)
 
 
 def save_trace(trace: AttackTrace, path):
-    lines = [TRACE_MAGIC]
-    cfg = trace.config
-    lines.append(f"nq {cfg['nq']}")
-    lines.append(f"rp {cfg['rp']!r}")
-    lines.append(f"seed {cfg['seed']}")
-    lines.append(f"ranking {cfg['ranking']}")
-    lines.append(f"recon {cfg['recon']}")
-    lines.append(f"nbf {cfg['nbf']}")
-    for r in trace.records:
-        lines.append(f"flip {r.layer} {r.filt} {r.weight} {r.bit}")
-    for a in trace.accuracies:
-        lines.append(f"acc {a!r}")
+    lines = [TRACE_MAGIC, *(f"{k} {trace.config[k]}" for k in RUN_CONFIG),
+             *(f"flip {r.layer} {r.filt} {r.weight} {r.bit}" for r in trace.records),
+             *(f"acc {a!r}" for a in trace.accuracies)]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -312,21 +295,17 @@ def load_trace(path) -> AttackTrace:
                 records.append(FlipRecord(*(int(t) for t in tok[1:])))
             elif tok[0] == "acc":
                 accs.append(float(tok[1]))
-            elif tok[0] in ("nq", "seed", "nbf"):
-                cfg[tok[0]] = int(tok[1])
-            elif tok[0] == "rp":
-                cfg["rp"] = float(tok[1])
-            elif tok[0] in ("ranking", "recon"):
-                cfg[tok[0]] = tok[1]
+            elif tok[0] in RUN_CONFIG:
+                cfg[tok[0]] = RUN_CONFIG[tok[0]][0](tok[1])
             else:
                 raise ModelFormatError(f"{path} line {i}: unknown field {tok[0]!r}")
         except (ValueError, IndexError) as e:
             raise ModelFormatError(f"{path} line {i}: malformed line {line!r}") from e
-    missing = [k for k in TRACE_KEYS if k not in cfg]
+    missing = [k for k in RUN_CONFIG if k not in cfg]
     if missing:
         raise ModelFormatError(f"{path}: missing config field(s) {', '.join(missing)}")
     try:
-        for k in TRACE_KEYS:
+        for k in RUN_CONFIG:
             check_config(k, cfg[k])
     except ValueError as e:
         raise ModelFormatError(f"{path}: {e}") from None

@@ -12,8 +12,8 @@ import sys
 import numpy as np
 
 from . import synth
-from .attack import (RANKINGS, RECONS, _flip_logits, apply_flips, check_config, evaluate_flips,
-                     load_trace, run_attack, save_trace, select_random_bits,
+from .attack import (RANKINGS, RECONS, RUN_CONFIG, _flip_logits, apply_flips, check_config,
+                     evaluate_flips, load_trace, run_attack, save_trace, select_random_bits,
                      select_vulnerable_bits)
 from .model import (DATA_MAX_CLASSES, Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel,
                     MaxPool, ModelFormatError, ReLU, accuracy, filter_count, forward_batch,
@@ -34,8 +34,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def parse_config(path):
-    """key = value [value ...] lines; '#' starts a comment."""
+# The keys each command's config file may set. A file lists a run's `seed` as `seeds`.
+TRAIN_KEYS = ("classes", "per_class", "test_per_class", "input_shape", "noise", "data_seed",
+              "epochs", "lr", "batch", "train_seed")
+RUN_FILE_KEYS = {k: "seeds" if k == "seed" else k for k in RUN_CONFIG}
+RUN_KEYS = ("victim", "eval", *RUN_FILE_KEYS.values())
+
+
+def parse_config(path, keys):
+    """key = value [value ...] lines; '#' starts a comment. A key not in `keys` is an error."""
     cfg = {}
     with open(path, encoding="utf-8") as f:
         for i, raw in enumerate(f, start=1):
@@ -45,7 +52,10 @@ def parse_config(path):
             if "=" not in line:
                 raise _UsageError(f"{path} line {i}: expected 'key = value'")
             key, _, val = line.partition("=")
-            cfg[key.strip()] = val.split()
+            key = key.strip()
+            if key not in keys:
+                raise _UsageError(f"{path} line {i}: unknown config key {key!r}")
+            cfg[key] = val.split()
     return cfg
 
 
@@ -57,40 +67,51 @@ def _cast(key, cast, value):
 
 
 def _one(cfg, key, cast=str, default=None):
+    values = _many(cfg, key, cast, None if default is None else [default])
+    if len(values) > 1:
+        raise _UsageError(f"config key {key!r} takes one value, got {len(values)}")
+    return values[0]
+
+
+def _many(cfg, key, cast=str, default=None):
     if not cfg.get(key):
         if default is not None:
             return default
         raise _UsageError(f"config missing key {key!r}")
-    return _cast(key, cast, cfg[key][0])
-
-
-def _many(cfg, key, cast=str):
-    if key not in cfg or not cfg[key]:
-        raise _UsageError(f"config missing list {key!r}")
     return [_cast(key, cast, v) for v in cfg[key]]
 
 
-def _check_grid(nqs, rps, seeds, rankings, recons, nbf, batch):
-    """Reject config values the pipeline does not support, before any run starts."""
-    if batch < 1:
-        raise _UsageError(f"batch must be >= 1, got {batch}")
+def _runs(cfg, seed_base=None):
+    """The runs of an attack/sweep config: one RUN_CONFIG dict per point of the product
+    over nq, rp, seeds, ranking and recon, in that order. `seeds` defaults to 0, and
+    `seed_base` replaces the seeds with seed_base, seed_base + 1, ... Every value is
+    checked before any run starts."""
+    axes = {}
+    for k, name in RUN_FILE_KEYS.items():
+        cast = RUN_CONFIG[k][0]
+        if k == "nbf":  # one value: results.csv has no nbf column
+            axes[k] = [_one(cfg, name, cast)]
+        else:
+            axes[k] = _many(cfg, name, cast, [0] if k == "seed" else None)
+    if seed_base is not None:
+        axes["seed"] = [seed_base + i for i in range(len(axes["seed"]))]
     try:
-        for key, values in (("nq", nqs), ("rp", rps), ("seed", seeds), ("ranking", rankings),
-                            ("recon", recons), ("nbf", [nbf])):
+        for k, values in axes.items():
             for v in values:
-                check_config(key, v, "seeds" if key == "seed" else key)  # the config file's name
+                check_config(k, v, RUN_FILE_KEYS[k])
     except ValueError as e:
         raise _UsageError(str(e)) from None
+    return [dict(zip(axes, run)) for run in itertools.product(*axes.values())]
 
 
 def cmd_train(args):
-    cfg = parse_config(args.config)
+    cfg = parse_config(args.config, TRAIN_KEYS)
     try:
         spec = synth.SynthSpec(
             classes=_one(cfg, "classes", int, 4),
             per_class=_one(cfg, "per_class", int, 200),
             test_per_class=_one(cfg, "test_per_class", int, 50),
-            input_shape=tuple(_many(cfg, "input_shape", int)) if "input_shape" in cfg else (1, 8, 8),
+            input_shape=tuple(_many(cfg, "input_shape", int, [1, 8, 8])),
             noise=_one(cfg, "noise", float, 0.5),
             seed=_one(cfg, "data_seed", int, 7))
         if spec.classes > DATA_MAX_CLASSES:
@@ -132,35 +153,39 @@ def cmd_quantize(args):
     return EXIT_OK
 
 
-def _run_one(victim_path, eval_path, nq, rp, seed, ranking, recon, nbf, batch):
-    victim = quantize_model(load_model(victim_path), nq)
-    total = sum(c.size for c in victim.codes)
-    if not 1 <= nbf <= total:
-        raise _UsageError(f"nbf must be in [1, {total}] for {victim_path}, got {nbf}")
-    eval_ds = load_dataset(eval_path)
+def _run_one(victim, eval_ds, run):
+    """run_attack for one RUN_CONFIG dict on `victim`, quantized to run["nq"]."""
     try:
-        return run_attack(victim, rp, seed, RANKINGS[ranking](seed, batch), RECONS[recon], nbf,
-                          eval_ds)
+        return run_attack(victim, run["rp"], run["seed"], RANKINGS[run["ranking"]](run["seed"]),
+                          RECONS[run["recon"]], run["nbf"], eval_ds)
     except ValueError as e:  # e.g. fewer gradient-aligned sign flips than nbf
-        if ranking != "gradient":
+        if run["ranking"] != "gradient":
             raise
-        raise _UsageError(f"ranking gradient, nq {nq}, rp {rp!r}, seed {seed}, nbf {nbf}: "
-                          f"{e}") from None
+        raise _UsageError(f"ranking gradient, nq {run['nq']}, rp {run['rp']!r}, "
+                          f"seed {run['seed']}, nbf {run['nbf']}: {e}") from None
 
 
-def cmd_attack(args):
-    cfg = parse_config(args.config)
-    nq, rp, seed = _one(cfg, "nq", int), _one(cfg, "rp", float), _one(cfg, "seeds", int, 0)
-    ranking, recon, batch = _one(cfg, "ranking"), _one(cfg, "recon"), _one(cfg, "batch", int, 32)
-    nbf = _one(cfg, "nbf", int)
-    _check_grid([nq], [rp], [seed], [ranking], [recon], nbf, batch)
-    trace = _run_one(_one(cfg, "victim"), _one(cfg, "eval"), nq, rp, seed, ranking, recon, nbf,
-                     batch)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"trace_{_cfg_hash(trace.config)}.trace")
-    save_trace(trace, path)
-    print(f"wrote {path} (final accuracy {trace.accuracies[-1]:.4f})")
-    return EXIT_OK
+def _run_all(cfg, runs, out, jobs=1):
+    """Load the victim once, quantize it once per nq, check nbf against its weight count
+    and load the eval set, then run every run and write its trace to `out`; returns the
+    traces in run order."""
+    victim_path = _one(cfg, "victim")
+    model = load_model(victim_path)
+    total, nbf = sum(w.size for w in model.weights), runs[0]["nbf"]
+    if nbf > total:
+        raise _UsageError(f"nbf must be in [1, {total}] for {victim_path}, got {nbf}")
+    victims = {nq: quantize_model(model, nq) for nq in dict.fromkeys(r["nq"] for r in runs)}
+    eval_ds = load_dataset(_one(cfg, "eval"))
+    work = [(victims[r["nq"]], eval_ds, r) for r in runs]
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            traces = pool.starmap(_run_one, work)
+    else:
+        traces = [_run_one(*w) for w in work]
+    os.makedirs(out, exist_ok=True)
+    for trace in traces:
+        save_trace(trace, _trace_path(out, trace))
+    return traces
 
 
 def _cfg_hash(cfg):
@@ -168,35 +193,24 @@ def _cfg_hash(cfg):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _sweep_worker(job):
-    return _run_one(*job)
+def _trace_path(out, trace):
+    return os.path.join(out, f"trace_{_cfg_hash(trace.config)}.trace")
+
+
+def cmd_attack(args):
+    cfg = parse_config(args.config, RUN_KEYS)
+    runs = _runs(cfg)
+    if len(runs) > 1:
+        raise _UsageError(f"attack takes one value per key, but the config gives {len(runs)} "
+                          "runs; use sweep for lists")
+    (trace,) = _run_all(cfg, runs, args.out)
+    print(f"wrote {_trace_path(args.out, trace)} (final accuracy {trace.accuracies[-1]:.4f})")
+    return EXIT_OK
 
 
 def cmd_sweep(args):
-    cfg = parse_config(args.config)
-    victim_path = _one(cfg, "victim")
-    eval_path = _one(cfg, "eval")
-    nbf = _one(cfg, "nbf", int)
-    batch = _one(cfg, "batch", int, 32)
-    nqs = _many(cfg, "nq", int)
-    rps = _many(cfg, "rp", float)
-    seeds = _many(cfg, "seeds", int)
-    if args.seed_base is not None:
-        seeds = [args.seed_base + i for i in range(len(seeds))]
-    rankings = _many(cfg, "ranking")
-    recons = _many(cfg, "recon")
-    _check_grid(nqs, rps, seeds, rankings, recons, nbf, batch)
-    axes = list(itertools.product(nqs, rps, seeds, rankings, recons))
-    jobs = [(victim_path, eval_path, nq, rp, seed, rk, rc, nbf, batch)
-            for nq, rp, seed, rk, rc in axes]
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            traces = pool.map(_sweep_worker, jobs)
-    else:
-        traces = [_sweep_worker(j) for j in jobs]
-    os.makedirs(args.out, exist_ok=True)
-    for trace in traces:
-        save_trace(trace, os.path.join(args.out, f"trace_{_cfg_hash(trace.config)}.trace"))
+    cfg = parse_config(args.config, RUN_KEYS)
+    traces = _run_all(cfg, _runs(cfg, args.seed_base), args.out, args.jobs)
     _write_csv(traces, os.path.join(args.out, "results.csv"))
     print(f"wrote {len(traces)} traces + results.csv to {args.out}")
     return EXIT_OK

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -400,6 +400,7 @@ def top1_accuracy(logits, labels) -> float:
 # back: each a numpy array of one dtype. Float records are finite.
 
 _LAYER_NAMES = {Conv2D: "conv2d", Dense: "dense", ReLU: "relu", MaxPool: "maxpool", Flatten: "flatten"}
+_LAYER_KINDS = {name: kind for kind, name in _LAYER_NAMES.items()}
 _END_HEADER = b"end-header\n"
 
 
@@ -476,18 +477,12 @@ def read_artifact(path, magic, parse):
 
 
 def arch_header_lines(arch: Architecture):
+    """`input_shape`, `classes`, then `layer <name>` and the layer's field values, in
+    field order, per layer."""
     lines = ["input_shape " + " ".join(str(d) for d in arch.input_shape),
              f"classes {arch.num_classes}"]
     for layer in arch.layers:
-        name = _LAYER_NAMES[type(layer)]
-        if isinstance(layer, Conv2D):
-            lines.append(f"layer {name} {layer.c_in} {layer.c_out} {layer.kernel} {layer.stride} {layer.padding}")
-        elif isinstance(layer, Dense):
-            lines.append(f"layer {name} {layer.in_features} {layer.out_features}")
-        elif isinstance(layer, MaxPool):
-            lines.append(f"layer {name} {layer.window}")
-        else:
-            lines.append(f"layer {name}")
+        lines.append(" ".join(["layer", _LAYER_NAMES[type(layer)], *map(str, astuple(layer))]))
     return lines
 
 
@@ -503,20 +498,9 @@ def parse_arch_header(lines) -> Architecture:
             elif tok[0] == "classes":
                 classes = int(tok[1])
             elif tok[0] == "layer":
-                kind = tok[1]
-                args = [int(t) for t in tok[2:]]
-                if kind == "conv2d":
-                    layers.append(Conv2D(*args))
-                elif kind == "dense":
-                    layers.append(Dense(*args))
-                elif kind == "relu":
-                    layers.append(ReLU())
-                elif kind == "maxpool":
-                    layers.append(MaxPool(*args))
-                elif kind == "flatten":
-                    layers.append(Flatten())
-                else:
-                    raise ModelFormatError(f"line {i}: unknown layer kind {kind!r}")
+                if tok[1] not in _LAYER_KINDS:
+                    raise ModelFormatError(f"line {i}: unknown layer kind {tok[1]!r}")
+                layers.append(_LAYER_KINDS[tok[1]](*(int(t) for t in tok[2:])))
             else:
                 raise ModelFormatError(f"line {i}: unknown header field {tok[0]!r}")
         except (ValueError, TypeError, IndexError) as e:

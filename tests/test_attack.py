@@ -5,9 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bitsiege as bs
-from bitsiege.attack import FlipRecord, _flip_logits
+from bitsiege.attack import RANKINGS, RECONS, RUN_CONFIG, FlipRecord, _flip_logits
+from bitsiege.cli import _cfg_hash
 from bitsiege.model import ModelFormatError
 from bitsiege.model import _layer_out_shape, filter_count, filter_size
+from bitsiege.quantize import BITWIDTHS
 
 from conftest import random_qmodel
 
@@ -223,6 +225,42 @@ def test_trace_roundtrip(tmp_path, desk):
     assert loaded.records == tr.records
     assert loaded.accuracies == tr.accuracies
     assert loaded.config == tr.config
+
+
+def _trace(config, nbf):
+    records = [FlipRecord(i % 3, i, 2 * i, 7) for i in range(nbf)]
+    return bs.AttackTrace(records, [1.0 - i / 8 for i in range(nbf + 1)], config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nq=st.sampled_from(BITWIDTHS), rp=st.floats(0, 1) | st.just(0.1 + 0.2),
+       seed=st.integers(0, 2**63 - 1), ranking=st.sampled_from(list(RANKINGS)),
+       recon=st.sampled_from(list(RECONS)), nbf=st.integers(1, 4), as_numpy=st.booleans())
+def test_trace_roundtrip_every_config_value(tmp_path_factory, nq, rp, seed, ranking, recon, nbf,
+                                            as_numpy):
+    config = {"nq": nq, "rp": rp, "seed": seed, "ranking": ranking, "recon": recon, "nbf": nbf}
+    scalars = {"nq": np.int64(nq), "rp": np.float64(rp), "seed": np.uint64(seed),
+               "nbf": np.int32(nbf)}
+    trace = _trace({**config, **scalars} if as_numpy else config, nbf)
+    assert trace.config == config
+    assert [type(v) for v in trace.config.values()] == [t for t, _, _ in RUN_CONFIG.values()]
+    assert _cfg_hash(trace.config) == _cfg_hash(_trace(config, nbf).config)
+    p = tmp_path_factory.mktemp("trace") / "t.trace"
+    bs.save_trace(trace, p)
+    loaded = bs.load_trace(p)
+    assert loaded.config == config and loaded.records == trace.records
+    assert [type(v) for v in loaded.config.values()] == [t for t, _, _ in RUN_CONFIG.values()]
+
+
+def test_numpy_rp_run_writes_the_python_float_trace(tmp_path, desk):
+    runs = [bs.run_attack(desk["qmodel"], rp, 1, bs.FL2R(), bs.ReconstructionMethod.CZR, 2,
+                          desk["test"]) for rp in (0.5, np.float64(0.5))]
+    assert type(runs[1].config["rp"]) is float
+    assert _cfg_hash(runs[1].config) == _cfg_hash(runs[0].config)
+    for i, tr in enumerate(runs):
+        bs.save_trace(tr, tmp_path / f"{i}.trace")
+    assert (tmp_path / "1.trace").read_bytes() == (tmp_path / "0.trace").read_bytes()
+    assert bs.load_trace(tmp_path / "1.trace").config == runs[0].config
 
 
 def reference_accuracies(victim, records, data):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bitsiege as bs
+from bitsiege import cli
 from bitsiege.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main, parse_config
 
 
@@ -24,7 +25,7 @@ def write_cfg(path, text):
 def test_parse_config(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("a = 1 2 3  # comment\n\nb = x\n")
-    assert parse_config(p) == {"a": ["1", "2", "3"], "b": ["x"]}
+    assert parse_config(p, ("a", "b")) == {"a": ["1", "2", "3"], "b": ["x"]}
 
 
 def test_train_command(tmp_path):
@@ -252,13 +253,9 @@ def test_bad_model_file_exits_io(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, line, argv", [
-    ("attack", "batch = -5", []), ("attack", "seeds = -3", []),
-    ("sweep", "batch = -5", []), ("sweep", "seeds = 0 -3", []),
+    ("attack", "seeds = -3", []), ("sweep", "seeds = 0 -3", []),
     ("sweep", "seeds = 0 1", ["--seed-base", "-3"])])
-def test_negative_batch_or_seed_is_one_error_line(workdir, tmp_path, capsys, command, line, argv):
-    values = {"seeds": "0", "batch": "8"}
-    key, _, value = line.partition(" = ")
-    values[key] = value
+def test_negative_seed_is_one_error_line(workdir, tmp_path, capsys, command, line, argv):
     cfg = write_cfg(tmp_path / "neg.cfg", f"""
 victim = {workdir / 'victim.model'}
 eval = {workdir / 'test.data'}
@@ -267,9 +264,55 @@ rp = 0.8
 ranking = gradient
 recon = czr
 nbf = 3
-""" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+{line}
+""")
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out), *argv]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and key in err[0], err
+    assert len(err) == 1 and err[0].startswith("error:") and "seeds" in err[0], err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line", [
+    ("attack", "batch = -5"), ("sweep", "batch = -5"), ("attack", "batch = 4"),
+    ("sweep", "bacth = 3"), ("train", "bacth = 3"), ("train", "victim = v.model")])
+def test_unknown_config_key_is_one_error_line(workdir, tmp_path, capsys, command, line):
+    valid = ("per_class = 10\nepochs = 1\n" if command == "train" else
+             f"victim = {workdir / 'victim.model'}\neval = {workdir / 'test.data'}\n"
+             "nq = 8\nrp = 0.8\nranking = fl2r\nrecon = czr\nnbf = 3\n")
+    cfg = write_cfg(tmp_path / "k.cfg", f"{valid}{line}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    key = line.split()[0]
+    assert len(err) == 1 and err[0].startswith("error:") and repr(key) in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line", [
+    ("attack", "nq = 8 4"), ("attack", "rp = 0.5 1.0"), ("attack", "seeds = 0 1"),
+    ("attack", "nbf = 3 4"), ("sweep", "nbf = 3 4"), ("sweep", "victim = a.model b.model")])
+def test_several_values_where_one_is_taken_is_one_error_line(workdir, tmp_path, capsys, command,
+                                                             line):
+    values = {"victim": str(workdir / "victim.model"), "eval": str(workdir / "test.data"),
+              "nq": "8", "rp": "0.8", "seeds": "0", "ranking": "fl2r", "recon": "czr", "nbf": "3"}
+    key, _, value = line.partition(" = ")
+    values[key] = value
+    cfg = write_cfg(tmp_path / "m.cfg", "".join(f"{k} = {v}\n" for k, v in values.items()))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not out.exists()
+
+
+def test_sweep_reads_each_input_once(workdir, tmp_path, monkeypatch):
+    calls = {"load_model": 0, "load_dataset": 0, "quantize_model": 0}
+    for name in calls:
+        def counted(*a, _name=name, _fn=getattr(cli, name)):
+            calls[_name] += 1
+            return _fn(*a)
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["sweep", "--config", sweep_cfg(workdir, tmp_path), "--out",
+                 str(tmp_path / "sweep")]) == EXIT_OK
+    assert calls == {"load_model": 1, "load_dataset": 1, "quantize_model": 2}  # nq 8 and 4

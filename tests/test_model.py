@@ -277,6 +277,14 @@ def test_load_model_rejects_garbage(tmp_path):
         assert str(bad_data) in str(e.value)
     (nq, scale, codes, bias), second = TINY_QLAYERS
     bad_q = tmp_path / "bad.qmodel"
+    for relu, ok in ((b"layer relu\n", True), (b"layer relu 5\n", False)):
+        bad_q.write_bytes(qmodel_bytes(TINY_QLAYERS).replace(b"layer flatten\n",
+                                                             b"layer flatten\n" + relu))
+        if ok:  # a ReLU after flatten is a valid layer; only its stray field is bad
+            bs.load_qmodel(bad_q)
+        else:
+            with pytest.raises(ModelFormatError, match="line 6"):
+                bs.load_qmodel(bad_q)
     for layer in [(nq, 0.0, codes, bias), (nq, -0.25, codes, bias), (nq, float("nan"), codes, bias),
                   (nq, scale, [100] + codes[1:], bias), (nq, scale, codes, [float("inf")])]:
         bad_q.write_bytes(qmodel_bytes([layer, second]))
