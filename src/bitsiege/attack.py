@@ -204,69 +204,103 @@ def apply_flips(victim: QuantModel, records) -> QuantModel:
                       [b.copy() for b in victim.biases])
 
 
-def _flip_logits(victim: QuantModel, records, eval_data: Dataset):
-    """Yield the victim's logits on `eval_data` before any flip, then after each
-    cumulative flip; each yielded array is rewritten by the next step.
+def _flip_logits(victim: QuantModel, record_lists, eval_data: Dataset):
+    """For each list in `record_lists`, in order, yield the victim's logits on
+    `eval_data` before any flip, then after each cumulative flip of that list;
+    each yielded array is rewritten by the next step.
 
-    The victim is dequantized once, and one Workspace holds the pass over
-    `eval_data`. Each flip rewrites one code and its weight (`float64(code) * scale`,
-    the product `dequantize` forms) and re-runs the network from the flipped
-    parametric layer on, from that layer's stored input, writing into the
-    workspace. A conv flip in filter f re-runs that layer's full GEMM (a one-row
-    product would not give the full GEMM's bits), then carries only channel f
-    through the ReLU/MaxPool after it and into the next conv's patch matrix; see
-    `forward_layers`. The logits equal `forward_batch` of the fully flipped,
-    dequantized victim bit for bit.
+    The victim is dequantized once, and one Workspace holds one baseline pass over
+    `eval_data` for all the lists. Each flip rewrites one code and its weight
+    (`float64(code) * scale`, the product `dequantize` forms) and re-runs the
+    network from the flipped parametric layer on, from that layer's stored input,
+    writing into the workspace. A conv flip in filter f re-runs that layer's full
+    GEMM (a one-row product would not give the full GEMM's bits), then carries only
+    channel f through the ReLU/MaxPool after it and into the next conv's patch
+    matrix; see `forward_layers`. Before every list after the first, the codes and
+    weights start again from the victim's and `Workspace.restore` copies the
+    baseline pass back into the same arrays, so no list sees another's flips. With
+    one list nothing is saved. The logits equal `forward_batch` of the list's
+    flipped, dequantized victim bit for bit.
     """
     if len(eval_data) == 0:
         raise ValueError("empty dataset")
     fm = dequantize_model(victim)
     arch = victim.architecture
     params = arch.parametric_layers()
-    codes = [c.copy() for c in victim.codes]
-    weights = [w.copy() for w in fm.weights]
     ws = Workspace(arch)
-    yield forward_batch(fm, eval_data.inputs, ws)
-    for r in records:
-        idx = _flip_code(codes, victim, r)
-        weights[r.layer].reshape(-1)[idx] = (np.float64(codes[r.layer].reshape(-1)[idx])
-                                             * victim.params[r.layer].scale)
-        pos, layer = params[r.layer]
-        channel = r.filt if isinstance(layer, Conv2D) else None
-        yield forward_layers(arch, weights, fm.biases, ws.input(pos), pos, ws, channel)
+    for k, records in enumerate(record_lists):
+        codes = [c.copy() for c in victim.codes]
+        weights = [w.copy() for w in fm.weights]
+        if k == 0:
+            baseline = forward_batch(fm, eval_data.inputs, ws)
+            if len(record_lists) > 1:
+                ws.save()
+        else:
+            ws.restore()
+        yield baseline
+        for r in records:
+            idx = _flip_code(codes, victim, r)
+            weights[r.layer].reshape(-1)[idx] = (np.float64(codes[r.layer].reshape(-1)[idx])
+                                                 * victim.params[r.layer].scale)
+            pos, layer = params[r.layer]
+            channel = r.filt if isinstance(layer, Conv2D) else None
+            yield forward_layers(arch, weights, fm.biases, ws.input(pos), pos, ws, channel)
 
 
 def evaluate_flips(victim: QuantModel, records, eval_data: Dataset) -> list:
     """Accuracy of the victim before any flip and after each cumulative flip.
 
-    Incremental and exact (`_flip_logits`): a flip re-runs the network only from
-    its parametric layer on, a conv flip past its own GEMM only for the flipped
-    filter's channel, with no activation allocated per flip. Each accuracy equals
-    `accuracy_quant(apply_flips(victim, records[:i]), eval_data)` exactly.
+    The one-list case of `_flip_logits`: incremental and exact. A flip re-runs the
+    network only from its parametric layer on, a conv flip past its own GEMM only
+    for the flipped filter's channel, with no activation allocated per flip. Each
+    accuracy equals `accuracy_quant(apply_flips(victim, records[:i]), eval_data)`
+    exactly.
     """
     return [top1_accuracy(logits, eval_data.labels)
-            for logits in _flip_logits(victim, records, eval_data)]
+            for logits in _flip_logits(victim, [records], eval_data)]
+
+
+def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
+                eval_data: Dataset) -> list:
+    """The traces of `run_attack` for each (ranking, recon) pair in the list `methods`,
+    in that order, at one recovery rate and seed.
+
+    What the pairs share is done once: the partial-bit recovery, each recon's
+    surrogate, and the victim's baseline pass over `eval_data`, which every pair's
+    flips start from (`_flip_logits`). Each trace equals `run_attack`'s for its
+    pair, byte for byte.
+    """
+    partial = simulate_recovery(victim, rp, seed)
+    surrogates = {}
+    records = []
+    for ranking, recon in methods:
+        if recon not in surrogates:
+            surrogates[recon] = reconstruct_model(partial, recon)
+        records.append(ranking.select(surrogates[recon], n_bf, eval_data))
+    logits = _flip_logits(victim, records, eval_data)
+    nq = victim.params[0].bitwidth if victim.params else 0
+    traces = []
+    for (ranking, recon), recs in zip(methods, records):
+        accs = [top1_accuracy(next(logits), eval_data.labels) for _ in range(len(recs) + 1)]
+        config = {"nq": nq, "rp": rp, "seed": seed, "ranking": ranking.name,
+                  "recon": recon.value, "nbf": n_bf}
+        traces.append(AttackTrace(tuple(recs), tuple(accs), config))
+    return traces
 
 
 def run_attack(victim: QuantModel, rp: float, seed: int, ranking, recon: ReconstructionMethod,
                n_bf: int, eval_data: Dataset) -> AttackTrace:
     """Full pipeline: simulate extraction, reconstruct a surrogate, rank on the
     surrogate only (`ranking.select`, `ranking` one of `RANKINGS`' methods), then
-    flip cumulatively on the victim, recording accuracy.
+    flip cumulatively on the victim, recording accuracy. The one-pair case of
+    `run_attacks`.
 
-    The accuracies come from `evaluate_flips`: incremental (each flip re-runs the
-    network only from its layer on, a conv flip past that layer's full GEMM only
-    for the flipped filter's channel) and exactly equal to re-evaluating the
-    fully flipped victim with `accuracy_quant` after every flip.
+    The accuracies are incremental (each flip re-runs the network only from its
+    layer on, a conv flip past that layer's full GEMM only for the flipped filter's
+    channel) and exactly equal to re-evaluating the fully flipped victim with
+    `accuracy_quant` after every flip.
     """
-    partial = simulate_recovery(victim, rp, seed)
-    surrogate = reconstruct_model(partial, recon)
-    records = ranking.select(surrogate, n_bf, eval_data)
-    accs = evaluate_flips(victim, records, eval_data)
-    nq = victim.params[0].bitwidth if victim.params else 0
-    config = {"nq": nq, "rp": rp, "seed": seed, "ranking": ranking.name, "recon": recon.value,
-              "nbf": n_bf}
-    return AttackTrace(tuple(records), tuple(accs), config)
+    return run_attacks(victim, rp, seed, [(ranking, recon)], n_bf, eval_data)[0]
 
 
 def save_trace(trace: AttackTrace, path):

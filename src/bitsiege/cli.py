@@ -13,7 +13,7 @@ import numpy as np
 
 from . import synth
 from .attack import (RANKINGS, RECONS, RUN_CONFIG, _flip_logits, apply_flips, check_config,
-                     evaluate_flips, load_trace, run_attack, save_trace, select_random_bits,
+                     evaluate_flips, load_trace, run_attacks, save_trace, select_random_bits,
                      select_vulnerable_bits)
 from .model import (DATA_MAX_CLASSES, Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel,
                     MaxPool, ModelFormatError, ReLU, accuracy, filter_count, forward_batch,
@@ -153,22 +153,29 @@ def cmd_quantize(args):
     return EXIT_OK
 
 
-def _run_one(victim, eval_ds, run):
-    """run_attack for one RUN_CONFIG dict on `victim`, quantized to run["nq"]."""
+def _run_group(victim, eval_ds, runs):
+    """run_attacks for RUN_CONFIG dicts that share nq, rp and seed, on `victim`,
+    quantized to that nq; returns their traces in the order of `runs`."""
+    nq, rp, seed, nbf = (runs[0][k] for k in ("nq", "rp", "seed", "nbf"))
+    methods = [(RANKINGS[r["ranking"]](seed), RECONS[r["recon"]]) for r in runs]
     try:
-        return run_attack(victim, run["rp"], run["seed"], RANKINGS[run["ranking"]](run["seed"]),
-                          RECONS[run["recon"]], run["nbf"], eval_ds)
+        return run_attacks(victim, rp, seed, methods, nbf, eval_ds)
     except ValueError as e:  # e.g. fewer gradient-aligned sign flips than nbf
-        if run["ranking"] != "gradient":
+        # Every value was checked before the runs, so what is left to fail is the gradient
+        # ranking; the group's runs share every value the error line names.
+        if all(r["ranking"] != "gradient" for r in runs):
             raise
-        raise _UsageError(f"ranking gradient, nq {run['nq']}, rp {run['rp']!r}, "
-                          f"seed {run['seed']}, nbf {run['nbf']}: {e}") from None
+        raise _UsageError(f"ranking gradient, nq {nq}, rp {rp!r}, seed {seed}, nbf {nbf}: "
+                          f"{e}") from None
 
 
 def _run_all(cfg, runs, out, jobs=1):
     """Load the victim once, quantize it once per nq, check nbf against its weight count
-    and load the eval set, then run every run and write its trace to `out`; returns the
-    traces in run order."""
+    and load the eval set, then run the runs in groups that share (nq, rp, seed), one
+    group per task on up to `jobs` processes, and write each trace to `out`; returns
+    the traces in run order.
+
+    `runs` comes from `_runs`, whose product order puts each group's runs together."""
     victim_path = _one(cfg, "victim")
     model = load_model(victim_path)
     total, nbf = sum(w.size for w in model.weights), runs[0]["nbf"]
@@ -176,12 +183,15 @@ def _run_all(cfg, runs, out, jobs=1):
         raise _UsageError(f"nbf must be in [1, {total}] for {victim_path}, got {nbf}")
     victims = {nq: quantize_model(model, nq) for nq in dict.fromkeys(r["nq"] for r in runs)}
     eval_ds = load_dataset(_one(cfg, "eval"))
-    work = [(victims[r["nq"]], eval_ds, r) for r in runs]
+    groups = [list(g) for _, g in itertools.groupby(runs, lambda r: (r["nq"], r["rp"], r["seed"]))]
+    work = [(victims[g[0]["nq"]], eval_ds, g) for g in groups]
+    jobs = min(jobs, len(work))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            traces = pool.starmap(_run_one, work)
+            results = pool.starmap(_run_group, work)
     else:
-        traces = [_run_one(*w) for w in work]
+        results = [_run_group(*w) for w in work]
+    traces = [trace for group in results for trace in group]
     os.makedirs(out, exist_ok=True)
     for trace in traces:
         save_trace(trace, _trace_path(out, trace))
@@ -209,6 +219,8 @@ def cmd_attack(args):
 
 
 def cmd_sweep(args):
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = parse_config(args.config, RUN_KEYS)
     traces = _run_all(cfg, _runs(cfg, args.seed_base), args.out, args.jobs)
     _write_csv(traces, os.path.join(args.out, "results.csv"))
@@ -313,14 +325,20 @@ def _verify_incremental():
     data = Dataset(inputs, forward_batch(dequantize_model(victim), inputs).argmax(axis=1))
     records = select_vulnerable_bits(victim, 40) + select_random_bits(victim, 20, 11)
     rng.shuffle(records)
-    for i, logits in enumerate(_flip_logits(victim, records, data)):
-        ref = forward_batch(dequantize_model(apply_flips(victim, records[:i])), data.inputs)
-        if logits.tobytes() != ref.tobytes():
-            return False, f"incremental logits differ from the apply_flips reference after flip {i}"
+    # three lists from one baseline pass: each after the first starts from a restore
+    lists = [records, records[::2], records[1::2]]
+    logits = _flip_logits(victim, lists, data)
+    for k, recs in enumerate(lists):
+        for i in range(len(recs) + 1):
+            ref = forward_batch(dequantize_model(apply_flips(victim, recs[:i])), data.inputs)
+            if next(logits).tobytes() != ref.tobytes():
+                return False, (f"incremental logits differ from the apply_flips reference "
+                               f"after flip {i} of list {k}")
     accs = [accuracy_quant(apply_flips(victim, records[:i]), data) for i in range(len(records) + 1)]
     return evaluate_flips(victim, records, data) == accs, (
-        f"incremental evaluator vs apply_flips + accuracy_quant over {len(records)} flips "
-        "(padded and strided convs, pool, dense): logits bit-identical, accuracies equal")
+        f"incremental evaluator vs apply_flips + accuracy_quant over {len(records)} flips, "
+        "then both halves from the restored baseline (padded and strided convs, pool, "
+        "dense): logits bit-identical, accuracies equal")
 
 
 def cmd_verify(_args):

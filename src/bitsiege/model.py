@@ -179,16 +179,38 @@ class Workspace:
     patch matrix]. The first pass fills them with the arrays the layers return, so
     every later result has the memory layout a fresh pass gives it, and the GEMMs
     take the same BLAS path. A workspace belongs to one caller and one batch.
+
+    `save` copies what a restart at a parametric layer may rewrite, and `restore`
+    copies it back in place, so the workspace holds the saved pass again, in the
+    same arrays.
     """
 
     def __init__(self, arch: Architecture):
         self.layers = arch.layers
         self.acts = [None] * (len(arch.layers) + 1)
         self.patches = [[None, None] for _ in arch.layers]
+        self.saved = []
 
     def input(self, pos):
         """What layer `pos` consumes: a Conv2D's patch matrix, any other layer's input."""
         return self.patches[pos][1] if isinstance(self.layers[pos], Conv2D) else self.acts[pos]
+
+    def save(self):
+        """Copy every stored activation after the batch, and the padded input and patch
+        matrix of every Conv2D after the first (the first one's come from the batch,
+        which no restart rewrites). A read-only view, or a view of an array already
+        copied, follows its base and is left out."""
+        convs = [pos for pos, layer in enumerate(self.layers) if isinstance(layer, Conv2D)]
+        kept = []
+        for a in self.acts[1:] + [a for pos in convs[1:] for a in self.patches[pos]]:
+            if a.flags.writeable and not any(np.may_share_memory(a, b) for b in kept):
+                kept.append(a)
+        self.saved = [(a, np.copy(a)) for a in kept]  # np.copy keeps the layout
+
+    def restore(self):
+        """Copy the arrays `save` copied back into place."""
+        for a, copy in self.saved:
+            np.copyto(a, copy)
 
 
 def _windows(x, kernel, stride):

@@ -346,11 +346,31 @@ def test_flip_logits_equal_fresh_forward_on_random_architectures(data):
     eval_data = bs.Dataset(inputs, rng.integers(0, arch.num_classes, n))
     records = draw_flips(data, q)
     steps = 0
-    for i, logits in enumerate(_flip_logits(q, records, eval_data)):
+    for i, logits in enumerate(_flip_logits(q, [records], eval_data)):
         fresh = bs.forward_batch(bs.dequantize_model(bs.apply_flips(q, records[:i])), inputs)
         assert logits.tobytes() == fresh.tobytes(), f"after flip {i}"
         steps += 1
     assert steps == len(records) + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_flip_lists_restart_from_the_baseline_on_random_architectures(data):
+    # Several lists from one baseline pass: every list after the first starts from the
+    # restored workspace, which must hold no trace of the flips before it.
+    arch = draw_architecture(data)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    q = random_qmodel(rng, data.draw(st.sampled_from([4, 8])), arch)
+    n = data.draw(st.integers(1, 12))
+    inputs = rng.standard_normal((n,) + arch.input_shape)
+    eval_data = bs.Dataset(inputs, rng.integers(0, arch.num_classes, n))
+    lists = [draw_flips(data, q) for _ in range(data.draw(st.integers(2, 3)))]
+    logits = _flip_logits(q, lists, eval_data)
+    for k, records in enumerate(lists):
+        for i in range(len(records) + 1):
+            fresh = bs.forward_batch(bs.dequantize_model(bs.apply_flips(q, records[:i])), inputs)
+            assert next(logits).tobytes() == fresh.tobytes(), f"list {k}, after flip {i}"
+    assert next(logits, None) is None
 
 
 def test_evaluate_flips_leaves_shared_state_alone(desk):

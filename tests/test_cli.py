@@ -316,3 +316,97 @@ def test_sweep_reads_each_input_once(workdir, tmp_path, monkeypatch):
     assert main(["sweep", "--config", sweep_cfg(workdir, tmp_path), "--out",
                  str(tmp_path / "sweep")]) == EXIT_OK
     assert calls == {"load_model": 1, "load_dataset": 1, "quantize_model": 2}  # nq 8 and 4
+
+
+def grid_cfg(workdir, tmp_path):
+    """Two nq, two rp and two seeds (8 groups), each with 3 rankings x 3 recons."""
+    return write_cfg(tmp_path / "grid.cfg", f"""
+victim = {workdir / 'victim.model'}
+eval = {workdir / 'test.data'}
+nq = 8 4
+rp = 0.6 1.0
+seeds = 0 1
+ranking = fl2r random gradient
+recon = czr allzeros allones
+nbf = 5
+""")
+
+
+def test_sweep_traces_equal_one_run_attack_per_run(workdir, tmp_path):
+    cfg = grid_cfg(workdir, tmp_path)
+    out = tmp_path / "grid"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    model, eval_ds = bs.load_model(workdir / "victim.model"), bs.load_dataset(workdir / "test.data")
+    victims = {nq: bs.quantize_model(model, nq) for nq in (8, 4)}
+    runs = cli._runs(cli.parse_config(cfg, cli.RUN_KEYS))
+    assert len(runs) == 72 and len(list(out.glob("*.trace"))) == 72
+    ref = tmp_path / "ref.trace"
+    for r in runs:
+        bs.save_trace(bs.run_attack(victims[r["nq"]], r["rp"], r["seed"],
+                                    cli.RANKINGS[r["ranking"]](r["seed"]), cli.RECONS[r["recon"]],
+                                    r["nbf"], eval_ds), ref)
+        got = (out / f"trace_{cli._cfg_hash(r)}.trace").read_bytes()
+        assert got == ref.read_bytes(), r
+
+
+def test_sweep_shares_recovery_surrogates_and_baseline_per_group(workdir, tmp_path, monkeypatch):
+    from bitsiege import attack
+    calls = {"simulate_recovery": 0, "reconstruct_model": 0, "forward_batch": 0}
+    for name in calls:
+        def counted(*a, _name=name, _fn=getattr(attack, name)):
+            calls[_name] += 1
+            return _fn(*a)
+        monkeypatch.setattr(attack, name, counted)
+    assert main(["sweep", "--config", grid_cfg(workdir, tmp_path), "--out",
+                 str(tmp_path / "grid")]) == EXIT_OK
+    # 8 (nq, rp, seed) groups, 3 recons each
+    assert calls == {"simulate_recovery": 8, "reconstruct_model": 24, "forward_batch": 8}
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_one_error_line(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    # the config does not exist: the check comes before anything is read
+    argv = ["sweep", "--config", str(tmp_path / "missing.cfg"), "--out", str(out), "--jobs", jobs]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--jobs" in err[0], err
+    assert not out.exists()
+
+
+class FakePool:
+    """multiprocessing.Pool stand-in that records its size and runs in this process."""
+    sizes = []
+
+    def __init__(self, processes):
+        FakePool.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, work):
+        return [fn(*w) for w in work]
+
+
+@pytest.mark.parametrize("nq, jobs, sizes", [("8 4", "64", [2]), ("8 4", "2", [2]),
+                                             ("8", "4", []), ("8 4", "1", [])])
+def test_sweep_starts_one_worker_per_group_at_most(workdir, tmp_path, monkeypatch, nq, jobs,
+                                                   sizes):
+    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    cfg = write_cfg(tmp_path / "j.cfg", f"""
+victim = {workdir / 'victim.model'}
+eval = {workdir / 'test.data'}
+nq = {nq}
+rp = 0.8
+ranking = fl2r random
+recon = czr allzeros
+nbf = 3
+""")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_OK
+    assert FakePool.sizes == sizes
+    assert len(list(out.glob("*.trace"))) == 4 * len(nq.split())

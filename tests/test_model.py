@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import bitsiege as bs
 from bitsiege.model import (ModelFormatError, Workspace, _conv2d, _conv_bwd, _maxpool, _patches,
-                            forward_layers)
+                            forward_layers, weight_shape)
 
 from conftest import make_tiny_dense
 
@@ -402,3 +402,28 @@ def test_forward_layers_restart_from_cache_is_exact(desk, monkeypatch):
         tracemalloc.stop()
         assert np.array_equal(again, full)
         assert peak < ws.acts[1].nbytes / 4  # the first conv's output: 460 KB
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_workspace_restore_returns_every_array_to_the_saved_pass(n):
+    # padded convs after the first, one strided with a copied patch matrix and one 1x1
+    # over a single channel whose patch matrix is a read-only view of its padded input
+    arch = bs.Architecture((bs.Conv2D(1, 2, 3, 1, 1), bs.ReLU(), bs.Conv2D(2, 1, 3, 2, 1),
+                            bs.ReLU(), bs.Conv2D(1, 2, 1, 1, 1), bs.Flatten(), bs.Dense(72, 3)),
+                           (1, 8, 8), 3)
+    rng = np.random.default_rng(n)
+    shapes = [weight_shape(l) for _, l in arch.parametric_layers()]
+    model = bs.FloatModel(arch, [rng.standard_normal(s) for s in shapes],
+                          [rng.standard_normal(s[0]) for s in shapes])
+    ws = Workspace(arch)
+    bs.forward_batch(model, rng.standard_normal((n, 1, 8, 8)), ws)
+    arrays = ws.acts + [a for pair in ws.patches for a in pair if a is not None]
+    before = [a.tobytes() for a in arrays]
+    ws.save()
+    other = [w + 1.0 for w in model.weights]
+    for pos, layer in arch.parametric_layers():
+        for channel in ([0, None] if isinstance(layer, bs.Conv2D) else [None]):
+            forward_layers(arch, other, model.biases, ws.input(pos), pos, ws, channel)
+    assert [a.tobytes() for a in arrays] != before
+    ws.restore()
+    assert [a.tobytes() for a in arrays] == before
