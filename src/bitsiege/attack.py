@@ -278,7 +278,7 @@ def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
             surrogates[recon] = reconstruct_model(partial, recon)
         records.append(ranking.select(surrogates[recon], n_bf, eval_data))
     logits = _flip_logits(victim, records, eval_data)
-    nq = victim.params[0].bitwidth if victim.params else 0
+    nq = victim.params[0].bitwidth
     traces = []
     for (ranking, recon), recs in zip(methods, records):
         accs = [top1_accuracy(next(logits), eval_data.labels) for _ in range(len(recs) + 1)]

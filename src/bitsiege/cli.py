@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import itertools
 import multiprocessing
@@ -18,8 +19,8 @@ from .attack import (RANKINGS, RECONS, RUN_CONFIG, _flip_logits, apply_flips, ch
 from .model import (DATA_MAX_CLASSES, Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel,
                     MaxPool, ModelFormatError, ReLU, accuracy, filter_count, forward_batch,
                     load_dataset, load_model, save_dataset, save_model, weight_shape)
-from .quantize import (QuantModel, QuantParams, accuracy_quant, dequantize_model, flip_bit,
-                       quantize_model, save_qmodel)
+from .quantize import (BITWIDTHS, QuantModel, QuantParams, accuracy_quant, dequantize_model,
+                       flip_bit, quantize_model, save_qmodel)
 from .reconstruct import ReconstructionMethod, oracle_min_abs, reconstruct_code
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO = 0, 1, 2, 3
@@ -34,9 +35,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# The keys each command's config file may set. A file lists a run's `seed` as `seeds`.
-TRAIN_KEYS = ("classes", "per_class", "test_per_class", "input_shape", "noise", "data_seed",
-              "epochs", "lr", "batch", "train_seed")
+# The keys each command's config file may set: a train key names a synth.SynthSpec or
+# synth.TrainConfig field (three by another name); a run file lists `seed` as `seeds`.
+_TRAIN_RENAMED = {(synth.SynthSpec, "seed"): "data_seed", (synth.TrainConfig, "seed"): "train_seed",
+                  (synth.TrainConfig, "batch_size"): "batch"}
+TRAIN_CONFIG = {_TRAIN_RENAMED.get((cls, f.name), f.name): (cls, f)
+                for cls in (synth.SynthSpec, synth.TrainConfig) for f in dataclasses.fields(cls)}
 RUN_FILE_KEYS = {k: "seeds" if k == "seed" else k for k in RUN_CONFIG}
 RUN_KEYS = ("victim", "eval", *RUN_FILE_KEYS.values())
 
@@ -66,8 +70,8 @@ def _cast(key, cast, value):
         raise _UsageError(f"config key {key!r}: {value!r} is not a valid {cast.__name__}") from None
 
 
-def _one(cfg, key, cast=str, default=None):
-    values = _many(cfg, key, cast, None if default is None else [default])
+def _one(cfg, key, cast=str):
+    values = _many(cfg, key, cast)
     if len(values) > 1:
         raise _UsageError(f"config key {key!r} takes one value, got {len(values)}")
     return values[0]
@@ -99,28 +103,26 @@ def _runs(cfg, seed_base=None):
         for k, values in axes.items():
             for v in values:
                 check_config(k, v, RUN_FILE_KEYS[k])
+            if len(set(values)) < len(values):  # a repeated run would write one trace twice
+                raise ValueError(f"{RUN_FILE_KEYS[k]} must list distinct values, got {values}")
     except ValueError as e:
         raise _UsageError(str(e)) from None
     return [dict(zip(axes, run)) for run in itertools.product(*axes.values())]
 
 
 def cmd_train(args):
-    cfg = parse_config(args.config, TRAIN_KEYS)
+    cfg = parse_config(args.config, TRAIN_CONFIG)
+    fields = {synth.SynthSpec: {}, synth.TrainConfig: {}}
+    for key, (cls, f) in TRAIN_CONFIG.items():
+        if cfg.get(key):  # a key left out, or left empty, keeps the field's default
+            d = f.default  # values take its type; a tuple default's, its items' type
+            fields[cls][f.name] = (tuple(_many(cfg, key, type(d[0]))) if isinstance(d, tuple)
+                                   else _one(cfg, key, type(d)))
     try:
-        spec = synth.SynthSpec(
-            classes=_one(cfg, "classes", int, 4),
-            per_class=_one(cfg, "per_class", int, 200),
-            test_per_class=_one(cfg, "test_per_class", int, 50),
-            input_shape=tuple(_many(cfg, "input_shape", int, [1, 8, 8])),
-            noise=_one(cfg, "noise", float, 0.5),
-            seed=_one(cfg, "data_seed", int, 7))
+        spec = synth.SynthSpec(**fields[synth.SynthSpec])
         if spec.classes > DATA_MAX_CLASSES:
             raise _UsageError(f"classes must be <= {DATA_MAX_CLASSES}: .data files store labels as uint8")
-        tc = synth.TrainConfig(
-            epochs=_one(cfg, "epochs", int, 30),
-            lr=_one(cfg, "lr", float, 0.1),
-            batch_size=_one(cfg, "batch", int, 32),
-            seed=_one(cfg, "train_seed", int, 2))
+        tc = synth.TrainConfig(**fields[synth.TrainConfig])
         arch = synth.desk_architecture(spec.classes, spec.input_shape)
         train_ds, test_ds = synth.gen_synthetic(spec)
     except ValueError as e:
@@ -160,20 +162,15 @@ def _run_group(victim, eval_ds, runs):
     methods = [(RANKINGS[r["ranking"]](seed), RECONS[r["recon"]]) for r in runs]
     try:
         return run_attacks(victim, rp, seed, methods, nbf, eval_ds)
-    except ValueError as e:  # e.g. fewer gradient-aligned sign flips than nbf
-        # Every value was checked before the runs, so what is left to fail is the gradient
-        # ranking; the group's runs share every value the error line names.
-        if all(r["ranking"] != "gradient" for r in runs):
-            raise
-        raise _UsageError(f"ranking gradient, nq {nq}, rp {rp!r}, seed {seed}, nbf {nbf}: "
-                          f"{e}") from None
+    except ValueError as e:  # every input was checked: fewer gradient-aligned flips than nbf
+        raise _UsageError(f"nq {nq}, rp {rp!r}, seed {seed}, nbf {nbf}: {e}") from None
 
 
 def _run_all(cfg, runs, out, jobs=1):
     """Load the victim once, quantize it once per nq, check nbf against its weight count
-    and load the eval set, then run the runs in groups that share (nq, rp, seed), one
-    group per task on up to `jobs` processes, and write each trace to `out`; returns
-    the traces in run order.
+    and the eval set against its input, then run the runs in groups that share (nq, rp,
+    seed), one group per task on up to `jobs` processes, and write each trace to `out`;
+    returns the traces in run order.
 
     `runs` comes from `_runs`, whose product order puts each group's runs together."""
     victim_path = _one(cfg, "victim")
@@ -182,7 +179,12 @@ def _run_all(cfg, runs, out, jobs=1):
     if nbf > total:
         raise _UsageError(f"nbf must be in [1, {total}] for {victim_path}, got {nbf}")
     victims = {nq: quantize_model(model, nq) for nq in dict.fromkeys(r["nq"] for r in runs)}
-    eval_ds = load_dataset(_one(cfg, "eval"))
+    eval_path = _one(cfg, "eval")
+    eval_ds = load_dataset(eval_path)
+    shape = model.architecture.input_shape
+    if len(eval_ds) == 0 or eval_ds.inputs.shape[1:] != shape:
+        raise _UsageError(f"eval set {eval_path} must hold one or more {shape} inputs for "
+                          f"{victim_path}, got {len(eval_ds)} of shape {eval_ds.inputs.shape[1:]}")
     groups = [list(g) for _, g in itertools.groupby(runs, lambda r: (r["nq"], r["rp"], r["seed"]))]
     work = [(victims[g[0]["nq"]], eval_ds, g) for g in groups]
     jobs = min(jobs, len(work))
@@ -258,7 +260,7 @@ def cmd_report(args):
         for key in sorted(groups):
             ts = groups[key]
             for flips in (0, 10, 20, 50, 100):
-                if flips < len(ts[0].accuracies):
+                if flips < min(len(t.accuracies) for t in ts):  # nbf may differ
                     mean = float(np.mean([t.accuracies[flips] for t in ts]))
                     w.writerow([*key, flips, repr(mean)])
     print(f"wrote report.csv and summary.csv to {out}")
@@ -276,14 +278,14 @@ def _verify_czr():
 
 
 def _verify_sign_flip():
-    for nq in (4, 6, 8):
+    for nq in BITWIDTHS:
         half, quarter = 1 << (nq - 1), 1 << (nq - 3)
         for c in range(-half, half):
             if abs(flip_bit(c, nq - 1, nq) - c) != half:
                 return False, f"sign-flip delta wrong at nq={nq} c={c}"
             if half - quarter <= c <= half - 1 and abs(flip_bit(c, nq - 1, nq)) > quarter:
                 return False, f"top-quartile code {c} not mapped near zero at nq={nq}"
-    return True, "sign-bit flips shift every code by exactly half-range (4/6/8-bit, exhaustive)"
+    return True, f"sign flips shift every code by exactly half-range (nq {BITWIDTHS}, exhaustive)"
 
 
 def _verify_gradient():
@@ -363,7 +365,7 @@ def build_parser():
 
     p = sub.add_parser("quantize", help="quantize a float model file")
     p.add_argument("--model", required=True)
-    p.add_argument("--nq", type=int, required=True, choices=(4, 6, 8))
+    p.add_argument("--nq", type=int, required=True, choices=BITWIDTHS)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_quantize)
 

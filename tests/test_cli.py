@@ -410,3 +410,84 @@ nbf = 3
     assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_OK
     assert FakePool.sizes == sizes
     assert len(list(out.glob("*.trace"))) == 4 * len(nq.split())
+
+
+@pytest.mark.parametrize("lines, spec, tc", [
+    ("epochs = 1\n", bs.SynthSpec(), bs.TrainConfig(epochs=1)),
+    ("classes = 5\nper_class = 12\ntest_per_class = 3\ninput_shape = 1 10 10\nnoise = 0.25\n"
+     "data_seed = 3\nepochs = 2\nlr = 0.05\nbatch = 16\ntrain_seed = 5\n",
+     bs.SynthSpec(5, 12, 3, (1, 10, 10), 0.25, 3), bs.TrainConfig(2, 0.05, 16, 5))],
+    ids=["defaults", "every-key"])
+def test_train_config_keys_set_the_dataclass_fields(tmp_path, lines, spec, tc):
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_cfg(tmp_path / "t.cfg", lines), "--out",
+                 str(out)]) == EXIT_OK
+    train_ds, test_ds = bs.gen_synthetic(spec)
+    bs.save_model(bs.train(bs.desk_architecture(spec.classes, spec.input_shape), train_ds, tc),
+                  tmp_path / "ref.model")
+    bs.save_dataset(test_ds, tmp_path / "ref.data")
+    assert (out / "victim.model").read_bytes() == (tmp_path / "ref.model").read_bytes()
+    assert (out / "test.data").read_bytes() == (tmp_path / "ref.data").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["attack", "sweep"])
+@pytest.mark.parametrize("inputs", [np.zeros((0, 1, 8, 8)), np.zeros((3, 1, 16, 16))],
+                         ids=["empty", "wrong-shape"])
+def test_eval_set_the_victim_cannot_run_is_one_error_line(workdir, tmp_path, capsys, command,
+                                                          inputs):
+    eval_path = tmp_path / "bad.data"
+    bs.save_dataset(bs.Dataset(inputs, np.zeros(len(inputs), dtype=int)), eval_path)
+    cfg = write_cfg(tmp_path / "e.cfg", f"""
+victim = {workdir / 'victim.model'}
+eval = {eval_path}
+nq = 8
+rp = 0.8
+ranking = fl2r
+recon = czr
+nbf = 3
+""")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(eval_path) in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line", [
+    ("attack", "seeds = 0 0"), ("attack", "ranking = fl2r fl2r"), ("sweep", "seeds = 0 1 0"),
+    ("sweep", "rp = 0.5 0.50"), ("sweep", "ranking = fl2r random fl2r"),
+    ("sweep", "recon = czr czr")])
+def test_repeated_axis_value_is_one_error_line(workdir, tmp_path, capsys, command, line):
+    values = {"victim": str(workdir / "victim.model"), "eval": str(workdir / "test.data"),
+              "nq": "8", "rp": "0.8", "seeds": "0", "ranking": "fl2r", "recon": "czr", "nbf": "3"}
+    key, _, value = line.partition(" = ")
+    values[key] = value
+    cfg = write_cfg(tmp_path / "r.cfg", "".join(f"{k} = {v}\n" for k, v in values.items()))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} ") and "distinct" in err[0], err
+    assert not out.exists()
+
+
+def test_report_summarizes_the_flips_every_trace_of_a_group_reaches(workdir, tmp_path):
+    out = tmp_path / "mixed"
+    for nbf, seed in ((20, 0), (12, 1)):
+        cfg = write_cfg(tmp_path / f"n{nbf}.cfg", f"""
+victim = {workdir / 'victim.model'}
+eval = {workdir / 'test.data'}
+nq = 8
+rp = 0.8
+seeds = {seed}
+ranking = fl2r
+recon = czr
+nbf = {nbf}
+""")
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert main(["report", str(out)]) == EXIT_OK
+    traces = [bs.load_trace(p) for p in out.glob("*.trace")]
+    assert sorted(t.config["nbf"] for t in traces) == [12, 20]
+    summary = (out / "summary.csv").read_text().strip().splitlines()
+    assert summary == ["nq,rp,ranking,recon,flips,mean_accuracy"] + [
+        f"8,0.8,fl2r,czr,{f},{float(np.mean([t.accuracies[f] for t in traces]))!r}"
+        for f in (0, 10)]
