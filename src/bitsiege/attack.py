@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (Conv2D, Dataset, ModelFormatError, Workspace, filter_count, filter_size,
-                    forward_batch, forward_layers, top1_accuracy)
+from .model import (Conv2D, Dataset, ModelFormatError, Workspace, check_dataset, filter_count,
+                    filter_size, forward_batch, forward_layers, top1_accuracy)
 from .quantize import BITWIDTHS, QuantModel, dequantize_model, flip_bit
 from .reconstruct import ReconstructionMethod, reconstruct_model
 from .recovery import simulate_recovery
@@ -159,8 +159,7 @@ def select_gradient_bits(reconstructed: QuantModel, batch: Dataset, n_bf: int):
     sort over the candidates concatenated in that order.
     """
     _check_nbf(reconstructed, n_bf)
-    if len(batch) == 0:
-        raise ValueError("empty batch")
+    check_dataset(reconstructed.architecture, batch)
     fm = dequantize_model(reconstructed)
     grads, _ = gradient(fm, batch.inputs, batch.labels)
     ls, idx, mag = [], [], []  # per layer: the aligned weights' layer, flat index and |g|
@@ -200,8 +199,7 @@ def apply_flips(victim: QuantModel, records) -> QuantModel:
     codes = [c.copy() for c in victim.codes]
     for r in records:
         _flip_code(codes, victim, r)
-    return QuantModel(victim.architecture, list(victim.params), codes,
-                      [b.copy() for b in victim.biases])
+    return QuantModel(victim.architecture, list(victim.params), codes, victim.biases)
 
 
 def _flip_logits(victim: QuantModel, record_lists, eval_data: Dataset):
@@ -209,21 +207,12 @@ def _flip_logits(victim: QuantModel, record_lists, eval_data: Dataset):
     `eval_data` before any flip, then after each cumulative flip of that list;
     each yielded array is rewritten by the next step.
 
-    The victim is dequantized once, and one Workspace holds one baseline pass over
-    `eval_data` for all the lists. Each flip rewrites one code and its weight
-    (`float64(code) * scale`, the product `dequantize` forms) and re-runs the
-    network from the flipped parametric layer on, from that layer's stored input,
-    writing into the workspace. A conv flip in filter f re-runs that layer's full
-    GEMM (a one-row product would not give the full GEMM's bits), then carries only
-    channel f through the ReLU/MaxPool after it and into the next conv's patch
-    matrix; see `forward_layers`. Before every list after the first, the codes and
-    weights start again from the victim's and `Workspace.restore` copies the
-    baseline pass back into the same arrays, so no list sees another's flips. With
-    one list nothing is saved. The logits equal `forward_batch` of the list's
-    flipped, dequantized victim bit for bit.
+    The logits equal `forward_batch` of the list's `apply_flips` victim, dequantized,
+    bit for bit, and no list sees another's flips. One baseline pass serves every
+    list (`Workspace.save`/`restore`); a flip re-runs the network from its
+    parametric layer on (`forward_layers`).
     """
-    if len(eval_data) == 0:
-        raise ValueError("empty dataset")
+    check_dataset(victim.architecture, eval_data)
     fm = dequantize_model(victim)
     arch = victim.architecture
     params = arch.parametric_layers()
@@ -248,13 +237,10 @@ def _flip_logits(victim: QuantModel, record_lists, eval_data: Dataset):
 
 
 def evaluate_flips(victim: QuantModel, records, eval_data: Dataset) -> list:
-    """Accuracy of the victim before any flip and after each cumulative flip.
-
-    The one-list case of `_flip_logits`: incremental and exact. A flip re-runs the
-    network only from its parametric layer on, a conv flip past its own GEMM only
-    for the flipped filter's channel, with no activation allocated per flip. Each
-    accuracy equals `accuracy_quant(apply_flips(victim, records[:i]), eval_data)`
-    exactly.
+    """Accuracy of the victim before any flip and after each cumulative flip: the
+    one-list case of `_flip_logits`. Each accuracy equals
+    `accuracy_quant(apply_flips(victim, records[:i]), eval_data)` exactly (see
+    `forward_layers`).
     """
     return [top1_accuracy(logits, eval_data.labels)
             for logits in _flip_logits(victim, [records], eval_data)]
@@ -266,9 +252,8 @@ def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
     in that order, at one recovery rate and seed.
 
     What the pairs share is done once: the partial-bit recovery, each recon's
-    surrogate, and the victim's baseline pass over `eval_data`, which every pair's
-    flips start from (`_flip_logits`). Each trace equals `run_attack`'s for its
-    pair, byte for byte.
+    surrogate, and the victim's baseline pass over `eval_data` (`_flip_logits`,
+    `forward_layers`). Each trace equals `run_attack`'s for its pair, byte for byte.
     """
     partial = simulate_recovery(victim, rp, seed)
     surrogates = {}
@@ -293,12 +278,8 @@ def run_attack(victim: QuantModel, rp: float, seed: int, ranking, recon: Reconst
     """Full pipeline: simulate extraction, reconstruct a surrogate, rank on the
     surrogate only (`ranking.select`, `ranking` one of `RANKINGS`' methods), then
     flip cumulatively on the victim, recording accuracy. The one-pair case of
-    `run_attacks`.
-
-    The accuracies are incremental (each flip re-runs the network only from its
-    layer on, a conv flip past that layer's full GEMM only for the flipped filter's
-    channel) and exactly equal to re-evaluating the fully flipped victim with
-    `accuracy_quant` after every flip.
+    `run_attacks`. Each accuracy equals `accuracy_quant` of the victim after
+    `apply_flips` of the records so far, exactly (see `forward_layers`).
     """
     return run_attacks(victim, rp, seed, [(ranking, recon)], n_bf, eval_data)[0]
 

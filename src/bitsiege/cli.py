@@ -17,8 +17,9 @@ from .attack import (RANKINGS, RECONS, RUN_CONFIG, _flip_logits, apply_flips, ch
                      evaluate_flips, load_trace, run_attacks, save_trace, select_random_bits,
                      select_vulnerable_bits)
 from .model import (DATA_MAX_CLASSES, Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel,
-                    MaxPool, ModelFormatError, ReLU, accuracy, filter_count, forward_batch,
-                    load_dataset, load_model, save_dataset, save_model, weight_shape)
+                    MaxPool, ModelFormatError, ReLU, accuracy, check_dataset, filter_count,
+                    forward_batch, load_dataset, load_model, save_dataset, save_model,
+                    weight_shape)
 from .quantize import (BITWIDTHS, QuantModel, QuantParams, accuracy_quant, dequantize_model,
                        flip_bit, quantize_model, save_qmodel)
 from .reconstruct import ReconstructionMethod, oracle_min_abs, reconstruct_code
@@ -168,9 +169,9 @@ def _run_group(victim, eval_ds, runs):
 
 def _run_all(cfg, runs, out, jobs=1):
     """Load the victim once, quantize it once per nq, check nbf against its weight count
-    and the eval set against its input, then run the runs in groups that share (nq, rp,
-    seed), one group per task on up to `jobs` processes, and write each trace to `out`;
-    returns the traces in run order.
+    and the eval set against it (`check_dataset`), then run the runs in groups that share
+    (nq, rp, seed), one group per task on up to `jobs` processes, and write each trace to
+    `out`; returns the traces in run order.
 
     `runs` comes from `_runs`, whose product order puts each group's runs together."""
     victim_path = _one(cfg, "victim")
@@ -181,10 +182,10 @@ def _run_all(cfg, runs, out, jobs=1):
     victims = {nq: quantize_model(model, nq) for nq in dict.fromkeys(r["nq"] for r in runs)}
     eval_path = _one(cfg, "eval")
     eval_ds = load_dataset(eval_path)
-    shape = model.architecture.input_shape
-    if len(eval_ds) == 0 or eval_ds.inputs.shape[1:] != shape:
-        raise _UsageError(f"eval set {eval_path} must hold one or more {shape} inputs for "
-                          f"{victim_path}, got {len(eval_ds)} of shape {eval_ds.inputs.shape[1:]}")
+    try:
+        check_dataset(model.architecture, eval_ds)
+    except ValueError as e:
+        raise _UsageError(f"eval set {eval_path} for {victim_path}: {e}") from None
     groups = [list(g) for _, g in itertools.groupby(runs, lambda r: (r["nq"], r["rp"], r["seed"]))]
     work = [(victims[g[0]["nq"]], eval_ds, g) for g in groups]
     jobs = min(jobs, len(work))

@@ -84,15 +84,17 @@ def weight_shape(layer):
     raise TypeError(f"{layer!r} has no weights")
 
 
+def bias_shape(layer):
+    return weight_shape(layer)[:1]
+
+
 def filter_count(layer):
-    return layer.c_out if isinstance(layer, Conv2D) else layer.out_features
+    return weight_shape(layer)[0]
 
 
 def filter_size(layer):
     """Elements per filter: C_in*K*K for conv, in_features for a dense row."""
-    if isinstance(layer, Conv2D):
-        return layer.c_in * layer.kernel * layer.kernel
-    return layer.in_features
+    return math.prod(weight_shape(layer)[1:])
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,19 @@ def frozen_array(a, dtype):
     return out
 
 
+def layer_arrays(arch: Architecture, arrays, dtype, shape_of):
+    """Read-only `dtype` copies (`frozen_array`) of `arrays`, which must hold one array
+    per parametric layer of `arch`, of `shape_of(layer)`; raises ValueError otherwise."""
+    layers = [layer for _, layer in arch.parametric_layers()]
+    if len(arrays) != len(layers):
+        raise ValueError(f"{len(arrays)} arrays for {len(layers)} parametric layers")
+    out = [frozen_array(a, dtype) for a in arrays]
+    for p, (layer, a) in enumerate(zip(layers, out)):
+        if a.shape != shape_of(layer):
+            raise ValueError(f"parametric layer {p}: shape {a.shape} != {shape_of(layer)}")
+    return out
+
+
 @dataclass(frozen=True)
 class FloatModel:
     architecture: Architecture
@@ -136,21 +151,10 @@ class FloatModel:
     biases: list = field(default_factory=list)
 
     def __post_init__(self):
-        params = self.architecture.parametric_layers()
-        if len(self.weights) != len(params) or len(self.biases) != len(params):
-            raise ValueError("one weight tensor and one bias vector per parametric layer")
-        ws, bs = [], []
-        for (_, layer), w, b in zip(params, self.weights, self.biases):
-            w = frozen_array(w, np.float64)
-            b = frozen_array(b, np.float64)
-            if w.shape != weight_shape(layer):
-                raise ValueError(f"weight shape {w.shape} != {weight_shape(layer)}")
-            if b.shape != (filter_count(layer),):
-                raise ValueError(f"bias shape {b.shape} != ({filter_count(layer)},)")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError("non-finite parameter")
-            ws.append(w)
-            bs.append(b)
+        ws = layer_arrays(self.architecture, self.weights, np.float64, weight_shape)
+        bs = layer_arrays(self.architecture, self.biases, np.float64, bias_shape)
+        if not all(np.isfinite(a).all() for a in ws + bs):
+            raise ValueError("non-finite parameter")
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "biases", bs)
 
@@ -403,10 +407,21 @@ def forward_batch(model: FloatModel, xs, ws=None) -> np.ndarray:
     return forward_layers(model.architecture, model.weights, model.biases, xs, 0, ws)
 
 
+def check_dataset(arch: Architecture, data: Dataset):
+    """Raise ValueError unless `arch` can be scored on `data`: one or more samples, of
+    `arch.input_shape`, with every label in [0, arch.num_classes)."""
+    shape = data.inputs.shape[1:]
+    if len(data) == 0 or shape != arch.input_shape:
+        raise ValueError(f"needs one or more {arch.input_shape} inputs, got {len(data)} "
+                         f"of shape {shape}")
+    lo, hi = data.labels.min(), data.labels.max()
+    if lo < 0 or hi >= arch.num_classes:
+        raise ValueError(f"labels must be in [0, {arch.num_classes}), got {lo} to {hi}")
+
+
 def accuracy(model: FloatModel, data: Dataset) -> float:
     """Top-1 accuracy; argmax ties break to the lowest class index."""
-    if len(data) == 0:
-        raise ValueError("empty dataset")
+    check_dataset(model.architecture, data)
     return top1_accuracy(forward_batch(model, data.inputs), data.labels)
 
 
@@ -559,7 +574,7 @@ def load_model(path) -> FloatModel:
         ws, bs = [], []
         for _, layer in arch.parametric_layers():
             ws.append(tensor(r, weight_shape(layer)))
-            bs.append(tensor(r, (filter_count(layer),)))
+            bs.append(tensor(r, bias_shape(layer)))
         return FloatModel(arch, ws, bs)
     return read_artifact(path, MODEL_MAGIC, parse)
 

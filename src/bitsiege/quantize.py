@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Architecture, FloatModel, accuracy, arch_header_lines, filter_count,
-                    frozen_array, parse_arch_header, read_artifact, weight_shape, write_artifact)
+from .model import (Architecture, FloatModel, accuracy, arch_header_lines, bias_shape,
+                    layer_arrays, parse_arch_header, read_artifact, weight_shape, write_artifact)
 
 QMODEL_MAGIC = "bitsiege-qmodel-v1"
 BITWIDTHS = (4, 6, 8)
@@ -85,21 +85,14 @@ class QuantModel:
     biases: list  # float biases carried through, never quantized
 
     def __post_init__(self):
-        layers = self.architecture.parametric_layers()
-        if not len(self.params) == len(self.codes) == len(self.biases) == len(layers):
-            raise ValueError("params/codes/biases must match parametric layer count")
-        cs, bs = [], []
-        for p, ((_, layer), qp, c, b) in enumerate(zip(layers, self.params, self.codes, self.biases)):
-            c = frozen_array(c, np.int16)
-            if c.shape != weight_shape(layer):
-                raise ValueError(f"code shape {c.shape} != {weight_shape(layer)}")
+        cs = layer_arrays(self.architecture, self.codes, np.int16, weight_shape)
+        for p, (qp, c) in enumerate(zip(self.params, cs, strict=True)):
             lo, hi = code_range(qp.bitwidth)
             if c.min(initial=0) < lo or c.max(initial=0) > hi:
                 raise ValueError(f"parametric layer {p}: code outside {qp.bitwidth}-bit range")
-            cs.append(c)
-            bs.append(frozen_array(b, np.float64))
         object.__setattr__(self, "codes", cs)
-        object.__setattr__(self, "biases", bs)
+        object.__setattr__(self, "biases",
+                           layer_arrays(self.architecture, self.biases, np.float64, bias_shape))
 
 
 def quantize_model(m: FloatModel, nq: int) -> QuantModel:
@@ -108,12 +101,12 @@ def quantize_model(m: FloatModel, nq: int) -> QuantModel:
         s = compute_scale(w, nq)
         params.append(QuantParams(nq, s))
         codes.append(quantize(w, s, nq))
-    return QuantModel(m.architecture, params, codes, [b.copy() for b in m.biases])
+    return QuantModel(m.architecture, params, codes, m.biases)
 
 
 def dequantize_model(q: QuantModel) -> FloatModel:
     ws = [dequantize(c, qp.scale) for c, qp in zip(q.codes, q.params)]
-    return FloatModel(q.architecture, ws, [b.copy() for b in q.biases])
+    return FloatModel(q.architecture, ws, q.biases)
 
 
 def accuracy_quant(q: QuantModel, data) -> float:
@@ -136,6 +129,6 @@ def load_qmodel(path) -> QuantModel:
         for _, layer in arch.parametric_layers():
             params.append(QuantParams(int(r.read("<u1")), float(r.read("<f8"))))
             codes.append(r.read("<i1", weight_shape(layer)))
-            biases.append(r.read("<f4", (filter_count(layer),)))
+            biases.append(r.read("<f4", bias_shape(layer)))
         return QuantModel(arch, params, codes, biases)
     return read_artifact(path, QMODEL_MAGIC, parse)

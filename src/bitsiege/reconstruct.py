@@ -42,7 +42,7 @@ def reconstruct_code(bits: int, mask: int, nq: int, method: ReconstructionMethod
 def reconstruct_model(p: PartialModel, method: ReconstructionMethod) -> QuantModel:
     codes = [_reconstruct_bits(cb, mk, qp.bitwidth, method)
              for cb, mk, qp in zip(p.code_bits, p.masks, p.params)]
-    return QuantModel(p.architecture, list(p.params), codes, [b.copy() for b in p.biases])
+    return QuantModel(p.architecture, list(p.params), codes, p.biases)
 
 
 def oracle_min_abs(bits: int, mask: int, nq: int) -> int:

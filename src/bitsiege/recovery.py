@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import frozen_array, weight_shape
+from .model import bias_shape, layer_arrays, weight_shape
 from .quantize import QuantModel, codes_to_bits
 
 
@@ -25,20 +25,15 @@ class PartialModel:
     biases: list
 
     def __post_init__(self):
-        layers = self.architecture.parametric_layers()
-        cbs, mks = [], []
-        for (_, layer), qp, cb, mk in zip(layers, self.params, self.code_bits, self.masks):
-            full = (1 << qp.bitwidth) - 1
-            cb = frozen_array(cb, np.uint8)
-            mk = frozen_array(mk, np.uint8)
-            if cb.shape != weight_shape(layer) or mk.shape != weight_shape(layer):
-                raise ValueError("code_bits/mask shape must mirror the weight tensor")
-            if (mk & ~np.uint8(full)).any() or (cb & ~mk).any():
+        cbs = layer_arrays(self.architecture, self.code_bits, np.uint8, weight_shape)
+        mks = layer_arrays(self.architecture, self.masks, np.uint8, weight_shape)
+        for qp, cb, mk in zip(self.params, cbs, mks, strict=True):
+            if (mk & ~np.uint8((1 << qp.bitwidth) - 1)).any() or (cb & ~mk).any():
                 raise ValueError("bits set outside the mask or the bitwidth")
-            cbs.append(cb)
-            mks.append(mk)
         object.__setattr__(self, "code_bits", cbs)
         object.__setattr__(self, "masks", mks)
+        object.__setattr__(self, "biases",
+                           layer_arrays(self.architecture, self.biases, np.float64, bias_shape))
 
 
 def simulate_recovery(victim: QuantModel, rp: float, seed: int) -> PartialModel:
@@ -57,5 +52,4 @@ def simulate_recovery(victim: QuantModel, rp: float, seed: int) -> PartialModel:
             mask |= (rng.random(c.shape) < rp).astype(np.uint8) << p
         code_bits.append(codes_to_bits(c, qp.bitwidth) & mask)
         masks.append(mask)
-    return PartialModel(victim.architecture, list(victim.params), code_bits, masks,
-                        [b.copy() for b in victim.biases])
+    return PartialModel(victim.architecture, list(victim.params), code_bits, masks, victim.biases)

@@ -45,7 +45,7 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
 
 
-def desk_architecture(classes: int = 4, input_shape=(1, 8, 8)) -> Architecture:
+def desk_architecture(classes: int, input_shape) -> Architecture:
     """The frozen desk victim: two small conv blocks feeding one dense head."""
     if len(input_shape) != 3:
         raise ValueError(f"the desk architecture needs a (C, H, W) input shape, got {input_shape}")

@@ -182,6 +182,19 @@ def test_gradient_bits_rejects_empty_batch(desk):
         bs.select_gradient_bits(desk["qmodel"], empty, 5)
 
 
+@pytest.mark.parametrize("label", [4, -1])  # the desk victim has 4 classes
+@pytest.mark.parametrize("score", [
+    lambda desk, data: bs.accuracy(desk["model"], data),
+    lambda desk, data: bs.evaluate_flips(desk["qmodel"], [FlipRecord(1, 3, 10, 7)], data),
+    lambda desk, data: bs.select_gradient_bits(desk["qmodel"], data, 5)],
+    ids=["accuracy", "evaluate_flips", "select_gradient_bits"])
+def test_labels_outside_the_victims_classes_rejected(desk, score, label):
+    labels = desk["test"].labels.copy()
+    labels[-1] = label
+    with pytest.raises(ValueError, match="labels"):
+        score(desk, bs.Dataset(desk["test"].inputs, labels))
+
+
 def test_run_attack_trace_shape(desk):
     tr = bs.run_attack(desk["qmodel"], 0.8, 3, bs.FL2R(), bs.ReconstructionMethod.CZR, 12,
                        desk["test"])

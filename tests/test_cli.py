@@ -430,19 +430,24 @@ def test_train_config_keys_set_the_dataclass_fields(tmp_path, lines, spec, tc):
     assert (out / "test.data").read_bytes() == (tmp_path / "ref.data").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["attack", "sweep"])
-@pytest.mark.parametrize("inputs", [np.zeros((0, 1, 8, 8)), np.zeros((3, 1, 16, 16))],
-                         ids=["empty", "wrong-shape"])
+@pytest.mark.parametrize("command, ranking, inputs, label", [
+    ("attack", "fl2r", np.zeros((0, 1, 8, 8)), 0), ("sweep", "fl2r", np.zeros((0, 1, 8, 8)), 0),
+    ("attack", "fl2r", np.zeros((3, 1, 16, 16)), 0), ("sweep", "fl2r", np.zeros((3, 1, 16, 16)), 0),
+    # the desk victim has 4 classes
+    ("attack", "fl2r", np.zeros((3, 1, 8, 8)), 4), ("attack", "gradient", np.zeros((3, 1, 8, 8)), 4),
+    ("sweep", "fl2r", np.zeros((3, 1, 8, 8)), 4)],
+    ids=["empty-attack", "empty-sweep", "wrong-shape-attack", "wrong-shape-sweep",
+         "label-attack", "label-attack-gradient", "label-sweep"])
 def test_eval_set_the_victim_cannot_run_is_one_error_line(workdir, tmp_path, capsys, command,
-                                                          inputs):
+                                                          ranking, inputs, label):
     eval_path = tmp_path / "bad.data"
-    bs.save_dataset(bs.Dataset(inputs, np.zeros(len(inputs), dtype=int)), eval_path)
+    bs.save_dataset(bs.Dataset(inputs, np.full(len(inputs), label)), eval_path)
     cfg = write_cfg(tmp_path / "e.cfg", f"""
 victim = {workdir / 'victim.model'}
 eval = {eval_path}
 nq = 8
 rp = 0.8
-ranking = fl2r
+ranking = {ranking}
 recon = czr
 nbf = 3
 """)

@@ -79,3 +79,15 @@ def test_scales_and_arch_copied(desk):
     assert p.architecture == desk["qmodel"].architecture
     assert p.params == desk["qmodel"].params
 
+
+@pytest.mark.parametrize("build", [
+    lambda q, p: bs.PartialModel(p.architecture, p.params[:1], p.code_bits[:1], p.masks[:1],
+                                 p.biases[:1]),
+    lambda q, p: bs.QuantModel(q.architecture, q.params, q.codes, [b[:-1] for b in q.biases]),
+    lambda q, p: bs.PartialModel(p.architecture, p.params, p.code_bits, p.masks,
+                                 [b[:-1] for b in p.biases])],
+    ids=["partial-one-of-three-layers", "quant-short-bias", "partial-short-bias"])
+def test_records_reject_arrays_that_do_not_fit_the_layers(desk, build):
+    q = desk["qmodel"]
+    with pytest.raises(ValueError, match="parametric layer"):
+        build(q, bs.simulate_recovery(q, 0.5, 0))

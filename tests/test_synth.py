@@ -49,7 +49,7 @@ def test_training_deterministic():
     spec = bs.SynthSpec(per_class=10, test_per_class=2)
     train_ds, _ = bs.gen_synthetic(spec)
     cfg = bs.TrainConfig(epochs=2)
-    arch = bs.desk_architecture()
+    arch = bs.desk_architecture(spec.classes, spec.input_shape)
     m1 = bs.train(arch, train_ds, cfg)
     m2 = bs.train(arch, train_ds, cfg)
     for a, b in zip(m1.weights, m2.weights):
@@ -60,7 +60,8 @@ def test_loss_non_increasing_noise_free():
     spec = bs.SynthSpec(per_class=20, test_per_class=2, noise=0.0)
     train_ds, _ = bs.gen_synthetic(spec)
     losses = []
-    bs.train(bs.desk_architecture(), train_ds, bs.TrainConfig(epochs=8, lr=0.05), loss_log=losses)
+    bs.train(bs.desk_architecture(spec.classes, spec.input_shape), train_ds,
+             bs.TrainConfig(epochs=8, lr=0.05), loss_log=losses)
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
@@ -110,7 +111,8 @@ def test_training_diverges_raises():
     spec = bs.SynthSpec(per_class=10, test_per_class=2)
     train_ds, _ = bs.gen_synthetic(spec)
     with pytest.raises(bs.TrainingDiverged), np.errstate(over="ignore", invalid="ignore"):
-        bs.train(bs.desk_architecture(), train_ds, bs.TrainConfig(epochs=5, lr=1e120))
+        bs.train(bs.desk_architecture(spec.classes, spec.input_shape), train_ds,
+                 bs.TrainConfig(epochs=5, lr=1e120))
 
 
 def test_bad_specs_rejected():
