@@ -1,7 +1,8 @@
 """Vulnerable-bit ranking (normalized filter L2), baselines, flip injection, full pipeline."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,56 +100,49 @@ def _check_nbf(model, n_bf):
 
 
 def select_vulnerable_bits(model: QuantModel, n_bf: int):
-    """Greedy magnitude ranking: repeatedly take the top-importance filter's largest
-    remaining weight, record its sign bit, flip it in the working copy, rescore.
-
-    Ties break to the lowest (layer, filter), then lowest weight index. A weight
-    already selected is excluded from later inner argmaxes, and a filter whose
-    weights are all taken scores -inf, so the output never repeats a (weight, bit) pair.
+    """Greedy magnitude ranking: repeatedly take the top-importance (L2 norm over size)
+    filter's largest remaining weight, record its sign bit, flip it in the working copy
+    and rescore that filter. Only a taken weight changes, so each filter's pick order is
+    fixed up front: descending square, ties to the lowest weight (one stable sort). The
+    filters wait in one heap keyed on (-importance, layer, filter): ties go to the lowest
+    layer, then filter. A filter leaves the heap with its last weight, so no pick repeats.
     """
     _check_nbf(model, n_bf)
-    layers = []
-    for (_, layer), c, qp in zip(model.architecture.parametric_layers(), model.codes, model.params):
-        codes = c.reshape(filter_count(layer), filter_size(layer)).copy()
-        deq = codes.astype(np.float64) * qp.scale
-        imp = np.linalg.norm(deq, axis=1) / deq.shape[1]
-        taken = np.zeros(codes.shape, dtype=bool)
-        layers.append([codes, deq, imp, taken, qp])
+    codes = [c.reshape(len(c), -1) for c in model.codes]
+    deqs = [c.astype(np.float64) * qp.scale for c, qp in zip(codes, model.params)]
+    orders = [np.argsort(-deq ** 2, axis=1, kind="stable") for deq in deqs]
+    # (-importance, layer, filter, weights taken); no two entries share (layer, filter)
+    heap = [(-v, l, f, 0) for l, deq in enumerate(deqs)
+            for f, v in enumerate((np.linalg.norm(deq, axis=1) / deq.shape[1]).tolist())]
+    heapq.heapify(heap)
     records = []
     for _ in range(n_bf):
-        best_l, best_f, best_v = -1, -1, -np.inf
-        for l, (codes, deq, imp, taken, qp) in enumerate(layers):
-            f = int(np.argmax(imp))
-            if imp[f] > best_v:
-                best_l, best_f, best_v = l, f, imp[f]
-        codes, deq, imp, taken, qp = layers[best_l]
-        sq = np.where(taken[best_f], -np.inf, deq[best_f] ** 2)
-        w = int(np.argmax(sq))
-        records.append(FlipRecord(best_l, best_f, w, qp.bitwidth - 1))
-        taken[best_f, w] = True
-        codes[best_f, w] = flip_bit(int(codes[best_f, w]), qp.bitwidth - 1, qp.bitwidth)
-        deq[best_f, w] = codes[best_f, w] * qp.scale
-        imp[best_f] = (-np.inf if taken[best_f].all()
-                       else np.linalg.norm(deq[best_f]) / deq.shape[1])
+        _, l, f, k = heapq.heappop(heap)
+        deq, qp, w = deqs[l], model.params[l], int(orders[l][f, k])
+        records.append(FlipRecord(l, f, w, qp.bitwidth - 1))
+        deq[f, w] = flip_bit(int(codes[l][f, w]), qp.bitwidth - 1, qp.bitwidth) * qp.scale
+        if k + 1 < deq.shape[1]:
+            heapq.heappush(heap, (-float(np.linalg.norm(deq[f]) / deq.shape[1]), l, f, k + 1))
     return records
+
+
+def _records(model: QuantModel, layers, flat, bits):
+    """FlipRecords of bit `bits[i]` of the `flat[i]`th code of parametric layer `layers[i]`,
+    split by the inverse of `_flip_code`'s `filt * filter_size + weight`."""
+    filt, weight = np.divmod(flat, np.array([c[0].size for c in model.codes])[layers])
+    return list(map(FlipRecord, layers.tolist(), filt.tolist(), weight.tolist(), bits.tolist()))
 
 
 def select_random_bits(model: QuantModel, n_bf: int, seed: int):
     """Uniform (weight, bit) pairs without replacement across all parametric layers."""
     _check_nbf(model, n_bf)
-    sizes = [(c.size, qp.bitwidth) for c, qp in zip(model.codes, model.params)]
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(sum(n * nq for n, nq in sizes), size=n_bf, replace=False)
-    records = []
-    for idx in picks:
-        idx = int(idx)
-        for l, (n, nq) in enumerate(sizes):
-            if idx < n * nq:
-                fs = model.codes[l][0].size
-                records.append(FlipRecord(l, (idx // nq) // fs, (idx // nq) % fs, idx % nq))
-                break
-            idx -= n * nq
-    return records
+    nq = np.array([qp.bitwidth for qp in model.params])
+    sizes = np.array([c.size for c in model.codes]) * nq  # bits per layer
+    ends = np.cumsum(sizes)
+    picks = np.random.default_rng(seed).choice(int(ends[-1]), size=n_bf, replace=False)
+    layers = np.searchsorted(ends, picks, side="right")
+    flat, bits = np.divmod(picks - (ends - sizes)[layers], nq[layers])
+    return _records(model, layers, flat, bits)
 
 
 def select_gradient_bits(reconstructed: QuantModel, batch: Dataset, n_bf: int):
@@ -162,22 +156,18 @@ def select_gradient_bits(reconstructed: QuantModel, batch: Dataset, n_bf: int):
     check_dataset(reconstructed.architecture, batch)
     fm = dequantize_model(reconstructed)
     grads, _ = gradient(fm, batch.inputs, batch.labels)
-    ls, idx, mag = [], [], []  # per layer: the aligned weights' layer, flat index and |g|
-    for l, (g, c, qp) in enumerate(zip(grads, reconstructed.codes, reconstructed.params)):
+    idx, mag = [], []  # per layer: the aligned weights' flat index and |g|
+    for g, c, qp in zip(grads, reconstructed.codes, reconstructed.params):
         g, half = g.reshape(-1), 1 << (qp.bitwidth - 1)
         delta = np.where(c.reshape(-1) >= 0, -half, half) * qp.scale
-        aligned = np.flatnonzero(delta * g > 0)  # the flip raises the loss to first order
-        ls.append(np.full(len(aligned), l))
-        idx.append(aligned)
-        mag.append(np.abs(g[aligned]))
+        idx.append(np.flatnonzero(delta * g > 0))  # the flip raises the loss to first order
+        mag.append(np.abs(g[idx[-1]]))
     top = np.argsort(-np.concatenate(mag), kind="stable")[:n_bf]
     if len(top) < n_bf:
         raise ValueError(f"only {len(top)} gradient-aligned sign flips available")
-    records = []
-    for l, i in zip(np.concatenate(ls)[top].tolist(), np.concatenate(idx)[top].tolist()):
-        fs = reconstructed.codes[l][0].size
-        records.append(FlipRecord(l, i // fs, i % fs, reconstructed.params[l].bitwidth - 1))
-    return records
+    layers = np.repeat(np.arange(len(idx)), list(map(len, idx)))[top]
+    sign = np.array([qp.bitwidth - 1 for qp in reconstructed.params])
+    return _records(reconstructed, layers, np.concatenate(idx)[top], sign[layers])
 
 
 def _flip_code(codes, victim: QuantModel, r: FlipRecord) -> int:

@@ -13,9 +13,9 @@ import sys
 import numpy as np
 
 from . import synth
-from .attack import (RANKINGS, RECONS, RUN_CONFIG, _flip_logits, apply_flips, check_config,
-                     evaluate_flips, load_trace, run_attacks, save_trace, select_random_bits,
-                     select_vulnerable_bits)
+from .attack import (RANKINGS, RECONS, RUN_CONFIG, _check_nbf, _flip_logits, apply_flips,
+                     check_config, evaluate_flips, load_trace, run_attacks, save_trace,
+                     select_random_bits, select_vulnerable_bits)
 from .model import (DATA_MAX_CLASSES, Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel,
                     MaxPool, ModelFormatError, ReLU, accuracy, check_dataset, filter_count,
                     forward_batch, load_dataset, load_model, save_dataset, save_model,
@@ -168,7 +168,7 @@ def _run_group(victim, eval_ds, runs):
 
 
 def _run_all(cfg, runs, out, jobs=1):
-    """Load the victim once, quantize it once per nq, check nbf against its weight count
+    """Load the victim once, quantize it once per nq, check nbf against it (`_check_nbf`)
     and the eval set against it (`check_dataset`), then run the runs in groups that share
     (nq, rp, seed), one group per task on up to `jobs` processes, and write each trace to
     `out`; returns the traces in run order.
@@ -176,10 +176,11 @@ def _run_all(cfg, runs, out, jobs=1):
     `runs` comes from `_runs`, whose product order puts each group's runs together."""
     victim_path = _one(cfg, "victim")
     model = load_model(victim_path)
-    total, nbf = sum(w.size for w in model.weights), runs[0]["nbf"]
-    if nbf > total:
-        raise _UsageError(f"nbf must be in [1, {total}] for {victim_path}, got {nbf}")
     victims = {nq: quantize_model(model, nq) for nq in dict.fromkeys(r["nq"] for r in runs)}
+    try:
+        _check_nbf(victims[runs[0]["nq"]], runs[0]["nbf"])
+    except ValueError as e:
+        raise _UsageError(f"nbf for {victim_path}: {e}") from None
     eval_path = _one(cfg, "eval")
     eval_ds = load_dataset(eval_path)
     try:

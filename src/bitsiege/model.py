@@ -124,9 +124,13 @@ class Architecture:
         return [(i, l) for i, l in enumerate(self.layers) if isinstance(l, (Conv2D, Dense))]
 
 
-def frozen_array(a, dtype):
-    """A read-only, C-ordered copy of `a` as `dtype`."""
+def frozen_array(a, dtype, what="array"):
+    """A read-only, C-ordered copy of `a` as `dtype`; raises ValueError naming `what` if
+    the cast changes a value (wraps an integer, drops a fraction). NaN stays NaN."""
+    a = np.asarray(a)
     out = np.array(a, dtype=dtype, order="C", copy=True)
+    if out.dtype != a.dtype and not np.array_equal(out, a, equal_nan=True):
+        raise ValueError(f"{what}: values that do not fit {out.dtype.name}")
     out.flags.writeable = False
     return out
 
@@ -137,7 +141,7 @@ def layer_arrays(arch: Architecture, arrays, dtype, shape_of):
     layers = [layer for _, layer in arch.parametric_layers()]
     if len(arrays) != len(layers):
         raise ValueError(f"{len(arrays)} arrays for {len(layers)} parametric layers")
-    out = [frozen_array(a, dtype) for a in arrays]
+    out = [frozen_array(a, dtype, f"parametric layer {p}") for p, a in enumerate(arrays)]
     for p, (layer, a) in enumerate(zip(layers, out)):
         if a.shape != shape_of(layer):
             raise ValueError(f"parametric layer {p}: shape {a.shape} != {shape_of(layer)}")
@@ -165,8 +169,8 @@ class Dataset:
     labels: np.ndarray  # (N,)
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", frozen_array(self.inputs, np.float64))
-        object.__setattr__(self, "labels", frozen_array(self.labels, np.int64))
+        object.__setattr__(self, "inputs", frozen_array(self.inputs, np.float64, "inputs"))
+        object.__setattr__(self, "labels", frozen_array(self.labels, np.int64, "labels"))
         if len(self.inputs) != len(self.labels):
             raise ValueError("inputs/labels length mismatch")
 
@@ -603,10 +607,13 @@ def load_dataset(path) -> Dataset:
             if min(fields[tok[0]], default=0) < 0:
                 raise ModelFormatError(f"line {i}: negative value in {line!r}")
         try:
-            shape = tuple(fields["shape"])
-            n = fields["samples"][0]
-        except (KeyError, IndexError):
-            raise ModelFormatError(f"line {len(lines) + 2}: header needs a 'shape' and a "
-                                   "'samples <n>' line") from None
-        return Dataset(r.read("<f4", (n, *shape)), r.read("<u1", (n,)))
+            shape, (classes,), (n,) = fields["shape"], fields["classes"], fields["samples"]
+        except (KeyError, ValueError):
+            raise ModelFormatError(f"line {len(lines) + 2}: header needs a 'shape', a "
+                                   "'classes <n>' and a 'samples <n>' line") from None
+        data = Dataset(r.read("<f4", (n, *shape)), r.read("<u1", (n,)))
+        if n and data.labels.max() >= classes:
+            raise ModelFormatError(f"byte {r.byte() - n}: label {data.labels.max()} is not "
+                                   f"below the header's classes {classes}")
+        return data
     return read_artifact(path, DATA_MAGIC, parse)

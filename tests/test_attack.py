@@ -75,6 +75,66 @@ def test_no_duplicates_fuzz():
         assert len(set(records)) == len(records) == n_bf
 
 
+def fl2r_reference(q, n_bf):
+    """Literal FL2R: on every pick, rescore every filter of the working copy from scratch
+    (L2 norm over size; a filter with every weight taken is out), take the top filter's
+    largest untaken weight, record its sign bit and flip it in the working copy. Ties go
+    to the lowest layer, then the lowest filter, then the lowest weight."""
+    codes = [c.reshape(len(c), -1).astype(np.int64) for c in q.codes]
+    taken = [np.zeros(c.shape, dtype=bool) for c in codes]
+    records = []
+    for _ in range(n_bf):
+        best = None
+        for l, (c, p) in enumerate(zip(codes, q.params)):
+            for f in range(len(c)):
+                row = c[f] * p.scale
+                score = math.sqrt(float(np.sum(row * row))) / len(row)
+                if not taken[l][f].all() and (best is None or score > best[0]):
+                    best = (score, l, f)
+        _, l, f = best
+        sq = np.where(taken[l][f], -1.0, (codes[l][f] * q.params[l].scale) ** 2)
+        w, nq = int(np.argmax(sq)), q.params[l].bitwidth
+        records.append(FlipRecord(l, f, w, nq - 1))
+        taken[l][f, w] = True
+        codes[l][f, w] = bs.flip_bit(int(codes[l][f, w]), nq - 1, nq)
+    return records
+
+
+def draw_tied_qmodel(data, per_layer_nq=False):
+    """A random_qmodel on a drawn architecture, its codes redrawn from -2..2 or all set to
+    one value in -2..2 (so that importances and weights tie), or kept. The scales are
+    powers of two, so every sum of squares is exact, and equal across layers or drawn
+    per layer. The bitwidths are drawn per layer with `per_layer_nq`, else equal."""
+    arch = draw_architecture(data)
+    nq = data.draw(st.sampled_from(BITWIDTHS))
+    q = random_qmodel(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), nq, arch)
+    kind = data.draw(st.sampled_from(["small", "constant", "full"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "small":
+        codes = [rng.integers(-2, 3, c.shape) for c in q.codes]
+    elif kind == "constant":
+        k = data.draw(st.integers(-2, 2))
+        codes = [np.full(c.shape, k) for c in q.codes]
+    else:
+        codes = list(q.codes)
+    power = st.integers(-8, 2).map(lambda e: 2.0 ** e)
+    scales = ([data.draw(power)] * len(codes) if data.draw(st.booleans())
+              else [data.draw(power) for _ in codes])
+    nqs = [data.draw(st.sampled_from(BITWIDTHS)) if per_layer_nq else nq for _ in codes]
+    codes = [np.clip(c, -(1 << (n - 1)), (1 << (n - 1)) - 1) for c, n in zip(codes, nqs)]
+    return bs.QuantModel(arch, [bs.QuantParams(n, s) for n, s in zip(nqs, scales)], codes,
+                         q.biases)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fl2r_matches_literal_reference_with_ties(data):
+    q = draw_tied_qmodel(data)
+    total = sum(c.size for c in q.codes)
+    n_bf = data.draw(st.integers(1, total) | st.just(total))
+    assert bs.select_vulnerable_bits(q, n_bf) == fl2r_reference(q, n_bf)
+
+
 def test_apply_flips_involution(desk):
     q = desk["qmodel"]
     record = FlipRecord(1, 3, 10, 7)
@@ -133,6 +193,32 @@ def test_random_bits_valid_positions(desk):
         assert 0 <= r.filt < filter_count(layer)
         assert 0 <= r.weight < filter_size(layer)
         assert 0 <= r.bit < 8
+
+
+def random_bits_reference(q, n_bf, seed):
+    """The same RNG call as select_random_bits, then each pick's layer found by walking
+    the layers in order, subtracting each one's bit count."""
+    sizes = [(c.size, p.bitwidth) for c, p in zip(q.codes, q.params)]
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(sum(n * nq for n, nq in sizes), size=n_bf, replace=False)
+    records = []
+    for idx in picks.tolist():
+        for l, (n, nq) in enumerate(sizes):
+            if idx < n * nq:
+                fs = q.codes[l][0].size
+                records.append(FlipRecord(l, (idx // nq) // fs, (idx // nq) % fs, idx % nq))
+                break
+            idx -= n * nq
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_bits_match_layer_walk(data):
+    q = draw_tied_qmodel(data, per_layer_nq=True)
+    n_bf = data.draw(st.integers(1, sum(c.size for c in q.codes)))
+    seed = data.draw(st.integers(0, 2**63 - 1))
+    assert bs.select_random_bits(q, n_bf, seed) == random_bits_reference(q, n_bf, seed)
 
 
 def test_gradient_bits_ascend_loss(desk):

@@ -275,6 +275,12 @@ def test_load_model_rejects_garbage(tmp_path):
         with pytest.raises(ModelFormatError, match="negative") as e:
             bs.load_dataset(bad_data)
         assert str(bad_data) in str(e.value)
+    # a header edited to fewer classes than the labels it holds
+    bad_data.write_bytes(b"bitsiege-data-v1\nshape 1\nclasses 2\nsamples 2\nend-header\n"
+                         + struct.pack("<2f", 1.0, 2.0) + bytes([1, 3]))
+    with pytest.raises(ModelFormatError, match="label 3") as e:
+        bs.load_dataset(bad_data)
+    assert str(bad_data) in str(e.value)
     (nq, scale, codes, bias), second = TINY_QLAYERS
     bad_q = tmp_path / "bad.qmodel"
     for relu, ok in ((b"layer relu\n", True), (b"layer relu 5\n", False)):

@@ -4,6 +4,8 @@ import pytest
 import bitsiege as bs
 from bitsiege.quantize import codes_to_bits
 
+DENSE_1X1 = bs.Architecture((bs.Dense(1, 1),), (1,), 1)
+
 
 def recovery_rate(p):
     """Share of the partial model's weight bits that are recovered (mask bits set)."""
@@ -85,9 +87,25 @@ def test_scales_and_arch_copied(desk):
                                  p.biases[:1]),
     lambda q, p: bs.QuantModel(q.architecture, q.params, q.codes, [b[:-1] for b in q.biases]),
     lambda q, p: bs.PartialModel(p.architecture, p.params, p.code_bits, p.masks,
-                                 [b[:-1] for b in p.biases])],
-    ids=["partial-one-of-three-layers", "quant-short-bias", "partial-short-bias"])
+                                 [b[:-1] for b in p.biases]),
+    # values the record's dtype cannot hold: int16 codes, uint8 bits and masks
+    lambda q, p: bs.QuantModel(DENSE_1X1, [bs.QuantParams(8, 1.0)], [np.array([[65541]])],
+                               [np.zeros(1)]),
+    lambda q, p: bs.QuantModel(DENSE_1X1, [bs.QuantParams(8, 1.0)], [np.array([[1.7]])],
+                               [np.zeros(1)]),
+    lambda q, p: bs.PartialModel(DENSE_1X1, [bs.QuantParams(8, 1.0)], [np.array([[256]])],
+                                 [np.array([[255]])], [np.zeros(1)]),
+    lambda q, p: bs.PartialModel(DENSE_1X1, [bs.QuantParams(8, 1.0)], [np.array([[0]])],
+                                 [np.array([[256]])], [np.zeros(1)])],
+    ids=["partial-one-of-three-layers", "quant-short-bias", "partial-short-bias",
+         "quant-code-65541", "quant-code-1.7", "partial-code-bits-256", "partial-mask-256"])
 def test_records_reject_arrays_that_do_not_fit_the_layers(desk, build):
     q = desk["qmodel"]
     with pytest.raises(ValueError, match="parametric layer"):
         build(q, bs.simulate_recovery(q, 0.5, 0))
+
+
+def test_nan_weight_is_a_non_finite_parameter():
+    # a float32 NaN is cast, and compared, on its way into the float64 record
+    with pytest.raises(ValueError, match="non-finite"):
+        bs.FloatModel(DENSE_1X1, [np.array([[np.nan]], dtype=np.float32)], [np.zeros(1)])
