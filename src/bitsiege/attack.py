@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Conv2D, Dataset, ModelFormatError, Workspace, check_dataset, filter_count,
-                    filter_size, forward_batch, forward_layers, top1_accuracy)
+from .model import (Dataset, ModelFormatError, Workspace, check_dataset, forward_batch,
+                    top1_accuracy)
 from .quantize import BITWIDTHS, QuantModel, dequantize_model, flip_bit
 from .reconstruct import ReconstructionMethod, reconstruct_model
 from .recovery import simulate_recovery
@@ -128,7 +128,7 @@ def select_vulnerable_bits(model: QuantModel, n_bf: int):
 
 def _records(model: QuantModel, layers, flat, bits):
     """FlipRecords of bit `bits[i]` of the `flat[i]`th code of parametric layer `layers[i]`,
-    split by the inverse of `_flip_code`'s `filt * filter_size + weight`."""
+    split by the inverse of `_flip_sites`' `filt * filter_size + weight`."""
     filt, weight = np.divmod(flat, np.array([c[0].size for c in model.codes])[layers])
     return list(map(FlipRecord, layers.tolist(), filt.tolist(), weight.tolist(), bits.tolist()))
 
@@ -170,25 +170,30 @@ def select_gradient_bits(reconstructed: QuantModel, batch: Dataset, n_bf: int):
     return _records(reconstructed, layers, np.concatenate(idx)[top], sign[layers])
 
 
-def _flip_code(codes, victim: QuantModel, r: FlipRecord) -> int:
-    """Check one record against the victim's shapes and XOR its bit into the writable
-    `codes` list; returns the flat index of the changed code within its layer."""
-    if not 0 <= r.layer < len(codes):
-        raise ValueError(f"bad layer index {r.layer}")
-    _, layer = victim.architecture.parametric_layers()[r.layer]
-    if not (0 <= r.filt < filter_count(layer) and 0 <= r.weight < filter_size(layer)):
-        raise ValueError(f"bad filter/weight index in {r}")
-    flat = codes[r.layer].reshape(-1)
-    idx = r.filt * filter_size(layer) + r.weight
-    flat[idx] = flip_bit(int(flat[idx]), r.bit, victim.params[r.layer].bitwidth)
-    return idx
+def _flip_sites(victim: QuantModel, records):
+    """Check every record against the victim's layers and bitwidths, and return the
+    (layer, filter, flat index of the code within its layer, bit) of each; the one
+    record check, shared by `apply_flips` and `_flip_logits`."""
+    bounds = [(len(c), c[0].size, qp.bitwidth) for c, qp in zip(victim.codes, victim.params)]
+    sites = []
+    for r in records:
+        if not 0 <= r.layer < len(bounds):
+            raise ValueError(f"bad layer index {r.layer}")
+        count, size, nq = bounds[r.layer]
+        if not (0 <= r.filt < count and 0 <= r.weight < size):
+            raise ValueError(f"bad filter/weight index in {r}")
+        if not 0 <= r.bit < nq:
+            raise ValueError(f"bit position {r.bit} out of range for {nq}-bit code")
+        sites.append((r.layer, r.filt, r.filt * size + r.weight, r.bit))
+    return sites
 
 
 def apply_flips(victim: QuantModel, records) -> QuantModel:
     """XOR the named bits into a copy of the victim's true codes."""
     codes = [c.copy() for c in victim.codes]
-    for r in records:
-        _flip_code(codes, victim, r)
+    for l, _, i, bit in _flip_sites(victim, records):
+        flat = codes[l].reshape(-1)
+        flat[i] = flip_bit(int(flat[i]), bit, victim.params[l].bitwidth)
     return QuantModel(victim.architecture, list(victim.params), codes, victim.biases)
 
 
@@ -199,38 +204,41 @@ def _flip_logits(victim: QuantModel, record_lists, eval_data: Dataset):
 
     The logits equal `forward_batch` of the list's `apply_flips` victim, dequantized,
     bit for bit, and no list sees another's flips. One baseline pass serves every
-    list (`Workspace.save`/`restore`); a flip re-runs the network from its
-    parametric layer on (`forward_layers`).
+    list (`Workspace.save`/`restore`); a flip rewrites one code and one weight and
+    re-runs the network from its parametric layer on (`Workspace.restart`).
     """
     check_dataset(victim.architecture, eval_data)
+    sites = [_flip_sites(victim, records) for records in record_lists]
     fm = dequantize_model(victim)
-    arch = victim.architecture
-    params = arch.parametric_layers()
-    ws = Workspace(arch)
-    for k, records in enumerate(record_lists):
-        codes = [c.copy() for c in victim.codes]
-        weights = [w.copy() for w in fm.weights]
-        if k == 0:
-            baseline = forward_batch(fm, eval_data.inputs, ws)
-            if len(record_lists) > 1:
-                ws.save()
-        else:
+    codes = [c.copy() for c in victim.codes]
+    weights = [w.copy() for w in fm.weights]
+    # per parametric layer: the flat codes and weights a flip rewrites, bitwidth, scale
+    layers = [(c.reshape(-1), w.reshape(-1), qp.bitwidth, qp.scale)
+              for c, w, qp in zip(codes, weights, victim.params)]
+    ws = Workspace(victim.architecture)
+    baseline = forward_batch(fm, eval_data.inputs, ws)
+    if len(record_lists) > 1:
+        ws.save()
+    ws.bind(weights, fm.biases)
+    for k, list_sites in enumerate(sites):
+        if k:
             ws.restore()
+            for a, b in zip(codes + weights, victim.codes + fm.weights):
+                np.copyto(a, b)
         yield baseline
-        for r in records:
-            idx = _flip_code(codes, victim, r)
-            weights[r.layer].reshape(-1)[idx] = (np.float64(codes[r.layer].reshape(-1)[idx])
-                                                 * victim.params[r.layer].scale)
-            pos, layer = params[r.layer]
-            channel = r.filt if isinstance(layer, Conv2D) else None
-            yield forward_layers(arch, weights, fm.biases, ws.input(pos), pos, ws, channel)
+        for l, f, i, bit in list_sites:
+            c, w, nq, scale = layers[l]
+            code = flip_bit(int(c[i]), bit, nq)
+            c[i] = code
+            w[i] = np.float64(code) * scale
+            yield ws.restart(l, f)
 
 
 def evaluate_flips(victim: QuantModel, records, eval_data: Dataset) -> list:
     """Accuracy of the victim before any flip and after each cumulative flip: the
     one-list case of `_flip_logits`. Each accuracy equals
     `accuracy_quant(apply_flips(victim, records[:i]), eval_data)` exactly (see
-    `forward_layers`).
+    `Workspace.restart`).
     """
     return [top1_accuracy(logits, eval_data.labels)
             for logits in _flip_logits(victim, [records], eval_data)]
@@ -243,7 +251,7 @@ def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
 
     What the pairs share is done once: the partial-bit recovery, each recon's
     surrogate, and the victim's baseline pass over `eval_data` (`_flip_logits`,
-    `forward_layers`). Each trace equals `run_attack`'s for its pair, byte for byte.
+    `Workspace.restart`). Each trace equals `run_attack`'s for its pair, byte for byte.
     """
     partial = simulate_recovery(victim, rp, seed)
     surrogates = {}
@@ -269,7 +277,7 @@ def run_attack(victim: QuantModel, rp: float, seed: int, ranking, recon: Reconst
     surrogate only (`ranking.select`, `ranking` one of `RANKINGS`' methods), then
     flip cumulatively on the victim, recording accuracy. The one-pair case of
     `run_attacks`. Each accuracy equals `accuracy_quant` of the victim after
-    `apply_flips` of the records so far, exactly (see `forward_layers`).
+    `apply_flips` of the records so far, exactly (see `Workspace.restart`).
     """
     return run_attacks(victim, rp, seed, [(ranking, recon)], n_bf, eval_data)[0]
 

@@ -47,20 +47,25 @@ RUN_KEYS = ("victim", "eval", *RUN_FILE_KEYS.values())
 
 
 def parse_config(path, keys):
-    """key = value [value ...] lines; '#' starts a comment. A key not in `keys` is an error."""
+    """key = value [value ...] lines of UTF-8 text; '#' starts a comment. A key not in
+    `keys` is an error."""
     cfg = {}
-    with open(path, encoding="utf-8") as f:
-        for i, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"{path} line {i}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in keys:
-                raise _UsageError(f"{path} line {i}: unknown config key {key!r}")
-            cfg[key] = val.split()
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()
+    for i, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError:
+            raise _UsageError(f"{path} line {i}: not UTF-8 text") from None
+        if not line:
+            continue
+        if "=" not in line:
+            raise _UsageError(f"{path} line {i}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise _UsageError(f"{path} line {i}: unknown config key {key!r}")
+        cfg[key] = val.split()
     return cfg
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -179,36 +180,41 @@ class Dataset:
 
 
 class Workspace:
-    """The arrays of one batch's pass through `forward_layers`, which later passes over
-    the same batch rewrite in place instead of allocating new ones.
+    """The arrays of one batch's pass through `forward_layers`, and the restarts that
+    rewrite them in place after a filter of the bound weights changed.
 
     `acts[pos]` is the input of layer `pos` as the layer before returned it (`acts[0]`
     the batch, `acts[-1]` the logits); `patches[pos]` is a Conv2D's [padded input,
-    patch matrix]. The first pass fills them with the arrays the layers return, so
-    every later result has the memory layout a fresh pass gives it, and the GEMMs
-    take the same BLAS path. A workspace belongs to one caller and one batch.
+    patch matrix]. A first pass fills them with the arrays the layers return, so
+    every restart writes into the memory layout a fresh pass gives its result, and
+    the GEMMs take the same BLAS path. A workspace belongs to one caller and one batch.
 
-    `save` copies what a restart at a parametric layer may rewrite, and `restore`
-    copies it back in place, so the workspace holds the saved pass again, in the
-    same arrays.
+    `bind` ties restarts to weight and bias arrays that the caller then changes in
+    place; `restart(p, f)` re-runs the network after filter f of parametric layer p
+    changed, with only the numpy calls whose outputs change. Those calls are built
+    once per (p, f), on its first restart, over the arrays they write in their final
+    form: a conv's (O, N*Ho*Wo) product, its weight matrix, a Dense's `W.T`.
+
+    `save` copies what a restart may rewrite, and `restore` copies it back in place,
+    so the workspace holds the saved pass again, in the same arrays.
     """
 
     def __init__(self, arch: Architecture):
-        self.layers = arch.layers
+        self.arch = arch
         self.acts = [None] * (len(arch.layers) + 1)
         self.patches = [[None, None] for _ in arch.layers]
         self.saved = []
 
     def input(self, pos):
         """What layer `pos` consumes: a Conv2D's patch matrix, any other layer's input."""
-        return self.patches[pos][1] if isinstance(self.layers[pos], Conv2D) else self.acts[pos]
+        return self.patches[pos][1] if isinstance(self.arch.layers[pos], Conv2D) else self.acts[pos]
 
     def save(self):
         """Copy every stored activation after the batch, and the padded input and patch
         matrix of every Conv2D after the first (the first one's come from the batch,
         which no restart rewrites). A read-only view, or a view of an array already
         copied, follows its base and is left out."""
-        convs = [pos for pos, layer in enumerate(self.layers) if isinstance(layer, Conv2D)]
+        convs = [pos for pos, layer in enumerate(self.arch.layers) if isinstance(layer, Conv2D)]
         kept = []
         for a in self.acts[1:] + [a for pos in convs[1:] for a in self.patches[pos]]:
             if a.flags.writeable and not any(np.may_share_memory(a, b) for b in kept):
@@ -219,6 +225,106 @@ class Workspace:
         """Copy the arrays `save` copied back into place."""
         for a, copy in self.saved:
             np.copyto(a, copy)
+
+    def bind(self, weights, biases):
+        """Tie restarts to `weights` and `biases`, one array per parametric layer, equal
+        to those of the pass stored here; the caller then changes the weights in place."""
+        self.weights, self.biases = weights, biases
+        self.index = {pos: p for p, (pos, _) in enumerate(self.arch.parametric_layers())}
+        self.positions = list(self.index)
+        self.steps = {}    # (p, f) -> the calls of that restart
+        self.tails = {}    # position -> the calls that re-run it and every later layer in full
+        self.scratch = None
+
+    def restart(self, p, f):
+        """Re-run the network after filter `f` of parametric layer `p` changed in the
+        bound weights; returns the logits, the stored array rewritten in place.
+
+        A Conv2D runs its full GEMM into a scratch buffer and copies back row f, plus
+        its bias: a one-row product `W[f:f+1] @ cols` does not give the full GEMM's
+        bits for that row, and every other row of the full GEMM would come out as
+        stored. The layers after it run on channel f only (ReLU, MaxPool and Flatten
+        are elementwise or copies), and the next Conv2D rewrites only channel f's
+        rows of its patch matrix. From the next parametric layer on, and after a
+        Dense, every layer runs in full. So the logits equal a fresh full pass bit
+        for bit.
+        """
+        calls = self.steps.get((p, f))
+        if calls is None:
+            calls = self.steps[p, f] = self._restart_calls(p, f)
+        for call in calls:
+            call()
+        return self.acts[-1]
+
+    def _restart_calls(self, p, f):
+        pos = self.positions[p]
+        if isinstance(self.arch.layers[pos], Dense):
+            return self._calls(pos, slice(None))
+        return [self._gemm(pos, f)] + self._calls(pos + 1, slice(f, f + 1))
+
+    def _calls(self, pos, ch):
+        """The calls that bring layers `pos` on up to date after channels `ch` of layer
+        pos's stored input changed; those for every channel are kept per position."""
+        if pos == len(self.arch.layers):
+            return []
+        full = ch == slice(None)
+        if full and pos in self.tails:
+            return self.tails[pos]
+        layer, x, out = self.arch.layers[pos], self.acts[pos], self.acts[pos + 1]
+        if isinstance(layer, Conv2D):
+            calls, ch = self._feed(pos, ch) + [self._gemm(pos)], slice(None)
+        elif isinstance(layer, Dense):
+            # the bias tiled to out's shape: the same sums as a broadcast over rows of a
+            # few features, which cost about three times as much
+            p = self.index[pos]
+            calls, ch = [partial(np.matmul, x, self.weights[p].T, out=out),
+                         partial(np.add, out, np.tile(self.biases[p], (len(out), 1)), out=out)
+                         ], slice(None)
+        elif isinstance(layer, Flatten):
+            # a view of the input follows it; past it, a channel is no longer an axis
+            calls = [] if np.may_share_memory(out, x) else [
+                partial(np.copyto, out.reshape(x.shape)[:, ch], x[:, ch])]
+            ch = slice(None)
+        elif isinstance(layer, ReLU):
+            calls = [partial(np.maximum, x[:, ch], 0.0, out=out[:, ch])]
+        else:  # MaxPool: pooled into a fresh C-order array, then copied; numpy's
+            # buffered maximum into a strided channel of `out` ran about 3x slower
+            src, dst, w = x[:, ch], out[:, ch], layer.window
+            calls = [lambda: np.copyto(dst, _maxpool(src, w))]
+        calls += self._calls(pos + 1, ch)
+        if full:
+            self.tails[pos] = calls
+        return calls
+
+    def _feed(self, pos, ch):
+        """The calls that copy channels `ch` of a Conv2D's stored input into its padded
+        input and patch matrix; a patch matrix that is a view of its (padded) input
+        already follows it."""
+        layer, x = self.arch.layers[pos], self.acts[pos]
+        xp, cols = self.patches[pos]
+        calls = []
+        if layer.padding:
+            pd, (h, w) = layer.padding, x.shape[2:]
+            calls.append(partial(np.copyto, xp[:, ch, pd:pd + h, pd:pd + w], x[:, ch]))
+        if not np.may_share_memory(cols, xp):
+            win = _windows(xp, layer.kernel, layer.stride)
+            calls.append(partial(np.copyto, cols.reshape(win.shape)[ch], win[ch]))
+        return calls
+
+    def _gemm(self, pos, row=None):
+        """The call that re-runs a Conv2D's GEMM over its stored patch matrix, into its
+        stored (O, N*Ho*Wo) product; with `row`, through the scratch buffer."""
+        p, cols = self.index[pos], self.patches[pos][1]
+        o = len(self.weights[p])
+        out = self.acts[pos + 1].transpose(1, 0, 2, 3).reshape(o, -1)  # a view, by layout
+        w, b = self.weights[p].reshape(o, -1), self.biases[p]
+        if row is None:
+            return lambda: _conv2d(cols, w, b, out)
+        if self.scratch is None:  # one buffer, as large as the largest conv output
+            self.scratch = np.empty(max(self.acts[q + 1].size for q in self.index
+                                        if isinstance(self.arch.layers[q], Conv2D)))
+        scratch = self.scratch[:out.size].reshape(out.shape)
+        return lambda: _conv2d(cols, w, b, out, row, scratch)
 
 
 def _windows(x, kernel, stride):
@@ -232,26 +338,14 @@ def _windows(x, kernel, stride):
                                            writeable=False)
 
 
-def _patches(x, kernel, stride, padding, bufs=None, ch=slice(None)):
+def _patches(x, kernel, stride, padding, bufs=None):
     """Patch matrix (C*k*k, N*Ho*Wo) of the batch `x` (N, C, H, W): column (n, h, w)
     holds the k x k window of sample n under output pixel (h, w).
 
     `_windows` of the (padded) input, reshaped; numpy copies only where the
     reshape cannot be a view. `bufs`: a Workspace's [padded input, patch matrix]
-    pair. Empty, it receives the arrays built here. Filled, only channels `ch` of
-    them are rewritten from `x`, in place; a patch matrix that is a view of its
-    (padded) input already follows it.
+    pair, which receives the arrays built here.
     """
-    if bufs is not None and bufs[1] is not None:
-        xp, cols = bufs
-        if padding:
-            xp[:, ch, padding:padding + x.shape[2], padding:padding + x.shape[3]] = x[:, ch]
-        else:
-            xp = x
-        if not np.may_share_memory(cols, xp):
-            win = _windows(xp, kernel, stride)
-            cols.reshape(win.shape)[ch] = win[ch]
-        return cols
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
     win = _windows(xp, kernel, stride)
     cols = win.reshape(-1, math.prod(win.shape[3:]))
@@ -260,18 +354,23 @@ def _patches(x, kernel, stride, padding, bufs=None, ch=slice(None)):
     return cols
 
 
-def _conv2d(cols, w, b, out_hw, out=None):
-    """Convolution as one GEMM over the patch matrix `cols` of `_patches`:
-    the (N, O, Ho, Wo) transpose of the (O, N*Ho*Wo) product, `out_hw` = (Ho, Wo).
+def _conv2d(cols, w, b, out=None, row=None, scratch=None):
+    """Convolution as one GEMM of the (O, C*k*k) weight matrix `w` over the patch
+    matrix `cols` of `_patches`, plus the bias: the (O, N*Ho*Wo) product, whose
+    (N, O, Ho, Wo) transpose is the layer's output.
 
-    `out`: an array this function returned for the same shapes, rewritten in place.
-    The bias is added in place: a fresh `product + bias` array cost far more than
-    the GEMM (page faults on every call), for the same bits."""
-    o = len(w)
-    gemm = None if out is None else out.transpose(1, 0, 2, 3).reshape(o, -1)
-    gemm = np.matmul(w.reshape(o, -1), cols, out=gemm)
-    gemm += b[:, None]
-    return gemm.reshape((o, -1) + out_hw).transpose(1, 0, 2, 3)
+    `out`: a product this function returned for the same shapes, rewritten in place.
+    `row`: the one row of `w` that changed since `out` was written; the GEMM then
+    goes into `scratch`, an array of out's shape, and only its row `row`, plus the
+    bias, into `out`. The bias is added in place: a fresh `product + bias` array
+    cost far more than the GEMM (page faults on every call), for the same bits."""
+    if row is None:
+        out = np.matmul(w, cols, out=out)
+        out += b[:, None]
+        return out
+    np.matmul(w, cols, out=scratch)
+    np.add(scratch[row], b[row], out=out[row])
+    return out
 
 
 def _maxpool(x, w):
@@ -284,63 +383,34 @@ def _maxpool(x, w):
     return out
 
 
-def forward_layers(arch: Architecture, weights, biases, x, start=0, ws=None,
-                   channel=None) -> np.ndarray:
-    """Run `arch.layers[start:]` on the batch `x`, the input of layer `start`; returns logits.
+def forward_layers(arch: Architecture, weights, biases, x, ws=None) -> np.ndarray:
+    """Run every layer of `arch` on the batch `x`; returns logits.
 
-    A Conv2D turns a 4-D input into its patch matrix (`_patches`) first, and also
-    accepts that patch matrix as `x`. With a Workspace `ws`, every layer that runs
-    stores its result there (a first pass) or writes it into the array stored
-    there (a later pass over the same batch, which then allocates no activation), so a
-    later call can restart at any position from `ws.input(pos)`, and
-    `backward_layers` can backprop through it.
-
-    `channel`: on a later pass that restarts at a Conv2D, the one output channel
-    whose filter changed since `ws` was last written. The conv still runs its
-    full GEMM: a one-row product `W[f:f+1] @ cols` does not give the full GEMM's
-    bits for that row, and every other row of the full GEMM comes out
-    bit-identical. The layers after it run on that channel only (ReLU, MaxPool and
-    Flatten are elementwise or copies), and the next Conv2D rewrites only that
-    channel's rows of its patch matrix; from the next parametric layer on, all
-    runs in full. So the result equals a fresh full pass bit for bit.
+    A Conv2D turns its 4-D input into its patch matrix (`_patches`) first. `ws`: an
+    empty Workspace, which receives every layer's result, so that `backward_layers`
+    can backprop through the pass and `Workspace.restart` can rewrite it in place.
     """
-    p = sum(isinstance(l, (Conv2D, Dense)) for l in arch.layers[:start])
-    if ws is not None and ws.acts[0] is None:  # a first pass, from position 0
+    if ws is not None:
         ws.acts[0] = x
-    changed = slice(None)  # the channels of `x` that may differ from the stored pass
-    for pos in range(start, len(arch.layers)):
-        layer = arch.layers[pos]
-        out = None if ws is None else ws.acts[pos + 1]
+    p = 0
+    for pos, layer in enumerate(arch.layers):
         if isinstance(layer, Conv2D):
-            if x.ndim == 4:
-                x = _patches(x, layer.kernel, layer.stride, layer.padding,
-                             None if ws is None else ws.patches[pos], changed)
-            x = _conv2d(x, weights[p], biases[p], arch.shapes[pos + 1][1:], out)
+            x = _patches(x, layer.kernel, layer.stride, layer.padding,
+                         None if ws is None else ws.patches[pos])
+            o = layer.c_out
+            x = _conv2d(x, weights[p].reshape(o, -1), biases[p])
+            x = x.reshape((o, -1) + arch.shapes[pos + 1][1:]).transpose(1, 0, 2, 3)
             p += 1
-            changed = (slice(channel, channel + 1) if pos == start and channel is not None
-                       else slice(None))
         elif isinstance(layer, Dense):
-            x = np.matmul(x, weights[p].T, out=out)
+            x = np.matmul(x, weights[p].T)
             x += biases[p]
             p += 1
-            changed = slice(None)
-        elif out is None:  # a first pass: allocate
-            if isinstance(layer, ReLU):
-                x = np.maximum(x, 0.0)
-            elif isinstance(layer, MaxPool):
-                x = _maxpool(x, layer.window)
-            else:  # Flatten
-                x = x.reshape(len(x), -1)
-        else:
-            if isinstance(layer, ReLU):
-                np.maximum(x[:, changed], 0.0, out=out[:, changed])
-            elif isinstance(layer, MaxPool):
-                # pooled into a fresh C-order array, then copied: numpy's buffered
-                # maximum into a strided channel of `out` ran about 3x slower
-                out[:, changed] = _maxpool(x[:, changed], layer.window)
-            elif not np.may_share_memory(out, x):  # a Flatten that copied
-                out.reshape(x.shape)[:, changed] = x[:, changed]
-            x = out
+        elif isinstance(layer, ReLU):
+            x = np.maximum(x, 0.0)
+        elif isinstance(layer, MaxPool):
+            x = _maxpool(x, layer.window)
+        else:  # Flatten
+            x = x.reshape(len(x), -1)
         if ws is not None:
             ws.acts[pos + 1] = x
     return x
@@ -378,7 +448,7 @@ def _pool_bwd(x, w, dout):
 def backward_layers(arch: Architecture, weights, ws, dlogits):
     """Backprop the loss gradient `dlogits` through every layer: (weight grads, bias grads).
 
-    `ws`: the Workspace of a `forward_layers` pass from position 0."""
+    `ws`: the Workspace of a `forward_layers` pass."""
     dws, dbs = [None] * len(weights), [None] * len(weights)
     p = len(weights)
     d = dlogits
@@ -408,7 +478,7 @@ def forward_batch(model: FloatModel, xs, ws=None) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.shape[1:] != model.architecture.input_shape:
         raise ValueError(f"input shape {xs.shape[1:]} != {model.architecture.input_shape}")
-    return forward_layers(model.architecture, model.weights, model.biases, xs, 0, ws)
+    return forward_layers(model.architecture, model.weights, model.biases, xs, ws)
 
 
 def check_dataset(arch: Architecture, data: Dataset):

@@ -405,9 +405,11 @@ def draw_flips(data, q):
 
 
 def draw_architecture(data):
-    """conv -> ReLU -> MaxPool -> conv, conv -> conv with no pool, or conv -> Flatten ->
-    Dense, each under a dense head; conv stride 1-2, padding 0-1, pool window 1-3."""
-    kind = data.draw(st.sampled_from(["conv-relu-pool-conv", "conv-conv", "conv-flatten-dense"]))
+    """conv -> ReLU -> MaxPool -> conv, conv -> conv with no pool, or conv alone, under a
+    head of Flatten -> Dense, Flatten -> ReLU -> Dense, or Flatten -> Dense -> ReLU ->
+    Dense (a hidden dense layer); conv stride 1-2, padding 0-1, pool window 1-3."""
+    kind = data.draw(st.sampled_from(["conv-relu-pool-conv", "conv-conv", "conv"]))
+    head = data.draw(st.sampled_from(["dense", "relu-dense", "hidden-dense"]))
     c_in = data.draw(st.integers(1, 2))
     size = data.draw(st.integers(3, 9))
 
@@ -429,9 +431,15 @@ def draw_architecture(data):
             shape = _layer_out_shape(layer, shape)
     except ValueError:  # a kernel or pool window that does not fit
         assume(False)
-    classes = data.draw(st.integers(2, 4))
-    return bs.Architecture(tuple(body) + (bs.Flatten(), bs.Dense(math.prod(shape), classes)),
-                           (c_in, size, size), classes)
+    classes, features = data.draw(st.integers(2, 4)), math.prod(shape)
+    if head == "dense":
+        head = [bs.Flatten(), bs.Dense(features, classes)]
+    elif head == "relu-dense":
+        head = [bs.Flatten(), bs.ReLU(), bs.Dense(features, classes)]
+    else:
+        hidden = data.draw(st.integers(1, 6))
+        head = [bs.Flatten(), bs.Dense(features, hidden), bs.ReLU(), bs.Dense(hidden, classes)]
+    return bs.Architecture(tuple(body + head), (c_in, size, size), classes)
 
 
 @settings(max_examples=80, deadline=None)

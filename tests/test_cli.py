@@ -289,6 +289,21 @@ def test_unknown_config_key_is_one_error_line(workdir, tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["attack", "sweep", "train"])
+def test_config_that_is_not_utf8_is_one_error_line(workdir, tmp_path, capsys, command):
+    valid = ("per_class = 10\nepochs = 1\n" if command == "train" else
+             f"eval = {workdir / 'test.data'}\nnq = 8\nrp = 0.8\nranking = fl2r\n"
+             "recon = czr\nnbf = 3\n")
+    cfg = tmp_path / "u.cfg"
+    cfg.write_bytes(valid.encode("utf-8") + b"victim = a\xff\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    line = valid.count("\n") + 1
+    assert len(err) == 1 and err[0].startswith("error:") and f"{cfg} line {line}" in err[0], err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, line", [
     ("attack", "nq = 8 4"), ("attack", "rp = 0.5 1.0"), ("attack", "seeds = 0 1"),
     ("attack", "nbf = 3 4"), ("sweep", "nbf = 3 4"), ("sweep", "victim = a.model b.model")])

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import bitsiege as bs
 from bitsiege.model import (ModelFormatError, Workspace, _conv2d, _conv_bwd, _maxpool, _patches,
-                            forward_layers, weight_shape)
+                            filter_count, weight_shape)
 
 from conftest import make_tiny_dense
 
@@ -50,6 +50,12 @@ def test_forward_pure():
         model.weights[0][0, 0] = 99.0  # frozen storage
 
 
+def conv_output(cols, w, b, out_hw):
+    """The (N, O, Ho, Wo) output that `forward_layers` makes of `_conv2d`'s product."""
+    o = len(w)
+    return _conv2d(cols, w.reshape(o, -1), b).reshape((o, -1) + out_hw).transpose(1, 0, 2, 3)
+
+
 def test_conv_matches_six_loop_reference():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 5, 5))
@@ -67,7 +73,7 @@ def test_conv_matches_six_loop_reference():
                         for k2 in range(3):
                             ref[o, h, wi] += x[c, h + k1, wi + k2] * w[o, c, k1, k2]
                 ref[o, h, wi] += b[o]
-    got = _conv2d(_patches(x[None], 3, 1, 0), w, b, (3, 3))[0]
+    got = conv_output(_patches(x[None], 3, 1, 0), w, b, (3, 3))[0]
     assert np.allclose(got, ref, atol=1e-12)
     # and the composed forward sees the same feature map
     assert np.allclose(bs.forward_batch(model, x[None])[0, 0], ref.reshape(-1)[0])
@@ -77,7 +83,7 @@ def test_conv_stride_padding():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((1, 1, 5, 5))
     w = rng.standard_normal((1, 1, 3, 3))
-    out = _conv2d(_patches(x, 3, 2, 1), w, np.zeros(1), (3, 3))
+    out = conv_output(_patches(x, 3, 2, 1), w, np.zeros(1), (3, 3))
     assert out.shape == (1, 1, 3, 3)
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     ref = sum(xp[0, 0, i:i + 5:2, j:j + 5:2] * w[0, 0, i, j] for i in range(3) for j in range(3))
@@ -129,7 +135,7 @@ def test_conv_engine_matches_six_loop_reference(n, c_in, c_out, k, stride, paddi
 
     cols = _patches(x, k, stride, padding)
     assert cols.shape == (c_in * k * k, n * ho * wo)
-    out = _conv2d(cols, w, b, (ho, wo))
+    out = conv_output(cols, w, b, (ho, wo))
     assert out.shape == ref_out.shape
     assert np.allclose(out, ref_out, rtol=0, atol=1e-12)
     dw, db, dx = _conv_bwd(cols, w, stride, padding, x.shape, dout)
@@ -375,39 +381,37 @@ def test_maxpool_equals_reshape_max(n, c, oh, ow, w, seed):
     assert np.array_equal(got, ref)
 
 
-def test_forward_layers_restart_from_cache_is_exact(desk, monkeypatch):
+def test_forward_layers_restart_from_cache_is_exact(desk):
     model, xs = desk["model"], desk["test"].inputs
     arch = model.architecture
-    positions = range(len(arch.layers))
     ws = Workspace(arch)
     full = bs.forward_batch(model, xs, ws).copy()
-    convs = [pos for pos in positions if isinstance(arch.layers[pos], bs.Conv2D)]
-    for pos in convs:  # a conv position stores its input's patch matrix
-        c, (_, ho, wo) = arch.shapes[pos][0], arch.shapes[pos + 1]
-        assert ws.input(pos).shape == (c * arch.layers[pos].kernel ** 2, len(xs) * ho * wo)
-    built = []
-    monkeypatch.setattr("bitsiege.model._patches", lambda *a: built.append(a) or _patches(*a))
-    for pos in positions:
-        built.clear()
-        again = forward_layers(arch, model.weights, model.biases, ws.input(pos), pos)
-        assert np.array_equal(again, full)
-        # a restart builds the patch matrix of every conv after `pos`, never the stored one
-        assert len(built) == sum(p > pos for p in convs)
-        # a restart into the workspace rewrites its arrays in place
-        data = [a.__array_interface__["data"][0] for a in ws.acts]
-        again = forward_layers(arch, model.weights, model.biases, ws.input(pos), pos, ws)
-        assert again is ws.acts[-1] and np.array_equal(again, full)
-        assert [a.__array_interface__["data"][0] for a in ws.acts] == data
-    for pos, layer in arch.parametric_layers():
-        # a restart as a flip makes it (a conv's carrying one channel) allocates no
-        # activation: what is left is numpy's ufunc scratch and one pooled channel
-        channel = 1 if isinstance(layer, bs.Conv2D) else None
+    for pos, layer in enumerate(arch.layers):  # a conv position stores its input's patch matrix
+        if isinstance(layer, bs.Conv2D):
+            c, (_, ho, wo) = arch.shapes[pos][0], arch.shapes[pos + 1]
+            assert ws.input(pos).shape == (c * layer.kernel ** 2, len(xs) * ho * wo)
+    weights = [w.copy() for w in model.weights]
+    ws.bind(weights, model.biases)
+    data = [a.__array_interface__["data"][0] for a in ws.acts]
+    for p in range(len(weights)):
+        # a changed filter: the restart equals a fresh pass of the changed model
+        weights[p][1].flat[0] += 0.5
+        again = ws.restart(p, 1)
+        assert again is ws.acts[-1]
+        assert again.tobytes() == bs.forward_batch(
+            bs.FloatModel(arch, weights, model.biases), xs).tobytes()
+        weights[p][1].flat[0] -= 0.5
+        # the same restart again allocates no activation: what is left is numpy's ufunc
+        # scratch and one pooled channel (the first built its calls and the row-bias buffer)
+        ws.restart(p, 1)
         tracemalloc.start()
-        again = forward_layers(arch, model.weights, model.biases, ws.input(pos), pos, ws, channel)
+        again = ws.restart(p, 1)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert np.array_equal(again, full)
         assert peak < ws.acts[1].nbytes / 4  # the first conv's output: 460 KB
+    # every restart rewrote the workspace's arrays in place
+    assert [a.__array_interface__["data"][0] for a in ws.acts] == data
 
 
 @pytest.mark.parametrize("n", [1, 5])
@@ -427,9 +431,10 @@ def test_workspace_restore_returns_every_array_to_the_saved_pass(n):
     before = [a.tobytes() for a in arrays]
     ws.save()
     other = [w + 1.0 for w in model.weights]
-    for pos, layer in arch.parametric_layers():
-        for channel in ([0, None] if isinstance(layer, bs.Conv2D) else [None]):
-            forward_layers(arch, other, model.biases, ws.input(pos), pos, ws, channel)
+    ws.bind(other, model.biases)
+    for p, (_, layer) in enumerate(arch.parametric_layers()):
+        for f in range(filter_count(layer)):
+            ws.restart(p, f)
     assert [a.tobytes() for a in arrays] != before
     ws.restore()
     assert [a.tobytes() for a in arrays] == before
