@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,41 +198,83 @@ def apply_flips(victim: QuantModel, records) -> QuantModel:
     return QuantModel(victim.architecture, list(victim.params), codes, victim.biases)
 
 
+class _VictimPass:
+    """What `_flip_logits` builds from one victim and eval set, kept for later calls on
+    the same two objects: the dequantized victim, copies of the codes and weights that
+    flips rewrite, and a Workspace that holds the baseline pass, saved, with restarts
+    bound to those weights."""
+
+    def __init__(self, victim: QuantModel, eval_data: Dataset):
+        self.victim, self.eval_data = victim, eval_data
+        self.fm = dequantize_model(victim)
+        self.codes = [c.copy() for c in victim.codes]
+        self.weights = [w.copy() for w in self.fm.weights]
+        # per parametric layer: the flat codes and weights a flip rewrites, bitwidth, scale
+        self.layers = [(c.reshape(-1), w.reshape(-1), qp.bitwidth, qp.scale)
+                       for c, w, qp in zip(self.codes, self.weights, victim.params)]
+        self.ws = Workspace(victim.architecture)
+        self.baseline = forward_batch(self.fm, eval_data.inputs, self.ws)
+        self.ws.save()
+        self.ws.bind(self.weights, self.fm.biases)
+        self.fresh = True  # no flip since the baseline pass
+
+    def reset(self):
+        """Bring the workspace, codes and weights back to the baseline; returns the
+        baseline logits."""
+        if not self.fresh:
+            self.ws.restore()
+            for a, b in zip(self.codes + self.weights, self.victim.codes + self.fm.weights):
+                np.copyto(a, b)
+        self.fresh = False
+        return self.baseline
+
+
+# `.victim_pass`: the one _VictimPass this thread holds between `_flip_logits` calls
+_held = threading.local()
+
+
+def _take_pass(victim: QuantModel, eval_data: Dataset) -> _VictimPass:
+    """The held pass if it was built from these two objects, else a new one. Either
+    way the slot is emptied, and a held pass for other inputs is dropped before the new
+    one is built, so that no more than one is alive."""
+    held, _held.victim_pass = getattr(_held, "victim_pass", None), None
+    if held is not None and held.victim is victim and held.eval_data is eval_data:
+        return held
+    held = None
+    return _VictimPass(victim, eval_data)
+
+
 def _flip_logits(victim: QuantModel, record_lists, eval_data: Dataset):
     """For each list in `record_lists`, in order, yield the victim's logits on
     `eval_data` before any flip, then after each cumulative flip of that list;
     each yielded array is rewritten by the next step.
 
     The logits equal `forward_batch` of the list's `apply_flips` victim, dequantized,
-    bit for bit, and no list sees another's flips. One baseline pass serves every
-    list (`Workspace.save`/`restore`); a flip rewrites one code and one weight and
-    re-runs the network from its parametric layer on (`Workspace.restart`).
+    bit for bit, and no list sees another's flips. A flip rewrites one code and one
+    weight and re-runs the network from its parametric layer on (`Workspace.restart`);
+    each list starts from the saved baseline pass (`Workspace.save`/`restore`).
+
+    That pass, with the dequantized victim and the restarts built over it, is kept
+    between calls (`_VictimPass`): a thread holds at most one, keyed on the identity
+    of `victim` and `eval_data`, whose arrays are read-only. A call on the same two
+    objects takes it over, and any other call drops it and builds its own. The call
+    owns the pass until the generator finishes or is closed, so generators alive at
+    once never share one, and then hands it back to the thread.
     """
     check_dataset(victim.architecture, eval_data)
     sites = [_flip_sites(victim, records) for records in record_lists]
-    fm = dequantize_model(victim)
-    codes = [c.copy() for c in victim.codes]
-    weights = [w.copy() for w in fm.weights]
-    # per parametric layer: the flat codes and weights a flip rewrites, bitwidth, scale
-    layers = [(c.reshape(-1), w.reshape(-1), qp.bitwidth, qp.scale)
-              for c, w, qp in zip(codes, weights, victim.params)]
-    ws = Workspace(victim.architecture)
-    baseline = forward_batch(fm, eval_data.inputs, ws)
-    if len(record_lists) > 1:
-        ws.save()
-    ws.bind(weights, fm.biases)
-    for k, list_sites in enumerate(sites):
-        if k:
-            ws.restore()
-            for a, b in zip(codes + weights, victim.codes + fm.weights):
-                np.copyto(a, b)
-        yield baseline
-        for l, f, i, bit in list_sites:
-            c, w, nq, scale = layers[l]
-            code = flip_bit(int(c[i]), bit, nq)
-            c[i] = code
-            w[i] = np.float64(code) * scale
-            yield ws.restart(l, f)
+    vp = _take_pass(victim, eval_data)
+    try:
+        for list_sites in sites:
+            yield vp.reset()
+            for l, f, i, bit in list_sites:
+                c, w, nq, scale = vp.layers[l]
+                code = flip_bit(int(c[i]), bit, nq)
+                c[i] = code
+                w[i] = np.float64(code) * scale
+                yield vp.ws.restart(l, f)
+    finally:
+        _held.victim_pass = vp
 
 
 def evaluate_flips(victim: QuantModel, records, eval_data: Dataset) -> list:
@@ -249,9 +292,12 @@ def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
     """The traces of `run_attack` for each (ranking, recon) pair in the list `methods`,
     in that order, at one recovery rate and seed.
 
-    What the pairs share is done once: the partial-bit recovery, each recon's
-    surrogate, and the victim's baseline pass over `eval_data` (`_flip_logits`,
-    `Workspace.restart`). Each trace equals `run_attack`'s for its pair, byte for byte.
+    What the pairs share is done once: the partial-bit recovery and each recon's
+    surrogate. The victim's baseline pass over `eval_data`, and the restarts built
+    over it, are built once for `victim` and `eval_data` and kept for later calls on
+    the same two objects (`_flip_logits`): one pass serves a whole sweep group, and
+    consecutive groups on one quantized victim. Each trace equals `run_attack`'s for
+    its pair, byte for byte.
     """
     partial = simulate_recovery(victim, rp, seed)
     surrogates = {}

@@ -287,10 +287,9 @@ class Workspace:
             ch = slice(None)
         elif isinstance(layer, ReLU):
             calls = [partial(np.maximum, x[:, ch], 0.0, out=out[:, ch])]
-        else:  # MaxPool: pooled into a fresh C-order array, then copied; numpy's
-            # buffered maximum into a strided channel of `out` ran about 3x slower
+        else:  # MaxPool
             src, dst, w = x[:, ch], out[:, ch], layer.window
-            calls = [lambda: np.copyto(dst, _maxpool(src, w))]
+            calls = [lambda: _maxpool(src, w, dst)]
         calls += self._calls(pos + 1, ch)
         if full:
             self.tails[pos] = calls
@@ -373,13 +372,30 @@ def _conv2d(cols, w, b, out=None, row=None, scratch=None):
     return out
 
 
-def _maxpool(x, w):
-    """Non-overlapping w x w max pool: elementwise max over the w*w strided window offsets."""
-    out = x[:, :, ::w, ::w].copy()
-    for i in range(w):
-        for j in range(w):
-            if i or j:
-                np.maximum(out, x[:, :, i::w, j::w], out=out)
+def _maxpool(x, w, out=None):
+    """Non-overlapping w x w max pool of the batch `x` (N, C, H, W): the maximum over the
+    column offsets of each window, into one temporary half x's size, then over its row
+    offsets, on (C, H, W, N) views, so that numpy's loops run along the batch and not
+    along a w-long window row.
+
+    Returns the (N, C, H/w, W/w) transpose of a fresh (C, H/w, W/w, N) array, or writes
+    into `out`, an array this function returned for a batch of x's shape (a channel slice
+    of one, for a channel slice of x). The first pass and every restart pool through this
+    one routine: `np.maximum` of 0.0 and -0.0 depends on the operand order, so another
+    order of the same maxima could give other bits."""
+    n, c, h, wd = x.shape
+    if out is None:
+        out = np.empty((c, h // w, wd // w, n)).transpose(3, 0, 1, 2)
+    t, o = x.transpose(1, 2, 3, 0), out.transpose(1, 2, 3, 0)
+    if w == 1:
+        np.copyto(o, t)
+        return out
+    colmax = np.maximum(t[:, :, 0::w], t[:, :, 1::w])
+    for j in range(2, w):
+        np.maximum(colmax, t[:, :, j::w], out=colmax)
+    np.maximum(colmax[:, 0::w], colmax[:, 1::w], out=o)
+    for i in range(2, w):
+        np.maximum(o, colmax[:, i::w], out=o)
     return out
 
 
@@ -416,20 +432,23 @@ def forward_layers(arch: Architecture, weights, biases, x, ws=None) -> np.ndarra
     return x
 
 
-def _conv_bwd(cols, w, stride, padding, x_shape, dout):
+def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True):
     """(dw, db, dx) of `_conv2d` at the patch matrix `cols` of an input shaped
-    `x_shape` (N, C, H, W), given the output gradient `dout` (N, O, Ho, Wo)."""
+    `x_shape` (N, C, H, W), given the output gradient `dout` (N, O, Ho, Wo); dx is
+    None unless `input_grad`."""
     n, c, h, wd = x_shape
     o, _, k, _ = w.shape
     ho, wo = dout.shape[2], dout.shape[3]
     d2 = dout.transpose(1, 0, 2, 3).reshape(o, -1)
     dw = (d2 @ cols.T).reshape(w.shape)
+    db = dout.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return dw, db, None
     dcols = (w.reshape(o, -1).T @ d2).reshape(c, k, k, n, ho, wo)
     dxp = np.zeros((c, n, h + 2 * padding, wd + 2 * padding))
     for i in range(k):
         for j in range(k):
             dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
-    db = dout.sum(axis=(0, 2, 3))
     dx = dxp[:, :, padding:padding + h, padding:padding + wd].transpose(1, 0, 2, 3)
     return dw, db, dx
 
@@ -446,23 +465,27 @@ def _pool_bwd(x, w, dout):
 
 
 def backward_layers(arch: Architecture, weights, ws, dlogits):
-    """Backprop the loss gradient `dlogits` through every layer: (weight grads, bias grads).
+    """Backprop the loss gradient `dlogits` through the layers down to the first
+    parametric one: (weight grads, bias grads). The input gradient of that layer is
+    never built, as nothing before it has parameters.
 
     `ws`: the Workspace of a `forward_layers` pass."""
     dws, dbs = [None] * len(weights), [None] * len(weights)
     p = len(weights)
     d = dlogits
     for pos in reversed(range(len(arch.layers))):
+        if not p:
+            break
         layer, x = arch.layers[pos], ws.input(pos)
         if isinstance(layer, Conv2D):
             p -= 1
             dws[p], dbs[p], d = _conv_bwd(x, weights[p], layer.stride, layer.padding,
-                                          (len(d),) + arch.shapes[pos], d)
+                                          (len(d),) + arch.shapes[pos], d, input_grad=p > 0)
         elif isinstance(layer, Dense):
             p -= 1
             dws[p] = d.T @ x
             dbs[p] = d.sum(axis=0)
-            d = d @ weights[p]
+            d = d @ weights[p] if p else None
         elif isinstance(layer, ReLU):
             d = d * (x > 0)
         elif isinstance(layer, MaxPool):

@@ -1,14 +1,18 @@
+import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bitsiege as bs
+from bitsiege import attack
 from bitsiege.attack import RANKINGS, RECONS, RUN_CONFIG, FlipRecord, _flip_logits
 from bitsiege.cli import _cfg_hash
-from bitsiege.model import ModelFormatError
-from bitsiege.model import _layer_out_shape, filter_count, filter_size
+from bitsiege.model import ModelFormatError, Workspace, backward_layers, forward_layers
+from bitsiege.model import _conv_bwd, _layer_out_shape, _pool_bwd, filter_count, filter_size
+from bitsiege.synth import _softmax_ce
 from bitsiege.quantize import BITWIDTHS
 
 from conftest import random_qmodel
@@ -472,12 +476,23 @@ def test_flip_lists_restart_from_the_baseline_on_random_architectures(data):
     inputs = rng.standard_normal((n,) + arch.input_shape)
     eval_data = bs.Dataset(inputs, rng.integers(0, arch.num_classes, n))
     lists = [draw_flips(data, q) for _ in range(data.draw(st.integers(2, 3)))]
-    logits = _flip_logits(q, lists, eval_data)
-    for k, records in enumerate(lists):
+    assert_fresh_logits(_flip_logits(q, lists, eval_data), q, lists, eval_data)
+
+
+def fresh_logits(q, lists, data):
+    """What `_flip_logits(q, lists, data)` yields, each from a fresh forward pass of the
+    apply_flips victim."""
+    for records in lists:
         for i in range(len(records) + 1):
-            fresh = bs.forward_batch(bs.dequantize_model(bs.apply_flips(q, records[:i])), inputs)
-            assert next(logits).tobytes() == fresh.tobytes(), f"list {k}, after flip {i}"
-    assert next(logits, None) is None
+            yield bs.forward_batch(bs.dequantize_model(bs.apply_flips(q, records[:i])), data.inputs)
+
+
+def assert_fresh_logits(logits, q, lists, data):
+    """Every array of the `_flip_logits(q, lists, data)` generator `logits` equals its
+    `fresh_logits`, byte for byte, and there are as many."""
+    for step, (got, fresh) in enumerate(itertools.zip_longest(logits, fresh_logits(q, lists, data))):
+        assert got is not None and fresh is not None, f"step {step}: one ended first"
+        assert got.tobytes() == fresh.tobytes(), f"step {step}"
 
 
 def test_evaluate_flips_leaves_shared_state_alone(desk):
@@ -548,3 +563,130 @@ def test_load_trace_rejects_inconsistent_traces(tmp_path, desk):
     p.write_bytes(b"bitsiege-trace-v1\nrecon \xff\n")
     with pytest.raises(ModelFormatError):
         bs.load_trace(p)
+
+
+@pytest.fixture()
+def pass_builds(monkeypatch):
+    """How many baseline passes `_flip_logits` builds (`attack.forward_batch` calls)."""
+    builds = []
+
+    def counted(*a):
+        builds.append(a[0])
+        return bs.forward_batch(*a)
+    monkeypatch.setattr(attack, "forward_batch", counted)
+    return builds
+
+
+def fresh_inputs(desk, n=200):
+    """A new 8-bit desk victim and a new eval set of its first `n` test samples: objects
+    that no earlier call has seen, so that no held pass was built from them."""
+    test = desk["test"]
+    return bs.quantize_model(desk["model"], 8), bs.Dataset(test.inputs[:n], test.labels[:n])
+
+
+def test_victim_pass_serves_runs_on_one_victim_and_eval_set(desk, pass_builds):
+    a, data = fresh_inputs(desk)
+    b = bs.quantize_model(desk["model"], 4)
+    runs = [(a, 0, bs.FL2R()), (a, 1, bs.RandomBits(5)), (b, 2, bs.FL2R()), (a, 3, bs.FL2R())]
+    for q, seed, ranking in runs:
+        tr = bs.run_attack(q, 0.8, seed, ranking, bs.ReconstructionMethod.CZR, 30, data)
+        assert list(tr.accuracies) == reference_accuracies(q, tr.records, data)
+    assert len(pass_builds) == 3  # a; the second run on a takes its pass; b; a again
+
+
+def test_victim_pass_is_kept_per_eval_set(desk, pass_builds):
+    q, data = fresh_inputs(desk)
+    half = bs.Dataset(data.inputs[::2], data.labels[::2])
+    lists = [bs.select_random_bits(q, 25, 1), bs.select_vulnerable_bits(q, 25)]
+    for d in (data, half, half, data):
+        assert_fresh_logits(_flip_logits(q, lists, d), q, lists, d)
+    assert len(pass_builds) == 3
+
+
+def test_live_generators_never_share_a_pass(desk, pass_builds):
+    q, data = fresh_inputs(desk, 64)
+    first, second = [bs.select_random_bits(q, 20, 2)], [bs.select_vulnerable_bits(q, 20)]
+    assert_fresh_logits(_flip_logits(q, first, data), q, first, data)  # leaves a held pass
+    g1, g2 = _flip_logits(q, first, data), _flip_logits(q, second, data)
+    e1, e2 = fresh_logits(q, first, data), fresh_logits(q, second, data)
+    for _ in range(21):
+        assert next(g1).tobytes() == next(e1).tobytes()
+        assert next(g2).tobytes() == next(e2).tobytes()
+    assert len(pass_builds) == 2  # g1 took the held pass; g2 built its own
+
+
+def test_abandoned_generator_hands_back_a_pass_that_restores(desk, pass_builds):
+    q, data = fresh_inputs(desk, 64)
+    lists = [bs.select_vulnerable_bits(q, 30)]
+    g, expected = _flip_logits(q, lists, data), fresh_logits(q, lists, data)
+    for _ in range(12):  # stopped mid-list, with flips applied
+        assert next(g).tobytes() == next(expected).tobytes()
+    del g
+    other = [bs.select_random_bits(q, 30, 3)]
+    assert_fresh_logits(_flip_logits(q, other, data), q, other, data)
+    assert len(pass_builds) == 1
+
+
+def test_a_call_on_another_victim_frees_the_held_pass(desk, monkeypatch):
+    a, data = fresh_inputs(desk, 32)
+    alive = weakref.ref(a)
+    assert len(list(_flip_logits(a, [bs.select_vulnerable_bits(a, 5)], data))) == 6
+    del a
+    assert alive() is not None  # the held pass keeps its victim
+    seen = []
+
+    def forward(*args):  # b's pass is built only once a's is gone
+        seen.append(alive())
+        return bs.forward_batch(*args)
+    monkeypatch.setattr(attack, "forward_batch", forward)
+    b = bs.quantize_model(desk["model"], 4)
+    assert len(list(_flip_logits(b, [bs.select_vulnerable_bits(b, 5)], data))) == 6
+    assert seen == [None] and alive() is None
+
+
+def backward_reference(arch, weights, ws, d):
+    """`backward_layers` down to the batch: every layer's input gradient is built."""
+    dws, dbs, p = [None] * len(weights), [None] * len(weights), len(weights)
+    for pos in reversed(range(len(arch.layers))):
+        layer, x = arch.layers[pos], ws.input(pos)
+        if isinstance(layer, bs.Conv2D):
+            p -= 1
+            dws[p], dbs[p], d = _conv_bwd(x, weights[p], layer.stride, layer.padding,
+                                          (len(d),) + arch.shapes[pos], d)
+        elif isinstance(layer, bs.Dense):
+            p -= 1
+            dws[p], dbs[p], d = d.T @ x, d.sum(axis=0), d @ weights[p]
+        elif isinstance(layer, bs.ReLU):
+            d = d * (x > 0)
+        elif isinstance(layer, bs.MaxPool):
+            d = _pool_bwd(x, layer.window, d)
+        else:
+            d = d.reshape(x.shape)
+    return dws, dbs
+
+
+def assert_gradients_match_reference(model, inputs, labels):
+    arch = model.architecture
+    ws = Workspace(arch)
+    logits = forward_layers(arch, model.weights, model.biases, inputs, ws)
+    _, dlogits = _softmax_ce(logits, labels)
+    got = backward_layers(arch, model.weights, ws, dlogits)
+    ref = backward_reference(arch, model.weights, ws, dlogits)
+    for g, r in zip(got[0] + got[1], ref[0] + ref[1]):
+        assert g.tobytes() == r.tobytes()
+
+
+def test_backward_skips_only_the_first_input_gradient_on_the_desk_victim(desk):
+    test = desk["test"]
+    assert_gradients_match_reference(desk["model"], test.inputs[:32], test.labels[:32])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_backward_skips_only_the_first_input_gradient_on_random_architectures(data):
+    arch = draw_architecture(data)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    model = bs.dequantize_model(random_qmodel(rng, 8, arch))
+    n = data.draw(st.integers(1, 12))
+    assert_gradients_match_reference(model, rng.standard_normal((n,) + arch.input_shape),
+                                     rng.integers(0, arch.num_classes, n))

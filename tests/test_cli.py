@@ -374,8 +374,9 @@ def test_sweep_shares_recovery_surrogates_and_baseline_per_group(workdir, tmp_pa
         monkeypatch.setattr(attack, name, counted)
     assert main(["sweep", "--config", grid_cfg(workdir, tmp_path), "--out",
                  str(tmp_path / "grid")]) == EXIT_OK
-    # 8 (nq, rp, seed) groups, 3 recons each
-    assert calls == {"simulate_recovery": 8, "reconstruct_model": 24, "forward_batch": 8}
+    # 8 (nq, rp, seed) groups, 3 recons each; one baseline pass per run of consecutive
+    # groups on one quantized victim: nq 8, then nq 4
+    assert calls == {"simulate_recovery": 8, "reconstruct_model": 24, "forward_batch": 2}
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -379,6 +379,12 @@ def test_maxpool_equals_reshape_max(n, c, oh, ow, w, seed):
     got = _maxpool(x, w)
     assert got.shape == ref.shape
     assert np.array_equal(got, ref)
+    # a restart pools one channel into the stored output
+    again = _maxpool(x, w)
+    again[...] = 0.0
+    for ch in range(c):
+        _maxpool(x[:, ch:ch + 1], w, again[:, ch:ch + 1])
+    assert again.tobytes() == got.tobytes()
 
 
 def test_forward_layers_restart_from_cache_is_exact(desk):
