@@ -17,7 +17,7 @@ from .attack import (RANKINGS, RECONS, RUN_CONFIG, _check_nbf, _flip_logits, app
                      check_config, evaluate_flips, load_trace, run_attacks, save_trace,
                      select_random_bits, select_vulnerable_bits)
 from .model import (DATA_MAX_CLASSES, Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel,
-                    MaxPool, ModelFormatError, ReLU, accuracy, check_dataset, filter_count,
+                    MaxPool, ModelFormatError, ReLU, Workspace, check_dataset, filter_count,
                     forward_batch, load_dataset, load_model, save_dataset, save_model,
                     weight_shape)
 from .quantize import (BITWIDTHS, QuantModel, QuantParams, accuracy_quant, dequantize_model,
@@ -149,9 +149,18 @@ def cmd_train(args):
         raise _UsageError(f"trained model cannot be saved ({e}); try a smaller lr") from None
     save_dataset(train_ds, os.path.join(args.out, "train.data"))
     save_dataset(test_ds, os.path.join(args.out, "test.data"))
-    print(f"train accuracy {accuracy(model, train_ds):.4f}")
-    print(f"test accuracy  {accuracy(model, test_ds):.4f}")
+    print(f"train accuracy {_chunked_accuracy(model, train_ds):.4f}")
+    print(f"test accuracy  {_chunked_accuracy(model, test_ds):.4f}")
     return EXIT_OK
+
+
+def _chunked_accuracy(model: FloatModel, data: Dataset):
+    """`accuracy`, scored 256 samples at a time, so that no pass over the whole set
+    sets the process's peak memory."""
+    hits = sum(int(np.count_nonzero(forward_batch(model, data.inputs[i:i + 256]).argmax(axis=1)
+                                    == data.labels[i:i + 256]))
+               for i in range(0, len(data), 256))
+    return hits / len(data)
 
 
 def cmd_quantize(args):
@@ -330,8 +339,11 @@ def _verify_incremental():
                         [rng.integers(-128, 128, weight_shape(l)).astype(np.int16) for l in layers],
                         [rng.standard_normal(filter_count(l)) * 0.1 for l in layers])
     inputs = rng.standard_normal((48, 1, 8, 8))
-    # labelled by the clean victim, so that flips move the accuracy off 1.0
-    data = Dataset(inputs, forward_batch(dequantize_model(victim), inputs).argmax(axis=1))
+    # labelled by the clean victim, so that flips move the accuracy off 1.0; its pass,
+    # of the evaluator's shapes, tells which GEMM the evaluator's conv restarts ran
+    clean, ws = dequantize_model(victim), Workspace(arch)
+    data = Dataset(inputs, forward_batch(clean, inputs, ws).argmax(axis=1))
+    ws.bind(clean.weights, clean.biases)
     records = select_vulnerable_bits(victim, 40) + select_random_bits(victim, 20, 11)
     rng.shuffle(records)
     # three lists from one baseline pass: each after the first starts from a restore
@@ -344,10 +356,12 @@ def _verify_incremental():
                 return False, (f"incremental logits differ from the apply_flips reference "
                                f"after flip {i} of list {k}")
     accs = [accuracy_quant(apply_flips(victim, records[:i]), data) for i in range(len(records) + 1)]
+    paths = ", ".join(f"layer {pos} {'two-row block' if ws.two_row_blocks(pos) else 'full GEMM'}"
+                      for pos, layer in arch.parametric_layers() if isinstance(layer, Conv2D))
     return evaluate_flips(victim, records, data) == accs, (
         f"incremental evaluator vs apply_flips + accuracy_quant over {len(records)} flips, "
         "then both halves from the restored baseline (padded and strided convs, pool, "
-        "dense): logits bit-identical, accuracies equal")
+        f"dense): logits bit-identical, accuracies equal; conv restarts: {paths}")
 
 
 def cmd_verify(_args):

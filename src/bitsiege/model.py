@@ -195,8 +195,9 @@ class Workspace:
     once per (p, f), on its first restart, over the arrays they write in their final
     form: a conv's (O, N*Ho*Wo) product, its weight matrix, a Dense's `W.T`.
 
-    `save` copies what a restart may rewrite, and `restore` copies it back in place,
-    so the workspace holds the saved pass again, in the same arrays.
+    `save` copies what a restart may rewrite, and `restore` copies back in place what
+    the restarts since then rewrote, so the workspace holds the saved pass again, in
+    the same arrays.
     """
 
     def __init__(self, arch: Architecture):
@@ -204,6 +205,7 @@ class Workspace:
         self.acts = [None] * (len(arch.layers) + 1)
         self.patches = [[None, None] for _ in arch.layers]
         self.saved = []
+        self.lowest = len(arch.layers)  # the lowest position restarted since save/restore
 
     def input(self, pos):
         """What layer `pos` consumes: a Conv2D's patch matrix, any other layer's input."""
@@ -213,18 +215,27 @@ class Workspace:
         """Copy every stored activation after the batch, and the padded input and patch
         matrix of every Conv2D after the first (the first one's come from the batch,
         which no restart rewrites). A read-only view, or a view of an array already
-        copied, follows its base and is left out."""
+        copied, follows its base and is left out.
+
+        Each copy is tagged with the position of the layer whose input it holds (or
+        its patches): a restart at position q rewrites the inputs of the layers after
+        q only."""
         convs = [pos for pos, layer in enumerate(self.arch.layers) if isinstance(layer, Conv2D)]
-        kept = []
-        for a in self.acts[1:] + [a for pos in convs[1:] for a in self.patches[pos]]:
-            if a.flags.writeable and not any(np.may_share_memory(a, b) for b in kept):
-                kept.append(a)
-        self.saved = [(a, np.copy(a)) for a in kept]  # np.copy keeps the layout
+        arrays = [(a, k) for k, a in enumerate(self.acts) if k]
+        arrays += [(a, pos) for pos in convs[1:] for a in self.patches[pos]]
+        self.saved = []
+        for a, k in arrays:
+            if a.flags.writeable and not any(np.may_share_memory(a, b) for b, _, _ in self.saved):
+                self.saved.append((a, k, np.copy(a)))  # np.copy keeps the layout
+        self.lowest = len(self.arch.layers)
 
     def restore(self):
-        """Copy the arrays `save` copied back into place."""
-        for a, copy in self.saved:
-            np.copyto(a, copy)
+        """Copy back into place the saved arrays that a restart since the last save or
+        restore rewrote: those of the layers after the lowest position restarted."""
+        for a, k, copy in self.saved:
+            if k > self.lowest:
+                np.copyto(a, copy)
+        self.lowest = len(self.arch.layers)
 
     def bind(self, weights, biases):
         """Tie restarts to `weights` and `biases`, one array per parametric layer, equal
@@ -240,9 +251,11 @@ class Workspace:
         """Re-run the network after filter `f` of parametric layer `p` changed in the
         bound weights; returns the logits, the stored array rewritten in place.
 
-        A Conv2D runs its full GEMM into a scratch buffer and copies back row f, plus
-        its bias: a one-row product `W[f:f+1] @ cols` does not give the full GEMM's
-        bits for that row, and every other row of the full GEMM would come out as
+        A Conv2D runs a GEMM of the two-row block of its weight matrix that holds row
+        f into a scratch buffer, and copies back row f, plus its bias. numpy hands a
+        one-row product `W[f:f+1] @ cols` to gemv, whose sums need not give the full
+        GEMM's bits; so the block runs only where `two_row_blocks` has shown that it
+        gives them, and elsewhere the full GEMM does, whose other rows come out as
         stored. The layers after it run on channel f only (ReLU, MaxPool and Flatten
         are elementwise or copies), and the next Conv2D rewrites only channel f's
         rows of its patch matrix. From the next parametric layer on, and after a
@@ -252,6 +265,7 @@ class Workspace:
         calls = self.steps.get((p, f))
         if calls is None:
             calls = self.steps[p, f] = self._restart_calls(p, f)
+        self.lowest = min(self.lowest, self.positions[p])
         for call in calls:
             call()
         return self.acts[-1]
@@ -310,20 +324,71 @@ class Workspace:
             calls.append(partial(np.copyto, cols.reshape(win.shape)[ch], win[ch]))
         return calls
 
-    def _gemm(self, pos, row=None):
-        """The call that re-runs a Conv2D's GEMM over its stored patch matrix, into its
-        stored (O, N*Ho*Wo) product; with `row`, through the scratch buffer."""
-        p, cols = self.index[pos], self.patches[pos][1]
-        o = len(self.weights[p])
-        out = self.acts[pos + 1].transpose(1, 0, 2, 3).reshape(o, -1)  # a view, by layout
-        w, b = self.weights[p].reshape(o, -1), self.biases[p]
-        if row is None:
-            return lambda: _conv2d(cols, w, b, out)
-        if self.scratch is None:  # one buffer, as large as the largest conv output
+    def two_row_blocks(self, pos):
+        """Whether restarts of the Conv2D at `pos` run the two-row GEMM block of a
+        changed row (else the full GEMM): where its weight matrix has two or more rows
+        and `_blocks_exact` holds, on this BLAS, for its shape and its patch matrix's
+        shape and strides. The verdict is probed once per process for each of those."""
+        w, cols = self._operands(pos)
+        if len(w) < 2:
+            return False
+        key = (w.shape, cols.shape, cols.strides)
+        if key not in _BLOCKS_EXACT:
+            _BLOCKS_EXACT[key] = _blocks_exact(w, cols, self._scratch((len(w), cols.shape[1])))
+        return _BLOCKS_EXACT[key]
+
+    def _operands(self, pos):
+        """A Conv2D's bound (O, C*k*k) weight matrix, a view, and its stored patch matrix."""
+        w = self.weights[self.index[pos]]
+        return w.reshape(len(w), -1), self.patches[pos][1]
+
+    def _scratch(self, shape):
+        """A `shape` view of the one scratch buffer, as large as the largest conv output."""
+        if self.scratch is None:
             self.scratch = np.empty(max(self.acts[q + 1].size for q in self.index
                                         if isinstance(self.arch.layers[q], Conv2D)))
-        scratch = self.scratch[:out.size].reshape(out.shape)
+        return self.scratch[:math.prod(shape)].reshape(shape)
+
+    def _gemm(self, pos, row=None):
+        """The call that re-runs a Conv2D's GEMM over its stored patch matrix, into its
+        stored (O, N*Ho*Wo) product; with `row`, that row only, from a GEMM into the
+        scratch buffer of the two-row block of weight rows that holds it
+        (`two_row_blocks`), or else of every row."""
+        (w, cols), b = self._operands(pos), self.biases[self.index[pos]]
+        out = self.acts[pos + 1].transpose(1, 0, 2, 3).reshape(len(w), -1)  # a view, by layout
+        if row is None:
+            return lambda: _conv2d(cols, w, b, out)
+        if self.two_row_blocks(pos):
+            lo = _block_start(row, len(w))
+            w, b, out, row = w[lo:lo + 2], b[lo:lo + 2], out[lo:lo + 2], row - lo
+        scratch = self._scratch(out.shape)
         return lambda: _conv2d(cols, w, b, out, row, scratch)
+
+
+# (weight matrix shape, patch matrix shape, patch matrix strides) -> `_blocks_exact`
+_BLOCKS_EXACT = {}
+
+
+def _block_start(row, o):
+    """The first row of the two-row block of an o-row weight matrix that holds `row`."""
+    return min(row - row % 2, o - 2)
+
+
+def _blocks_exact(w, cols, full):
+    """Whether each two-row block GEMM that a restart can run, `w[lo:lo + 2] @ cols`,
+    gives rows lo and lo + 1 of the full GEMM `w @ cols` bit for bit, for the live
+    operands and for two random weight matrices of w's shape; the full GEMM goes into
+    `full`, an array of its shape. A BLAS may block a GEMM of two rows otherwise than
+    one of all rows, and sum in another order."""
+    blocks = sorted({_block_start(f, len(w)) for f in range(len(w))})
+    part = np.empty((2,) + full.shape[1:])
+    rng = np.random.default_rng(0)
+    for a in (w, rng.standard_normal(w.shape), rng.standard_normal(w.shape)):
+        np.matmul(a, cols, out=full)
+        for lo in blocks:
+            if np.matmul(a[lo:lo + 2], cols, out=part).tobytes() != full[lo:lo + 2].tobytes():
+                return False
+    return True
 
 
 def _windows(x, kernel, stride):
@@ -358,11 +423,12 @@ def _conv2d(cols, w, b, out=None, row=None, scratch=None):
     matrix `cols` of `_patches`, plus the bias: the (O, N*Ho*Wo) product, whose
     (N, O, Ho, Wo) transpose is the layer's output.
 
-    `out`: a product this function returned for the same shapes, rewritten in place.
-    `row`: the one row of `w` that changed since `out` was written; the GEMM then
-    goes into `scratch`, an array of out's shape, and only its row `row`, plus the
-    bias, into `out`. The bias is added in place: a fresh `product + bias` array
-    cost far more than the GEMM (page faults on every call), for the same bits."""
+    `out`: a product this function returned for the same shapes (or a block of its
+    rows, for the same block of `w` and `b`), rewritten in place. `row`: the one row
+    of `w` that changed since `out` was written; the GEMM then goes into `scratch`,
+    an array of out's shape, and only its row `row`, plus the bias, into `out`. The
+    bias is added in place: a fresh `product + bias` array cost far more than the
+    GEMM (page faults on every call), for the same bits."""
     if row is None:
         out = np.matmul(w, cols, out=out)
         out += b[:, None]

@@ -1,7 +1,11 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import bitsiege as bs
+from bitsiege import attack, model
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +43,14 @@ def random_qmodel(rng, nq=8, arch=None):
         codes.append(rng.integers(lo, hi + 1, size=weight_shape(layer), dtype=np.int64).astype(np.int16))
         biases.append(rng.standard_normal(filter_count(layer)) * 0.1)
     return bs.QuantModel(arch, params, codes, biases)
+
+
+@contextlib.contextmanager
+def full_gemm_restarts():
+    """Conv restarts built inside run the full GEMM: the two-row block probe rejects
+    every shape, no earlier verdict is used, and no held victim pass is taken over.
+    The verdicts and the held pass from before are back afterwards."""
+    with mock.patch.object(model, "_blocks_exact", lambda *a: False), \
+            mock.patch.dict(model._BLOCKS_EXACT, clear=True), \
+            mock.patch.object(attack._held, "victim_pass", None, create=True):
+        yield

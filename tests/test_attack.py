@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import weakref
@@ -15,7 +16,7 @@ from bitsiege.model import _conv_bwd, _layer_out_shape, _pool_bwd, filter_count,
 from bitsiege.synth import _softmax_ce
 from bitsiege.quantize import BITWIDTHS
 
-from conftest import random_qmodel
+from conftest import full_gemm_restarts, random_qmodel
 
 
 def two_filter_model(w0=5.0, w1=1.0):
@@ -464,11 +465,9 @@ def test_flip_logits_equal_fresh_forward_on_random_architectures(data):
     assert steps == len(records) + 1
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_flip_lists_restart_from_the_baseline_on_random_architectures(data):
-    # Several lists from one baseline pass: every list after the first starts from the
-    # restored workspace, which must hold no trace of the flips before it.
+def check_flip_lists_on_a_random_architecture(data):
+    """Several lists from one baseline pass: every list after the first starts from the
+    restored workspace, which must hold no trace of the flips before it."""
     arch = draw_architecture(data)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     q = random_qmodel(rng, data.draw(st.sampled_from([4, 8])), arch)
@@ -477,6 +476,35 @@ def test_flip_lists_restart_from_the_baseline_on_random_architectures(data):
     eval_data = bs.Dataset(inputs, rng.integers(0, arch.num_classes, n))
     lists = [draw_flips(data, q) for _ in range(data.draw(st.integers(2, 3)))]
     assert_fresh_logits(_flip_logits(q, lists, eval_data), q, lists, eval_data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_flip_lists_restart_from_the_baseline_on_random_architectures(data):
+    check_flip_lists_on_a_random_architecture(data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_flip_lists_through_the_full_gemm_on_random_architectures(data):
+    with full_gemm_restarts():
+        check_flip_lists_on_a_random_architecture(data)
+
+
+@pytest.mark.parametrize("blocks", [True, False], ids=["probed", "full-gemm"])
+@pytest.mark.parametrize("conv1_first", [False, True])
+def test_lists_that_spare_conv1_restore_around_lists_that_flip_it(desk, blocks, conv1_first):
+    # A list that flips only conv2 and dense weights leaves conv1's output, ReLU and pool
+    # as saved, so the restore after it copies back less than after a conv1 flip.
+    q, data = fresh_inputs(desk, 64)
+    picks = bs.select_random_bits(q, 600, 4)
+    by_layer = [[r for r in picks if r.layer == l] for l in range(3)]
+    spare = by_layer[1][:6] + by_layer[2][:4]
+    flip = by_layer[0][:3] + by_layer[1][6:9] + by_layer[0][3:5]
+    dense = by_layer[2][4:8]
+    lists = [flip, spare, dense, flip] if conv1_first else [spare, flip, dense, spare]
+    with contextlib.nullcontext() if blocks else full_gemm_restarts():
+        assert_fresh_logits(_flip_logits(q, lists, data), q, lists, data)
 
 
 def fresh_logits(q, lists, data):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import bitsiege as bs
 from bitsiege import cli
 from bitsiege.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main, parse_config
+
+from conftest import full_gemm_restarts
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +204,22 @@ def test_verify_command(capsys):
     assert main(["verify"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4 and all(l.startswith("PASS") for l in lines)
+    # the incremental-eval line names the GEMM each conv layer's restarts ran
+    assert re.search(r"conv restarts: layer 0 (two-row block|full GEMM), "
+                     r"layer 3 (two-row block|full GEMM)$", lines[3])
+    with full_gemm_restarts():
+        assert main(["verify"]) == EXIT_OK
+    line = capsys.readouterr().out.strip().splitlines()[3]
+    assert line.startswith("PASS incremental-eval") and line.endswith(
+        "conv restarts: layer 0 full GEMM, layer 3 full GEMM")
+
+
+def test_train_accuracy_in_chunks_equals_one_pass(desk):
+    model, rng = desk["model"], np.random.default_rng(8)
+    arch = model.architecture
+    data = bs.Dataset(rng.standard_normal((600,) + arch.input_shape),  # 256 + 256 + 88
+                      rng.integers(0, arch.num_classes, 600))
+    assert cli._chunked_accuracy(model, data) == bs.accuracy(model, data)
 
 
 @pytest.mark.parametrize("line", ["rp = abc", "nq = 5", "nbf = 99999"])

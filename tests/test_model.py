@@ -1,3 +1,4 @@
+import contextlib
 import struct
 import tracemalloc
 
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bitsiege as bs
-from bitsiege.model import (ModelFormatError, Workspace, _conv2d, _conv_bwd, _maxpool, _patches,
-                            filter_count, weight_shape)
+from bitsiege import model as model_module
+from bitsiege.model import (ModelFormatError, Workspace, _blocks_exact, _conv2d, _conv_bwd,
+                            _maxpool, _patches, filter_count, weight_shape)
 
-from conftest import make_tiny_dense
+from conftest import full_gemm_restarts, make_tiny_dense
 
 
 def test_dense_identity():
@@ -418,6 +420,62 @@ def test_forward_layers_restart_from_cache_is_exact(desk):
         assert peak < ws.acts[1].nbytes / 4  # the first conv's output: 460 KB
     # every restart rewrote the workspace's arrays in place
     assert [a.__array_interface__["data"][0] for a in ws.acts] == data
+
+
+@pytest.mark.parametrize("blocks", [True, False], ids=["block", "full-gemm"])
+def test_conv_restarts_of_every_filter_equal_a_fresh_pass(desk, monkeypatch, blocks):
+    model, xs = desk["model"], desk["test"].inputs
+    arch = model.architecture
+    rows = []  # the rows of each GEMM a restart runs
+
+    def counted(*args):
+        out = _conv2d(*args)
+        rows.append(len(out))
+        return out
+    with contextlib.ExitStack() as stack:
+        if not blocks:
+            stack.enter_context(full_gemm_restarts())
+        ws = Workspace(arch)
+        base = bs.forward_batch(model, xs, ws).copy()
+        weights = [w.copy() for w in model.weights]
+        ws.bind(weights, model.biases)
+        monkeypatch.setattr(model_module, "_conv2d", counted)
+        for p, (pos, layer) in enumerate(arch.parametric_layers()):
+            if not isinstance(layer, bs.Conv2D):
+                continue
+            if ws.two_row_blocks(pos) != blocks:
+                pytest.skip("this BLAS's two-row GEMM blocks differ from its full GEMM")
+            for f in range(layer.c_out):  # the last filter too, in the block of rows O-2, O-1
+                kept = weights[p][f].flat[-1]
+                weights[p][f].flat[-1] -= 0.25
+                rows.clear()
+                got = ws.restart(p, f)
+                assert rows[0] == (2 if blocks else layer.c_out)
+                assert got.tobytes() == bs.forward_batch(
+                    bs.FloatModel(arch, weights, model.biases), xs).tobytes(), (p, f)
+                weights[p][f].flat[-1] = kept
+                assert ws.restart(p, f).tobytes() == base.tobytes()
+
+
+@pytest.mark.parametrize("nudged", [None] + list(range(6)))
+def test_block_probe_rejects_a_block_one_ulp_off(monkeypatch, nudged):
+    # one term per dot product: any BLAS gives each block the full GEMM's bits, so the
+    # probe rejects only the nudged block. Three rows make blocks at rows 0 and 1; the
+    # probe runs both on the live weights and on two random draws.
+    rng = np.random.default_rng(3)
+    w, cols = rng.standard_normal((3, 1)), rng.standard_normal((1, 50))
+    real, blocks = np.matmul, []
+
+    def matmul(a, b, out=None):
+        got = real(a, b, out=out)
+        if len(a) == 2:
+            if len(blocks) == nudged:
+                got[1, 7] = np.nextafter(got[1, 7], np.inf)
+            blocks.append(a)
+        return got
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert _blocks_exact(w, cols, np.empty((3, 50))) == (nudged is None)
+    assert len(blocks) == (6 if nudged is None else nudged + 1)
 
 
 @pytest.mark.parametrize("n", [1, 5])
