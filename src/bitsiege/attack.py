@@ -292,28 +292,44 @@ def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
     """The traces of `run_attack` for each (ranking, recon) pair in the list `methods`,
     in that order, at one recovery rate and seed.
 
-    What the pairs share is done once: the partial-bit recovery and each recon's
-    surrogate. The victim's baseline pass over `eval_data`, and the restarts built
-    over it, are built once for `victim` and `eval_data` and kept for later calls on
-    the same two objects (`_flip_logits`): one pass serves a whole sweep group, and
-    consecutive groups on one quantized victim. Each trace equals `run_attack`'s for
-    its pair, byte for byte.
+    What the pairs share is done once: the partial-bit recovery, each recon's
+    surrogate, each ranking of each distinct surrogate, and the evaluation of each
+    distinct record list. The surrogates all come from one recovery, so their codes
+    decide them: recons that give the same codes (every recon at rp = 1) share their
+    rankings, and a random list, which reads only the seed and the surrogate's shape,
+    is evaluated once for every recon. These memos live only for the call. The
+    victim's baseline pass over `eval_data`, and the restarts built over it, are built
+    once for `victim` and `eval_data` and kept for later calls on the same two objects
+    (`_flip_logits`): one pass serves a whole sweep group, and consecutive groups on
+    one quantized victim. Each trace equals `run_attack`'s for its pair, byte for byte.
     """
     partial = simulate_recovery(victim, rp, seed)
-    surrogates = {}
+    surrogates = {}  # recon -> (its codes' bytes, surrogate)
+    ranked = {}      # (ranking, codes' bytes) -> record tuple
     records = []
     for ranking, recon in methods:
         if recon not in surrogates:
-            surrogates[recon] = reconstruct_model(partial, recon)
-        records.append(ranking.select(surrogates[recon], n_bf, eval_data))
-    logits = _flip_logits(victim, records, eval_data)
+            s = reconstruct_model(partial, recon)
+            surrogates[recon] = (b"".join(c.tobytes() for c in s.codes), s)
+        key, s = surrogates[recon]
+        if (ranking, key) not in ranked:
+            ranked[ranking, key] = tuple(ranking.select(s, n_bf, eval_data))
+        records.append(ranked[ranking, key])
+    # the distinct lists, in first-use order; found by `==`, which mostly stops at the
+    # first record of two different lists, where a hash would read every record
+    lists = []
+    for recs in records:
+        if recs not in lists:
+            lists.append(recs)
+    logits = _flip_logits(victim, lists, eval_data)
+    accs = [tuple(top1_accuracy(next(logits), eval_data.labels) for _ in range(len(recs) + 1))
+            for recs in lists]
     nq = victim.params[0].bitwidth
     traces = []
     for (ranking, recon), recs in zip(methods, records):
-        accs = [top1_accuracy(next(logits), eval_data.labels) for _ in range(len(recs) + 1)]
         config = {"nq": nq, "rp": rp, "seed": seed, "ranking": ranking.name,
                   "recon": recon.value, "nbf": n_bf}
-        traces.append(AttackTrace(tuple(recs), tuple(accs), config))
+        traces.append(AttackTrace(recs, accs[lists.index(recs)], config))
     return traces
 
 

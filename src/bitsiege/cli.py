@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import hashlib
 import itertools
 import multiprocessing
@@ -48,8 +49,8 @@ RUN_KEYS = ("victim", "eval", *RUN_FILE_KEYS.values())
 
 def parse_config(path, keys):
     """key = value [value ...] lines of UTF-8 text; '#' starts a comment. A key not in
-    `keys` is an error."""
-    cfg = {}
+    `keys`, or set twice, is an error."""
+    cfg, where = {}, {}  # key -> values, line number
     with open(path, "rb") as f:
         lines = f.read().splitlines()
     for i, raw in enumerate(lines, start=1):
@@ -65,7 +66,10 @@ def parse_config(path, keys):
         key = key.strip()
         if key not in keys:
             raise _UsageError(f"{path} line {i}: unknown config key {key!r}")
-        cfg[key] = val.split()
+        if key in where:
+            raise _UsageError(f"{path} line {i}: config key {key!r} already set on line "
+                              f"{where[key]}")
+        cfg[key], where[key] = val.split(), i
     return cfg
 
 
@@ -183,9 +187,9 @@ def _run_group(victim, eval_ds, runs):
 
 def _run_all(cfg, runs, out, jobs=1):
     """Load the victim once, quantize it once per nq, check nbf against it (`_check_nbf`)
-    and the eval set against it (`check_dataset`), then run the runs in groups that share
-    (nq, rp, seed), one group per task on up to `jobs` processes, and write each trace to
-    `out`; returns the traces in run order.
+    and the eval set against it (`check_dataset`), and `out` (`_check_out`), then run the
+    runs in groups that share (nq, rp, seed), one group per task on up to `jobs`
+    processes, and write each trace to `out`; returns the traces in run order.
 
     `runs` comes from `_runs`, whose product order puts each group's runs together."""
     victim_path = _one(cfg, "victim")
@@ -201,6 +205,7 @@ def _run_all(cfg, runs, out, jobs=1):
         check_dataset(model.architecture, eval_ds)
     except ValueError as e:
         raise _UsageError(f"eval set {eval_path} for {victim_path}: {e}") from None
+    _check_out(out)
     groups = [list(g) for _, g in itertools.groupby(runs, lambda r: (r["nq"], r["rp"], r["seed"]))]
     work = [(victims[g[0]["nq"]], eval_ds, g) for g in groups]
     jobs = min(jobs, len(work))
@@ -214,6 +219,17 @@ def _run_all(cfg, runs, out, jobs=1):
     for trace in traces:
         save_trace(trace, _trace_path(out, trace))
     return traces
+
+
+def _check_out(out):
+    """Raise the OSError that `os.makedirs(out, exist_ok=True)` would raise on an `out`
+    that is, or lies under, an existing file that is not a directory; creates nothing."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        code = errno.EEXIST if path == os.path.abspath(out) else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), out)
 
 
 def _cfg_hash(cfg):

@@ -672,6 +672,79 @@ def test_a_call_on_another_victim_frees_the_held_pass(desk, monkeypatch):
     assert seen == [None] and alive() is None
 
 
+def nine_pairs(seed, recons=tuple(RECONS)):
+    """Every (ranking, recon) pair of a sweep group, in sweep order."""
+    return [(RANKINGS[r](seed), RECONS[c]) for r in RANKINGS for c in recons]
+
+
+@pytest.mark.parametrize("rp", [0.5, 1.0])
+def test_run_attacks_equals_run_attack_pair_by_pair(desk, tmp_path, rp):
+    q, test = desk["qmodel"], desk["test"]
+    methods = nine_pairs(3)
+    traces = attack.run_attacks(q, rp, 3, methods, 20, test)
+    assert len(traces) == len(methods)
+    got, ref = tmp_path / "got.trace", tmp_path / "ref.trace"
+    for (ranking, recon), tr in zip(methods, traces):
+        alone = bs.run_attack(q, rp, 3, ranking, recon, 20, test)
+        assert tr.records == alone.records and tr.accuracies == alone.accuracies
+        assert tr.config == alone.config
+        bs.save_trace(tr, got)
+        bs.save_trace(alone, ref)
+        assert got.read_bytes() == ref.read_bytes(), (ranking.name, recon.value)
+
+
+@pytest.fixture()
+def work_counts(monkeypatch):
+    """Calls of FL2R and gradient ranking, and restarts, made through `attack`."""
+    counts = {"fl2r": 0, "gradient": 0, "restart": 0}
+
+    def counted(key, fn):
+        def call(*a):
+            counts[key] += 1
+            return fn(*a)
+        return call
+    monkeypatch.setattr(attack, "select_vulnerable_bits",
+                        counted("fl2r", attack.select_vulnerable_bits))
+    monkeypatch.setattr(attack, "select_gradient_bits",
+                        counted("gradient", attack.select_gradient_bits))
+    monkeypatch.setattr(Workspace, "restart", counted("restart", Workspace.restart))
+    return counts
+
+
+def test_a_group_at_full_recovery_ranks_once_and_evaluates_each_list_once(desk, work_counts):
+    # every recon gives the victim's codes: one FL2R, one random and one gradient list
+    traces = attack.run_attacks(desk["qmodel"], 1.0, 2, nine_pairs(2), 12, desk["test"])
+    assert len({t.records for t in traces}) == 3
+    assert work_counts == {"fl2r": 1, "gradient": 1, "restart": 3 * 12}
+
+
+def test_a_group_below_full_recovery_evaluates_each_distinct_list_once(desk, work_counts):
+    traces = attack.run_attacks(desk["qmodel"], 0.5, 2, nine_pairs(2), 12, desk["test"])
+    distinct = {t.records for t in traces}
+    # the random list repeats across the recons; the surrogates differ, and so their lists
+    assert len(distinct) == 7
+    assert work_counts == {"fl2r": 3, "gradient": 3, "restart": 12 * len(distinct)}
+
+
+def test_run_attacks_raises_the_gradient_error_of_the_first_pair_that_fails(desk):
+    q, test = desk["qmodel"], desk["test"]
+    batch = bs.Dataset(test.inputs[:32], test.labels[:32])
+    partial = bs.simulate_recovery(q, 0.5, 0)
+
+    def error(recon):  # the gradient ranking's error on recon's surrogate, or None
+        try:
+            bs.select_gradient_bits(bs.reconstruct_model(partial, RECONS[recon]), batch, 470)
+        except ValueError as e:
+            return str(e)
+    errors = {recon: error(recon) for recon in ("allzeros", "allones", "czr")}
+    # allzeros has enough aligned flips; allones fails first, and czr with another count
+    assert errors["allzeros"] is None and errors["allones"] and errors["czr"]
+    assert errors["allones"] != errors["czr"]
+    with pytest.raises(ValueError) as e:
+        attack.run_attacks(q, 0.5, 0, nine_pairs(0, ("allzeros", "allones", "czr")), 470, test)
+    assert str(e.value) == errors["allones"]
+
+
 def backward_reference(arch, weights, ws, d):
     """`backward_layers` down to the batch: every layer's input gradient is built."""
     dws, dbs, p = [None] * len(weights), [None] * len(weights), len(weights)

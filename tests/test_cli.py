@@ -308,6 +308,23 @@ def test_unknown_config_key_is_one_error_line(workdir, tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, lines", [
+    ("attack", "nbf = 5\nnbf = 6\n"), ("sweep", "nbf = 5\n# a comment\n\nnbf = 6\n"),
+    ("train", "epochs = 1\nlr = 0.1\nepochs = 2\n")])
+def test_repeated_config_key_is_one_error_line(workdir, tmp_path, capsys, command, lines):
+    valid = ("per_class = 10\n" if command == "train" else
+             f"victim = {workdir / 'victim.model'}\neval = {workdir / 'test.data'}\n"
+             "nq = 8\nrp = 0.8\nranking = fl2r\nrecon = czr\n")
+    cfg = write_cfg(tmp_path / "d.cfg", valid + lines)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    first = valid.count("\n") + 1
+    key, last = lines.split()[0], first + lines.count("\n") - 1
+    assert err == [f"error: {cfg} line {last}: config key {key!r} already set on line {first}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["attack", "sweep", "train"])
 def test_config_that_is_not_utf8_is_one_error_line(workdir, tmp_path, capsys, command):
     valid = ("per_class = 10\nepochs = 1\n" if command == "train" else
@@ -508,6 +525,32 @@ def test_repeated_axis_value_is_one_error_line(workdir, tmp_path, capsys, comman
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key} ") and "distinct" in err[0], err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["attack", "sweep"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_that_cannot_be_a_directory_fails_before_any_run(workdir, tmp_path, capsys,
+                                                             monkeypatch, command, under):
+    runs = []
+    monkeypatch.setattr(cli, "run_attacks", lambda *a: runs.append(a))
+    cfg = write_cfg(tmp_path / "o.cfg", f"""
+victim = {workdir / 'victim.model'}
+eval = {workdir / 'test.data'}
+nq = 8
+rp = 0.8
+ranking = fl2r
+recon = czr
+nbf = 3
+""")
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out = blocker / "sub" if under else blocker
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error:") and str(out) in err[0], err
+    assert runs == []
+    assert sorted(os.listdir(tmp_path)) == ["o.cfg", "taken"]
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_report_summarizes_the_flips_every_trace_of_a_group_reaches(workdir, tmp_path):
