@@ -134,6 +134,7 @@ def cmd_train(args):
             raise _UsageError(f"classes must be <= {DATA_MAX_CLASSES}: .data files store labels as uint8")
         tc = synth.TrainConfig(**fields[synth.TrainConfig])
         arch = synth.desk_architecture(spec.classes, spec.input_shape)
+        _check_out(args.out)
         train_ds, test_ds = synth.gen_synthetic(spec)
     except ValueError as e:
         raise _UsageError(f"train config: {e}") from None

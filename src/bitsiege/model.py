@@ -501,7 +501,15 @@ def forward_layers(arch: Architecture, weights, biases, x, ws=None) -> np.ndarra
 def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True):
     """(dw, db, dx) of `_conv2d` at the patch matrix `cols` of an input shaped
     `x_shape` (N, C, H, W), given the output gradient `dout` (N, O, Ho, Wo); dx is
-    None unless `input_grad`."""
+    None unless `input_grad`.
+
+    col2im adds the (i, j) slices of the patch gradient, in row-major order, into a
+    zeros padded (C, H', W', N) buffer, so that numpy's loops run along the batch:
+    each entry of dx gets the same adds in the same order as in a padded
+    (C, N, H', W') buffer, so the same bits. dx is then copied into the layout that
+    buffer gives it, the (N, C, H, W) transpose of its unpadded part, because a conv
+    below sums its dout in memory order for its db, and another layout could give
+    other bits."""
     n, c, h, wd = x_shape
     o, _, k, _ = w.shape
     ho, wo = dout.shape[2], dout.shape[3]
@@ -510,24 +518,45 @@ def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True):
     db = dout.sum(axis=(0, 2, 3))
     if not input_grad:
         return dw, db, None
-    dcols = (w.reshape(o, -1).T @ d2).reshape(c, k, k, n, ho, wo)
-    dxp = np.zeros((c, n, h + 2 * padding, wd + 2 * padding))
+    dcols = (w.reshape(o, -1).T @ d2).reshape(c, k, k, n, ho, wo).transpose(0, 1, 2, 4, 5, 3)
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    acc = np.zeros((c, hp, wp, n))
     for i in range(k):
         for j in range(k):
-            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
-    dx = dxp[:, :, padding:padding + h, padding:padding + wd].transpose(1, 0, 2, 3)
-    return dw, db, dx
+            acc[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
+    dx = np.empty((c, n, hp, wp))[:, :, padding:padding + h, padding:padding + wd]
+    np.copyto(dx, acc[:, padding:padding + h, padding:padding + wd].transpose(0, 3, 1, 2))
+    return dw, db, dx.transpose(1, 0, 2, 3)
 
 
-def _pool_bwd(x, w, dout):
-    """Input gradient of `_maxpool` at `x`: each window's gradient goes to its first maximum."""
+def _pool_bwd(x, w, out, dout):
+    """Input gradient of `_maxpool` at `x`, whose result was `out`, given the output
+    gradient `dout`. Each window's gradient goes to its first entry, in row-major
+    order, equal to the window's maximum in `out` (its first NaN, if the maximum is
+    NaN): the entry `argmax` picks. Every other entry gets 0.0.
+
+    One pass per window offset, in row-major order, on (C, H, W, N) views as in
+    `_maxpool`: the entries at that offset that equal `out`, in windows not yet
+    taken, get `dout`. dx is a C-ordered (N, C, H, W) array, because a conv below
+    sums it in memory order for its db, and another layout could give other bits."""
     n, c, h, wd = x.shape
-    xr = x.reshape(n, c, h // w, w, wd // w, w).transpose(0, 1, 2, 4, 3, 5) \
-          .reshape(n, c, h // w, wd // w, w * w)
-    idx = xr.argmax(axis=-1)
-    dxr = np.zeros((n, c, h // w, wd // w, w * w))
-    np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
-    return dxr.reshape(n, c, h // w, wd // w, w, w).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, wd)
+    dx = np.empty((n, c, h, wd))  # each entry lies at one offset of one window
+    t, o, g, d = (a.transpose(1, 2, 3, 0) for a in (x, out, dout, dx))
+    g, d = g.view(np.int64), d.view(np.int64)  # bits: dout's times 1, or 0 (+0.0's)
+    offsets = [(slice(i, None, w), slice(j, None, w)) for i in range(w) for j in range(w)]
+    free = np.ones(o.shape, dtype=bool)  # the windows not yet taken
+    hit = np.empty(o.shape, dtype=bool)
+    for i, j in offsets:
+        np.equal(t[:, i, j], o, out=hit)
+        hit &= free
+        free ^= hit
+        np.multiply(g, hit, out=d[:, i, j])
+    if free.any():  # a NaN maximum equals no entry
+        for i, j in offsets:
+            hit = np.isnan(t[:, i, j]) & free
+            free ^= hit
+            np.copyto(d[:, i, j], g, where=hit)
+    return dx
 
 
 def backward_layers(arch: Architecture, weights, ws, dlogits):
@@ -535,7 +564,13 @@ def backward_layers(arch: Architecture, weights, ws, dlogits):
     parametric one: (weight grads, bias grads). The input gradient of that layer is
     never built, as nothing before it has parameters.
 
-    `ws`: the Workspace of a `forward_layers` pass."""
+    `ws`: the Workspace of a `forward_layers` pass; a MaxPool's backward reads the
+    maxima it stored. The gradients are those of a plain backward, bit for bit: a
+    pool window's gradient goes to its first entry, in row-major order, equal to the
+    window's maximum, as `argmax` picks it; col2im adds the patch gradient's (i, j)
+    slices in row-major order; and each input gradient has the memory layout of a
+    plain backward's (a pool's C-ordered, a conv's that of a padded (C, N, H', W')
+    col2im buffer), because a conv's db sums its dout in memory order."""
     dws, dbs = [None] * len(weights), [None] * len(weights)
     p = len(weights)
     d = dlogits
@@ -555,7 +590,7 @@ def backward_layers(arch: Architecture, weights, ws, dlogits):
         elif isinstance(layer, ReLU):
             d = d * (x > 0)
         elif isinstance(layer, MaxPool):
-            d = _pool_bwd(x, layer.window, d)
+            d = _pool_bwd(x, layer.window, ws.acts[pos + 1], d)
         else:  # Flatten
             d = d.reshape(x.shape)
     return dws, dbs

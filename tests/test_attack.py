@@ -9,10 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bitsiege as bs
 from bitsiege import attack
+from bitsiege import model as model_module
 from bitsiege.attack import RANKINGS, RECONS, RUN_CONFIG, FlipRecord, _flip_logits
 from bitsiege.cli import _cfg_hash
 from bitsiege.model import ModelFormatError, Workspace, backward_layers, forward_layers
-from bitsiege.model import _conv_bwd, _layer_out_shape, _pool_bwd, filter_count, filter_size
+from bitsiege.model import _conv_bwd, _layer_out_shape, _maxpool, _pool_bwd, filter_count, filter_size
 from bitsiege.synth import _softmax_ce
 from bitsiege.quantize import BITWIDTHS
 
@@ -745,36 +746,83 @@ def test_run_attacks_raises_the_gradient_error_of_the_first_pair_that_fails(desk
     assert str(e.value) == errors["allones"]
 
 
-def backward_reference(arch, weights, ws, d):
-    """`backward_layers` down to the batch: every layer's input gradient is built."""
-    dws, dbs, p = [None] * len(weights), [None] * len(weights), len(weights)
+def pool_bwd_reference(x, w, out, dout):
+    """`_pool_bwd` as argmax over each window's w * w entries and `put_along_axis`;
+    `out` is not used."""
+    n, c, h, wd = x.shape
+    xr = x.reshape(n, c, h // w, w, wd // w, w).transpose(0, 1, 2, 4, 3, 5) \
+          .reshape(n, c, h // w, wd // w, w * w)
+    idx = xr.argmax(axis=-1)
+    dxr = np.zeros((n, c, h // w, wd // w, w * w))
+    np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
+    return dxr.reshape(n, c, h // w, wd // w, w, w).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, wd)
+
+
+def conv_bwd_reference(cols, w, stride, padding, x_shape, dout, input_grad=True):
+    """`_conv_bwd` with col2im into a padded (C, N, H', W') buffer."""
+    n, c, h, wd = x_shape
+    o, _, k, _ = w.shape
+    ho, wo = dout.shape[2], dout.shape[3]
+    d2 = dout.transpose(1, 0, 2, 3).reshape(o, -1)
+    dw = (d2 @ cols.T).reshape(w.shape)
+    db = dout.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return dw, db, None
+    dcols = (w.reshape(o, -1).T @ d2).reshape(c, k, k, n, ho, wo)
+    dxp = np.zeros((c, n, h + 2 * padding, wd + 2 * padding))
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
+    dx = dxp[:, :, padding:padding + h, padding:padding + wd].transpose(1, 0, 2, 3)
+    return dw, db, dx
+
+
+def backward_to_batch(arch, weights, ws, d, conv_bwd, pool_bwd):
+    """`backward_layers` down to the batch, with `conv_bwd` and `pool_bwd` in place of
+    `_conv_bwd` and `_pool_bwd`: (weight grads, bias grads, the input gradient of
+    every layer, from the last layer down)."""
+    dws, dbs, p, grads = [None] * len(weights), [None] * len(weights), len(weights), []
     for pos in reversed(range(len(arch.layers))):
         layer, x = arch.layers[pos], ws.input(pos)
         if isinstance(layer, bs.Conv2D):
             p -= 1
-            dws[p], dbs[p], d = _conv_bwd(x, weights[p], layer.stride, layer.padding,
-                                          (len(d),) + arch.shapes[pos], d)
+            dws[p], dbs[p], d = conv_bwd(x, weights[p], layer.stride, layer.padding,
+                                         (len(d),) + arch.shapes[pos], d)
         elif isinstance(layer, bs.Dense):
             p -= 1
             dws[p], dbs[p], d = d.T @ x, d.sum(axis=0), d @ weights[p]
         elif isinstance(layer, bs.ReLU):
             d = d * (x > 0)
         elif isinstance(layer, bs.MaxPool):
-            d = _pool_bwd(x, layer.window, d)
+            d = pool_bwd(x, layer.window, ws.acts[pos + 1], d)
         else:
             d = d.reshape(x.shape)
-    return dws, dbs
+        grads.append(d)
+    return dws, dbs, grads
 
 
 def assert_gradients_match_reference(model, inputs, labels):
+    """The gradients of `backward_layers`, and the input gradient of every layer from the
+    live `_conv_bwd` and `_pool_bwd`, equal those of the references byte for byte; the
+    input gradients with the same strides."""
     arch = model.architecture
     ws = Workspace(arch)
     logits = forward_layers(arch, model.weights, model.biases, inputs, ws)
     _, dlogits = _softmax_ce(logits, labels)
     got = backward_layers(arch, model.weights, ws, dlogits)
-    ref = backward_reference(arch, model.weights, ws, dlogits)
-    for g, r in zip(got[0] + got[1], ref[0] + ref[1]):
+    live = backward_to_batch(arch, model.weights, ws, dlogits, _conv_bwd, _pool_bwd)
+    ref = backward_to_batch(arch, model.weights, ws, dlogits, conv_bwd_reference,
+                            pool_bwd_reference)
+    for g, r in zip(got[0] + got[1] + live[0] + live[1], 2 * (ref[0] + ref[1])):
         assert g.tobytes() == r.tobytes()
+    for g, r in zip(live[2], ref[2]):
+        assert g.tobytes() == r.tobytes() and g.strides == r.strides
+
+
+def tied(rng, shape):
+    """Inputs drawn from a few values, -0.0 among them: under weights of a few values, many
+    pool windows hold equal maxima, or only ReLU zeros."""
+    return rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], shape)
 
 
 def test_backward_skips_only_the_first_input_gradient_on_the_desk_victim(desk):
@@ -782,12 +830,57 @@ def test_backward_skips_only_the_first_input_gradient_on_the_desk_victim(desk):
     assert_gradients_match_reference(desk["model"], test.inputs[:32], test.labels[:32])
 
 
+@pytest.mark.parametrize("ties", [False, True])
+def test_backward_matches_the_reference_on_a_16x16_desk_architecture(ties):
+    rng = np.random.default_rng(5)
+    arch = bs.desk_architecture(4, (1, 16, 16))
+    model = bs.dequantize_model(random_qmodel(rng, 4 if ties else 8, arch))
+    _, test = bs.gen_synthetic(bs.SynthSpec(input_shape=(1, 16, 16), test_per_class=8))
+    inputs = tied(rng, test.inputs.shape) if ties else test.inputs
+    assert_gradients_match_reference(model, inputs, test.labels)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_backward_skips_only_the_first_input_gradient_on_random_architectures(data):
     arch = draw_architecture(data)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    model = bs.dequantize_model(random_qmodel(rng, 8, arch))
+    ties = data.draw(st.booleans())
+    model = bs.dequantize_model(random_qmodel(rng, 4 if ties else 8, arch))
     n = data.draw(st.integers(1, 12))
-    assert_gradients_match_reference(model, rng.standard_normal((n,) + arch.input_shape),
+    shape = (n,) + arch.input_shape
+    assert_gradients_match_reference(model, tied(rng, shape) if ties else rng.standard_normal(shape),
                                      rng.integers(0, arch.num_classes, n))
+
+
+def test_pool_backward_sends_each_window_to_its_first_maximum():
+    # windows: a NaN maximum (its first NaN), two equal maxima, and 0.0 against -0.0
+    x = np.array([[[[1.0, np.nan, 2.0, 2.0, -0.0, 0.0], [np.nan, 0.0, -0.0, 0.0, 0.0, -0.0]]]])
+    out, dout = _maxpool(x, 2), np.array([[[[3.0, -4.0, -0.0]]]])
+    got = _pool_bwd(x, 2, out, dout)
+    assert got.tobytes() == np.array([[[[0.0, 3.0, -4.0, 0.0, -0.0, 0.0], [0.0] * 6]]]).tobytes()
+    assert got.tobytes() == pool_bwd_reference(x, 2, out, dout).tobytes()
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_pool_backward_matches_the_reference_on_ties_signed_zeros_and_nans(w):
+    rng = np.random.default_rng(w)
+    for _ in range(30):
+        n, c, ho, wo = rng.integers(1, 4, 4)
+        values = [np.nan, -np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]
+        x = rng.choice(values, (c, n, ho * w, wo * w)).transpose(1, 0, 2, 3)  # a conv's layout
+        out, dout = _maxpool(x, w), rng.choice([-2.0, -0.0, 0.0, 3.0], (n, c, ho, wo))
+        got, ref = _pool_bwd(x, w, out, dout), pool_bwd_reference(x, w, out, dout)
+        assert got.tobytes() == ref.tobytes() and got.strides == ref.strides
+
+
+def test_training_with_the_reference_backward_gives_the_same_weights(monkeypatch):
+    spec = bs.SynthSpec(input_shape=(1, 16, 16), per_class=40)
+    train, _ = bs.gen_synthetic(spec)
+    arch, cfg = bs.desk_architecture(spec.classes, spec.input_shape), bs.TrainConfig(epochs=2)
+    live = bs.train(arch, train, cfg)
+    monkeypatch.setattr(model_module, "_conv_bwd", conv_bwd_reference)
+    monkeypatch.setattr(model_module, "_pool_bwd", pool_bwd_reference)
+    ref = bs.train(arch, train, cfg)
+    for a, b in zip(live.weights + live.biases, ref.weights + ref.biases):
+        assert a.tobytes() == b.tobytes()

@@ -553,6 +553,23 @@ nbf = 3
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_train_out_that_cannot_be_a_directory_fails_before_training(tmp_path, capsys,
+                                                                   monkeypatch, under):
+    calls = []
+    monkeypatch.setattr(cli.synth, "train", lambda *a: calls.append(a))
+    cfg = write_cfg(tmp_path / "t.cfg", "per_class = 10\ntest_per_class = 2\nepochs = 1\n")
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out = blocker / "sub" if under else blocker
+    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error:") and str(out) in err[0], err
+    assert calls == []
+    assert sorted(os.listdir(tmp_path)) == ["t.cfg", "taken"]
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_report_summarizes_the_flips_every_trace_of_a_group_reaches(workdir, tmp_path):
     out = tmp_path / "mixed"
     for nbf, seed in ((20, 0), (12, 1)):
