@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 from dataclasses import dataclass
 
@@ -122,8 +123,8 @@ def select_vulnerable_bits(model: QuantModel, n_bf: int):
         deq, qp, w = deqs[l], model.params[l], int(orders[l][f, k])
         records.append(FlipRecord(l, f, w, qp.bitwidth - 1))
         deq[f, w] = flip_bit(int(codes[l][f, w]), qp.bitwidth - 1, qp.bitwidth) * qp.scale
-        if k + 1 < deq.shape[1]:
-            heapq.heappush(heap, (-float(np.linalg.norm(deq[f]) / deq.shape[1]), l, f, k + 1))
+        if k + 1 < deq.shape[1]:  # the bits of np.linalg.norm(deq[f]), sqrt(x.dot(x))
+            heapq.heappush(heap, (-math.sqrt(deq[f].dot(deq[f])) / deq.shape[1], l, f, k + 1))
     return records
 
 

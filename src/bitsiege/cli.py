@@ -5,6 +5,7 @@ import argparse
 import csv
 import dataclasses
 import errno
+import functools
 import hashlib
 import itertools
 import multiprocessing
@@ -392,6 +393,7 @@ def cmd_verify(_args):
     return EXIT_VERIFY if failed else EXIT_OK
 
 
+@functools.cache  # once per process; main looks up cmd_<command> at each call
 def build_parser():
     parser = _Parser(prog="bitsiege", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -399,41 +401,34 @@ def build_parser():
     p = sub.add_parser("train", help="generate synthetic data, train, and save a victim")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("quantize", help="quantize a float model file")
     p.add_argument("--model", required=True)
     p.add_argument("--nq", type=int, required=True, choices=BITWIDTHS)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_quantize)
 
     p = sub.add_parser("attack", help="single end-to-end attack run")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_attack)
 
     p = sub.add_parser("sweep", help="Cartesian sweep over config axes")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed-base", type=int, default=None)
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("report", help="turn trace files into CSV tables")
     p.add_argument("results")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("verify", help="run built-in acceptance checks")
-    p.set_defaults(fn=cmd_verify)
+    sub.add_parser("verify", help="run built-in acceptance checks")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        return globals()[f"cmd_{args.command}"](args)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

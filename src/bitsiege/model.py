@@ -498,7 +498,7 @@ def forward_layers(arch: Architecture, weights, biases, x, ws=None) -> np.ndarra
     return x
 
 
-def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True):
+def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True, plain_layout=True):
     """(dw, db, dx) of `_conv2d` at the patch matrix `cols` of an input shaped
     `x_shape` (N, C, H, W), given the output gradient `dout` (N, O, Ho, Wo); dx is
     None unless `input_grad`.
@@ -506,10 +506,12 @@ def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True):
     col2im adds the (i, j) slices of the patch gradient, in row-major order, into a
     zeros padded (C, H', W', N) buffer, so that numpy's loops run along the batch:
     each entry of dx gets the same adds in the same order as in a padded
-    (C, N, H', W') buffer, so the same bits. dx is then copied into the layout that
-    buffer gives it, the (N, C, H, W) transpose of its unpadded part, because a conv
-    below sums its dout in memory order for its db, and another layout could give
-    other bits."""
+    (C, N, H', W') buffer, so the same bits. With `plain_layout`, dx is then copied
+    into the layout that buffer gives it, the (N, C, H, W) transpose of its unpadded
+    part, because a conv below may sum its dout in memory order for its db, and
+    another layout could give other bits. Otherwise dx is the (N, C, H, W) transpose
+    of the buffer's own unpadded part, with no copy: for a MaxPool below, which reads
+    its dout only elementwise."""
     n, c, h, wd = x_shape
     o, _, k, _ = w.shape
     ho, wo = dout.shape[2], dout.shape[3]
@@ -524,34 +526,49 @@ def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True):
     for i in range(k):
         for j in range(k):
             acc[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
+    acc = acc[:, padding:padding + h, padding:padding + wd]
+    if not plain_layout:
+        return dw, db, acc.transpose(3, 0, 1, 2)
     dx = np.empty((c, n, hp, wp))[:, :, padding:padding + h, padding:padding + wd]
-    np.copyto(dx, acc[:, padding:padding + h, padding:padding + wd].transpose(0, 3, 1, 2))
+    np.copyto(dx, acc.transpose(0, 3, 1, 2))
     return dw, db, dx.transpose(1, 0, 2, 3)
 
 
-def _pool_bwd(x, w, out, dout):
+def _pool_bwd(x, w, out, dout, relu=False):
     """Input gradient of `_maxpool` at `x`, whose result was `out`, given the output
     gradient `dout`. Each window's gradient goes to its first entry, in row-major
     order, equal to the window's maximum in `out` (its first NaN, if the maximum is
     NaN): the entry `argmax` picks. Every other entry gets 0.0.
 
+    `relu`: x is a ReLU's output, and the result is the gradient at that ReLU's input,
+    the ReLU's `d * (x > 0)` step folded in on the pooled grid as `dout * (out > 0)`.
+    This is exact: at the entry a window's gradient goes to, the ReLU's input is > 0
+    exactly when `out` is (a NaN or ±0 maximum included), and every other entry is
+    0.0 either way.
+
     One pass per window offset, in row-major order, on (C, H, W, N) views as in
     `_maxpool`: the entries at that offset that equal `out`, in windows not yet
-    taken, get `dout`. dx is a C-ordered (N, C, H, W) array, because a conv below
-    sums it in memory order for its db, and another layout could give other bits."""
+    taken, get `dout`. dout is read only elementwise, in any layout. dx is a C-ordered
+    (N, C, H, W) array, because a conv below sums it in memory order for its db, and
+    another layout could give other bits."""
     n, c, h, wd = x.shape
     dx = np.empty((n, c, h, wd))  # each entry lies at one offset of one window
     t, o, g, d = (a.transpose(1, 2, 3, 0) for a in (x, out, dout, dx))
+    if relu:
+        g = g * (o > 0)
     g, d = g.view(np.int64), d.view(np.int64)  # bits: dout's times 1, or 0 (+0.0's)
     offsets = [(slice(i, None, w), slice(j, None, w)) for i in range(w) for j in range(w)]
     free = np.ones(o.shape, dtype=bool)  # the windows not yet taken
     hit = np.empty(o.shape, dtype=bool)
-    for i, j in offsets:
+    for k, (i, j) in enumerate(offsets):
         np.equal(t[:, i, j], o, out=hit)
-        hit &= free
-        free ^= hit
+        if k:  # at the first offset, every window is free
+            hit &= free
+        if k < len(offsets) - 1:  # after the last, no offset reads free
+            free ^= hit
         np.multiply(g, hit, out=d[:, i, j])
-    if free.any():  # a NaN maximum equals no entry
+    np.isnan(o, out=free)  # the windows left: a NaN maximum equals no entry
+    if free.any():
         for i, j in offsets:
             hit = np.isnan(t[:, i, j]) & free
             free ^= hit
@@ -568,29 +585,37 @@ def backward_layers(arch: Architecture, weights, ws, dlogits):
     maxima it stored. The gradients are those of a plain backward, bit for bit: a
     pool window's gradient goes to its first entry, in row-major order, equal to the
     window's maximum, as `argmax` picks it; col2im adds the patch gradient's (i, j)
-    slices in row-major order; and each input gradient has the memory layout of a
-    plain backward's (a pool's C-ordered, a conv's that of a padded (C, N, H', W')
-    col2im buffer), because a conv's db sums its dout in memory order."""
+    slices in row-major order; and each input gradient a conv's db can read has the
+    memory layout of a plain backward's (a pool's C-ordered, a conv's that of a padded
+    (C, N, H', W') col2im buffer), because a conv's db sums its dout in memory order.
+    A ReLU under a MaxPool is folded into the pool's backward (`_pool_bwd`'s `relu`),
+    and a conv over a MaxPool hands the pool col2im's own layout, which the pool reads
+    only elementwise."""
+    layers = arch.layers
+    below, above = (None,) + layers, layers[1:] + (None,)  # the layers under and over pos
     dws, dbs = [None] * len(weights), [None] * len(weights)
     p = len(weights)
     d = dlogits
-    for pos in reversed(range(len(arch.layers))):
+    for pos in reversed(range(len(layers))):
         if not p:
             break
-        layer, x = arch.layers[pos], ws.input(pos)
+        layer, x = layers[pos], ws.input(pos)
         if isinstance(layer, Conv2D):
             p -= 1
             dws[p], dbs[p], d = _conv_bwd(x, weights[p], layer.stride, layer.padding,
-                                          (len(d),) + arch.shapes[pos], d, input_grad=p > 0)
+                                          (len(d),) + arch.shapes[pos], d, input_grad=p > 0,
+                                          plain_layout=not isinstance(below[pos], MaxPool))
         elif isinstance(layer, Dense):
             p -= 1
             dws[p] = d.T @ x
             dbs[p] = d.sum(axis=0)
             d = d @ weights[p] if p else None
         elif isinstance(layer, ReLU):
-            d = d * (x > 0)
+            if not isinstance(above[pos], MaxPool):
+                d = d * (x > 0)
         elif isinstance(layer, MaxPool):
-            d = _pool_bwd(x, layer.window, ws.acts[pos + 1], d)
+            d = _pool_bwd(x, layer.window, ws.acts[pos + 1], d,
+                          relu=isinstance(below[pos], ReLU))
         else:  # Flatten
             d = d.reshape(x.shape)
     return dws, dbs

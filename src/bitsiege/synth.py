@@ -1,6 +1,7 @@
 """Desk-scale victims: synthetic prototype datasets, cross-entropy loss and a small SGD trainer."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.classes < 4 or self.per_class < 1 or self.test_per_class < 1:
             raise ValueError("need >= 4 classes and positive sample counts")
-        if not self.noise >= 0:
-            raise ValueError("noise must be >= 0")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -39,8 +40,10 @@ class TrainConfig:
     seed: int = 2
 
     def __post_init__(self):
-        if self.epochs < 1 or not self.lr > 0 or self.batch_size < 1:
-            raise ValueError("epochs/lr/batch_size must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs/batch_size must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bitsiege as bs
 from bitsiege import attack
-from bitsiege import model as model_module
+from bitsiege import synth as synth_module
 from bitsiege.attack import RANKINGS, RECONS, RUN_CONFIG, FlipRecord, _flip_logits
 from bitsiege.cli import _cfg_hash
 from bitsiege.model import ModelFormatError, Workspace, backward_layers, forward_layers
@@ -411,10 +411,12 @@ def draw_flips(data, q):
 
 
 def draw_architecture(data):
-    """conv -> ReLU -> MaxPool -> conv, conv -> conv with no pool, or conv alone, under a
-    head of Flatten -> Dense, Flatten -> ReLU -> Dense, or Flatten -> Dense -> ReLU ->
-    Dense (a hidden dense layer); conv stride 1-2, padding 0-1, pool window 1-3."""
-    kind = data.draw(st.sampled_from(["conv-relu-pool-conv", "conv-conv", "conv"]))
+    """conv -> ReLU -> MaxPool -> conv, conv -> MaxPool -> conv (a pool with no ReLU under
+    it), conv -> conv with no pool, or conv alone, under a head of Flatten -> Dense,
+    Flatten -> ReLU -> Dense, or Flatten -> Dense -> ReLU -> Dense (a hidden dense layer);
+    conv stride 1-2, padding 0-1, pool window 1-3."""
+    kind = data.draw(st.sampled_from(["conv-relu-pool-conv", "conv-pool-conv", "conv-conv",
+                                      "conv"]))
     head = data.draw(st.sampled_from(["dense", "relu-dense", "hidden-dense"]))
     c_in = data.draw(st.integers(1, 2))
     size = data.draw(st.integers(3, 9))
@@ -427,6 +429,8 @@ def draw_architecture(data):
     if kind == "conv-relu-pool-conv":
         body = [first, bs.ReLU(), bs.MaxPool(data.draw(st.integers(1, 3))), conv(first.c_out),
                 bs.ReLU()]
+    elif kind == "conv-pool-conv":
+        body = [first, bs.MaxPool(data.draw(st.integers(1, 3))), conv(first.c_out)]
     elif kind == "conv-conv":
         body = [first, conv(first.c_out)]
     else:
@@ -777,46 +781,86 @@ def conv_bwd_reference(cols, w, stride, padding, x_shape, dout, input_grad=True)
     return dw, db, dx
 
 
-def backward_to_batch(arch, weights, ws, d, conv_bwd, pool_bwd):
-    """`backward_layers` down to the batch, with `conv_bwd` and `pool_bwd` in place of
-    `_conv_bwd` and `_pool_bwd`: (weight grads, bias grads, the input gradient of
-    every layer, from the last layer down)."""
-    dws, dbs, p, grads = [None] * len(weights), [None] * len(weights), len(weights), []
+def reference_backward(arch, weights, ws, d, grads=None):
+    """`backward_layers` before the ReLU fold: the ReLU step `d * (x > 0)` on the full grid,
+    `pool_bwd_reference` and `conv_bwd_reference`; (weight grads, bias grads). `grads`: a
+    dict that receives the input gradient of every layer, {pos: gradient}; the backward then
+    runs down to the batch."""
+    dws, dbs, p = [None] * len(weights), [None] * len(weights), len(weights)
     for pos in reversed(range(len(arch.layers))):
+        if not p and grads is None:
+            break
         layer, x = arch.layers[pos], ws.input(pos)
         if isinstance(layer, bs.Conv2D):
             p -= 1
-            dws[p], dbs[p], d = conv_bwd(x, weights[p], layer.stride, layer.padding,
-                                         (len(d),) + arch.shapes[pos], d)
+            dws[p], dbs[p], d = conv_bwd_reference(x, weights[p], layer.stride, layer.padding,
+                                                   (len(d),) + arch.shapes[pos], d,
+                                                   input_grad=p > 0 or grads is not None)
         elif isinstance(layer, bs.Dense):
             p -= 1
             dws[p], dbs[p], d = d.T @ x, d.sum(axis=0), d @ weights[p]
         elif isinstance(layer, bs.ReLU):
             d = d * (x > 0)
         elif isinstance(layer, bs.MaxPool):
-            d = pool_bwd(x, layer.window, ws.acts[pos + 1], d)
+            d = pool_bwd_reference(x, layer.window, ws.acts[pos + 1], d)
         else:
             d = d.reshape(x.shape)
-        grads.append(d)
-    return dws, dbs, grads
+        if grads is not None:
+            grads[pos] = d
+    return dws, dbs
+
+
+def live_input_gradients(arch, weights, ws, d):
+    """The input gradients of the live `_conv_bwd` and `_pool_bwd`, called as
+    `backward_layers` calls them, down to the batch: {pos: gradient at layer pos's input}.
+    A ReLU under a MaxPool has the pool's, which holds the ReLU's step; the pool has none.
+    Also {pos: whether the input gradient of conv pos goes to a MaxPool}."""
+    layers, grads, to_pool, p = arch.layers, {}, {}, len(weights)
+    for pos in reversed(range(len(layers))):
+        layer, x = layers[pos], ws.input(pos)
+        below = layers[pos - 1] if pos else None
+        if isinstance(layer, bs.Conv2D):
+            p -= 1
+            to_pool[pos] = isinstance(below, bs.MaxPool)
+            d = _conv_bwd(x, weights[p], layer.stride, layer.padding,
+                          (len(d),) + arch.shapes[pos], d, plain_layout=not to_pool[pos])[2]
+        elif isinstance(layer, bs.Dense):
+            p -= 1
+            d = d @ weights[p]
+        elif isinstance(layer, bs.ReLU):
+            if pos + 1 < len(layers) and isinstance(layers[pos + 1], bs.MaxPool):
+                continue  # folded into the pool above
+            d = d * (x > 0)
+        elif isinstance(layer, bs.MaxPool):
+            relu = isinstance(below, bs.ReLU)
+            d = _pool_bwd(x, layer.window, ws.acts[pos + 1], d, relu=relu)
+            pos -= relu  # the gradient at the folded ReLU's input
+        else:
+            d = d.reshape(x.shape)
+        grads[pos] = d
+    return grads, to_pool
 
 
 def assert_gradients_match_reference(model, inputs, labels):
-    """The gradients of `backward_layers`, and the input gradient of every layer from the
-    live `_conv_bwd` and `_pool_bwd`, equal those of the references byte for byte; the
-    input gradients with the same strides."""
+    """The gradients of `backward_layers` equal those of the unfused reference byte for
+    byte, and so does the input gradient of every layer from the live `_conv_bwd` and
+    `_pool_bwd`; each with the reference's strides where a conv's db may read it: all but
+    a conv's input gradient that goes to a MaxPool, which reads it only elementwise."""
     arch = model.architecture
     ws = Workspace(arch)
     logits = forward_layers(arch, model.weights, model.biases, inputs, ws)
     _, dlogits = _softmax_ce(logits, labels)
     got = backward_layers(arch, model.weights, ws, dlogits)
-    live = backward_to_batch(arch, model.weights, ws, dlogits, _conv_bwd, _pool_bwd)
-    ref = backward_to_batch(arch, model.weights, ws, dlogits, conv_bwd_reference,
-                            pool_bwd_reference)
-    for g, r in zip(got[0] + got[1] + live[0] + live[1], 2 * (ref[0] + ref[1])):
+    ref = reference_backward(arch, model.weights, ws, dlogits)
+    for g, r in zip(got[0] + got[1], ref[0] + ref[1]):
         assert g.tobytes() == r.tobytes()
-    for g, r in zip(live[2], ref[2]):
-        assert g.tobytes() == r.tobytes() and g.strides == r.strides
+    ref_grads = {}
+    reference_backward(arch, model.weights, ws, dlogits, ref_grads)
+    live, to_pool = live_input_gradients(arch, model.weights, ws, dlogits)
+    for pos, g in live.items():
+        r = ref_grads[pos]
+        assert g.tobytes() == r.tobytes()
+        assert to_pool.get(pos) or g.strides == r.strides
 
 
 def tied(rng, shape):
@@ -874,13 +918,30 @@ def test_pool_backward_matches_the_reference_on_ties_signed_zeros_and_nans(w):
         assert got.tobytes() == ref.tobytes() and got.strides == ref.strides
 
 
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_pool_backward_with_the_relu_folded_in_matches_the_reference(w):
+    # the ReLU's input holds NaNs, infinities and zeros of both signs; dout comes in the
+    # (C, H, W, N) layout of the col2im buffer of a conv above
+    rng = np.random.default_rng(10 + w)
+    values = [np.nan, -np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]
+    for _ in range(30):
+        n, c, ho, wo = rng.integers(1, 4, 4)
+        conv = rng.choice(values, (c, n, ho * w, wo * w)).transpose(1, 0, 2, 3)
+        x = np.maximum(conv, 0.0)
+        out = _maxpool(x, w)
+        dout = rng.choice([-2.0, -0.0, 0.0, 3.0, np.inf, np.nan], (c, ho, wo, n)).transpose(3, 0, 1, 2)
+        with np.errstate(invalid="ignore"):  # inf * 0.0
+            got = _pool_bwd(x, w, out, dout, relu=True)
+            ref = pool_bwd_reference(x, w, out, dout) * (conv > 0)
+        assert got.tobytes() == ref.tobytes() and got.flags.c_contiguous
+
+
 def test_training_with_the_reference_backward_gives_the_same_weights(monkeypatch):
     spec = bs.SynthSpec(input_shape=(1, 16, 16), per_class=40)
     train, _ = bs.gen_synthetic(spec)
     arch, cfg = bs.desk_architecture(spec.classes, spec.input_shape), bs.TrainConfig(epochs=2)
     live = bs.train(arch, train, cfg)
-    monkeypatch.setattr(model_module, "_conv_bwd", conv_bwd_reference)
-    monkeypatch.setattr(model_module, "_pool_bwd", pool_bwd_reference)
+    monkeypatch.setattr(synth_module, "backward_layers", reference_backward)
     ref = bs.train(arch, train, cfg)
     for a, b in zip(live.weights + live.biases, ref.weights + ref.biases):
         assert a.tobytes() == b.tobytes()

@@ -61,6 +61,26 @@ def test_bad_train_config_is_one_error_line(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["noise", "lr"])
+def test_non_finite_noise_or_lr_is_refused_before_training(tmp_path, capsys, monkeypatch, key):
+    # noise = inf used to train on all-inf inputs, then report a diverged loss
+    monkeypatch.setattr(cli.synth, "train", lambda *a: pytest.fail("training started"))
+    cfg = write_cfg(tmp_path / "t.cfg", f"per_class = 10\ntest_per_class = 2\n{key} = inf\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: train config: {key} must be finite"), err
+    assert not out.exists()
+
+
+def test_main_builds_one_parser_and_finds_each_command_at_call_time(monkeypatch, capsys):
+    # a function bound over cli.cmd_<command> after the parser was built still runs
+    parser, calls = cli.build_parser(), []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args.command) or EXIT_OK)
+    assert main(["verify"]) == EXIT_OK and calls == ["verify"]
+    assert cli.build_parser() is parser
+
+
 def test_train_refuses_weights_beyond_float32(tmp_path, capsys):
     # lr 1e6 does not make the loss non-finite, but grows weights past float32
     cfg = write_cfg(tmp_path / "t.cfg", "per_class = 20\nepochs = 2\nlr = 1000000\n")

@@ -122,10 +122,10 @@ def test_bad_specs_rejected():
         bs.SynthSpec(noise=-0.1)
     with pytest.raises(ValueError):
         bs.TrainConfig(lr=0.0)
-    for bad in (dict(noise=float("nan")), dict(seed=-1)):
+    for bad in (dict(noise=float("nan")), dict(noise=float("inf")), dict(seed=-1)):
         with pytest.raises(ValueError):
             bs.SynthSpec(**bad)
-    for bad in (dict(lr=float("nan")), dict(seed=-1)):
+    for bad in (dict(lr=float("nan")), dict(lr=float("inf")), dict(seed=-1)):
         with pytest.raises(ValueError):
             bs.TrainConfig(**bad)
     with pytest.raises(ValueError):
