@@ -349,9 +349,10 @@ def _verify_gradient():
 
 def _verify_incremental():
     rng = np.random.default_rng(11)
-    # a padded conv, then a strided one: restarts rewrite copied patch-matrix rows
-    arch = Architecture((Conv2D(1, 4, 3, 1, 1), ReLU(), MaxPool(2), Conv2D(4, 6, 3, 2, 1), ReLU(),
-                         Flatten(), Dense(24, 3)), (1, 8, 8), 3)
+    # a padded conv, then a strided one: restarts rewrite copied patch-matrix rows; the
+    # second's 5 filters make its last two-row block share a row with the one before
+    arch = Architecture((Conv2D(1, 4, 3, 1, 1), ReLU(), MaxPool(2), Conv2D(4, 5, 3, 2, 1), ReLU(),
+                         Flatten(), Dense(20, 3)), (1, 8, 8), 3)
     layers = [l for _, l in arch.parametric_layers()]
     victim = QuantModel(arch, [QuantParams(8, 0.02)] * len(layers),
                         [rng.integers(-128, 128, weight_shape(l)).astype(np.int16) for l in layers],
@@ -378,8 +379,9 @@ def _verify_incremental():
                       for pos, layer in arch.parametric_layers() if isinstance(layer, Conv2D))
     return evaluate_flips(victim, records, data) == accs, (
         f"incremental evaluator vs apply_flips + accuracy_quant over {len(records)} flips, "
-        "then both halves from the restored baseline (padded and strided convs, pool, "
-        f"dense): logits bit-identical, accuracies equal; conv restarts: {paths}")
+        "then both halves from the restored baseline (padded and strided convs, an odd "
+        "filter count, pool, dense): logits bit-identical, accuracies equal; "
+        f"conv restarts: {paths}")
 
 
 def cmd_verify(_args):

@@ -193,7 +193,9 @@ class Workspace:
     place; `restart(p, f)` re-runs the network after filter f of parametric layer p
     changed, with only the numpy calls whose outputs change. Those calls are built
     once per (p, f), on its first restart, over the arrays they write in their final
-    form: a conv's (O, N*Ho*Wo) product, its weight matrix, a Dense's `W.T`.
+    form: a conv's (O, N*Ho*Wo) product, its weight matrix, a Dense's `W.T`. Each
+    call writes a stored array, or rows of one; a conv's is the same `_conv2d` call
+    as the first pass's, on a block of rows or on all of them.
 
     `save` copies what a restart may rewrite, and `restore` copies back in place what
     the restarts since then rewrote, so the workspace holds the saved pass again, in
@@ -245,22 +247,21 @@ class Workspace:
         self.positions = list(self.index)
         self.steps = {}    # (p, f) -> the calls of that restart
         self.tails = {}    # position -> the calls that re-run it and every later layer in full
-        self.scratch = None
 
     def restart(self, p, f):
         """Re-run the network after filter `f` of parametric layer `p` changed in the
         bound weights; returns the logits, the stored array rewritten in place.
 
-        A Conv2D runs a GEMM of the two-row block of its weight matrix that holds row
-        f into a scratch buffer, and copies back row f, plus its bias. numpy hands a
-        one-row product `W[f:f+1] @ cols` to gemv, whose sums need not give the full
-        GEMM's bits; so the block runs only where `two_row_blocks` has shown that it
-        gives them, and elsewhere the full GEMM does, whose other rows come out as
-        stored. The layers after it run on channel f only (ReLU, MaxPool and Flatten
-        are elementwise or copies), and the next Conv2D rewrites only channel f's
-        rows of its patch matrix. From the next parametric layer on, and after a
-        Dense, every layer runs in full. So the logits equal a fresh full pass bit
-        for bit.
+        A Conv2D runs one GEMM, plus the bias, straight into rows of its stored
+        product: those of the two-row block of its weight matrix that holds row f.
+        numpy hands a one-row product `W[f:f+1] @ cols` to gemv, whose sums need not
+        give the full GEMM's bits; so the block runs only where `two_row_blocks` has
+        shown that every block gives them, and elsewhere the GEMM of every row does.
+        Either way the rows other than f come out as stored. The layers after it run
+        on channel f only (ReLU, MaxPool and Flatten are elementwise or copies), and
+        the next Conv2D rewrites only channel f's rows of its patch matrix. From the
+        next parametric layer on, and after a Dense, every layer runs in full. So the
+        logits equal a fresh full pass bit for bit.
         """
         calls = self.steps.get((p, f))
         if calls is None:
@@ -334,7 +335,7 @@ class Workspace:
             return False
         key = (w.shape, cols.shape, cols.strides)
         if key not in _BLOCKS_EXACT:
-            _BLOCKS_EXACT[key] = _blocks_exact(w, cols, self._scratch((len(w), cols.shape[1])))
+            _BLOCKS_EXACT[key] = _blocks_exact(w, cols)
         return _BLOCKS_EXACT[key]
 
     def _operands(self, pos):
@@ -342,27 +343,18 @@ class Workspace:
         w = self.weights[self.index[pos]]
         return w.reshape(len(w), -1), self.patches[pos][1]
 
-    def _scratch(self, shape):
-        """A `shape` view of the one scratch buffer, as large as the largest conv output."""
-        if self.scratch is None:
-            self.scratch = np.empty(max(self.acts[q + 1].size for q in self.index
-                                        if isinstance(self.arch.layers[q], Conv2D)))
-        return self.scratch[:math.prod(shape)].reshape(shape)
-
     def _gemm(self, pos, row=None):
-        """The call that re-runs a Conv2D's GEMM over its stored patch matrix, into its
-        stored (O, N*Ho*Wo) product; with `row`, that row only, from a GEMM into the
-        scratch buffer of the two-row block of weight rows that holds it
-        (`two_row_blocks`), or else of every row."""
+        """The call that re-runs a Conv2D's GEMM over its stored patch matrix into rows
+        of its stored (O, N*Ho*Wo) product, in place: with `row`, the rows of the two-row
+        block of weight rows that holds it, where `two_row_blocks` holds; else every row."""
         (w, cols), b = self._operands(pos), self.biases[self.index[pos]]
         out = self.acts[pos + 1].transpose(1, 0, 2, 3).reshape(len(w), -1)  # a view, by layout
-        if row is None:
-            return lambda: _conv2d(cols, w, b, out)
-        if self.two_row_blocks(pos):
+        rows = slice(None)
+        if row is not None and self.two_row_blocks(pos):
             lo = _block_start(row, len(w))
-            w, b, out, row = w[lo:lo + 2], b[lo:lo + 2], out[lo:lo + 2], row - lo
-        scratch = self._scratch(out.shape)
-        return lambda: _conv2d(cols, w, b, out, row, scratch)
+            rows = slice(lo, lo + 2)
+        w, b, out = w[rows], b[rows], out[rows]
+        return lambda: _conv2d(cols, w, b, out)  # looked up at each call, for tracers
 
 
 # (weight matrix shape, patch matrix shape, patch matrix strides) -> `_blocks_exact`
@@ -374,14 +366,13 @@ def _block_start(row, o):
     return min(row - row % 2, o - 2)
 
 
-def _blocks_exact(w, cols, full):
+def _blocks_exact(w, cols):
     """Whether each two-row block GEMM that a restart can run, `w[lo:lo + 2] @ cols`,
     gives rows lo and lo + 1 of the full GEMM `w @ cols` bit for bit, for the live
-    operands and for two random weight matrices of w's shape; the full GEMM goes into
-    `full`, an array of its shape. A BLAS may block a GEMM of two rows otherwise than
-    one of all rows, and sum in another order."""
+    operands and for two random weight matrices of w's shape. A BLAS may block a GEMM
+    of two rows otherwise than one of all rows, and sum in another order."""
     blocks = sorted({_block_start(f, len(w)) for f in range(len(w))})
-    part = np.empty((2,) + full.shape[1:])
+    full, part = np.empty((len(w), cols.shape[1])), np.empty((2, cols.shape[1]))
     rng = np.random.default_rng(0)
     for a in (w, rng.standard_normal(w.shape), rng.standard_normal(w.shape)):
         np.matmul(a, cols, out=full)
@@ -418,23 +409,17 @@ def _patches(x, kernel, stride, padding, bufs=None):
     return cols
 
 
-def _conv2d(cols, w, b, out=None, row=None, scratch=None):
+def _conv2d(cols, w, b, out=None):
     """Convolution as one GEMM of the (O, C*k*k) weight matrix `w` over the patch
     matrix `cols` of `_patches`, plus the bias: the (O, N*Ho*Wo) product, whose
     (N, O, Ho, Wo) transpose is the layer's output.
 
     `out`: a product this function returned for the same shapes (or a block of its
-    rows, for the same block of `w` and `b`), rewritten in place. `row`: the one row
-    of `w` that changed since `out` was written; the GEMM then goes into `scratch`,
-    an array of out's shape, and only its row `row`, plus the bias, into `out`. The
-    bias is added in place: a fresh `product + bias` array cost far more than the
-    GEMM (page faults on every call), for the same bits."""
-    if row is None:
-        out = np.matmul(w, cols, out=out)
-        out += b[:, None]
-        return out
-    np.matmul(w, cols, out=scratch)
-    np.add(scratch[row], b[row], out=out[row])
+    rows, for the same block of `w` and `b`), rewritten in place. The bias is added
+    in place: a fresh `product + bias` array cost far more than the GEMM (page faults
+    on every call), for the same bits."""
+    out = np.matmul(w, cols, out=out)
+    out += b[:, None]
     return out
 
 
