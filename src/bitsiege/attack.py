@@ -202,8 +202,8 @@ def apply_flips(victim: QuantModel, records) -> QuantModel:
 class _VictimPass:
     """What `_flip_logits` builds from one victim and eval set, kept for later calls on
     the same two objects: the dequantized victim, copies of the codes and weights that
-    flips rewrite, and a Workspace that holds the baseline pass, saved, with restarts
-    bound to those weights."""
+    flips rewrite, and a Workspace that holds the baseline pass, with restarts bound to
+    those weights."""
 
     def __init__(self, victim: QuantModel, eval_data: Dataset):
         self.victim, self.eval_data = victim, eval_data
@@ -215,18 +215,15 @@ class _VictimPass:
                        for c, w, qp in zip(self.codes, self.weights, victim.params)]
         self.ws = Workspace(victim.architecture)
         self.baseline = forward_batch(self.fm, eval_data.inputs, self.ws)
-        self.ws.save()
         self.ws.bind(self.weights, self.fm.biases)
-        self.fresh = True  # no flip since the baseline pass
 
     def reset(self):
-        """Bring the workspace, codes and weights back to the baseline; returns the
-        baseline logits."""
-        if not self.fresh:
-            self.ws.restore()
-            for a, b in zip(self.codes + self.weights, self.victim.codes + self.fm.weights):
-                np.copyto(a, b)
-        self.fresh = False
+        """Bring the codes, weights and workspace back to the baseline; returns the
+        baseline logits. The workspace re-runs from the lowest layer flipped since the
+        last reset, if any, once the weights are back (`Workspace.restore`)."""
+        for a, b in zip(self.codes + self.weights, self.victim.codes + self.fm.weights):
+            np.copyto(a, b)
+        self.ws.restore()
         return self.baseline
 
 
@@ -253,7 +250,8 @@ def _flip_logits(victim: QuantModel, record_lists, eval_data: Dataset):
     The logits equal `forward_batch` of the list's `apply_flips` victim, dequantized,
     bit for bit, and no list sees another's flips. A flip rewrites one code and one
     weight and re-runs the network from its parametric layer on (`Workspace.restart`);
-    each list starts from the saved baseline pass (`Workspace.save`/`restore`).
+    each list starts from the baseline pass, which `Workspace.restore` rebuilds in
+    place by re-running from the lowest layer the list before it flipped.
 
     That pass, with the dequantized victim and the restarts built over it, is kept
     between calls (`_VictimPass`): a thread holds at most one, keyed on the identity
@@ -302,7 +300,8 @@ def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
     victim's baseline pass over `eval_data`, and the restarts built over it, are built
     once for `victim` and `eval_data` and kept for later calls on the same two objects
     (`_flip_logits`): one pass serves a whole sweep group, and consecutive groups on
-    one quantized victim. Each trace equals `run_attack`'s for its pair, byte for byte.
+    one quantized victim; before each later list it is re-run in place from the lowest
+    layer flipped since. Each trace equals `run_attack`'s for its pair, byte for byte.
     """
     partial = simulate_recovery(victim, rp, seed)
     surrogates = {}  # recon -> (its codes' bytes, surrogate)
@@ -361,7 +360,7 @@ def load_trace(path) -> AttackTrace:
         raise ModelFormatError(f"{path} byte {e.start}: trace is not UTF-8 text") from None
     if not lines or lines[0] != TRACE_MAGIC:
         raise ModelFormatError(f"{path} line 1: expected magic {TRACE_MAGIC!r}")
-    cfg, records, accs = {}, [], []
+    cfg, where, records, accs = {}, {}, [], []  # where: config field -> line number
     for i, line in enumerate(lines[1:], start=2):
         tok = line.split()
         try:
@@ -371,8 +370,11 @@ def load_trace(path) -> AttackTrace:
                 records.append(FlipRecord(*(int(t) for t in tok[1:])))
             elif tok[0] == "acc":
                 accs.append(float(tok[1]))
+            elif tok[0] in where:
+                raise ModelFormatError(f"{path} line {i}: config field {tok[0]!r} already "
+                                       f"set on line {where[tok[0]]}")
             elif tok[0] in RUN_CONFIG:
-                cfg[tok[0]] = RUN_CONFIG[tok[0]][0](tok[1])
+                cfg[tok[0]], where[tok[0]] = RUN_CONFIG[tok[0]][0](tok[1]), i
             else:
                 raise ModelFormatError(f"{path} line {i}: unknown field {tok[0]!r}")
         except (ValueError, IndexError) as e:

@@ -197,55 +197,29 @@ class Workspace:
     call writes a stored array, or rows of one; a conv's is the same `_conv2d` call
     as the first pass's, on a block of rows or on all of them.
 
-    `save` copies what a restart may rewrite, and `restore` copies back in place what
-    the restarts since then rewrote, so the workspace holds the saved pass again, in
-    the same arrays.
+    `restore` brings the workspace back to its first pass, in the same arrays, once
+    the caller has put the bound weights back: it re-runs every layer from the lowest
+    parametric layer restarted since `bind` or the last restore, over all channels.
     """
 
     def __init__(self, arch: Architecture):
         self.arch = arch
         self.acts = [None] * (len(arch.layers) + 1)
         self.patches = [[None, None] for _ in arch.layers]
-        self.saved = []
-        self.lowest = len(arch.layers)  # the lowest position restarted since save/restore
 
     def input(self, pos):
         """What layer `pos` consumes: a Conv2D's patch matrix, any other layer's input."""
         return self.patches[pos][1] if isinstance(self.arch.layers[pos], Conv2D) else self.acts[pos]
 
-    def save(self):
-        """Copy every stored activation after the batch, and the padded input and patch
-        matrix of every Conv2D after the first (the first one's come from the batch,
-        which no restart rewrites). A read-only view, or a view of an array already
-        copied, follows its base and is left out.
-
-        Each copy is tagged with the position of the layer whose input it holds (or
-        its patches): a restart at position q rewrites the inputs of the layers after
-        q only."""
-        convs = [pos for pos, layer in enumerate(self.arch.layers) if isinstance(layer, Conv2D)]
-        arrays = [(a, k) for k, a in enumerate(self.acts) if k]
-        arrays += [(a, pos) for pos in convs[1:] for a in self.patches[pos]]
-        self.saved = []
-        for a, k in arrays:
-            if a.flags.writeable and not any(np.may_share_memory(a, b) for b, _, _ in self.saved):
-                self.saved.append((a, k, np.copy(a)))  # np.copy keeps the layout
-        self.lowest = len(self.arch.layers)
-
-    def restore(self):
-        """Copy back into place the saved arrays that a restart since the last save or
-        restore rewrote: those of the layers after the lowest position restarted."""
-        for a, k, copy in self.saved:
-            if k > self.lowest:
-                np.copyto(a, copy)
-        self.lowest = len(self.arch.layers)
-
     def bind(self, weights, biases):
         """Tie restarts to `weights` and `biases`, one array per parametric layer, equal
-        to those of the pass stored here; the caller then changes the weights in place."""
+        to those of the pass stored here; the caller then changes the weights in place,
+        and puts them back before a `restore`."""
         self.weights, self.biases = weights, biases
         self.index = {pos: p for p, (pos, _) in enumerate(self.arch.parametric_layers())}
         self.positions = list(self.index)
-        self.steps = {}    # (p, f) -> the calls of that restart
+        self.lowest = len(self.positions)  # the lowest p restarted since bind/restore
+        self.steps = {}    # (p, f) -> the calls of that restart; f None: every filter
         self.tails = {}    # position -> the calls that re-run it and every later layer in full
 
     def restart(self, p, f):
@@ -266,16 +240,30 @@ class Workspace:
         calls = self.steps.get((p, f))
         if calls is None:
             calls = self.steps[p, f] = self._restart_calls(p, f)
-        self.lowest = min(self.lowest, self.positions[p])
+        self.lowest = min(self.lowest, p)
         for call in calls:
             call()
         return self.acts[-1]
+
+    def restore(self):
+        """Re-run the network, with the bound weights as the first pass had them, from
+        the lowest parametric layer restarted since `bind` or the last restore, with
+        the full GEMM and every channel; the workspace then holds the first pass's
+        bits, as a restart's full tail does. With nothing restarted it runs nothing."""
+        p, self.lowest = self.lowest, len(self.positions)
+        if p < len(self.positions):
+            calls = self.steps.get((p, None))
+            if calls is None:
+                calls = self.steps[p, None] = self._restart_calls(p, None)
+            for call in calls:
+                call()
 
     def _restart_calls(self, p, f):
         pos = self.positions[p]
         if isinstance(self.arch.layers[pos], Dense):
             return self._calls(pos, slice(None))
-        return [self._gemm(pos, f)] + self._calls(pos + 1, slice(f, f + 1))
+        ch = slice(None) if f is None else slice(f, f + 1)
+        return [self._gemm(pos, f)] + self._calls(pos + 1, ch)
 
     def _calls(self, pos, ch):
         """The calls that bring layers `pos` on up to date after channels `ch` of layer

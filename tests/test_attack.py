@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -500,7 +501,7 @@ def test_flip_lists_through_the_full_gemm_on_random_architectures(data):
 @pytest.mark.parametrize("conv1_first", [False, True])
 def test_lists_that_spare_conv1_restore_around_lists_that_flip_it(desk, blocks, conv1_first):
     # A list that flips only conv2 and dense weights leaves conv1's output, ReLU and pool
-    # as saved, so the restore after it copies back less than after a conv1 flip.
+    # as the first pass left them, so the restore after it re-runs from conv2 on only.
     q, data = fresh_inputs(desk, 64)
     picks = bs.select_random_bits(q, 600, 4)
     by_layer = [[r for r in picks if r.layer == l] for l in range(3)]
@@ -589,10 +590,15 @@ def test_load_trace_rejects_inconsistent_traces(tmp_path, desk):
         key = line.split()[0]
         cases[line] = [line if l.split()[0] == key else l for l in lines]
     cases["nbf 0"] = [l.replace("nbf 3", "nbf 0") for l in header] + accs[:1]
-    for text in cases.values():
+    # a config field given twice: the last value must not win
+    nq = header.index("nq 8") + 1
+    cases["nq twice"] = header[:nq] + ["nq 4"] + header[nq:] + flips + accs
+    for name, text in cases.items():
         p.write_text("\n".join(text) + "\n", encoding="utf-8")
-        with pytest.raises(ModelFormatError, match=str(p)):
+        with pytest.raises(ModelFormatError, match=str(p)) as e:
             bs.load_trace(p)
+        if name == "nq twice":
+            assert f"line {nq + 1}:" in str(e.value) and "line 2" in str(e.value)
     p.write_bytes(b"bitsiege-trace-v1\nrecon \xff\n")
     with pytest.raises(ModelFormatError):
         bs.load_trace(p)
@@ -658,6 +664,24 @@ def test_abandoned_generator_hands_back_a_pass_that_restores(desk, pass_builds):
     other = [bs.select_random_bits(q, 30, 3)]
     assert_fresh_logits(_flip_logits(q, other, data), q, other, data)
     assert len(pass_builds) == 1
+
+
+def test_a_victim_pass_holds_one_copy_of_the_baseline_pass(desk):
+    # the baseline is rebuilt by re-running (`Workspace.restore`), not kept twice
+    q, test = desk["qmodel"], desk["test"]
+    tracemalloc.start()
+    try:
+        vp = attack._VictimPass(q, test)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    kept = []  # the stored arrays, one per block of memory; each view here spans its base
+    for a in sorted(vp.ws.acts + [a for pair in vp.ws.patches for a in pair if a is not None],
+                    key=lambda a: -a.nbytes):
+        if not any(np.may_share_memory(a, b) for b in kept + [test.inputs]):
+            kept.append(a)
+    copies = vp.codes + vp.weights + vp.fm.weights
+    assert held < sum(a.nbytes for a in kept + copies) + 64 * 1024
 
 
 def test_a_call_on_another_victim_frees_the_held_pass(desk, monkeypatch):

@@ -512,24 +512,45 @@ def test_block_probe_rejects_a_block_one_ulp_off(monkeypatch, nudged):
 
 
 @pytest.mark.parametrize("n", [1, 5])
-def test_workspace_restore_returns_every_array_to_the_saved_pass(n):
+def test_workspace_restore_returns_every_array_to_the_first_pass(n, monkeypatch):
     # padded convs after the first, one strided with a copied patch matrix and one 1x1
     # over a single channel whose patch matrix is a read-only view of its padded input
-    arch = bs.Architecture((bs.Conv2D(1, 2, 3, 1, 1), bs.ReLU(), bs.Conv2D(2, 1, 3, 2, 1),
-                            bs.ReLU(), bs.Conv2D(1, 2, 1, 1, 1), bs.Flatten(), bs.Dense(72, 3)),
-                           (1, 8, 8), 3)
+    arch = bs.Architecture((bs.Conv2D(1, 2, 3, 1, 1), bs.ReLU(), bs.MaxPool(2),
+                            bs.Conv2D(2, 1, 3, 2, 1), bs.ReLU(), bs.Conv2D(1, 2, 1, 1, 1),
+                            bs.Flatten(), bs.Dense(32, 3)), (1, 8, 8), 3)
     rng = np.random.default_rng(n)
     model = random_model(arch, rng)
     ws = Workspace(arch)
     bs.forward_batch(model, rng.standard_normal((n, 1, 8, 8)), ws)
     arrays = stored_arrays(ws)
     before = [a.tobytes() for a in arrays]
-    ws.save()
-    other = [w + 1.0 for w in model.weights]
-    ws.bind(other, model.biases)
-    for p, (_, layer) in enumerate(arch.parametric_layers()):
-        for f in range(filter_count(layer)):
-            ws.restart(p, f)
-    assert [a.tobytes() for a in arrays] != before
-    ws.restore()
-    assert [a.tobytes() for a in arrays] == before
+    weights = [w.copy() for w in model.weights]
+    ws.bind(weights, model.biases)
+    calls = []  # the names of the conv and pool calls made
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+    for name in ("_conv2d", "_maxpool"):
+        monkeypatch.setattr(model_module, name, counted(name, getattr(model_module, name)))
+    ws.restore()  # nothing restarted since bind: no layer runs
+    assert calls == [] and [a.tobytes() for a in arrays] == before
+    for start in range(len(weights)):  # change and restart every filter from layer start on
+        for w in weights[start:]:
+            w += 1.0
+        for p, (_, layer) in enumerate(arch.parametric_layers()):
+            for f in range(filter_count(layer)):
+                if p >= start:
+                    ws.restart(p, f)
+        assert [a.tobytes() for a in arrays] != before
+        for w, orig in zip(weights, model.weights):
+            np.copyto(w, orig)
+        calls.clear()
+        ws.restore()
+        assert [a.tobytes() for a in arrays] == before, start
+        assert calls.count("_conv2d") == 3 - start and calls.count("_maxpool") == (start == 0)
+        calls.clear()
+        ws.restore()  # a second restore has nothing left to re-run
+        assert calls == []
