@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (Dataset, ModelFormatError, Workspace, check_dataset, forward_batch,
-                    top1_accuracy)
+                    magic_lines, read_fields, top1_accuracy)
 from .quantize import BITWIDTHS, QuantModel, dequantize_model, flip_bit
 from .reconstruct import ReconstructionMethod, reconstruct_model
 from .recovery import simulate_recovery
@@ -353,44 +353,20 @@ def save_trace(trace: AttackTrace, path):
 
 
 def load_trace(path) -> AttackTrace:
+    with open(path, "rb") as file:
+        blob = file.read()
+    grammar = {**{k: (t, 1, False) for k, (t, _, _) in RUN_CONFIG.items()},
+               "flip": (int, 4, True), "acc": (float, 1, True)}
     try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except UnicodeDecodeError as e:
-        raise ModelFormatError(f"{path} byte {e.start}: trace is not UTF-8 text") from None
-    if not lines or lines[0] != TRACE_MAGIC:
-        raise ModelFormatError(f"{path} line 1: expected magic {TRACE_MAGIC!r}")
-    cfg, where, records, accs = {}, {}, [], []  # where: config field -> line number
-    for i, line in enumerate(lines[1:], start=2):
-        tok = line.split()
-        try:
-            if len(tok) != (5 if tok[0] == "flip" else 2):
-                raise ValueError("wrong number of fields")
-            if tok[0] == "flip":
-                records.append(FlipRecord(*(int(t) for t in tok[1:])))
-            elif tok[0] == "acc":
-                accs.append(float(tok[1]))
-            elif tok[0] in where:
-                raise ModelFormatError(f"{path} line {i}: config field {tok[0]!r} already "
-                                       f"set on line {where[tok[0]]}")
-            elif tok[0] in RUN_CONFIG:
-                cfg[tok[0]], where[tok[0]] = RUN_CONFIG[tok[0]][0](tok[1]), i
-            else:
-                raise ModelFormatError(f"{path} line {i}: unknown field {tok[0]!r}")
-        except (ValueError, IndexError) as e:
-            raise ModelFormatError(f"{path} line {i}: malformed line {line!r}") from e
-    missing = [k for k in RUN_CONFIG if k not in cfg]
-    if missing:
-        raise ModelFormatError(f"{path}: missing config field(s) {', '.join(missing)}")
-    try:
+        f = read_fields(magic_lines(blob, TRACE_MAGIC), grammar)
         for k in RUN_CONFIG:
-            check_config(k, cfg[k])
-    except ValueError as e:
-        raise ModelFormatError(f"{path}: {e}") from None
-    if len(records) != cfg["nbf"] or len(accs) != len(records) + 1:
-        raise ModelFormatError(f"{path}: nbf {cfg['nbf']} with {len(records)} flip and "
-                               f"{len(accs)} acc lines; expected nbf flips and nbf+1 accs")
-    try:
-        return AttackTrace(tuple(records), tuple(accs), cfg)
+            check_config(k, f[k])
+        if len(f["flip"]) != f["nbf"] or len(f["acc"]) != f["nbf"] + 1:
+            raise ValueError(f"nbf {f['nbf']} with {len(f['flip'])} flip and {len(f['acc'])} "
+                             "acc lines; expected nbf flips and nbf+1 accs")
+        records = [FlipRecord(*flip) for flip in f["flip"]]
+        return AttackTrace(records, f["acc"], f)  # the config: f's RUN_CONFIG keys
+    except ModelFormatError as e:
+        raise ModelFormatError(f"{path} {e}") from None
     except ValueError as e:
         raise ModelFormatError(f"{path}: {e}") from None

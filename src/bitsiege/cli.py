@@ -191,7 +191,9 @@ def _run_all(cfg, runs, out, jobs=1):
     """Load the victim once, quantize it once per nq, check nbf against it (`_check_nbf`)
     and the eval set against it (`check_dataset`), and `out` (`_check_out`), then run the
     runs in groups that share (nq, rp, seed), one group per task on up to `jobs`
-    processes, and write each trace to `out`; returns the traces in run order.
+    processes, and write each trace to `out`; returns the traces in run order. Before
+    writing any, refuses a trace path that holds a file `load_trace` cannot read, or reads
+    as a different trace.
 
     `runs` comes from `_runs`, whose product order puts each group's runs together."""
     victim_path = _one(cfg, "victim")
@@ -217,9 +219,21 @@ def _run_all(cfg, runs, out, jobs=1):
     else:
         results = [_run_group(*w) for w in work]
     traces = [trace for group in results for trace in group]
+    paths = [_trace_path(out, trace) for trace in traces]
+    for path, trace in zip(paths, traces):  # a trace's name hashes its RUN_CONFIG only
+        if not os.path.exists(path):
+            continue
+        try:
+            held = load_trace(path)
+        except ModelFormatError as e:
+            raise FileExistsError(f"{path} exists and is not replaced, as it is not a "
+                                  f"readable trace ({e}); choose another --out") from None
+        if held != trace:
+            raise FileExistsError(f"{path} holds a different trace of the same run config; "
+                                  "choose another --out")
     os.makedirs(out, exist_ok=True)
-    for trace in traces:
-        save_trace(trace, _trace_path(out, trace))
+    for path, trace in zip(paths, traces):
+        save_trace(trace, path)
     return traces
 
 

@@ -357,12 +357,12 @@ def _block_start(row, o):
 def _blocks_exact(w, cols):
     """Whether each two-row block GEMM that a restart can run, `w[lo:lo + 2] @ cols`,
     gives rows lo and lo + 1 of the full GEMM `w @ cols` bit for bit, for the live
-    operands and for two random weight matrices of w's shape. A BLAS may block a GEMM
-    of two rows otherwise than one of all rows, and sum in another order."""
+    operands and for 32 random weight matrices of w's shape: a sample, not a proof. A
+    BLAS may block a GEMM of two rows otherwise than one of all rows, and sum in another order."""
     blocks = sorted({_block_start(f, len(w)) for f in range(len(w))})
     full, part = np.empty((len(w), cols.shape[1])), np.empty((2, cols.shape[1]))
     rng = np.random.default_rng(0)
-    for a in (w, rng.standard_normal(w.shape), rng.standard_normal(w.shape)):
+    for a in [w, *(rng.standard_normal(w.shape) for _ in range(32))]:
         np.matmul(a, cols, out=full)
         for lo in blocks:
             if np.matmul(a[lo:lo + 2], cols, out=part).tobytes() != full[lo:lo + 2].tobytes():
@@ -693,13 +693,7 @@ def read_artifact(path, magic, parse):
     try:
         if end < 0:
             raise ModelFormatError(f"byte {len(blob)}: missing end-header marker")
-        try:
-            lines = blob[:end].decode("utf-8").splitlines()
-        except UnicodeDecodeError as e:
-            raise ModelFormatError(f"byte {e.start}: header is not UTF-8 text") from None
-        if not lines or lines[0] != magic:
-            raise ModelFormatError(f"line 1: expected magic {magic!r}")
-        out = parse(lines[1:], r)
+        out = parse(magic_lines(blob[:end], magic), r)
         if r.byte() != len(blob):
             raise ModelFormatError(f"byte {r.byte()}: {len(blob) - r.byte()} trailing bytes")
         return out
@@ -707,6 +701,67 @@ def read_artifact(path, magic, parse):
         raise ModelFormatError(f"{path} {e}") from None
     except ValueError as e:
         raise ModelFormatError(f"{path} byte {r.byte()}: {e}") from e
+
+
+def magic_lines(text, magic):
+    """The lines of the UTF-8 `text` after its first, which must be `magic`."""
+    try:
+        lines = text.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(f"byte {e.start}: not UTF-8 text") from None
+    if not lines or lines[0] != magic:
+        raise ModelFormatError(f"line 1: expected magic {magic!r}")
+    return lines[1:]
+
+
+def read_fields(lines, grammar):
+    """The fields of the header or trace `lines`, file lines 2 on: per line, a name and
+    its value words. `grammar` maps each name to (cast, count, repeats): a type `cast`
+    reads each of `count` words (None: any number), no int may be negative, and a field
+    of count 1 is its value, any other the tuple of its values; any other `cast`, here
+    `_layer`, reads the words itself. A repeating name maps to its fields in line order;
+    any other is given once. An unknown, malformed, repeated or missing field raises
+    ModelFormatError("line N: ..."), a missing one at the line after the last."""
+    fields = {name: [] for name, (_, _, repeats) in grammar.items() if repeats}
+    where = {}  # the line of each field given once
+    for i, line in enumerate(lines, start=2):
+        name, *words = line.split() or [""]
+        if name not in grammar:
+            raise ModelFormatError(f"line {i}: unknown field {name!r}")
+        if name in where:
+            raise ModelFormatError(f"line {i}: {name!r} already set on line {where[name]}")
+        cast, count, repeats = grammar[name]
+        try:
+            if count is not None and len(words) != count:
+                raise ValueError(f"takes {count} value(s), got {len(words)}")
+            value = _cast_words(cast, words) if isinstance(cast, type) else cast(words)
+        except ValueError as e:
+            raise ModelFormatError(f"line {i}: malformed line {line!r}: {e}") from None
+        value = value[0] if count == 1 else value
+        if repeats:
+            fields[name].append(value)
+        else:
+            fields[name], where[name] = value, i
+    missing = [name for name in grammar if name not in fields]
+    if missing:
+        raise ModelFormatError(f"line {len(lines) + 2}: missing field(s) {', '.join(missing)}")
+    return fields
+
+
+def _cast_words(cast, words):
+    """`cast(word)` per word, as a tuple; a negative int is refused."""
+    values = tuple(map(cast, words))
+    if any(isinstance(v, int) and v < 0 for v in values):
+        raise ValueError("negative value")
+    return values
+
+
+def _layer(words):
+    """`layer <kind> <field> ...`: a layer of that kind, from its fields' values."""
+    try:
+        return _LAYER_KINDS[words[0]](*_cast_words(int, words[1:]))
+    except (IndexError, KeyError, TypeError):  # no kind, an unknown one, or not its fields
+        raise ValueError("unknown layer kind, or a wrong number of fields") from None
 
 
 def arch_header_lines(arch: Architecture):
@@ -720,31 +775,12 @@ def arch_header_lines(arch: Architecture):
 
 
 def parse_arch_header(lines) -> Architecture:
-    input_shape = None
-    classes = None
-    layers = []
-    for i, line in enumerate(lines, start=2):  # header body starts at file line 2
-        tok = line.split()
-        try:
-            if tok[0] == "input_shape":
-                input_shape = tuple(int(t) for t in tok[1:])
-            elif tok[0] == "classes":
-                classes = int(tok[1])
-            elif tok[0] == "layer":
-                if tok[1] not in _LAYER_KINDS:
-                    raise ModelFormatError(f"line {i}: unknown layer kind {tok[1]!r}")
-                layers.append(_LAYER_KINDS[tok[1]](*(int(t) for t in tok[2:])))
-            else:
-                raise ModelFormatError(f"line {i}: unknown header field {tok[0]!r}")
-        except (ValueError, TypeError, IndexError) as e:
-            raise ModelFormatError(f"line {i}: malformed header line {line!r}") from e
-    end = len(lines) + 2  # the end-header line
-    if input_shape is None or classes is None:
-        raise ModelFormatError(f"line {end}: header missing input_shape or classes")
+    f = read_fields(lines, {"input_shape": (int, None, False), "classes": (int, 1, False),
+                            "layer": (_layer, None, True)})
     try:
-        return Architecture(tuple(layers), input_shape, classes)
+        return Architecture(tuple(f["layer"]), f["input_shape"], f["classes"])
     except ValueError as e:
-        raise ModelFormatError(f"line {end}: inconsistent architecture: {e}") from e
+        raise ModelFormatError(f"line {len(lines) + 2}: inconsistent architecture: {e}") from e
 
 
 def save_model(model: FloatModel, path):
@@ -787,22 +823,9 @@ def save_dataset(data: Dataset, path):
 
 def load_dataset(path) -> Dataset:
     def parse(lines, r):
-        fields = {}
-        for i, line in enumerate(lines, start=2):
-            tok = line.split()
-            if not tok or tok[0] not in ("shape", "classes", "samples"):
-                raise ModelFormatError(f"line {i}: unknown field {line!r}")
-            try:
-                fields[tok[0]] = [int(t) for t in tok[1:]]
-            except ValueError:
-                raise ModelFormatError(f"line {i}: malformed header line {line!r}") from None
-            if min(fields[tok[0]], default=0) < 0:
-                raise ModelFormatError(f"line {i}: negative value in {line!r}")
-        try:
-            shape, (classes,), (n,) = fields["shape"], fields["classes"], fields["samples"]
-        except (KeyError, ValueError):
-            raise ModelFormatError(f"line {len(lines) + 2}: header needs a 'shape', a "
-                                   "'classes <n>' and a 'samples <n>' line") from None
+        f = read_fields(lines, {"shape": (int, None, False), "classes": (int, 1, False),
+                                "samples": (int, 1, False)})
+        shape, classes, n = f["shape"], f["classes"], f["samples"]
         data = Dataset(r.read("<f4", (n, *shape)), r.read("<u1", (n,)))
         if n and data.labels.max() >= classes:
             raise ModelFormatError(f"byte {r.byte() - n}: label {data.labels.max()} is not "

@@ -119,6 +119,42 @@ nbf = 5
     assert len(tr.accuracies) == 6
 
 
+def test_attack_never_replaces_another_runs_trace(workdir, tmp_path, desk, capsys):
+    # a trace's name hashes its run config only, so the same config on the eval set's
+    # first 100 samples names the same file: that run must not replace the first trace
+    first100 = tmp_path / "first100.data"
+    bs.save_dataset(bs.Dataset(desk["test"].inputs[:100], desk["test"].labels[:100]), first100)
+    out = tmp_path / "atk"
+
+    def attack(eval_path):
+        cfg = write_cfg(tmp_path / "a.cfg", f"""
+victim = {workdir / 'victim.model'}
+eval = {eval_path}
+nq = 8
+rp = 0.8
+ranking = fl2r
+recon = czr
+nbf = 5
+""")
+        return main(["attack", "--config", cfg, "--out", str(out)])
+    assert attack(workdir / "test.data") == EXIT_OK
+    (trace,) = out.iterdir()
+    before = trace.read_bytes()
+    assert attack(workdir / "test.data") == EXIT_OK  # the same run again
+    capsys.readouterr()
+    assert attack(first100) == EXIT_IO
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"i/o error: {trace} holds a different trace"), err
+    assert list(out.iterdir()) == [trace] and trace.read_bytes() == before
+    # a file of that name that is not a readable trace is not replaced either
+    trace.write_bytes(before.replace(b"nq 8\n", b"nq 8 8\n"))
+    assert attack(workdir / "test.data") == EXIT_IO
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"i/o error: {trace} exists and is not replaced"), err
+    assert f"{trace} line 2: " in err[0], err
+    assert trace.read_bytes() == before.replace(b"nq 8\n", b"nq 8 8\n")
+
+
 def sweep_cfg(workdir, tmp_path, name="s.cfg"):
     return write_cfg(tmp_path / name, f"""
 victim = {workdir / 'victim.model'}
@@ -284,11 +320,18 @@ def test_bad_model_file_exits_io(workdir, tmp_path, capsys):
     body = blob.index(b"end-header\n") + len(b"end-header\n")
     first = body + 4 + 4 * 4  # ndim and four dims of the first weight tensor
     non_finite.write_bytes(blob[:first] + np.array([np.nan], dtype="<f4").tobytes() + blob[first + 4:])
-    for path in (non_utf8, non_finite):
+    # header lines: a field given twice, surplus values, a negative layer field
+    where = {non_utf8: "", non_finite: ""}
+    for name, old, new, line in [("twice", b"classes 4\n", b"classes 4\nclasses 4\n", 4),
+                                 ("surplus", b"classes 4\n", b"classes 4 7\n", 3),
+                                 ("negative", b"layer maxpool 2\n", b"layer maxpool -2\n", 6)]:
+        where[tmp_path / f"{name}.model"] = f" line {line}:"
+        (tmp_path / f"{name}.model").write_bytes(blob.replace(old, new, 1))
+    for path, at in where.items():
         rc = main(["quantize", "--model", str(path), "--nq", "8", "--out", str(tmp_path / "q")])
         assert rc == EXIT_IO
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and str(path) in err[0]
+        assert len(err) == 1 and f"{path}{at}" in err[0], err
 
 
 @pytest.mark.parametrize("command, line, argv", [
