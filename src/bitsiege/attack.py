@@ -202,8 +202,8 @@ def apply_flips(victim: QuantModel, records) -> QuantModel:
 class _VictimPass:
     """What `_flip_logits` builds from one victim and eval set, kept for later calls on
     the same two objects: the dequantized victim, copies of the codes and weights that
-    flips rewrite, and a Workspace that holds the baseline pass, with restarts bound to
-    those weights."""
+    flips rewrite, a Workspace that holds the baseline pass, whose restarts read those
+    weights, and `lowest`, the lowest layer flipped since the last reset, if any."""
 
     def __init__(self, victim: QuantModel, eval_data: Dataset):
         self.victim, self.eval_data = victim, eval_data
@@ -213,17 +213,19 @@ class _VictimPass:
         # per parametric layer: the flat codes and weights a flip rewrites, bitwidth, scale
         self.layers = [(c.reshape(-1), w.reshape(-1), qp.bitwidth, qp.scale)
                        for c, w, qp in zip(self.codes, self.weights, victim.params)]
-        self.ws = Workspace(victim.architecture)
+        self.ws = Workspace(victim.architecture, self.weights, self.fm.biases)
         self.baseline = forward_batch(self.fm, eval_data.inputs, self.ws)
-        self.ws.bind(self.weights, self.fm.biases)
+        self.lowest = len(self.layers)
 
     def reset(self):
         """Bring the codes, weights and workspace back to the baseline; returns the
-        baseline logits. The workspace re-runs from the lowest layer flipped since the
-        last reset, if any, once the weights are back (`Workspace.restore`)."""
+        baseline logits. Once the weights are back, the workspace re-runs from the
+        lowest layer flipped since the last reset, if any (`Workspace.restart`)."""
         for a, b in zip(self.codes + self.weights, self.victim.codes + self.fm.weights):
             np.copyto(a, b)
-        self.ws.restore()
+        if self.lowest < len(self.layers):
+            self.ws.restart(self.lowest)
+            self.lowest = len(self.layers)
         return self.baseline
 
 
@@ -250,15 +252,16 @@ def _flip_logits(victim: QuantModel, record_lists, eval_data: Dataset):
     The logits equal `forward_batch` of the list's `apply_flips` victim, dequantized,
     bit for bit, and no list sees another's flips. A flip rewrites one code and one
     weight and re-runs the network from its parametric layer on (`Workspace.restart`);
-    each list starts from the baseline pass, which `Workspace.restore` rebuilds in
-    place by re-running from the lowest layer the list before it flipped.
+    each list starts from the baseline pass, which `_VictimPass.reset` rebuilds in
+    place by re-running from the lowest layer flipped since the pass's last reset.
 
     That pass, with the dequantized victim and the restarts built over it, is kept
     between calls (`_VictimPass`): a thread holds at most one, keyed on the identity
     of `victim` and `eval_data`, whose arrays are read-only. A call on the same two
     objects takes it over, and any other call drops it and builds its own. The call
     owns the pass until the generator finishes or is closed, so generators alive at
-    once never share one, and then hands it back to the thread.
+    once never share one, and then hands it back to the thread; a pass handed back
+    mid-list still knows the lowest layer its next reset re-runs from.
     """
     check_dataset(victim.architecture, eval_data)
     sites = [_flip_sites(victim, records) for records in record_lists]
@@ -271,6 +274,7 @@ def _flip_logits(victim: QuantModel, record_lists, eval_data: Dataset):
                 code = flip_bit(int(c[i]), bit, nq)
                 c[i] = code
                 w[i] = np.float64(code) * scale
+                vp.lowest = min(vp.lowest, l)
                 yield vp.ws.restart(l, f)
     finally:
         _held.victim_pass = vp

@@ -7,6 +7,7 @@ import dataclasses
 import errno
 import functools
 import hashlib
+import io
 import itertools
 import multiprocessing
 import os
@@ -187,13 +188,16 @@ def _run_group(victim, eval_ds, runs):
         raise _UsageError(f"nq {nq}, rp {rp!r}, seed {seed}, nbf {nbf}: {e}") from None
 
 
-def _run_all(cfg, runs, out, jobs=1):
+def _run_all(cfg, runs, out, jobs=1, table=None):
     """Load the victim once, quantize it once per nq, check nbf against it (`_check_nbf`)
-    and the eval set against it (`check_dataset`), and `out` (`_check_out`), then run the
-    runs in groups that share (nq, rp, seed), one group per task on up to `jobs`
-    processes, and write each trace to `out`; returns the traces in run order. Before
-    writing any, refuses a trace path that holds a file `load_trace` cannot read, or reads
-    as a different trace.
+    and the eval set against it (`check_dataset`), `out` (`_check_out`) and the trace
+    paths, then run the runs in groups that share (nq, rp, seed), one group per task on
+    up to `jobs` processes, and write each trace to `out`; returns the traces in run
+    order. `table`: a file name in `out` that then receives the traces' `_csv_bytes`.
+
+    A trace path that holds a file `load_trace` cannot read is refused before the first
+    run; one that reads as a different trace, and a `table` whose bytes differ from the
+    new table's, after the runs. Either way no file is written.
 
     `runs` comes from `_runs`, whose product order puts each group's runs together."""
     victim_path = _one(cfg, "victim")
@@ -210,6 +214,14 @@ def _run_all(cfg, runs, out, jobs=1):
     except ValueError as e:
         raise _UsageError(f"eval set {eval_path} for {victim_path}: {e}") from None
     _check_out(out)
+    paths = [_trace_path(out, run) for run in runs]  # a trace's name hashes its RUN_CONFIG only
+    held = {}  # path -> the trace it holds
+    for path in filter(os.path.exists, paths):
+        try:
+            held[path] = load_trace(path)
+        except ModelFormatError as e:
+            raise FileExistsError(f"{path} exists and is not replaced, as it is not a "
+                                  f"readable trace ({e}); choose another --out") from None
     groups = [list(g) for _, g in itertools.groupby(runs, lambda r: (r["nq"], r["rp"], r["seed"]))]
     work = [(victims[g[0]["nq"]], eval_ds, g) for g in groups]
     jobs = min(jobs, len(work))
@@ -219,21 +231,22 @@ def _run_all(cfg, runs, out, jobs=1):
     else:
         results = [_run_group(*w) for w in work]
     traces = [trace for group in results for trace in group]
-    paths = [_trace_path(out, trace) for trace in traces]
-    for path, trace in zip(paths, traces):  # a trace's name hashes its RUN_CONFIG only
-        if not os.path.exists(path):
-            continue
-        try:
-            held = load_trace(path)
-        except ModelFormatError as e:
-            raise FileExistsError(f"{path} exists and is not replaced, as it is not a "
-                                  f"readable trace ({e}); choose another --out") from None
-        if held != trace:
+    for path, trace in zip(paths, traces):
+        if path in held and held[path] != trace:
             raise FileExistsError(f"{path} holds a different trace of the same run config; "
                                   "choose another --out")
+    if table is not None:
+        table, data = os.path.join(out, table), _csv_bytes(traces)
+        if os.path.exists(table):
+            with open(table, "rb") as f:
+                if f.read() != data:
+                    raise FileExistsError(f"{table} holds other results and is not "
+                                          "replaced; choose another --out")
     os.makedirs(out, exist_ok=True)
     for path, trace in zip(paths, traces):
         save_trace(trace, path)
+    if table is not None:
+        _write_csv(data, table)
     return traces
 
 
@@ -253,8 +266,8 @@ def _cfg_hash(cfg):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _trace_path(out, trace):
-    return os.path.join(out, f"trace_{_cfg_hash(trace.config)}.trace")
+def _trace_path(out, config):
+    return os.path.join(out, f"trace_{_cfg_hash(config)}.trace")
 
 
 def cmd_attack(args):
@@ -264,7 +277,7 @@ def cmd_attack(args):
         raise _UsageError(f"attack takes one value per key, but the config gives {len(runs)} "
                           "runs; use sweep for lists")
     (trace,) = _run_all(cfg, runs, args.out)
-    print(f"wrote {_trace_path(args.out, trace)} (final accuracy {trace.accuracies[-1]:.4f})")
+    print(f"wrote {_trace_path(args.out, runs[0])} (final accuracy {trace.accuracies[-1]:.4f})")
     return EXIT_OK
 
 
@@ -272,20 +285,26 @@ def cmd_sweep(args):
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = parse_config(args.config, RUN_KEYS)
-    traces = _run_all(cfg, _runs(cfg, args.seed_base), args.out, args.jobs)
-    _write_csv(traces, os.path.join(args.out, "results.csv"))
+    traces = _run_all(cfg, _runs(cfg, args.seed_base), args.out, args.jobs, "results.csv")
     print(f"wrote {len(traces)} traces + results.csv to {args.out}")
     return EXIT_OK
 
 
-def _write_csv(traces, path):
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["nq", "rp", "seed", "ranking", "recon", "flip_index", "accuracy"])
-        for t in traces:
-            c = t.config
-            for i, a in enumerate(t.accuracies):
-                w.writerow([c["nq"], repr(c["rp"]), c["seed"], c["ranking"], c["recon"], i, repr(a)])
+def _csv_bytes(traces):
+    """The UTF-8 CSV of `traces`: a header, then a row per accuracy of each trace."""
+    f = io.StringIO()
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow(["nq", "rp", "seed", "ranking", "recon", "flip_index", "accuracy"])
+    for t in traces:
+        c = t.config
+        for i, a in enumerate(t.accuracies):
+            w.writerow([c["nq"], repr(c["rp"]), c["seed"], c["ranking"], c["recon"], i, repr(a)])
+    return f.getvalue().encode("utf-8")
+
+
+def _write_csv(data, path):
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 def cmd_report(args):
@@ -297,7 +316,7 @@ def cmd_report(args):
                                t.config["recon"], t.config["seed"]))
     out = args.out or args.results
     os.makedirs(out, exist_ok=True)
-    _write_csv(traces, os.path.join(out, "report.csv"))
+    _write_csv(_csv_bytes(traces), os.path.join(out, "report.csv"))
     groups = {}
     for t in traces:
         c = t.config
@@ -374,12 +393,13 @@ def _verify_incremental():
     inputs = rng.standard_normal((48, 1, 8, 8))
     # labelled by the clean victim, so that flips move the accuracy off 1.0; its pass,
     # of the evaluator's shapes, tells which GEMM the evaluator's conv restarts ran
-    clean, ws = dequantize_model(victim), Workspace(arch)
+    clean = dequantize_model(victim)
+    ws = Workspace(arch, clean.weights, clean.biases)
     data = Dataset(inputs, forward_batch(clean, inputs, ws).argmax(axis=1))
-    ws.bind(clean.weights, clean.biases)
     records = select_vulnerable_bits(victim, 40) + select_random_bits(victim, 20, 11)
     rng.shuffle(records)
-    # three lists from one baseline pass: each after the first starts from a restore
+    # three lists from one baseline pass: each after the first starts from a reset, which
+    # re-runs the pass from the lowest layer the list before it flipped
     lists = [records, records[::2], records[1::2]]
     logits = _flip_logits(victim, lists, data)
     for k, recs in enumerate(lists):

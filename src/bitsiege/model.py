@@ -181,7 +181,7 @@ class Dataset:
 
 class Workspace:
     """The arrays of one batch's pass through `forward_layers`, and the restarts that
-    rewrite them in place after a filter of the bound weights changed.
+    rewrite them in place after a filter of its weights changed.
 
     `acts[pos]` is the input of layer `pos` as the layer before returned it (`acts[0]`
     the batch, `acts[-1]` the logits); `patches[pos]` is a Conv2D's [padded input,
@@ -189,42 +189,35 @@ class Workspace:
     every restart writes into the memory layout a fresh pass gives its result, and
     the GEMMs take the same BLAS path. A workspace belongs to one caller and one batch.
 
-    `bind` ties restarts to weight and bias arrays that the caller then changes in
-    place; `restart(p, f)` re-runs the network after filter f of parametric layer p
-    changed, with only the numpy calls whose outputs change. Those calls are built
-    once per (p, f), on its first restart, over the arrays they write in their final
-    form: a conv's (O, N*Ho*Wo) product, its weight matrix, a Dense's `W.T`. Each
-    call writes a stored array, or rows of one; a conv's is the same `_conv2d` call
-    as the first pass's, on a block of rows or on all of them.
-
-    `restore` brings the workspace back to its first pass, in the same arrays, once
-    the caller has put the bound weights back: it re-runs every layer from the lowest
-    parametric layer restarted since `bind` or the last restore, over all channels.
+    `weights` and `biases`, one array per parametric layer, equal those of the pass;
+    restarts read them as the caller then changes them in place. `restart(p, f)`
+    re-runs the network after filter f of parametric layer p changed, with only the
+    numpy calls whose outputs change; `restart(p)` re-runs every filter of p, and so
+    gives back the first pass once the caller has put the weights back. Those calls
+    are built once per (p, f), on its first restart, over the arrays they write in
+    their final form: a conv's (O, N*Ho*Wo) product, its weight matrix, a Dense's
+    `W.T`. Each call writes a stored array, or rows of one; a conv's is the same
+    `_conv2d` call as the first pass's, on a block of rows or on all of them.
     """
 
-    def __init__(self, arch: Architecture):
+    def __init__(self, arch: Architecture, weights, biases):
         self.arch = arch
         self.acts = [None] * (len(arch.layers) + 1)
         self.patches = [[None, None] for _ in arch.layers]
+        self.weights, self.biases = weights, biases
+        self.index = {pos: p for p, (pos, _) in enumerate(arch.parametric_layers())}
+        self.positions = list(self.index)
+        self.steps = {}    # (p, f) -> the calls of that restart; f None: every filter
+        self.tails = {}    # position -> the calls that re-run it and every later layer in full
 
     def input(self, pos):
         """What layer `pos` consumes: a Conv2D's patch matrix, any other layer's input."""
         return self.patches[pos][1] if isinstance(self.arch.layers[pos], Conv2D) else self.acts[pos]
 
-    def bind(self, weights, biases):
-        """Tie restarts to `weights` and `biases`, one array per parametric layer, equal
-        to those of the pass stored here; the caller then changes the weights in place,
-        and puts them back before a `restore`."""
-        self.weights, self.biases = weights, biases
-        self.index = {pos: p for p, (pos, _) in enumerate(self.arch.parametric_layers())}
-        self.positions = list(self.index)
-        self.lowest = len(self.positions)  # the lowest p restarted since bind/restore
-        self.steps = {}    # (p, f) -> the calls of that restart; f None: every filter
-        self.tails = {}    # position -> the calls that re-run it and every later layer in full
-
-    def restart(self, p, f):
+    def restart(self, p, f=None):
         """Re-run the network after filter `f` of parametric layer `p` changed in the
-        bound weights; returns the logits, the stored array rewritten in place.
+        weights, or after any of p's filters did with `f` None (every row and channel
+        then runs); returns the logits, the stored array rewritten in place.
 
         A Conv2D runs one GEMM, plus the bias, straight into rows of its stored
         product: those of the two-row block of its weight matrix that holds row f.
@@ -240,23 +233,9 @@ class Workspace:
         calls = self.steps.get((p, f))
         if calls is None:
             calls = self.steps[p, f] = self._restart_calls(p, f)
-        self.lowest = min(self.lowest, p)
         for call in calls:
             call()
         return self.acts[-1]
-
-    def restore(self):
-        """Re-run the network, with the bound weights as the first pass had them, from
-        the lowest parametric layer restarted since `bind` or the last restore, with
-        the full GEMM and every channel; the workspace then holds the first pass's
-        bits, as a restart's full tail does. With nothing restarted it runs nothing."""
-        p, self.lowest = self.lowest, len(self.positions)
-        if p < len(self.positions):
-            calls = self.steps.get((p, None))
-            if calls is None:
-                calls = self.steps[p, None] = self._restart_calls(p, None)
-            for call in calls:
-                call()
 
     def _restart_calls(self, p, f):
         pos = self.positions[p]
@@ -327,7 +306,7 @@ class Workspace:
         return _BLOCKS_EXACT[key]
 
     def _operands(self, pos):
-        """A Conv2D's bound (O, C*k*k) weight matrix, a view, and its stored patch matrix."""
+        """A Conv2D's (O, C*k*k) weight matrix, a view, and its stored patch matrix."""
         w = self.weights[self.index[pos]]
         return w.reshape(len(w), -1), self.patches[pos][1]
 

@@ -95,7 +95,7 @@ def _softmax_ce(logits, labels):
 
 
 def _grads(arch, weights, biases, inputs, labels):
-    ws = Workspace(arch)
+    ws = Workspace(arch, weights, biases)
     logits = forward_layers(arch, weights, biases, np.asarray(inputs, dtype=np.float64), ws)
     loss, dlogits = _softmax_ce(logits, np.asarray(labels))
     dws, dbs = backward_layers(arch, weights, ws, dlogits)

@@ -45,6 +45,12 @@ def random_qmodel(rng, nq=8, arch=None):
     return bs.QuantModel(arch, params, codes, biases)
 
 
+def stored_arrays(ws):
+    """Every array a Workspace holds: its activations, then each conv's padded input
+    and patch matrix."""
+    return ws.acts + [a for pair in ws.patches for a in pair if a is not None]
+
+
 @contextlib.contextmanager
 def full_gemm_restarts():
     """Conv restarts built inside run the full GEMM: the two-row block probe rejects

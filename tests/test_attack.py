@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bitsiege as bs
 from bitsiege import attack
+from bitsiege import model as model_module
 from bitsiege import synth as synth_module
 from bitsiege.attack import RANKINGS, RECONS, RUN_CONFIG, FlipRecord, _flip_logits
 from bitsiege.cli import _cfg_hash
@@ -18,7 +19,7 @@ from bitsiege.model import _conv_bwd, _layer_out_shape, _maxpool, _pool_bwd, fil
 from bitsiege.synth import _softmax_ce
 from bitsiege.quantize import BITWIDTHS
 
-from conftest import full_gemm_restarts, random_qmodel
+from conftest import full_gemm_restarts, random_qmodel, stored_arrays
 
 
 def two_filter_model(w0=5.0, w1=1.0):
@@ -666,8 +667,83 @@ def test_abandoned_generator_hands_back_a_pass_that_restores(desk, pass_builds):
     assert len(pass_builds) == 1
 
 
+@pytest.fixture()
+def pass_calls(monkeypatch):
+    """The conv and pool calls made through `model`, in order: the weight rows of each
+    `_conv2d` call, and "pool" for each `_maxpool` call."""
+    calls = []
+
+    def counted(real, entry):
+        def call(*a):
+            calls.append(entry(*a))
+            return real(*a)
+        return call
+    monkeypatch.setattr(model_module, "_conv2d",
+                        counted(model_module._conv2d, lambda cols, w, *rest: len(w)))
+    monkeypatch.setattr(model_module, "_maxpool", counted(model_module._maxpool, lambda *a: "pool"))
+    return calls
+
+
+def stored_bytes(ws):
+    return [a.tobytes() for a in stored_arrays(ws)]
+
+
+def baseline_bytes(q, data):
+    """`stored_bytes` of a fresh Workspace after the first pass of the victim `q`."""
+    fm = bs.dequantize_model(q)
+    ws = Workspace(fm.architecture, fm.weights, fm.biases)
+    bs.forward_batch(fm, data.inputs, ws)
+    return stored_bytes(ws)
+
+
+def desk_flips(q, n=5):
+    """Up to `n` random flips in each parametric layer of the desk victim `q`."""
+    picks = bs.select_random_bits(q, 600, 4)
+    return [[r for r in picks if r.layer == l][:n] for l in range(3)]
+
+
+# the desk's convs have 8 and 16 filters; its one pool follows conv1
+RESET_CALLS = {0: [8, "pool", 16], 1: [16], 2: [], None: []}
+
+
+def test_a_reset_re_runs_from_the_lowest_layer_flipped_since_the_last_one(desk, pass_calls):
+    # after flips in layer l only, one full GEMM per conv from l on; with nothing
+    # flipped since the last reset, no conv and no pool. Either way, the baseline pass.
+    q, data = fresh_inputs(desk, 64)
+    by_layer, base = desk_flips(q), baseline_bytes(q, data)
+    list(_flip_logits(q, [by_layer[2]], data))
+    vp = attack._held.victim_pass
+    for lowest, lists in ((2, []), (None, []), (1, [by_layer[1]]), (0, [by_layer[0]]),
+                          (1, [by_layer[2] + by_layer[1]]), (0, [by_layer[1], by_layer[0]])):
+        list(_flip_logits(q, lists, data))  # hands vp back, with the last list's flips in
+        assert attack._held.victim_pass is vp
+        assert vp.lowest == (3 if lowest is None else lowest)
+        pass_calls.clear()
+        vp.reset()
+        assert pass_calls == RESET_CALLS[lowest], lowest
+        assert stored_bytes(vp.ws) == base, lowest
+
+
+@pytest.mark.parametrize("steps, lowest", [(4, 1), (5, 0), (8, 0)])
+def test_a_pass_handed_back_mid_list_resets_from_the_lowest_layer_flipped_so_far(
+        desk, pass_calls, steps, lowest):
+    q, data = fresh_inputs(desk, 64)
+    by_layer = desk_flips(q, 3)
+    flips = by_layer[1] + by_layer[0][:1] + by_layer[2]
+    g = _flip_logits(q, [flips], data)
+    for _ in range(steps):  # the baseline, then steps - 1 flips: 3 in conv2, 1 in conv1, ...
+        next(g)
+    g.close()
+    vp = attack._held.victim_pass
+    assert vp.lowest == lowest
+    pass_calls.clear()
+    vp.reset()
+    assert pass_calls == RESET_CALLS[lowest]
+    assert stored_bytes(vp.ws) == baseline_bytes(q, data)
+
+
 def test_a_victim_pass_holds_one_copy_of_the_baseline_pass(desk):
-    # the baseline is rebuilt by re-running (`Workspace.restore`), not kept twice
+    # the baseline is rebuilt by re-running (`_VictimPass.reset`), not kept twice
     q, test = desk["qmodel"], desk["test"]
     tracemalloc.start()
     try:
@@ -676,8 +752,7 @@ def test_a_victim_pass_holds_one_copy_of_the_baseline_pass(desk):
     finally:
         tracemalloc.stop()
     kept = []  # the stored arrays, one per block of memory; each view here spans its base
-    for a in sorted(vp.ws.acts + [a for pair in vp.ws.patches for a in pair if a is not None],
-                    key=lambda a: -a.nbytes):
+    for a in sorted(stored_arrays(vp.ws), key=lambda a: -a.nbytes):
         if not any(np.may_share_memory(a, b) for b in kept + [test.inputs]):
             kept.append(a)
     copies = vp.codes + vp.weights + vp.fm.weights
@@ -724,7 +799,7 @@ def test_run_attacks_equals_run_attack_pair_by_pair(desk, tmp_path, rp):
 
 @pytest.fixture()
 def work_counts(monkeypatch):
-    """Calls of FL2R and gradient ranking, and restarts, made through `attack`."""
+    """Calls of FL2R and gradient ranking, and per-flip restarts, made through `attack`."""
     counts = {"fl2r": 0, "gradient": 0, "restart": 0}
 
     def counted(key, fn):
@@ -736,7 +811,12 @@ def work_counts(monkeypatch):
                         counted("fl2r", attack.select_vulnerable_bits))
     monkeypatch.setattr(attack, "select_gradient_bits",
                         counted("gradient", attack.select_gradient_bits))
-    monkeypatch.setattr(Workspace, "restart", counted("restart", Workspace.restart))
+    restart = Workspace.restart
+
+    def per_flip(ws, p, f=None):  # a reset's restart of every filter is not counted
+        counts["restart"] += f is not None
+        return restart(ws, p, f)
+    monkeypatch.setattr(Workspace, "restart", per_flip)
     return counts
 
 
@@ -871,7 +951,7 @@ def assert_gradients_match_reference(model, inputs, labels):
     `_pool_bwd`; each with the reference's strides where a conv's db may read it: all but
     a conv's input gradient that goes to a MaxPool, which reads it only elementwise."""
     arch = model.architecture
-    ws = Workspace(arch)
+    ws = Workspace(arch, model.weights, model.biases)
     logits = forward_layers(arch, model.weights, model.biases, inputs, ws)
     _, dlogits = _softmax_ce(logits, labels)
     got = backward_layers(arch, model.weights, ws, dlogits)

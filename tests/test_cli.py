@@ -155,6 +155,49 @@ nbf = 5
     assert trace.read_bytes() == before.replace(b"nq 8\n", b"nq 8 8\n")
 
 
+def test_an_unreadable_trace_is_refused_before_any_run(workdir, tmp_path, capsys, monkeypatch):
+    groups = []
+    monkeypatch.setattr(cli, "_run_group", lambda *a: groups.append(a))
+    cfg = sweep_cfg(workdir, tmp_path)
+    runs = cli._runs(cli.parse_config(cfg, cli.RUN_KEYS))
+    out = tmp_path / "sweep"
+    out.mkdir()
+    trace = out / f"trace_{cli._cfg_hash(runs[-1])}.trace"  # the last run's
+    trace.write_bytes(b"not a trace\n")
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"i/o error: {trace} exists and is not replaced"), err
+    assert groups == []
+    assert os.listdir(out) == [trace.name] and trace.read_bytes() == b"not a trace\n"
+
+
+def test_a_sweep_never_replaces_another_sweeps_results(workdir, tmp_path, capsys):
+    out = tmp_path / "sweep"
+
+    def sweep(rp):
+        cfg = write_cfg(tmp_path / "s.cfg", f"""
+victim = {workdir / 'victim.model'}
+eval = {workdir / 'test.data'}
+nq = 8
+rp = {rp}
+seeds = 0 1
+ranking = fl2r random
+recon = czr
+nbf = 3
+""")
+        return main(["sweep", "--config", cfg, "--out", str(out)])
+    assert sweep(0.8) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sweep(0.8) == EXIT_OK  # the same sweep again
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    capsys.readouterr()
+    assert sweep(1.0) == EXIT_IO
+    err = capsys.readouterr().err.strip().splitlines()
+    results = out / "results.csv"
+    assert len(err) == 1 and err[0].startswith(f"i/o error: {results} holds other results"), err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # no rp 1.0 trace either
+
+
 def sweep_cfg(workdir, tmp_path, name="s.cfg"):
     return write_cfg(tmp_path / name, f"""
 victim = {workdir / 'victim.model'}
@@ -646,7 +689,8 @@ ranking = fl2r
 recon = czr
 nbf = {nbf}
 """)
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        # attack writes no results.csv, which a second sweep into out would not replace
+        assert main(["attack", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert main(["report", str(out)]) == EXIT_OK
     traces = [bs.load_trace(p) for p in out.glob("*.trace")]
     assert sorted(t.config["nbf"] for t in traces) == [12, 20]

@@ -11,7 +11,7 @@ from bitsiege import model as model_module
 from bitsiege.model import (ModelFormatError, Workspace, _block_start, _blocks_exact, _conv2d,
                             _conv_bwd, _maxpool, _patches, filter_count, weight_shape)
 
-from conftest import full_gemm_restarts, make_tiny_dense
+from conftest import full_gemm_restarts, make_tiny_dense, stored_arrays
 
 
 def test_dense_identity():
@@ -426,14 +426,13 @@ def test_maxpool_equals_reshape_max(n, c, oh, ow, w, seed):
 def test_forward_layers_restart_from_cache_is_exact(desk):
     model, xs = desk["model"], desk["test"].inputs
     arch = model.architecture
-    ws = Workspace(arch)
+    weights = [w.copy() for w in model.weights]
+    ws = Workspace(arch, weights, model.biases)
     full = bs.forward_batch(model, xs, ws).copy()
     for pos, layer in enumerate(arch.layers):  # a conv position stores its input's patch matrix
         if isinstance(layer, bs.Conv2D):
             c, (_, ho, wo) = arch.shapes[pos][0], arch.shapes[pos + 1]
             assert ws.input(pos).shape == (c * layer.kernel ** 2, len(xs) * ho * wo)
-    weights = [w.copy() for w in model.weights]
-    ws.bind(weights, model.biases)
     data = [a.__array_interface__["data"][0] for a in ws.acts]
     for p in range(len(weights)):
         # a changed filter: the restart equals a fresh pass of the changed model
@@ -454,12 +453,6 @@ def test_forward_layers_restart_from_cache_is_exact(desk):
         assert peak < ws.acts[1].nbytes / 4  # the first conv's output: 460 KB
     # every restart rewrote the workspace's arrays in place
     assert [a.__array_interface__["data"][0] for a in ws.acts] == data
-
-
-def stored_arrays(ws):
-    """Every array a Workspace holds: its activations, then each conv's padded input
-    and patch matrix."""
-    return ws.acts + [a for pair in ws.patches for a in pair if a is not None]
 
 
 def random_model(arch, rng):
@@ -493,11 +486,10 @@ def test_conv_restarts_of_every_filter_equal_a_fresh_pass(desk, monkeypatch, odd
     with contextlib.ExitStack() as stack:
         if not blocks:
             stack.enter_context(full_gemm_restarts())
-        ws = Workspace(arch)
+        weights = [w.copy() for w in model.weights]
+        ws = Workspace(arch, weights, model.biases)
         bs.forward_batch(model, xs, ws)
         base = [a.tobytes() for a in stored_arrays(ws)]
-        weights = [w.copy() for w in model.weights]
-        ws.bind(weights, model.biases)
         monkeypatch.setattr(model_module, "_conv2d", counted)
         for p, (pos, layer) in enumerate(arch.parametric_layers()):
             if not isinstance(layer, bs.Conv2D):
@@ -512,7 +504,7 @@ def test_conv_restarts_of_every_filter_equal_a_fresh_pass(desk, monkeypatch, odd
                 assert rows[0] == (2 if blocks else layer.c_out)
                 # every stored array equals a fresh pass's, the logits and the other row
                 # of f's block included: a later restart reads that row as it is
-                fresh = Workspace(arch)
+                fresh = Workspace(arch, weights, model.biases)
                 bs.forward_batch(bs.FloatModel(arch, weights, model.biases), xs, fresh)
                 assert [a.tobytes() for a in stored_arrays(ws)] == [
                     a.tobytes() for a in stored_arrays(fresh)], (p, f)
@@ -569,12 +561,11 @@ def test_workspace_restore_returns_every_array_to_the_first_pass(n, monkeypatch)
                             bs.Flatten(), bs.Dense(32, 3)), (1, 8, 8), 3)
     rng = np.random.default_rng(n)
     model = random_model(arch, rng)
-    ws = Workspace(arch)
+    weights = [w.copy() for w in model.weights]
+    ws = Workspace(arch, weights, model.biases)
     bs.forward_batch(model, rng.standard_normal((n, 1, 8, 8)), ws)
     arrays = stored_arrays(ws)
     before = [a.tobytes() for a in arrays]
-    weights = [w.copy() for w in model.weights]
-    ws.bind(weights, model.biases)
     calls = []  # the names of the conv and pool calls made
 
     def counted(name, real):
@@ -584,8 +575,6 @@ def test_workspace_restore_returns_every_array_to_the_first_pass(n, monkeypatch)
         return call
     for name in ("_conv2d", "_maxpool"):
         monkeypatch.setattr(model_module, name, counted(name, getattr(model_module, name)))
-    ws.restore()  # nothing restarted since bind: no layer runs
-    assert calls == [] and [a.tobytes() for a in arrays] == before
     for start in range(len(weights)):  # change and restart every filter from layer start on
         for w in weights[start:]:
             w += 1.0
@@ -597,9 +586,6 @@ def test_workspace_restore_returns_every_array_to_the_first_pass(n, monkeypatch)
         for w, orig in zip(weights, model.weights):
             np.copyto(w, orig)
         calls.clear()
-        ws.restore()
+        ws.restart(start)  # every filter of layer start, with the weights back
         assert [a.tobytes() for a in arrays] == before, start
         assert calls.count("_conv2d") == 3 - start and calls.count("_maxpool") == (start == 0)
-        calls.clear()
-        ws.restore()  # a second restore has nothing left to re-run
-        assert calls == []
