@@ -1,16 +1,19 @@
 """Vulnerable-bit ranking (normalized filter L2), baselines, flip injection, full pipeline."""
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import (Dataset, ModelFormatError, Workspace, check_dataset, forward_batch,
-                    magic_lines, read_fields, top1_accuracy)
-from .quantize import BITWIDTHS, QuantModel, dequantize_model, flip_bit
+                    magic_lines, read_fields)
+from .quantize import BITWIDTHS, QuantModel, bits_to_codes, dequantize, dequantize_model, flip_bit
 from .reconstruct import ReconstructionMethod, reconstruct_model
 from .recovery import simulate_recovery
 from .synth import gradient
@@ -18,17 +21,19 @@ from .synth import gradient
 TRACE_MAGIC = "bitsiege-trace-v1"
 
 
-@dataclass(frozen=True)
-class FlipRecord:
+class FlipRecord(NamedTuple):  # a tuple: a list of 200 builds in a third of a dataclass's time
     layer: int   # index into parametric layers
     filt: int    # conv: output channel; dense: output row
     weight: int  # flattened (c, k1, k2) index within the filter
     bit: int
 
 
+# A ranking's `reads_codes` is False when its list depends on the surrogate's shapes and
+# bitwidths only, which every recon of one victim shares, so `run_attacks` ranks it once.
 @dataclass(frozen=True)
 class FL2R:
     name = "fl2r"
+    reads_codes = True
 
     def select(self, surrogate, n_bf, eval_data):
         return select_vulnerable_bits(surrogate, n_bf)
@@ -38,6 +43,7 @@ class FL2R:
 class RandomBits:
     seed: int
     name = "random"
+    reads_codes = False
 
     def select(self, surrogate, n_bf, eval_data):
         return select_random_bits(surrogate, n_bf, self.seed)
@@ -47,6 +53,7 @@ class RandomBits:
 class GradientBaseline:
     batch_size: int = 32
     name = "gradient"
+    reads_codes = True
 
     def select(self, surrogate, n_bf, eval_data):
         """Rank on the first `batch_size` samples of the evaluation set."""
@@ -95,6 +102,21 @@ class AttackTrace:
             raise ValueError("accuracy outside [0,1]")
 
 
+def _codes_by_pattern(nq):
+    """Every nq-bit code, at the index of its bit pattern. A sequence in this order is
+    indexed by the signed code too: a negative code c indexes it from the end, at its
+    pattern c + 2**nq."""
+    return bits_to_codes(np.arange(1 << nq), nq)
+
+
+@functools.cache
+def flip_table(nq: int):
+    """`flip_table(nq)[p][c] == flip_bit(c, p, nq)` for every bit p and nq-bit code c:
+    row p lists each code's flip in `_codes_by_pattern` order. One per bitwidth, shared."""
+    return tuple(tuple(flip_bit(c, p, nq) for c in _codes_by_pattern(nq).tolist())
+                 for p in range(nq))
+
+
 def _check_nbf(model, n_bf):
     total = sum(c.size for c in model.codes)
     if not 1 <= n_bf <= total:
@@ -117,12 +139,13 @@ def select_vulnerable_bits(model: QuantModel, n_bf: int):
     heap = [(-v, l, f, 0) for l, deq in enumerate(deqs)
             for f, v in enumerate((np.linalg.norm(deq, axis=1) / deq.shape[1]).tolist())]
     heapq.heapify(heap)
+    signs = [flip_table(qp.bitwidth)[-1] for qp in model.params]  # sign-flipped codes
     records = []
     for _ in range(n_bf):
         _, l, f, k = heapq.heappop(heap)
-        deq, qp, w = deqs[l], model.params[l], int(orders[l][f, k])
+        deq, qp, w = deqs[l], model.params[l], orders[l].item(f, k)
         records.append(FlipRecord(l, f, w, qp.bitwidth - 1))
-        deq[f, w] = flip_bit(int(codes[l][f, w]), qp.bitwidth - 1, qp.bitwidth) * qp.scale
+        deq[f, w] = signs[l][codes[l].item(f, w)] * qp.scale
         if k + 1 < deq.shape[1]:  # the bits of np.linalg.norm(deq[f]), sqrt(x.dot(x))
             heapq.heappush(heap, (-math.sqrt(deq[f].dot(deq[f])) / deq.shape[1], l, f, k + 1))
     return records
@@ -152,24 +175,26 @@ def select_gradient_bits(reconstructed: QuantModel, batch: Dataset, n_bf: int):
     and flip the sign bit only when the flip moves the weight up the loss gradient.
 
     Ties in |gradient| break to the lowest (layer, flat weight index): one stable
-    sort over the candidates concatenated in that order.
+    sort over every layer's weights concatenated in that order.
     """
     _check_nbf(reconstructed, n_bf)
     check_dataset(reconstructed.architecture, batch)
-    fm = dequantize_model(reconstructed)
-    grads, _ = gradient(fm, batch.inputs, batch.labels)
-    idx, mag = [], []  # per layer: the aligned weights' flat index and |g|
-    for g, c, qp in zip(grads, reconstructed.codes, reconstructed.params):
-        g, half = g.reshape(-1), 1 << (qp.bitwidth - 1)
-        delta = np.where(c.reshape(-1) >= 0, -half, half) * qp.scale
-        idx.append(np.flatnonzero(delta * g > 0))  # the flip raises the loss to first order
-        mag.append(np.abs(g[idx[-1]]))
-    top = np.argsort(-np.concatenate(mag), kind="stable")[:n_bf]
+    grads, _ = gradient(dequantize_model(reconstructed), batch.inputs, batch.labels)
+    params = reconstructed.params
+    sizes = np.array([c.size for c in reconstructed.codes])
+    ends = np.cumsum(sizes)
+    g = np.concatenate([x.reshape(-1) for x in grads])
+    codes = np.concatenate([c.reshape(-1) for c in reconstructed.codes])
+    # per weight: the size of its sign flip's step; a weight whose step moves it up the
+    # gradient is a candidate, as the flip raises the loss to first order
+    step = np.repeat([(1 << (qp.bitwidth - 1)) * qp.scale for qp in params], sizes)
+    aligned = np.flatnonzero(np.where(codes >= 0, -step, step) * g > 0)
+    top = aligned[np.argsort(-np.abs(g[aligned]), kind="stable")[:n_bf]]
     if len(top) < n_bf:
         raise ValueError(f"only {len(top)} gradient-aligned sign flips available")
-    layers = np.repeat(np.arange(len(idx)), list(map(len, idx)))[top]
-    sign = np.array([qp.bitwidth - 1 for qp in reconstructed.params])
-    return _records(reconstructed, layers, np.concatenate(idx)[top], sign[layers])
+    layers = np.searchsorted(ends, top, side="right")
+    sign = np.array([qp.bitwidth - 1 for qp in params])
+    return _records(reconstructed, layers, top - (ends - sizes)[layers], sign[layers])
 
 
 def _flip_sites(victim: QuantModel, records):
@@ -179,14 +204,15 @@ def _flip_sites(victim: QuantModel, records):
     bounds = [(len(c), c[0].size, qp.bitwidth) for c, qp in zip(victim.codes, victim.params)]
     sites = []
     for r in records:
-        if not 0 <= r.layer < len(bounds):
-            raise ValueError(f"bad layer index {r.layer}")
-        count, size, nq = bounds[r.layer]
-        if not (0 <= r.filt < count and 0 <= r.weight < size):
+        layer, filt, weight, bit = r
+        if not 0 <= layer < len(bounds):
+            raise ValueError(f"bad layer index {layer}")
+        count, size, nq = bounds[layer]
+        if not (0 <= filt < count and 0 <= weight < size):
             raise ValueError(f"bad filter/weight index in {r}")
-        if not 0 <= r.bit < nq:
-            raise ValueError(f"bit position {r.bit} out of range for {nq}-bit code")
-        sites.append((r.layer, r.filt, r.filt * size + r.weight, r.bit))
+        if not 0 <= bit < nq:
+            raise ValueError(f"bit position {bit} out of range for {nq}-bit code")
+        sites.append((layer, filt, filt * size + weight, bit))
     return sites
 
 
@@ -202,16 +228,19 @@ def apply_flips(victim: QuantModel, records) -> QuantModel:
 class _VictimPass:
     """What `_flip_logits` builds from one victim and eval set, kept for later calls on
     the same two objects: the dequantized victim, copies of the codes and weights that
-    flips rewrite, a Workspace that holds the baseline pass, whose restarts read those
-    weights, and `lowest`, the lowest layer flipped since the last reset, if any."""
+    flips rewrite, with each layer's flip table and weight per code, a Workspace that
+    holds the baseline pass, whose restarts read those weights, and `lowest`, the lowest
+    layer flipped since the last reset, if any."""
 
     def __init__(self, victim: QuantModel, eval_data: Dataset):
         self.victim, self.eval_data = victim, eval_data
         self.fm = dequantize_model(victim)
         self.codes = [c.copy() for c in victim.codes]
         self.weights = [w.copy() for w in self.fm.weights]
-        # per parametric layer: the flat codes and weights a flip rewrites, bitwidth, scale
-        self.layers = [(c.reshape(-1), w.reshape(-1), qp.bitwidth, qp.scale)
+        # per parametric layer: the flat codes and weights a flip rewrites, the flip table,
+        # and the dequantized weight of each code, indexed as the table's rows are
+        self.layers = [(c.reshape(-1), w.reshape(-1), flip_table(qp.bitwidth),
+                        dequantize(_codes_by_pattern(qp.bitwidth), qp.scale).tolist())
                        for c, w, qp in zip(self.codes, self.weights, victim.params)]
         self.ws = Workspace(victim.architecture, self.weights, self.fm.biases)
         self.baseline = forward_batch(self.fm, eval_data.inputs, self.ws)
@@ -270,24 +299,34 @@ def _flip_logits(victim: QuantModel, record_lists, eval_data: Dataset):
         for list_sites in sites:
             yield vp.reset()
             for l, f, i, bit in list_sites:
-                c, w, nq, scale = vp.layers[l]
-                code = flip_bit(int(c[i]), bit, nq)
+                c, w, flips, weights = vp.layers[l]
+                code = flips[bit][c.item(i)]
                 c[i] = code
-                w[i] = np.float64(code) * scale
+                w[i] = weights[code]
                 vp.lowest = min(vp.lowest, l)
                 yield vp.ws.restart(l, f)
     finally:
         _held.victim_pass = vp
 
 
+def _flip_accuracies(victim: QuantModel, record_lists, eval_data: Dataset):
+    """`top1_accuracy` of each logits array that `_flip_logits` yields, in order. The
+    argmax and the hits are written into two arrays made once per call, not two made per
+    flip; the count of hits is the same integer, so each accuracy is the same float."""
+    labels = eval_data.labels
+    pred, hits = np.empty(len(labels), dtype=np.intp), np.empty(len(labels), dtype=bool)
+    for logits in _flip_logits(victim, record_lists, eval_data):
+        np.equal(logits.argmax(axis=1, out=pred), labels, out=hits)
+        yield int(np.count_nonzero(hits)) / len(labels)
+
+
 def evaluate_flips(victim: QuantModel, records, eval_data: Dataset) -> list:
     """Accuracy of the victim before any flip and after each cumulative flip: the
-    one-list case of `_flip_logits`. Each accuracy equals
+    one-list case of `_flip_accuracies`. Each accuracy equals
     `accuracy_quant(apply_flips(victim, records[:i]), eval_data)` exactly (see
     `Workspace.restart`).
     """
-    return [top1_accuracy(logits, eval_data.labels)
-            for logits in _flip_logits(victim, [records], eval_data)]
+    return list(_flip_accuracies(victim, [records], eval_data))
 
 
 def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
@@ -299,35 +338,36 @@ def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
     surrogate, each ranking of each distinct surrogate, and the evaluation of each
     distinct record list. The surrogates all come from one recovery, so their codes
     decide them: recons that give the same codes (every recon at rp = 1) share their
-    rankings, and a random list, which reads only the seed and the surrogate's shape,
-    is evaluated once for every recon. These memos live only for the call. The
-    victim's baseline pass over `eval_data`, and the restarts built over it, are built
-    once for `victim` and `eval_data` and kept for later calls on the same two objects
-    (`_flip_logits`): one pass serves a whole sweep group, and consecutive groups on
-    one quantized victim; before each later list it is re-run in place from the lowest
-    layer flipped since. Each trace equals `run_attack`'s for its pair, byte for byte.
+    rankings, and a random list, which reads only the seed and the surrogate's shapes
+    and bitwidths (`reads_codes`), is ranked and evaluated once for every recon. These
+    memos live only for the call. The victim's baseline pass over `eval_data`, and the
+    restarts built over it, are built once for `victim` and `eval_data` and kept for
+    later calls on the same two objects (`_flip_logits`): one pass serves a whole sweep
+    group, and consecutive groups on one quantized victim; before each later list it is
+    re-run in place from the lowest layer flipped since. Each trace equals
+    `run_attack`'s for its pair, byte for byte.
     """
     partial = simulate_recovery(victim, rp, seed)
     surrogates = {}  # recon -> (its codes' bytes, surrogate)
-    ranked = {}      # (ranking, codes' bytes) -> record tuple
+    ranked = {}      # (ranking, codes' bytes, or None if it reads none) -> record tuple
     records = []
     for ranking, recon in methods:
         if recon not in surrogates:
             s = reconstruct_model(partial, recon)
             surrogates[recon] = (b"".join(c.tobytes() for c in s.codes), s)
-        key, s = surrogates[recon]
-        if (ranking, key) not in ranked:
-            ranked[ranking, key] = tuple(ranking.select(s, n_bf, eval_data))
-        records.append(ranked[ranking, key])
+        codes, s = surrogates[recon]
+        key = ranking, codes if ranking.reads_codes else None
+        if key not in ranked:
+            ranked[key] = tuple(ranking.select(s, n_bf, eval_data))
+        records.append(ranked[key])
     # the distinct lists, in first-use order; found by `==`, which mostly stops at the
     # first record of two different lists, where a hash would read every record
     lists = []
     for recs in records:
         if recs not in lists:
             lists.append(recs)
-    logits = _flip_logits(victim, lists, eval_data)
-    accs = [tuple(top1_accuracy(next(logits), eval_data.labels) for _ in range(len(recs) + 1))
-            for recs in lists]
+    accuracies = _flip_accuracies(victim, lists, eval_data)
+    accs = [tuple(itertools.islice(accuracies, len(recs) + 1)) for recs in lists]
     nq = victim.params[0].bitwidth
     traces = []
     for (ranking, recon), recs in zip(methods, records):

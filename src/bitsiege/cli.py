@@ -195,9 +195,11 @@ def _run_all(cfg, runs, out, jobs=1, table=None):
     up to `jobs` processes, and write each trace to `out`; returns the traces in run
     order. `table`: a file name in `out` that then receives the traces' `_csv_bytes`.
 
-    A trace path that holds a file `load_trace` cannot read is refused before the first
-    run; one that reads as a different trace, and a `table` whose bytes differ from the
-    new table's, after the runs. Either way no file is written.
+    A trace path that holds a file `load_trace` cannot read, and a `table` whose header,
+    or whose rows' keys (every column but the accuracy, which the runs fix), differ from
+    the new table's, are refused before the first run; a trace path that reads as a
+    different trace, and a `table` with other accuracies, after the runs. Either way no
+    file is written.
 
     `runs` comes from `_runs`, whose product order puts each group's runs together."""
     victim_path = _one(cfg, "victim")
@@ -222,6 +224,18 @@ def _run_all(cfg, runs, out, jobs=1, table=None):
         except ModelFormatError as e:
             raise FileExistsError(f"{path} exists and is not replaced, as it is not a "
                                   f"readable trace ({e}); choose another --out") from None
+    held_table = None  # the bytes of a `table` that already exists
+    if table is not None:
+        table = os.path.join(out, table)
+        other_results = FileExistsError(f"{table} holds other results and is not replaced; "
+                                        "choose another --out")
+        if os.path.exists(table):
+            with open(table, "rb") as f:
+                held_table = f.read()
+            # the runs' rows with placeholder accuracies, which `_csv_keys` cuts off
+            keys = _csv_keys(_csv_bytes((run, [0.0] * (run["nbf"] + 1)) for run in runs))
+            if _csv_keys(held_table) != keys:
+                raise other_results
     groups = [list(g) for _, g in itertools.groupby(runs, lambda r: (r["nq"], r["rp"], r["seed"]))]
     work = [(victims[g[0]["nq"]], eval_ds, g) for g in groups]
     jobs = min(jobs, len(work))
@@ -236,12 +250,9 @@ def _run_all(cfg, runs, out, jobs=1, table=None):
             raise FileExistsError(f"{path} holds a different trace of the same run config; "
                                   "choose another --out")
     if table is not None:
-        table, data = os.path.join(out, table), _csv_bytes(traces)
-        if os.path.exists(table):
-            with open(table, "rb") as f:
-                if f.read() != data:
-                    raise FileExistsError(f"{table} holds other results and is not "
-                                          "replaced; choose another --out")
+        data = _csv_bytes((t.config, t.accuracies) for t in traces)
+        if held_table is not None and held_table != data:
+            raise other_results
     os.makedirs(out, exist_ok=True)
     for path, trace in zip(paths, traces):
         save_trace(trace, path)
@@ -290,16 +301,22 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _csv_bytes(traces):
-    """The UTF-8 CSV of `traces`: a header, then a row per accuracy of each trace."""
+def _csv_bytes(runs):
+    """The UTF-8 CSV of (RUN_CONFIG dict, accuracies) pairs: a header, then a row per
+    accuracy of each pair, the accuracy last."""
     f = io.StringIO()
     w = csv.writer(f, lineterminator="\n")
     w.writerow(["nq", "rp", "seed", "ranking", "recon", "flip_index", "accuracy"])
-    for t in traces:
-        c = t.config
-        for i, a in enumerate(t.accuracies):
+    for c, accuracies in runs:
+        for i, a in enumerate(accuracies):
             w.writerow([c["nq"], repr(c["rp"]), c["seed"], c["ranking"], c["recon"], i, repr(a)])
     return f.getvalue().encode("utf-8")
+
+
+def _csv_keys(data):
+    """The lines of a `_csv_bytes` table, each row's accuracy cut off."""
+    header, *rows = data.split(b"\n")
+    return [header, *(row.rpartition(b",")[0] for row in rows)]
 
 
 def _write_csv(data, path):
@@ -316,7 +333,8 @@ def cmd_report(args):
                                t.config["recon"], t.config["seed"]))
     out = args.out or args.results
     os.makedirs(out, exist_ok=True)
-    _write_csv(_csv_bytes(traces), os.path.join(out, "report.csv"))
+    _write_csv(_csv_bytes((t.config, t.accuracies) for t in traces),
+               os.path.join(out, "report.csv"))
     groups = {}
     for t in traces:
         c = t.config

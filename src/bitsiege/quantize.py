@@ -1,6 +1,7 @@
 """Layer-wise symmetric uniform quantization and two's-complement bit algebra."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,8 @@ class QuantParams:
     def __post_init__(self):
         if self.bitwidth not in BITWIDTHS:
             raise ValueError(f"bitwidth must be one of {BITWIDTHS}")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,11 @@ def simulate_recovery(victim: QuantModel, rp: float, seed: int) -> PartialModel:
     rng = np.random.default_rng(seed)
     code_bits, masks = [], []
     for c, qp in zip(victim.codes, victim.params):
-        mask = np.zeros(c.shape, dtype=np.uint8)
-        for p in range(qp.bitwidth):
-            mask |= (rng.random(c.shape) < rp).astype(np.uint8) << p
+        # every bit plane of the layer in one draw, plane p for bit p: `random` fills in
+        # order, so plane p holds the values of the p-th of one draw per plane
+        planes = (rng.random((qp.bitwidth, *c.shape)) < rp).astype(np.uint8)
+        shifts = np.arange(qp.bitwidth, dtype=np.uint8).reshape(-1, *(1,) * c.ndim)
+        mask = np.bitwise_or.reduce(planes << shifts, axis=0)
         code_bits.append(codes_to_bits(c, qp.bitwidth) & mask)
         masks.append(mask)
     return PartialModel(victim.architecture, list(victim.params), code_bits, masks, victim.biases)

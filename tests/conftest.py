@@ -1,8 +1,10 @@
 import contextlib
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, strategies as st
 
 import bitsiege as bs
 from bitsiege import attack, model
@@ -60,3 +62,45 @@ def full_gemm_restarts():
             mock.patch.dict(model._BLOCKS_EXACT, clear=True), \
             mock.patch.object(attack._held, "victim_pass", None, create=True):
         yield
+
+
+def draw_architecture(data):
+    """conv -> ReLU -> MaxPool -> conv, conv -> MaxPool -> conv (a pool with no ReLU under
+    it), conv -> conv with no pool, or conv alone, under a head of Flatten -> Dense,
+    Flatten -> ReLU -> Dense, or Flatten -> Dense -> ReLU -> Dense (a hidden dense layer);
+    conv stride 1-2, padding 0-1, pool window 1-3."""
+    kind = data.draw(st.sampled_from(["conv-relu-pool-conv", "conv-pool-conv", "conv-conv",
+                                      "conv"]))
+    head = data.draw(st.sampled_from(["dense", "relu-dense", "hidden-dense"]))
+    c_in = data.draw(st.integers(1, 2))
+    size = data.draw(st.integers(3, 9))
+
+    def conv(c):
+        return bs.Conv2D(c, data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)),
+                         data.draw(st.integers(1, 2)), data.draw(st.integers(0, 1)))
+
+    first = conv(c_in)
+    if kind == "conv-relu-pool-conv":
+        body = [first, bs.ReLU(), bs.MaxPool(data.draw(st.integers(1, 3))), conv(first.c_out),
+                bs.ReLU()]
+    elif kind == "conv-pool-conv":
+        body = [first, bs.MaxPool(data.draw(st.integers(1, 3))), conv(first.c_out)]
+    elif kind == "conv-conv":
+        body = [first, conv(first.c_out)]
+    else:
+        body = [first]
+    shape = (c_in, size, size)
+    try:
+        for layer in body:
+            shape = model._layer_out_shape(layer, shape)
+    except ValueError:  # a kernel or pool window that does not fit
+        assume(False)
+    classes, features = data.draw(st.integers(2, 4)), math.prod(shape)
+    if head == "dense":
+        head = [bs.Flatten(), bs.Dense(features, classes)]
+    elif head == "relu-dense":
+        head = [bs.Flatten(), bs.ReLU(), bs.Dense(features, classes)]
+    else:
+        hidden = data.draw(st.integers(1, 6))
+        head = [bs.Flatten(), bs.Dense(features, hidden), bs.ReLU(), bs.Dense(hidden, classes)]
+    return bs.Architecture(tuple(body + head), (c_in, size, size), classes)

@@ -3,10 +3,11 @@ import itertools
 import math
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import bitsiege as bs
 from bitsiege import attack
@@ -15,11 +16,11 @@ from bitsiege import synth as synth_module
 from bitsiege.attack import RANKINGS, RECONS, RUN_CONFIG, FlipRecord, _flip_logits
 from bitsiege.cli import _cfg_hash
 from bitsiege.model import ModelFormatError, Workspace, backward_layers, forward_layers
-from bitsiege.model import _conv_bwd, _layer_out_shape, _maxpool, _pool_bwd, filter_count, filter_size
+from bitsiege.model import _conv_bwd, _maxpool, _pool_bwd, filter_count, filter_size
 from bitsiege.synth import _softmax_ce
 from bitsiege.quantize import BITWIDTHS
 
-from conftest import full_gemm_restarts, random_qmodel, stored_arrays
+from conftest import draw_architecture, full_gemm_restarts, random_qmodel, stored_arrays
 
 
 def two_filter_model(w0=5.0, w1=1.0):
@@ -170,6 +171,16 @@ def test_apply_flips_rejects_bad_indices(desk):
         bs.apply_flips(desk["qmodel"], [FlipRecord(0, 999, 0, 7)])
 
 
+@pytest.mark.parametrize("nq", BITWIDTHS)
+def test_flip_table_equals_flip_bit_for_every_bit_and_code(nq):
+    table = attack.flip_table(nq)
+    assert len(table) == nq and attack.flip_table(nq) is table  # one per bitwidth, shared
+    for p in range(nq):
+        assert len(table[p]) == 1 << nq
+        for c in range(-(1 << (nq - 1)), 1 << (nq - 1)):
+            assert table[p][c] == bs.flip_bit(c, p, nq), (p, c)
+
+
 def test_random_bits_deterministic_and_distinct(desk):
     a = bs.select_random_bits(desk["qmodel"], 100, seed=5)
     b = bs.select_random_bits(desk["qmodel"], 100, seed=5)
@@ -268,6 +279,25 @@ def test_gradient_bits_ties_match_tuple_sort(monkeypatch):
         assert bs.select_gradient_bits(q, batch, n_bf) == gradient_bits_reference(q, grads, n_bf)
     with pytest.raises(ValueError, match=f"only {n_aligned} gradient-aligned"):
         bs.select_gradient_bits(q, batch, n_aligned + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gradient_bits_match_the_reference_across_bitwidths_and_scales(data):
+    # per-layer bitwidths and scales, and few distinct magnitudes, so that most gradients
+    # tie within and across layers
+    q = draw_tied_qmodel(data, per_layer_nq=True)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    grads = [rng.integers(-2, 3, c.shape) * 0.25 for c in q.codes]
+    batch = bs.Dataset(np.zeros((1, *q.architecture.input_shape)), np.zeros(1, dtype=int))
+    n_aligned = len(gradient_bits_reference(q, grads, 10 ** 6))
+    n_bf = data.draw(st.integers(1, sum(c.size for c in q.codes)))
+    with mock.patch.object(attack, "gradient", lambda fm, x, y: (grads, None)):
+        if n_bf > n_aligned:
+            with pytest.raises(ValueError, match=f"only {n_aligned} gradient-aligned"):
+                bs.select_gradient_bits(q, batch, n_bf)
+        else:
+            assert bs.select_gradient_bits(q, batch, n_bf) == gradient_bits_reference(q, grads, n_bf)
 
 
 def test_gradient_bits_rejects_empty_batch(desk):
@@ -410,48 +440,6 @@ def draw_flips(data, q):
                 for _ in range(data.draw(st.integers(0, 4)))]
     records.append(data.draw(st.sampled_from(records)))
     return data.draw(st.permutations(records))
-
-
-def draw_architecture(data):
-    """conv -> ReLU -> MaxPool -> conv, conv -> MaxPool -> conv (a pool with no ReLU under
-    it), conv -> conv with no pool, or conv alone, under a head of Flatten -> Dense,
-    Flatten -> ReLU -> Dense, or Flatten -> Dense -> ReLU -> Dense (a hidden dense layer);
-    conv stride 1-2, padding 0-1, pool window 1-3."""
-    kind = data.draw(st.sampled_from(["conv-relu-pool-conv", "conv-pool-conv", "conv-conv",
-                                      "conv"]))
-    head = data.draw(st.sampled_from(["dense", "relu-dense", "hidden-dense"]))
-    c_in = data.draw(st.integers(1, 2))
-    size = data.draw(st.integers(3, 9))
-
-    def conv(c):
-        return bs.Conv2D(c, data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)),
-                         data.draw(st.integers(1, 2)), data.draw(st.integers(0, 1)))
-
-    first = conv(c_in)
-    if kind == "conv-relu-pool-conv":
-        body = [first, bs.ReLU(), bs.MaxPool(data.draw(st.integers(1, 3))), conv(first.c_out),
-                bs.ReLU()]
-    elif kind == "conv-pool-conv":
-        body = [first, bs.MaxPool(data.draw(st.integers(1, 3))), conv(first.c_out)]
-    elif kind == "conv-conv":
-        body = [first, conv(first.c_out)]
-    else:
-        body = [first]
-    shape = (c_in, size, size)
-    try:
-        for layer in body:
-            shape = _layer_out_shape(layer, shape)
-    except ValueError:  # a kernel or pool window that does not fit
-        assume(False)
-    classes, features = data.draw(st.integers(2, 4)), math.prod(shape)
-    if head == "dense":
-        head = [bs.Flatten(), bs.Dense(features, classes)]
-    elif head == "relu-dense":
-        head = [bs.Flatten(), bs.ReLU(), bs.Dense(features, classes)]
-    else:
-        hidden = data.draw(st.integers(1, 6))
-        head = [bs.Flatten(), bs.Dense(features, hidden), bs.ReLU(), bs.Dense(hidden, classes)]
-    return bs.Architecture(tuple(body + head), (c_in, size, size), classes)
 
 
 @settings(max_examples=80, deadline=None)
@@ -799,8 +787,9 @@ def test_run_attacks_equals_run_attack_pair_by_pair(desk, tmp_path, rp):
 
 @pytest.fixture()
 def work_counts(monkeypatch):
-    """Calls of FL2R and gradient ranking, and per-flip restarts, made through `attack`."""
-    counts = {"fl2r": 0, "gradient": 0, "restart": 0}
+    """Calls of FL2R, random and gradient ranking, and per-flip restarts, made through
+    `attack`."""
+    counts = {"fl2r": 0, "random": 0, "gradient": 0, "restart": 0}
 
     def counted(key, fn):
         def call(*a):
@@ -809,6 +798,8 @@ def work_counts(monkeypatch):
         return call
     monkeypatch.setattr(attack, "select_vulnerable_bits",
                         counted("fl2r", attack.select_vulnerable_bits))
+    monkeypatch.setattr(attack, "select_random_bits",
+                        counted("random", attack.select_random_bits))
     monkeypatch.setattr(attack, "select_gradient_bits",
                         counted("gradient", attack.select_gradient_bits))
     restart = Workspace.restart
@@ -824,15 +815,16 @@ def test_a_group_at_full_recovery_ranks_once_and_evaluates_each_list_once(desk, 
     # every recon gives the victim's codes: one FL2R, one random and one gradient list
     traces = attack.run_attacks(desk["qmodel"], 1.0, 2, nine_pairs(2), 12, desk["test"])
     assert len({t.records for t in traces}) == 3
-    assert work_counts == {"fl2r": 1, "gradient": 1, "restart": 3 * 12}
+    assert work_counts == {"fl2r": 1, "random": 1, "gradient": 1, "restart": 3 * 12}
 
 
 def test_a_group_below_full_recovery_evaluates_each_distinct_list_once(desk, work_counts):
     traces = attack.run_attacks(desk["qmodel"], 0.5, 2, nine_pairs(2), 12, desk["test"])
     distinct = {t.records for t in traces}
-    # the random list repeats across the recons; the surrogates differ, and so their lists
+    # the random list, ranked once, repeats across the recons; the surrogates differ, and
+    # so their FL2R and gradient lists
     assert len(distinct) == 7
-    assert work_counts == {"fl2r": 3, "gradient": 3, "restart": 12 * len(distinct)}
+    assert work_counts == {"fl2r": 3, "random": 1, "gradient": 3, "restart": 12 * len(distinct)}
 
 
 def test_run_attacks_raises_the_gradient_error_of_the_first_pair_that_fails(desk):

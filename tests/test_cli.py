@@ -198,6 +198,48 @@ nbf = 3
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # no rp 1.0 trace either
 
 
+@pytest.mark.parametrize("edit, runs", [
+    (lambda rows: rows[:1] + [r.replace(",0.8,", ",1.0,", 1) for r in rows[1:]], False),
+    (lambda rows: [rows[0].replace("flip_index", "flip")] + rows[1:], False),
+    (lambda rows: rows[:-1], False),
+    (lambda rows: rows + rows[-1:], False),
+    (lambda rows: rows[:-1] + [rows[-1].rpartition(",")[0] + ",0.5"], True)],
+    ids=["other-rp", "other-header", "a-row-short", "a-row-more", "other-accuracy"])
+def test_a_results_table_with_other_keys_is_refused_before_the_first_run(
+        workdir, tmp_path, capsys, monkeypatch, edit, runs):
+    cfg = write_cfg(tmp_path / "s.cfg", f"""
+victim = {workdir / 'victim.model'}
+eval = {workdir / 'test.data'}
+nq = 8
+rp = 0.8
+seeds = 0 1
+ranking = fl2r random
+recon = czr
+nbf = 3
+""")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "first")]) == EXIT_OK
+    rows = (tmp_path / "first" / "results.csv").read_text(encoding="utf-8").splitlines()
+    out = tmp_path / "sweep"
+    out.mkdir()
+    table = out / "results.csv"
+    held = ("\n".join(edit(rows)) + "\n").encode("utf-8")
+    table.write_bytes(held)
+    calls, run_attacks = [], cli.run_attacks
+
+    def counted(*a):
+        calls.append(a)
+        if not runs:
+            raise AssertionError("a run started")
+        return run_attacks(*a)
+    monkeypatch.setattr(cli, "run_attacks", counted)
+    capsys.readouterr()
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"i/o error: {table} holds other results"), err
+    assert len(calls) == (2 if runs else 0)  # one per (nq, rp, seed) group, after the check
+    assert os.listdir(out) == ["results.csv"] and table.read_bytes() == held
+
+
 def sweep_cfg(workdir, tmp_path, name="s.cfg"):
     return write_cfg(tmp_path / name, f"""
 victim = {workdir / 'victim.model'}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +97,12 @@ def test_bits_codes_roundtrip(nq):
     lo, hi = code_range(nq)
     codes = np.arange(lo, hi + 1, dtype=np.int16)
     assert np.array_equal(bits_to_codes(codes_to_bits(codes, nq), nq), codes)
+
+
+@pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_quant_params_reject_a_scale_that_is_not_finite_and_positive(scale):
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        bs.QuantParams(8, scale)
 
 
 def test_quantize_model_and_forward_quant(desk):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bitsiege as bs
-from bitsiege.quantize import codes_to_bits
+from bitsiege.quantize import BITWIDTHS, codes_to_bits
+
+from conftest import draw_architecture, random_qmodel
 
 DENSE_1X1 = bs.Architecture((bs.Dense(1, 1),), (1,), 1)
 
@@ -67,6 +70,30 @@ def test_recovered_bits_match_victim(desk):
     p = bs.simulate_recovery(q, 0.4, 3)
     for cb, mk, c, qp in zip(p.code_bits, p.masks, q.codes, q.params):
         assert np.array_equal(cb, codes_to_bits(c, qp.bitwidth) & mk)
+
+
+def per_plane_recovery(victim, rp, seed):
+    """The masks and code bits of one uniform draw per bit plane, LSB first, per layer."""
+    rng = np.random.default_rng(seed)
+    code_bits, masks = [], []
+    for c, qp in zip(victim.codes, victim.params):
+        mask = np.zeros(c.shape, dtype=np.uint8)
+        for p in range(qp.bitwidth):
+            mask |= (rng.random(c.shape) < rp).astype(np.uint8) << p
+        code_bits.append(codes_to_bits(c, qp.bitwidth) & mask)
+        masks.append(mask)
+    return code_bits, masks
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nq=st.sampled_from(BITWIDTHS),
+       rp=st.sampled_from([0.0, 1.0]) | st.floats(0, 1), seed=st.integers(0, 2**63 - 1))
+def test_recovery_equals_one_draw_per_bit_plane(data, nq, rp, seed):
+    q = random_qmodel(np.random.default_rng(seed), nq, draw_architecture(data))
+    p = bs.simulate_recovery(q, rp, seed)
+    code_bits, masks = per_plane_recovery(q, rp, seed)
+    for got, ref in zip(p.code_bits + p.masks, code_bits + masks, strict=True):
+        assert got.dtype == np.uint8 and got.shape == ref.shape and np.array_equal(got, ref)
 
 
 def test_rate_out_of_range_rejected(desk):
