@@ -455,15 +455,21 @@ def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True, plain_la
     `x_shape` (N, C, H, W), given the output gradient `dout` (N, O, Ho, Wo); dx is
     None unless `input_grad`.
 
-    col2im adds the (i, j) slices of the patch gradient, in row-major order, into a
-    zeros padded (C, H', W', N) buffer, so that numpy's loops run along the batch:
-    each entry of dx gets the same adds in the same order as in a padded
-    (C, N, H', W') buffer, so the same bits. With `plain_layout`, dx is then copied
+    col2im is one add per kernel offset (i, j), in row-major order, of contiguous
+    (C, N) rows. The patch gradient is copied once into a (k, k, Ho, W', C, N) buffer,
+    W' the padded input width, whose W' - Wo gap columns hold -0.0. Flattened over
+    (Ho, W'), offset (i, j)'s slice is added into a zeroed (positions, C, N)
+    accumulator of the padded grid from position i*W' + j, at every `stride`-th
+    position: a gap entry adds -0.0 to some position, and x + -0.0 is x for every x.
+    So each entry of dx gets the same adds in the same order as in a zeros padded
+    (C, N, H', W') buffer, and the same bits, for every stride and padding; but for a
+    NaN's sign, which numpy's add loops take from one operand or the other by the loop
+    a layout selects, here as in any col2im. With `plain_layout`, dx is then copied
     into the layout that buffer gives it, the (N, C, H, W) transpose of its unpadded
-    part, because a conv below may sum its dout in memory order for its db, and
-    another layout could give other bits. Otherwise dx is the (N, C, H, W) transpose
-    of the buffer's own unpadded part, with no copy: for a MaxPool below, which reads
-    its dout only elementwise."""
+    part, because a conv below may sum its dout in memory order for its db, and another
+    layout could give other bits. Otherwise dx is the (N, C, H, W) transpose of the
+    accumulator's own unpadded (H, W, C, N) part, with no copy: for a MaxPool below,
+    which reads its dout only elementwise."""
     n, c, h, wd = x_shape
     o, _, k, _ = w.shape
     ho, wo = dout.shape[2], dout.shape[3]
@@ -472,17 +478,23 @@ def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True, plain_la
     db = dout.sum(axis=(0, 2, 3))
     if not input_grad:
         return dw, db, None
-    dcols = (w.reshape(o, -1).T @ d2).reshape(c, k, k, n, ho, wo).transpose(0, 1, 2, 4, 5, 3)
     hp, wp = h + 2 * padding, wd + 2 * padding
-    acc = np.zeros((c, hp, wp, n))
+    dcols = (w.reshape(o, -1).T @ d2).reshape(c, k, k, n, ho, wo)
+    src = np.empty((k, k, ho, wp, c, n))
+    src[:, :, :, wo:] = -0.0
+    np.copyto(src[:, :, :, :wo], dcols.transpose(1, 2, 4, 5, 0, 3))
+    src = src.reshape(k, k, ho * wp, c, n)
+    span = stride * (ho * wp - 1) + 1  # the positions one offset's slice spans
+    acc = np.zeros((max(hp * wp, (k - 1) * (wp + 1) + span), c, n))
     for i in range(k):
         for j in range(k):
-            acc[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
-    acc = acc[:, padding:padding + h, padding:padding + wd]
+            at = i * wp + j
+            acc[at:at + span:stride] += src[i, j]
+    acc = acc[:hp * wp].reshape(hp, wp, c, n)[padding:padding + h, padding:padding + wd]
     if not plain_layout:
-        return dw, db, acc.transpose(3, 0, 1, 2)
+        return dw, db, acc.transpose(3, 2, 0, 1)
     dx = np.empty((c, n, hp, wp))[:, :, padding:padding + h, padding:padding + wd]
-    np.copyto(dx, acc.transpose(0, 3, 1, 2))
+    np.copyto(dx, acc.transpose(2, 3, 0, 1))
     return dw, db, dx.transpose(1, 0, 2, 3)
 
 
@@ -537,12 +549,13 @@ def backward_layers(arch: Architecture, weights, ws, dlogits):
     maxima it stored. The gradients are those of a plain backward, bit for bit: a
     pool window's gradient goes to its first entry, in row-major order, equal to the
     window's maximum, as `argmax` picks it; col2im adds the patch gradient's (i, j)
-    slices in row-major order; and each input gradient a conv's db can read has the
-    memory layout of a plain backward's (a pool's C-ordered, a conv's that of a padded
-    (C, N, H', W') col2im buffer), because a conv's db sums its dout in memory order.
-    A ReLU under a MaxPool is folded into the pool's backward (`_pool_bwd`'s `relu`),
-    and a conv over a MaxPool hands the pool col2im's own layout, which the pool reads
-    only elementwise."""
+    slices in row-major order, one add of contiguous (C, N) rows per slice (`_conv_bwd`);
+    and each input gradient a conv's db can read has the memory layout of a plain
+    backward's (a pool's C-ordered, a conv's that of a padded (C, N, H', W') col2im
+    buffer), because a conv's db sums its dout in memory order. A ReLU under a MaxPool
+    is folded into the pool's backward (`_pool_bwd`'s `relu`), and a conv over a MaxPool
+    hands the pool col2im's own (H, W, C, N) layout, which the pool reads only
+    elementwise."""
     layers = arch.layers
     below, above = (None,) + layers, layers[1:] + (None,)  # the layers under and over pos
     dws, dbs = [None] * len(weights), [None] * len(weights)

@@ -877,6 +877,42 @@ def conv_bwd_reference(cols, w, stride, padding, x_shape, dout, input_grad=True)
     return dw, db, dx
 
 
+def same_bits(a, b):
+    """`a` and `b` hold the same bits, every NaN taken as the one NaN: numpy's add loops
+    return one operand's NaN or the other's, by the loop a layout takes, so a NaN's sign
+    says which loop ran, not what was summed."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(np.isnan(a), np.isnan(b)) and \
+        np.where(np.isnan(a), np.nan, a).tobytes() == np.where(np.isnan(b), np.nan, b).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_conv_backward_matches_the_reference_bit_for_bit(data):
+    n, c, o = (data.draw(st.integers(1, 4)) for _ in range(3))
+    k, stride, padding = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)), \
+        data.draw(st.integers(0, 1))
+    h, wd = (max(1, k - 2 * padding) + data.draw(st.integers(0, 4)) for _ in range(2))
+    ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, c, h, wd))
+    w = {"zero": np.zeros((o, c, k, k)), "normal": rng.standard_normal((o, c, k, k)),
+         "tied": rng.choice([-0.5, -0.0, 0.0, 1.0], (o, c, k, k))}[
+        data.draw(st.sampled_from(["zero", "normal", "tied"]))]
+    dout = rng.choice([np.nan, -np.inf, np.inf, -0.0, 0.0, 1.5, -2.25], (n, o, ho, wo)) \
+        if data.draw(st.booleans()) else rng.standard_normal((n, o, ho, wo))
+    cols = model_module._patches(x, k, stride, padding)
+    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0.0
+        ref = conv_bwd_reference(cols, w, stride, padding, x.shape, dout)
+        for plain in (True, False):
+            got = _conv_bwd(cols, w, stride, padding, x.shape, dout, plain_layout=plain)
+            assert all(same_bits(g, r) for g, r in zip(got, ref))
+            # the layout a conv's db reads, where it may; the pool's, batch innermost
+            assert got[2].strides == ref[2].strides if plain else \
+                got[2].strides[0] == got[2].itemsize
+        assert _conv_bwd(cols, w, stride, padding, x.shape, dout, input_grad=False)[2] is None
+
+
 def reference_backward(arch, weights, ws, d, grads=None):
     """`backward_layers` before the ReLU fold: the ReLU step `d * (x > 0)` on the full grid,
     `pool_bwd_reference` and `conv_bwd_reference`; (weight grads, bias grads). `grads`: a
@@ -1017,7 +1053,7 @@ def test_pool_backward_matches_the_reference_on_ties_signed_zeros_and_nans(w):
 @pytest.mark.parametrize("w", [1, 2, 3])
 def test_pool_backward_with_the_relu_folded_in_matches_the_reference(w):
     # the ReLU's input holds NaNs, infinities and zeros of both signs; dout comes in the
-    # (C, H, W, N) layout of the col2im buffer of a conv above
+    # (H, W, C, N) layout of the col2im accumulator of a conv above
     rng = np.random.default_rng(10 + w)
     values = [np.nan, -np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]
     for _ in range(30):
@@ -1025,7 +1061,7 @@ def test_pool_backward_with_the_relu_folded_in_matches_the_reference(w):
         conv = rng.choice(values, (c, n, ho * w, wo * w)).transpose(1, 0, 2, 3)
         x = np.maximum(conv, 0.0)
         out = _maxpool(x, w)
-        dout = rng.choice([-2.0, -0.0, 0.0, 3.0, np.inf, np.nan], (c, ho, wo, n)).transpose(3, 0, 1, 2)
+        dout = rng.choice([-2.0, -0.0, 0.0, 3.0, np.inf, np.nan], (ho, wo, c, n)).transpose(3, 2, 0, 1)
         with np.errstate(invalid="ignore"):  # inf * 0.0
             got = _pool_bwd(x, w, out, dout, relu=True)
             ref = pool_bwd_reference(x, w, out, dout) * (conv > 0)

@@ -358,8 +358,8 @@ def test_verify_command(capsys):
 def test_train_accuracy_in_chunks_equals_one_pass(desk):
     model, rng = desk["model"], np.random.default_rng(8)
     arch = model.architecture
-    data = bs.Dataset(rng.standard_normal((600,) + arch.input_shape),  # 256 + 256 + 88
-                      rng.integers(0, arch.num_classes, 600))
+    data = bs.Dataset(rng.standard_normal((280,) + arch.input_shape),  # 4 x 64 + 24
+                      rng.integers(0, arch.num_classes, 280))
     assert cli._chunked_accuracy(model, data) == bs.accuracy(model, data)
 
 

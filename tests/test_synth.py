@@ -23,6 +23,29 @@ def test_nearest_prototype_perfect_at_zero_noise():
     assert np.array_equal(np.argmin(dists, axis=1), test.labels)
 
 
+def two_temporary_draw(spec):
+    """`gen_synthetic`'s draw with two temporaries, a scaled noise array and then
+    `protos[labels] + noise`: the bytes the in-place draw must give."""
+    protos = class_prototypes(spec)
+    rng = np.random.default_rng(spec.seed + 1)
+
+    def draw(per_class):
+        labels = np.repeat(np.arange(spec.classes), per_class)
+        noise = rng.standard_normal((len(labels),) + spec.input_shape) * spec.noise
+        return bs.Dataset(protos[labels] + noise, labels)
+
+    return draw(spec.per_class), draw(spec.test_per_class)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.5])
+@pytest.mark.parametrize("shape", [(1, 8, 8), (1, 16, 16)])
+def test_in_place_draw_gives_the_two_temporary_draws_bytes(noise, shape):
+    spec = bs.SynthSpec(input_shape=shape, noise=noise)
+    for got, ref in zip(bs.gen_synthetic(spec), two_temporary_draw(spec)):
+        assert got.inputs.tobytes() == ref.inputs.tobytes()
+        assert got.labels.tobytes() == ref.labels.tobytes()
+
+
 def test_prototypes_orthogonal():
     protos = class_prototypes(bs.SynthSpec()).reshape(4, -1)
     gram = protos @ protos.T
