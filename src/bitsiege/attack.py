@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (Dataset, ModelFormatError, Workspace, check_dataset, forward_batch,
-                    magic_lines, read_fields)
+                    magic_lines, read_fields, top1_hits)
 from .quantize import BITWIDTHS, QuantModel, bits_to_codes, dequantize, dequantize_model, flip_bit
 from .reconstruct import ReconstructionMethod, reconstruct_model
 from .recovery import simulate_recovery
@@ -200,7 +199,7 @@ def select_gradient_bits(reconstructed: QuantModel, batch: Dataset, n_bf: int):
 def _flip_sites(victim: QuantModel, records):
     """Check every record against the victim's layers and bitwidths, and return the
     (layer, filter, flat index of the code within its layer, bit) of each; the one
-    record check, shared by `apply_flips` and `_flip_logits`."""
+    record check, shared by `apply_flips` and `_score_flips`."""
     bounds = [(len(c), c[0].size, qp.bitwidth) for c, qp in zip(victim.codes, victim.params)]
     sites = []
     for r in records:
@@ -226,7 +225,7 @@ def apply_flips(victim: QuantModel, records) -> QuantModel:
 
 
 class _VictimPass:
-    """What `_flip_logits` builds from one victim and eval set, kept for later calls on
+    """What `_score_flips` builds from one victim and eval set, kept for later calls on
     the same two objects: the dequantized victim, copies of the codes and weights that
     flips rewrite, with each layer's flip table and weight per code, a Workspace that
     holds the baseline pass, whose restarts read those weights, and `lowest`, the lowest
@@ -258,14 +257,14 @@ class _VictimPass:
         return self.baseline
 
 
-# `.victim_pass`: the one _VictimPass this thread holds between `_flip_logits` calls
+# `.victim_pass`: the one _VictimPass this thread holds between `_score_flips` calls
 _held = threading.local()
 
 
 def _take_pass(victim: QuantModel, eval_data: Dataset) -> _VictimPass:
     """The held pass if it was built from these two objects, else a new one. Either
-    way the slot is emptied, and a held pass for other inputs is dropped before the new
-    one is built, so that no more than one is alive."""
+    way the slot is emptied, so a call made from inside another's `score` builds its
+    own, and a held pass for other inputs is dropped before the new one is built."""
     held, _held.victim_pass = getattr(_held, "victim_pass", None), None
     if held is not None and held.victim is victim and held.eval_data is eval_data:
         return held
@@ -273,10 +272,10 @@ def _take_pass(victim: QuantModel, eval_data: Dataset) -> _VictimPass:
     return _VictimPass(victim, eval_data)
 
 
-def _flip_logits(victim: QuantModel, record_lists, eval_data: Dataset):
-    """For each list in `record_lists`, in order, yield the victim's logits on
-    `eval_data` before any flip, then after each cumulative flip of that list;
-    each yielded array is rewritten by the next step.
+def _score_flips(victim: QuantModel, record_lists, eval_data: Dataset, score) -> list:
+    """For each list in `record_lists`, in order, the `score` of the victim's logits on
+    `eval_data` before any flip, then after each cumulative flip of that list, every
+    list checked first; the next step rewrites the array `score` was given.
 
     The logits equal `forward_batch` of the list's `apply_flips` victim, dequantized,
     bit for bit, and no list sees another's flips. A flip rewrites one code and one
@@ -287,46 +286,46 @@ def _flip_logits(victim: QuantModel, record_lists, eval_data: Dataset):
     That pass, with the dequantized victim and the restarts built over it, is kept
     between calls (`_VictimPass`): a thread holds at most one, keyed on the identity
     of `victim` and `eval_data`, whose arrays are read-only. A call on the same two
-    objects takes it over, and any other call drops it and builds its own. The call
-    owns the pass until the generator finishes or is closed, so generators alive at
-    once never share one, and then hands it back to the thread; a pass handed back
-    mid-list still knows the lowest layer its next reset re-runs from.
+    objects takes it over, and any other call drops it and builds its own; a call with
+    no lists builds none. The call hands its pass back when it returns or raises, and a
+    pass handed back mid-list, by a `score` that raised, still knows the lowest layer
+    its next reset re-runs from.
     """
     check_dataset(victim.architecture, eval_data)
     sites = [_flip_sites(victim, records) for records in record_lists]
+    if not sites:
+        return []
     vp = _take_pass(victim, eval_data)
     try:
+        scores = []
         for list_sites in sites:
-            yield vp.reset()
+            scores.append([score(vp.reset())])
             for l, f, i, bit in list_sites:
                 c, w, flips, weights = vp.layers[l]
                 code = flips[bit][c.item(i)]
                 c[i] = code
                 w[i] = weights[code]
                 vp.lowest = min(vp.lowest, l)
-                yield vp.ws.restart(l, f)
+                scores[-1].append(score(vp.ws.restart(l, f)))
+        return scores
     finally:
         _held.victim_pass = vp
 
 
-def _flip_accuracies(victim: QuantModel, record_lists, eval_data: Dataset):
-    """`top1_accuracy` of each logits array that `_flip_logits` yields, in order. The
-    argmax and the hits are written into two arrays made once per call, not two made per
-    flip; the count of hits is the same integer, so each accuracy is the same float."""
-    labels = eval_data.labels
+def _top1_scorer(labels):
+    """A `_score_flips` score: the top-1 accuracy of the logits on `labels`, whose
+    argmax and hits are written into two arrays made once (`top1_hits`)."""
     pred, hits = np.empty(len(labels), dtype=np.intp), np.empty(len(labels), dtype=bool)
-    for logits in _flip_logits(victim, record_lists, eval_data):
-        np.equal(logits.argmax(axis=1, out=pred), labels, out=hits)
-        yield int(np.count_nonzero(hits)) / len(labels)
+    return lambda logits: top1_hits(logits, labels, pred, hits) / len(labels)
 
 
 def evaluate_flips(victim: QuantModel, records, eval_data: Dataset) -> list:
     """Accuracy of the victim before any flip and after each cumulative flip: the
-    one-list case of `_flip_accuracies`. Each accuracy equals
+    one-list case of `_score_flips` with `_top1_scorer`. Each accuracy equals
     `accuracy_quant(apply_flips(victim, records[:i]), eval_data)` exactly (see
     `Workspace.restart`).
     """
-    return list(_flip_accuracies(victim, [records], eval_data))
+    return _score_flips(victim, [records], eval_data, _top1_scorer(eval_data.labels))[0]
 
 
 def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
@@ -340,12 +339,13 @@ def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
     decide them: recons that give the same codes (every recon at rp = 1) share their
     rankings, and a random list, which reads only the seed and the surrogate's shapes
     and bitwidths (`reads_codes`), is ranked and evaluated once for every recon. These
-    memos live only for the call. The victim's baseline pass over `eval_data`, and the
+    memos live only for the call. The distinct lists are scored in one `_score_flips`
+    call with `_top1_scorer`. The victim's baseline pass over `eval_data`, and the
     restarts built over it, are built once for `victim` and `eval_data` and kept for
-    later calls on the same two objects (`_flip_logits`): one pass serves a whole sweep
-    group, and consecutive groups on one quantized victim; before each later list it is
-    re-run in place from the lowest layer flipped since. Each trace equals
-    `run_attack`'s for its pair, byte for byte.
+    later calls on the same two objects: one pass serves a whole sweep group, and
+    consecutive groups on one quantized victim; before each later list it is re-run in
+    place from the lowest layer flipped since. Each trace equals `run_attack`'s for its
+    pair, byte for byte.
     """
     partial = simulate_recovery(victim, rp, seed)
     surrogates = {}  # recon -> (its codes' bytes, surrogate)
@@ -366,15 +366,12 @@ def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
     for recs in records:
         if recs not in lists:
             lists.append(recs)
-    accuracies = _flip_accuracies(victim, lists, eval_data)
-    accs = [tuple(itertools.islice(accuracies, len(recs) + 1)) for recs in lists]
+    accs = _score_flips(victim, lists, eval_data, _top1_scorer(eval_data.labels))
     nq = victim.params[0].bitwidth
-    traces = []
-    for (ranking, recon), recs in zip(methods, records):
-        config = {"nq": nq, "rp": rp, "seed": seed, "ranking": ranking.name,
-                  "recon": recon.value, "nbf": n_bf}
-        traces.append(AttackTrace(recs, accs[lists.index(recs)], config))
-    return traces
+    return [AttackTrace(recs, accs[lists.index(recs)],
+                        {"nq": nq, "rp": rp, "seed": seed, "ranking": ranking.name,
+                         "recon": recon.value, "nbf": n_bf})
+            for (ranking, recon), recs in zip(methods, records)]
 
 
 def run_attack(victim: QuantModel, rp: float, seed: int, ranking, recon: ReconstructionMethod,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import errno
@@ -16,13 +17,13 @@ import sys
 import numpy as np
 
 from . import synth
-from .attack import (RANKINGS, RECONS, RUN_CONFIG, _check_nbf, _flip_logits, apply_flips,
+from .attack import (RANKINGS, RECONS, RUN_CONFIG, _check_nbf, _score_flips, apply_flips,
                      check_config, evaluate_flips, load_trace, run_attacks, save_trace,
                      select_random_bits, select_vulnerable_bits)
 from .model import (DATA_MAX_CLASSES, Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel,
                     MaxPool, ModelFormatError, ReLU, Workspace, check_dataset, filter_count,
                     forward_batch, load_dataset, load_model, save_dataset, save_model,
-                    weight_shape)
+                    top1_hits, weight_shape)
 from .quantize import (BITWIDTHS, QuantModel, QuantParams, accuracy_quant, dequantize_model,
                        flip_bit, quantize_model, save_qmodel)
 from .reconstruct import ReconstructionMethod, oracle_min_abs, reconstruct_code
@@ -162,13 +163,10 @@ def cmd_train(args):
 
 
 def _chunked_accuracy(model: FloatModel, data: Dataset):
-    """`accuracy`, scored 64 samples at a time, so that no pass over the whole set
-    sets the process's peak memory. For the desk victim at 1x8x8 and 1x16x16 inputs,
-    the allocator then reuses one pass's memory for the next: a train+test scoring
-    faulted in ~0-2 fresh pages, against ~840 (1x8x8) and ~5600 (1x16x16) with
-    256-sample passes. Larger inputs were not measured."""
-    hits = sum(int(np.count_nonzero(forward_batch(model, data.inputs[i:i + 64]).argmax(axis=1)
-                                    == data.labels[i:i + 64]))
+    """`accuracy`, scored 64 samples at a time, so that no pass over the whole set sets
+    the process's peak memory: at the desk's 1x8x8 and 1x16x16 inputs the allocator then
+    reuses one pass's memory for the next (larger inputs were not measured)."""
+    hits = sum(top1_hits(forward_batch(model, data.inputs[i:i + 64]), data.labels[i:i + 64])
                for i in range(0, len(data), 64))
     return hits / len(data)
 
@@ -201,8 +199,8 @@ def _run_all(cfg, runs, out, jobs=1, table=None):
     A trace path that holds a file `load_trace` cannot read, and a `table` whose header,
     or whose rows' keys (every column but the accuracy, which the runs fix), differ from
     the new table's, are refused before the first run; a trace path that reads as a
-    different trace, and a `table` with other accuracies, after the runs. Either way no
-    file is written.
+    different trace, once the groups that own such paths have run, before the others;
+    a `table` with other accuracies, after all the runs. Either way no file is written.
 
     `runs` comes from `_runs`, whose product order puts each group's runs together."""
     victim_path = _one(cfg, "victim")
@@ -219,9 +217,11 @@ def _run_all(cfg, runs, out, jobs=1, table=None):
     except ValueError as e:
         raise _UsageError(f"eval set {eval_path} for {victim_path}: {e}") from None
     _check_out(out)
-    paths = [_trace_path(out, run) for run in runs]  # a trace's name hashes its RUN_CONFIG only
+    groups = [list(g) for _, g in itertools.groupby(runs, lambda r: (r["nq"], r["rp"], r["seed"]))]
+    # per group, its runs' trace paths; a trace's name hashes its RUN_CONFIG only
+    paths = [[_trace_path(out, run) for run in g] for g in groups]
     held = {}  # path -> the trace it holds
-    for path in filter(os.path.exists, paths):
+    for path in filter(os.path.exists, itertools.chain(*paths)):
         try:
             held[path] = load_trace(path)
         except ModelFormatError as e:
@@ -239,25 +239,26 @@ def _run_all(cfg, runs, out, jobs=1, table=None):
             keys = _csv_keys(_csv_bytes((run, [0.0] * (run["nbf"] + 1)) for run in runs))
             if _csv_keys(held_table) != keys:
                 raise other_results
-    groups = [list(g) for _, g in itertools.groupby(runs, lambda r: (r["nq"], r["rp"], r["seed"]))]
     work = [(victims[g[0]["nq"]], eval_ds, g) for g in groups]
-    jobs = min(jobs, len(work))
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.starmap(_run_group, work)
-    else:
-        results = [_run_group(*w) for w in work]
-    traces = [trace for group in results for trace in group]
-    for path, trace in zip(paths, traces):
-        if path in held and held[path] != trace:
-            raise FileExistsError(f"{path} holds a different trace of the same run config; "
-                                  "choose another --out")
+    results = [None] * len(groups)
+    jobs = min(jobs, len(groups))
+    with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        starmap = pool.starmap if pool else itertools.starmap
+        for phase in (True, False):  # the groups that own a held trace's path run first
+            todo = [i for i, ps in enumerate(paths) if any(p in held for p in ps) == phase]
+            for i, group_traces in zip(todo, starmap(_run_group, [work[i] for i in todo])):
+                results[i] = group_traces
+                for path, trace in zip(paths[i], group_traces):
+                    if path in held and held[path] != trace:
+                        raise FileExistsError(f"{path} holds a different trace of the same run "
+                                              "config; choose another --out")
+    traces = list(itertools.chain(*results))
     if table is not None:
         data = _csv_bytes((t.config, t.accuracies) for t in traces)
         if held_table is not None and held_table != data:
             raise other_results
     os.makedirs(out, exist_ok=True)
-    for path, trace in zip(paths, traces):
+    for path, trace in zip(itertools.chain(*paths), traces):
         save_trace(trace, path)
     if table is not None:
         _write_csv(data, table)
@@ -422,11 +423,11 @@ def _verify_incremental():
     # three lists from one baseline pass: each after the first starts from a reset, which
     # re-runs the pass from the lowest layer the list before it flipped
     lists = [records, records[::2], records[1::2]]
-    logits = _flip_logits(victim, lists, data)
+    logits = _score_flips(victim, lists, data, lambda logits: logits.tobytes())
     for k, recs in enumerate(lists):
         for i in range(len(recs) + 1):
             ref = forward_batch(dequantize_model(apply_flips(victim, recs[:i])), data.inputs)
-            if next(logits).tobytes() != ref.tobytes():
+            if logits[k][i] != ref.tobytes():
                 return False, (f"incremental logits differ from the apply_flips reference "
                                f"after flip {i} of list {k}")
     accs = [accuracy_quant(apply_flips(victim, records[:i]), data) for i in range(len(records) + 1)]

@@ -610,12 +610,13 @@ def check_dataset(arch: Architecture, data: Dataset):
 def accuracy(model: FloatModel, data: Dataset) -> float:
     """Top-1 accuracy; argmax ties break to the lowest class index."""
     check_dataset(model.architecture, data)
-    return top1_accuracy(forward_batch(model, data.inputs), data.labels)
+    return top1_hits(forward_batch(model, data.inputs), data.labels) / len(data)
 
 
-def top1_accuracy(logits, labels) -> float:
-    """Share of rows whose argmax (ties to the lowest class index) equals the label."""
-    return int(np.count_nonzero(logits.argmax(axis=1) == labels)) / len(labels)
+def top1_hits(logits, labels, pred=None, hits=None) -> int:
+    """How many rows' argmax (ties to the lowest class index) equals the label; the argmax
+    and the hits go into `pred` (intp) and `hits` (bool), if given, one entry per row."""
+    return int(np.count_nonzero(np.equal(logits.argmax(axis=1, out=pred), labels, out=hits)))
 
 
 # ---------------------------------------------------------------- file formats

@@ -13,7 +13,7 @@ import bitsiege as bs
 from bitsiege import attack
 from bitsiege import model as model_module
 from bitsiege import synth as synth_module
-from bitsiege.attack import RANKINGS, RECONS, RUN_CONFIG, FlipRecord, _flip_logits
+from bitsiege.attack import RANKINGS, RECONS, RUN_CONFIG, FlipRecord, _score_flips
 from bitsiege.cli import _cfg_hash
 from bitsiege.model import ModelFormatError, Workspace, backward_layers, forward_layers
 from bitsiege.model import _conv_bwd, _maxpool, _pool_bwd, filter_count, filter_size
@@ -452,12 +452,7 @@ def test_flip_logits_equal_fresh_forward_on_random_architectures(data):
     inputs = rng.standard_normal((n,) + arch.input_shape)
     eval_data = bs.Dataset(inputs, rng.integers(0, arch.num_classes, n))
     records = draw_flips(data, q)
-    steps = 0
-    for i, logits in enumerate(_flip_logits(q, [records], eval_data)):
-        fresh = bs.forward_batch(bs.dequantize_model(bs.apply_flips(q, records[:i])), inputs)
-        assert logits.tobytes() == fresh.tobytes(), f"after flip {i}"
-        steps += 1
-    assert steps == len(records) + 1
+    assert_fresh_logits(_score_flips(q, [records], eval_data, keep_bytes), q, [records], eval_data)
 
 
 def check_flip_lists_on_a_random_architecture(data):
@@ -470,7 +465,7 @@ def check_flip_lists_on_a_random_architecture(data):
     inputs = rng.standard_normal((n,) + arch.input_shape)
     eval_data = bs.Dataset(inputs, rng.integers(0, arch.num_classes, n))
     lists = [draw_flips(data, q) for _ in range(data.draw(st.integers(2, 3)))]
-    assert_fresh_logits(_flip_logits(q, lists, eval_data), q, lists, eval_data)
+    assert_fresh_logits(_score_flips(q, lists, eval_data, keep_bytes), q, lists, eval_data)
 
 
 @settings(max_examples=80, deadline=None)
@@ -499,23 +494,30 @@ def test_lists_that_spare_conv1_restore_around_lists_that_flip_it(desk, blocks, 
     dense = by_layer[2][4:8]
     lists = [flip, spare, dense, flip] if conv1_first else [spare, flip, dense, spare]
     with contextlib.nullcontext() if blocks else full_gemm_restarts():
-        assert_fresh_logits(_flip_logits(q, lists, data), q, lists, data)
+        assert_fresh_logits(_score_flips(q, lists, data, keep_bytes), q, lists, data)
+
+
+def keep_bytes(logits):
+    """A `_score_flips` score that keeps the bytes of the logits it is given."""
+    return logits.tobytes()
 
 
 def fresh_logits(q, lists, data):
-    """What `_flip_logits(q, lists, data)` yields, each from a fresh forward pass of the
-    apply_flips victim."""
-    for records in lists:
-        for i in range(len(records) + 1):
-            yield bs.forward_batch(bs.dequantize_model(bs.apply_flips(q, records[:i])), data.inputs)
+    """What `_score_flips(q, lists, data, keep_bytes)` returns, each from a fresh forward
+    pass of the apply_flips victim."""
+    return [[bs.forward_batch(bs.dequantize_model(bs.apply_flips(q, records[:i])),
+                              data.inputs).tobytes() for i in range(len(records) + 1)]
+            for records in lists]
 
 
-def assert_fresh_logits(logits, q, lists, data):
-    """Every array of the `_flip_logits(q, lists, data)` generator `logits` equals its
-    `fresh_logits`, byte for byte, and there are as many."""
-    for step, (got, fresh) in enumerate(itertools.zip_longest(logits, fresh_logits(q, lists, data))):
-        assert got is not None and fresh is not None, f"step {step}: one ended first"
-        assert got.tobytes() == fresh.tobytes(), f"step {step}"
+def assert_fresh_logits(scores, q, lists, data):
+    """`scores`, what `_score_flips(q, lists, data, keep_bytes)` returned, equals its
+    `fresh_logits`: as many lists, as many steps in each, every one byte for byte."""
+    fresh = fresh_logits(q, lists, data)
+    assert [len(got) for got in scores] == [len(want) for want in fresh]
+    for k, (got, want) in enumerate(zip(scores, fresh)):
+        for step, (a, b) in enumerate(zip(got, want)):
+            assert a == b, f"list {k}, step {step}"
 
 
 def test_evaluate_flips_leaves_shared_state_alone(desk):
@@ -595,7 +597,7 @@ def test_load_trace_rejects_inconsistent_traces(tmp_path, desk):
 
 @pytest.fixture()
 def pass_builds(monkeypatch):
-    """How many baseline passes `_flip_logits` builds (`attack.forward_batch` calls)."""
+    """How many baseline passes `_score_flips` builds (`attack.forward_batch` calls)."""
     builds = []
 
     def counted(*a):
@@ -627,32 +629,56 @@ def test_victim_pass_is_kept_per_eval_set(desk, pass_builds):
     half = bs.Dataset(data.inputs[::2], data.labels[::2])
     lists = [bs.select_random_bits(q, 25, 1), bs.select_vulnerable_bits(q, 25)]
     for d in (data, half, half, data):
-        assert_fresh_logits(_flip_logits(q, lists, d), q, lists, d)
+        assert_fresh_logits(_score_flips(q, lists, d, keep_bytes), q, lists, d)
     assert len(pass_builds) == 3
 
 
-def test_live_generators_never_share_a_pass(desk, pass_builds):
-    q, data = fresh_inputs(desk, 64)
-    first, second = [bs.select_random_bits(q, 20, 2)], [bs.select_vulnerable_bits(q, 20)]
-    assert_fresh_logits(_flip_logits(q, first, data), q, first, data)  # leaves a held pass
-    g1, g2 = _flip_logits(q, first, data), _flip_logits(q, second, data)
-    e1, e2 = fresh_logits(q, first, data), fresh_logits(q, second, data)
-    for _ in range(21):
-        assert next(g1).tobytes() == next(e1).tobytes()
-        assert next(g2).tobytes() == next(e2).tobytes()
-    assert len(pass_builds) == 2  # g1 took the held pass; g2 built its own
+class ScoreRaised(Exception):
+    pass
 
 
-def test_abandoned_generator_hands_back_a_pass_that_restores(desk, pass_builds):
+def raise_at(step):
+    """A `_score_flips` score that raises ScoreRaised at its `step`th call (the baseline
+    is the first), and before that keeps the logits' bytes."""
+    calls = itertools.count(1)
+
+    def raising(logits):
+        if next(calls) == step:
+            raise ScoreRaised
+        return keep_bytes(logits)
+    return raising
+
+
+def test_a_pass_handed_back_by_a_score_that_raised_serves_the_next_call(desk, pass_builds):
     q, data = fresh_inputs(desk, 64)
     lists = [bs.select_vulnerable_bits(q, 30)]
-    g, expected = _flip_logits(q, lists, data), fresh_logits(q, lists, data)
-    for _ in range(12):  # stopped mid-list, with flips applied
-        assert next(g).tobytes() == next(expected).tobytes()
-    del g
+    with pytest.raises(ScoreRaised):  # mid-list, with 11 flips applied
+        _score_flips(q, lists, data, raise_at(12))
     other = [bs.select_random_bits(q, 30, 3)]
-    assert_fresh_logits(_flip_logits(q, other, data), q, other, data)
+    assert_fresh_logits(_score_flips(q, other, data, keep_bytes), q, other, data)
     assert len(pass_builds) == 1
+
+
+def test_a_score_that_re_enters_the_evaluator_gets_its_own_pass(desk, pass_builds):
+    q, data = fresh_inputs(desk, 64)
+    outer, inner = [bs.select_random_bits(q, 20, 2)], [bs.select_vulnerable_bits(q, 20)]
+    steps, inner_scores = itertools.count(1), []
+
+    def score(logits):  # at the outer list's sixth step, with five of its flips applied
+        if next(steps) == 6:
+            inner_scores.append(_score_flips(q, inner, data, keep_bytes))
+        return keep_bytes(logits)
+    assert_fresh_logits(_score_flips(q, outer, data, score), q, outer, data)
+    (got,) = inner_scores
+    assert_fresh_logits(got, q, inner, data)
+    assert len(pass_builds) == 2  # the inner call found no held pass and built its own
+
+
+def test_no_lists_build_no_pass(desk, pass_builds):
+    q, data = fresh_inputs(desk, 64)
+    assert _score_flips(q, [], data, keep_bytes) == []
+    assert attack.run_attacks(q, 0.8, 0, [], 5, data) == []
+    assert pass_builds == []
 
 
 @pytest.fixture()
@@ -699,11 +725,11 @@ def test_a_reset_re_runs_from_the_lowest_layer_flipped_since_the_last_one(desk, 
     # flipped since the last reset, no conv and no pool. Either way, the baseline pass.
     q, data = fresh_inputs(desk, 64)
     by_layer, base = desk_flips(q), baseline_bytes(q, data)
-    list(_flip_logits(q, [by_layer[2]], data))
+    _score_flips(q, [by_layer[2]], data, keep_bytes)
     vp = attack._held.victim_pass
     for lowest, lists in ((2, []), (None, []), (1, [by_layer[1]]), (0, [by_layer[0]]),
                           (1, [by_layer[2] + by_layer[1]]), (0, [by_layer[1], by_layer[0]])):
-        list(_flip_logits(q, lists, data))  # hands vp back, with the last list's flips in
+        _score_flips(q, lists, data, keep_bytes)  # hands vp back, with the last list's flips in
         assert attack._held.victim_pass is vp
         assert vp.lowest == (3 if lowest is None else lowest)
         pass_calls.clear()
@@ -718,10 +744,8 @@ def test_a_pass_handed_back_mid_list_resets_from_the_lowest_layer_flipped_so_far
     q, data = fresh_inputs(desk, 64)
     by_layer = desk_flips(q, 3)
     flips = by_layer[1] + by_layer[0][:1] + by_layer[2]
-    g = _flip_logits(q, [flips], data)
-    for _ in range(steps):  # the baseline, then steps - 1 flips: 3 in conv2, 1 in conv1, ...
-        next(g)
-    g.close()
+    with pytest.raises(ScoreRaised):  # after steps - 1 flips: 3 in conv2, 1 in conv1, ...
+        _score_flips(q, [flips], data, raise_at(steps))
     vp = attack._held.victim_pass
     assert vp.lowest == lowest
     pass_calls.clear()
@@ -750,7 +774,7 @@ def test_a_victim_pass_holds_one_copy_of_the_baseline_pass(desk):
 def test_a_call_on_another_victim_frees_the_held_pass(desk, monkeypatch):
     a, data = fresh_inputs(desk, 32)
     alive = weakref.ref(a)
-    assert len(list(_flip_logits(a, [bs.select_vulnerable_bits(a, 5)], data))) == 6
+    assert _score_flips(a, [bs.select_vulnerable_bits(a, 5)], data, len) == [[len(data)] * 6]
     del a
     assert alive() is not None  # the held pass keeps its victim
     seen = []
@@ -760,7 +784,7 @@ def test_a_call_on_another_victim_frees_the_held_pass(desk, monkeypatch):
         return bs.forward_batch(*args)
     monkeypatch.setattr(attack, "forward_batch", forward)
     b = bs.quantize_model(desk["model"], 4)
-    assert len(list(_flip_logits(b, [bs.select_vulnerable_bits(b, 5)], data))) == 6
+    assert _score_flips(b, [bs.select_vulnerable_bits(b, 5)], data, len) == [[len(data)] * 6]
     assert seen == [None] and alive() is None
 
 

@@ -612,6 +612,56 @@ nbf = 3
     assert len(list(out.glob("*.trace"))) == 4 * len(nq.split())
 
 
+@pytest.mark.parametrize("jobs, sizes", [("1", []), ("2", [2])])
+def test_a_sweep_refused_by_a_held_trace_runs_only_the_groups_behind_it(
+        workdir, tmp_path, desk, capsys, monkeypatch, jobs, sizes):
+    # seed 1's trace on another eval set (the test set's first 100 inputs, labels moved
+    # by one class) holds the path of the sweep's second group: that group runs first,
+    # and the sweep is refused before seed 0's runs
+    test, classes = desk["test"], desk["model"].architecture.num_classes
+    other_eval = tmp_path / "other.data"
+    bs.save_dataset(bs.Dataset(test.inputs[:100], (test.labels[:100] + 1) % classes), other_eval)
+
+    def cfg(eval_path, seeds):
+        return write_cfg(tmp_path / "s.cfg", f"""
+victim = {workdir / 'victim.model'}
+eval = {eval_path}
+nq = 8
+rp = 0.8
+seeds = {seeds}
+ranking = fl2r
+recon = czr
+nbf = 3
+""")
+    out = tmp_path / "sweep"
+    assert main(["attack", "--config", cfg(other_eval, "1"), "--out", str(out)]) == EXIT_OK
+    (trace,) = out.iterdir()
+    before = trace.read_bytes()
+    seeds, run_group = [], cli._run_group
+
+    def counted(victim, eval_ds, runs):
+        seeds.append([r["seed"] for r in runs])
+        return run_group(victim, eval_ds, runs)
+    monkeypatch.setattr(cli, "_run_group", counted)
+    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    capsys.readouterr()
+    argv = ["sweep", "--config", cfg(workdir / "test.data", "0 1"), "--out", str(out), "--jobs", jobs]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"i/o error: {trace} holds a different trace"), err
+    assert seeds == [[1]]
+    assert FakePool.sizes == sizes  # one pool for both phases
+    assert list(out.iterdir()) == [trace] and trace.read_bytes() == before
+    # with no trace held, the groups run in run order, and the results keep it
+    seeds.clear()
+    other = tmp_path / "other"
+    assert main(argv[:4] + [str(other)] + argv[5:]) == EXIT_OK
+    assert seeds == [[0], [1]]
+    table = (other / "results.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[2] for row in table[1:]] == ["0"] * 4 + ["1"] * 4
+
+
 @pytest.mark.parametrize("lines, spec, tc", [
     ("epochs = 1\n", bs.SynthSpec(), bs.TrainConfig(epochs=1)),
     ("classes = 5\nper_class = 12\ntest_per_class = 3\ninput_shape = 1 10 10\nnoise = 0.25\n"
