@@ -21,11 +21,11 @@ from .attack import (RANKINGS, RECONS, RUN_CONFIG, _check_nbf, _score_flips, app
                      check_config, evaluate_flips, load_trace, run_attacks, save_trace,
                      select_random_bits, select_vulnerable_bits)
 from .model import (DATA_MAX_CLASSES, Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel,
-                    MaxPool, ModelFormatError, ReLU, Workspace, check_dataset, filter_count,
-                    forward_batch, load_dataset, load_model, save_dataset, save_model,
-                    top1_hits, weight_shape)
+                    MaxPool, ModelFormatError, ReLU, Workspace, check_dataset, dataset_bytes,
+                    filter_count, forward_batch, load_dataset, load_model, model_bytes,
+                    top1_hits, weight_shape, write_file)
 from .quantize import (BITWIDTHS, QuantModel, QuantParams, accuracy_quant, dequantize_model,
-                       flip_bit, quantize_model, save_qmodel)
+                       flip_bit, qmodel_bytes, quantize_model)
 from .reconstruct import ReconstructionMethod, oracle_min_abs, reconstruct_code
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO = 0, 1, 2, 3
@@ -148,15 +148,14 @@ def cmd_train(args):
         raise _UsageError(f"training diverged ({e}); try a smaller lr") from None
     victim = os.path.join(args.out, "victim.model")
     try:
-        try:
-            save_model(model, victim)
-        except FileNotFoundError:  # the weights passed the check; only now make the directory
-            os.makedirs(args.out)
-            save_model(model, victim)
+        files = [(victim, model_bytes(model, victim))]
     except ValueError as e:  # weights that grew beyond float32 range
         raise _UsageError(f"trained model cannot be saved ({e}); try a smaller lr") from None
-    save_dataset(train_ds, os.path.join(args.out, "train.data"))
-    save_dataset(test_ds, os.path.join(args.out, "test.data"))
+    for name, data in (("train.data", train_ds), ("test.data", test_ds)):
+        path = os.path.join(args.out, name)
+        files.append((path, dataset_bytes(data, path)))
+    os.makedirs(args.out, exist_ok=True)  # no file in a new directory can refuse
+    _write_new(files)
     print(f"train accuracy {_chunked_accuracy(model, train_ds):.4f}")
     print(f"test accuracy  {_chunked_accuracy(model, test_ds):.4f}")
     return EXIT_OK
@@ -173,9 +172,23 @@ def _chunked_accuracy(model: FloatModel, data: Dataset):
 
 def cmd_quantize(args):
     model = load_model(args.model)
-    save_qmodel(quantize_model(model, args.nq), args.out)
+    _write_new([(args.out, qmodel_bytes(quantize_model(model, args.nq), args.out))])
     print(f"wrote {args.out}")
     return EXIT_OK
+
+
+def _write_new(files):
+    """Write each (path, bytes) pair of one run's `files`, once no path holds other bytes,
+    such as another run's output or this run's input: such a path is refused, before any
+    file is written. Only a path that exists is read."""
+    for path, data in files:
+        if os.path.exists(path):
+            with open(path, "rb") as f:
+                if f.read() != data:
+                    raise FileExistsError(f"{path} holds other bytes and is not replaced; "
+                                          "choose another --out")
+    for path, data in files:
+        write_file(path, data)
 
 
 def _run_group(victim, eval_ds, runs):

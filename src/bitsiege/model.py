@@ -630,10 +630,10 @@ _LAYER_KINDS = {name: kind for kind, name in _LAYER_NAMES.items()}
 _END_HEADER = b"end-header\n"
 
 
-def write_artifact(path, magic, header_lines, records):
-    """Write `magic`, the header lines and `end-header`, then each (values, dtype)
-    record's bytes. Raises ValueError, before the file is opened, if a float
-    record is not finite once cast to its dtype (a value beyond float32 range)."""
+def artifact_bytes(path, magic, header_lines, records):
+    """The bytes of the artifact at `path`: `magic`, the header lines and `end-header`,
+    then each (values, dtype) record's bytes. Raises ValueError, naming `path`, if a
+    float record is not finite once cast to its dtype (a value beyond float32 range)."""
     payload = []
     for values, dtype in records:
         with np.errstate(over="ignore"):
@@ -641,9 +641,13 @@ def write_artifact(path, magic, header_lines, records):
         if a.dtype.kind == "f" and not np.isfinite(a).all():
             raise ValueError(f"{path}: a non-finite value, or one beyond {a.dtype.name} range")
         payload.append(a.tobytes())
+    header = "\n".join([magic, *header_lines, ""]).encode("utf-8") + _END_HEADER
+    return b"".join([header, *payload])
+
+
+def write_file(path, data):
     with open(path, "wb") as f:
-        f.write("\n".join([magic, *header_lines, ""]).encode("utf-8") + _END_HEADER)
-        f.write(b"".join(payload))
+        f.write(data)
 
 
 class _Reader:
@@ -776,14 +780,18 @@ def parse_arch_header(lines) -> Architecture:
         raise ModelFormatError(f"line {len(lines) + 2}: inconsistent architecture: {e}") from e
 
 
-def save_model(model: FloatModel, path):
-    """Per parametric layer, the weights then the bias, each as <u4 ndim, <u4 per
-    dimension and the <f4 values."""
+def model_bytes(model: FloatModel, path):
+    """The `.model` file at `path`: per parametric layer, the weights then the bias, each
+    as <u4 ndim, <u4 per dimension and the <f4 values."""
     records = []
     for w, b in zip(model.weights, model.biases):
         for a in (w, b):
             records += [([a.ndim, *a.shape], "<u4"), (a, "<f4")]
-    write_artifact(path, MODEL_MAGIC, arch_header_lines(model.architecture), records)
+    return artifact_bytes(path, MODEL_MAGIC, arch_header_lines(model.architecture), records)
+
+
+def save_model(model: FloatModel, path):
+    write_file(path, model_bytes(model, path))
 
 
 def load_model(path) -> FloatModel:
@@ -804,14 +812,18 @@ def load_model(path) -> FloatModel:
     return read_artifact(path, MODEL_MAGIC, parse)
 
 
-def save_dataset(data: Dataset, path):
-    """The inputs as <f4, then the labels as uint8."""
+def dataset_bytes(data: Dataset, path):
+    """The `.data` file at `path`: the inputs as <f4, then the labels as uint8."""
     if len(data) and not 0 <= data.labels.min() <= data.labels.max() < DATA_MAX_CLASSES:
         raise ValueError(f"labels must be in [0, {DATA_MAX_CLASSES - 1}] to be stored as uint8")
     classes = int(data.labels.max()) + 1 if len(data) else 0
     header = ["shape " + " ".join(str(d) for d in data.inputs.shape[1:]),
               f"classes {classes}", f"samples {len(data)}"]
-    write_artifact(path, DATA_MAGIC, header, [(data.inputs, "<f4"), (data.labels, "<u1")])
+    return artifact_bytes(path, DATA_MAGIC, header, [(data.inputs, "<f4"), (data.labels, "<u1")])
+
+
+def save_dataset(data: Dataset, path):
+    write_file(path, dataset_bytes(data, path))
 
 
 def load_dataset(path) -> Dataset:

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Architecture, FloatModel, accuracy, arch_header_lines, bias_shape,
-                    layer_arrays, parse_arch_header, read_artifact, weight_shape, write_artifact)
+from .model import (Architecture, FloatModel, accuracy, arch_header_lines, artifact_bytes,
+                    bias_shape, layer_arrays, parse_arch_header, read_artifact, weight_shape,
+                    write_file)
 
 QMODEL_MAGIC = "bitsiege-qmodel-v1"
 BITWIDTHS = (4, 6, 8)
@@ -114,13 +115,17 @@ def accuracy_quant(q: QuantModel, data) -> float:
     return accuracy(dequantize_model(q), data)
 
 
-def save_qmodel(q: QuantModel, path):
-    """Per parametric layer: the bitwidth as <B, the scale as <d, the codes as int8
-    (one sign-extended code per byte), then the float bias as <f4."""
+def qmodel_bytes(q: QuantModel, path):
+    """The `.qmodel` file at `path`: per parametric layer, the bitwidth as <B, the scale
+    as <d, the codes as int8 (one sign-extended code per byte), then the float bias as <f4."""
     records = []
     for qp, c, b in zip(q.params, q.codes, q.biases):
         records += [(qp.bitwidth, "<u1"), (qp.scale, "<f8"), (c, "<i1"), (b, "<f4")]
-    write_artifact(path, QMODEL_MAGIC, arch_header_lines(q.architecture), records)
+    return artifact_bytes(path, QMODEL_MAGIC, arch_header_lines(q.architecture), records)
+
+
+def save_qmodel(q: QuantModel, path):
+    write_file(path, qmodel_bytes(q, path))
 
 
 def load_qmodel(path) -> QuantModel:

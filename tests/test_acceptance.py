@@ -105,27 +105,28 @@ def test_c08_full_recovery_equals_white_box(desk):
 
 
 def test_c09_sweep_determinism(desk, tmp_path):
+    # every file a sweep writes is the same at --jobs 1, 1 and 4: on two nq, where --jobs 1
+    # keeps one victim pass across the groups of each nq, and on three recons, where a
+    # group's random list, and at rp 1.0 its FL2R and gradient lists, repeat and run once
     bs.save_model(desk["model"], tmp_path / "victim.model")
     bs.save_dataset(desk["test"], tmp_path / "test.data")
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(f"""
-victim = {tmp_path / 'victim.model'}
-eval = {tmp_path / 'test.data'}
-nq = 8
-rp = 0.8 1.0
-seeds = 0 1
-ranking = fl2r random
-recon = czr
-nbf = 5
-""")
-    outs = []
-    for i, jobs in enumerate(("1", "1", "4")):
-        out = tmp_path / f"out{i}"
-        rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs])
-        assert rc == EXIT_OK
-        outs.append((out / "results.csv").read_bytes())
-    report("criterion-09 sweep-determinism", outs[0] == outs[1] == outs[2],
-           f"({len(outs[0])} byte CSV)")
+    sweeps = {"two-nq": "nq = 8 4\nrp = 0.7 1.0\nranking = fl2r random\nrecon = czr\nnbf = 4\n",
+              "three-recon": "nq = 8\nrp = 0.8 1.0\nranking = fl2r random gradient\n"
+                             "recon = czr allzeros allones\nnbf = 5\n"}
+    same, compared = True, 0
+    for name, axes in sweeps.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"victim = {tmp_path / 'victim.model'}\neval = {tmp_path / 'test.data'}\n"
+                       f"seeds = 0 1\n{axes}")
+        outs = []
+        for jobs in ("1", "1", "4"):
+            out = tmp_path / f"{name}-{len(outs)}"
+            rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs])
+            assert rc == EXIT_OK
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        same &= outs[0] == outs[1] == outs[2]
+        compared += len(outs[0])
+    report("criterion-09 sweep-determinism", same, f"({compared} files at --jobs 1, 1 and 4)")
 
 
 def test_c10_no_duplicate_and_involution_fuzz():

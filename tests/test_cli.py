@@ -41,6 +41,36 @@ def test_train_command(tmp_path):
     bs.load_model(out / "victim.model")
 
 
+def test_train_never_replaces_another_runs_files(tmp_path, capsys):
+    out = tmp_path / "out"
+
+    def train(epochs=2, test_per_class=5):
+        cfg = write_cfg(tmp_path / "t.cfg", f"per_class = 20\ntest_per_class = {test_per_class}\n"
+                                            f"epochs = {epochs}\n")
+        return main(["train", "--config", cfg, "--out", str(out)])
+
+    def files():
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+    assert train() == EXIT_OK
+    before = files()
+    assert train() == EXIT_OK and files() == before  # the same run again
+
+    def refused(name):
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"i/o error: {out / name} holds other bytes "
+                                                   "and is not replaced"), err
+        assert files() == before
+    capsys.readouterr()
+    assert train(epochs=3) == EXIT_IO
+    refused("victim.model")
+    # every target is checked before any is written: with test.data, the last, refused,
+    # the missing victim.model, which that run trains as before, is not written either
+    (out / "victim.model").unlink()
+    del before["victim.model"]
+    assert train(test_per_class=6) == EXIT_IO
+    refused("test.data")
+
+
 def test_train_rejects_more_classes_than_labels_hold(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "t.cfg", "classes = 257\ninput_shape = 1 32 32\nepochs = 1\n")
     out = tmp_path / "out"
@@ -91,13 +121,19 @@ def test_train_refuses_weights_beyond_float32(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_quantize_command(workdir, tmp_path):
+def test_quantize_command(workdir, tmp_path, capsys):
     out = tmp_path / "v.qmodel"
-    rc = main(["quantize", "--model", str(workdir / "victim.model"), "--nq", "8",
-               "--out", str(out)])
-    assert rc == EXIT_OK
+    victim = tmp_path / "victim.model"
+    victim.write_bytes((workdir / "victim.model").read_bytes())
+    for _ in range(2):  # the same run again rewrites the same bytes
+        assert main(["quantize", "--model", str(victim), "--nq", "8", "--out", str(out)]) == EXIT_OK
     q = bs.load_qmodel(out)
     assert q.params[0].bitwidth == 8
+    # a quantize onto its own float input is refused, and leaves it as it was
+    assert main(["quantize", "--model", str(victim), "--nq", "4", "--out", str(victim)]) == EXIT_IO
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"i/o error: {victim} holds other bytes"), err
+    assert victim.read_bytes() == (workdir / "victim.model").read_bytes()
 
 
 def test_attack_command(workdir, tmp_path):
@@ -273,6 +309,16 @@ def test_sweep_and_report(workdir, tmp_path):
     assert len(summary) == 1 + 8  # nbf=4 keeps only flips=0 per configuration group
 
 
+def test_sweep_deterministic_and_parallel(workdir, tmp_path):
+    cfg = sweep_cfg(workdir, tmp_path)
+    outs = []
+    for i, jobs in enumerate(("1", "1", "4")):
+        out = tmp_path / f"rep{i}"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_OK
+        outs.append((out / "results.csv").read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
 @pytest.mark.parametrize("edit", [("nq 8", "nq 9"), ("rp 0.8", "rp 7.5"),
                                   ("ranking fl2r", "ranking rand0m")])
 def test_report_rejects_trace_values_attack_would_not_accept(workdir, tmp_path, capsys, edit):
@@ -296,16 +342,6 @@ nbf = 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and str(trace) in err[0] and edit[0].split()[0] in err[0], err
     assert not (out / "summary.csv").exists()
-
-
-def test_sweep_deterministic_and_parallel(workdir, tmp_path):
-    cfg = sweep_cfg(workdir, tmp_path)
-    outs = []
-    for i, jobs in enumerate(("1", "1", "4")):
-        out = tmp_path / f"rep{i}"
-        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_OK
-        outs.append((out / "results.csv").read_bytes())
-    assert outs[0] == outs[1] == outs[2]
 
 
 def test_sweep_seed_base(workdir, tmp_path):
