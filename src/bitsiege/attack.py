@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (Dataset, ModelFormatError, Workspace, check_dataset, forward_batch,
-                    magic_lines, read_fields, top1_hits)
+                    magic_lines, read_fields, top1_hits, write_file)
 from .quantize import BITWIDTHS, QuantModel, bits_to_codes, dequantize, dequantize_model, flip_bit
 from .reconstruct import ReconstructionMethod, reconstruct_model
 from .recovery import simulate_recovery
@@ -385,12 +385,17 @@ def run_attack(victim: QuantModel, rp: float, seed: int, ranking, recon: Reconst
     return run_attacks(victim, rp, seed, [(ranking, recon)], n_bf, eval_data)[0]
 
 
-def save_trace(trace: AttackTrace, path):
+def trace_bytes(trace: AttackTrace):
+    """The `.trace` file of `trace`: the magic line, a line per RUN_CONFIG key, a `flip`
+    line per record and an `acc` line per accuracy, as UTF-8 text."""
     lines = [TRACE_MAGIC, *(f"{k} {trace.config[k]}" for k in RUN_CONFIG),
              *(f"flip {r.layer} {r.filt} {r.weight} {r.bit}" for r in trace.records),
              *(f"acc {a!r}" for a in trace.accuracies)]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def save_trace(trace: AttackTrace, path):
+    write_file(path, trace_bytes(trace))
 
 
 def load_trace(path) -> AttackTrace:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import synth
 from .attack import (RANKINGS, RECONS, RUN_CONFIG, _check_nbf, _score_flips, apply_flips,
-                     check_config, evaluate_flips, load_trace, run_attacks, save_trace,
-                     select_random_bits, select_vulnerable_bits)
+                     check_config, evaluate_flips, load_trace, run_attacks,
+                     select_random_bits, select_vulnerable_bits, trace_bytes)
 from .model import (DATA_MAX_CLASSES, Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel,
                     MaxPool, ModelFormatError, ReLU, Workspace, check_dataset, dataset_bytes,
                     filter_count, forward_batch, load_dataset, load_model, model_bytes,
@@ -178,9 +178,11 @@ def cmd_quantize(args):
 
 
 def _write_new(files):
-    """Write each (path, bytes) pair of one run's `files`, once no path holds other bytes,
-    such as another run's output or this run's input: such a path is refused, before any
-    file is written. Only a path that exists is read."""
+    """Write each (path, bytes) pair of one command's `files`, once no path holds other
+    bytes, such as another run's output or this run's input: such a path is refused,
+    before any file is written. Only a path that exists is read. Every command writes
+    its files here, so the same command again rewrites the same bytes, and a different
+    one never replaces them."""
     for path, data in files:
         if os.path.exists(path):
             with open(path, "rb") as f:
@@ -203,17 +205,11 @@ def _run_group(victim, eval_ds, runs):
 
 
 def _run_all(cfg, runs, out, jobs=1, table=None):
-    """Load the victim once, quantize it once per nq, check nbf against it (`_check_nbf`)
-    and the eval set against it (`check_dataset`), `out` (`_check_out`) and the trace
-    paths, then run the runs in groups that share (nq, rp, seed), one group per task on
-    up to `jobs` processes, and write each trace to `out`; returns the traces in run
-    order. `table`: a file name in `out` that then receives the traces' `_csv_bytes`.
-
-    A trace path that holds a file `load_trace` cannot read, and a `table` whose header,
-    or whose rows' keys (every column but the accuracy, which the runs fix), differ from
-    the new table's, are refused before the first run; a trace path that reads as a
-    different trace, once the groups that own such paths have run, before the others;
-    a `table` with other accuracies, after all the runs. Either way no file is written.
+    """Load the victim once, quantize it once per nq, check nbf against it (`_check_nbf`),
+    the eval set against it (`check_dataset`) and `out` (`_check_out`), then run the runs
+    in groups that share (nq, rp, seed), one group per task on up to `jobs` processes,
+    and write each trace to `out` through `_write_new`; returns the traces in run order.
+    `table`: a file name in `out` that then receives the traces' `_csv_bytes`.
 
     `runs` comes from `_runs`, whose product order puts each group's runs together."""
     victim_path = _one(cfg, "victim")
@@ -231,50 +227,16 @@ def _run_all(cfg, runs, out, jobs=1, table=None):
         raise _UsageError(f"eval set {eval_path} for {victim_path}: {e}") from None
     _check_out(out)
     groups = [list(g) for _, g in itertools.groupby(runs, lambda r: (r["nq"], r["rp"], r["seed"]))]
-    # per group, its runs' trace paths; a trace's name hashes its RUN_CONFIG only
-    paths = [[_trace_path(out, run) for run in g] for g in groups]
-    held = {}  # path -> the trace it holds
-    for path in filter(os.path.exists, itertools.chain(*paths)):
-        try:
-            held[path] = load_trace(path)
-        except ModelFormatError as e:
-            raise FileExistsError(f"{path} exists and is not replaced, as it is not a "
-                                  f"readable trace ({e}); choose another --out") from None
-    held_table = None  # the bytes of a `table` that already exists
-    if table is not None:
-        table = os.path.join(out, table)
-        other_results = FileExistsError(f"{table} holds other results and is not replaced; "
-                                        "choose another --out")
-        if os.path.exists(table):
-            with open(table, "rb") as f:
-                held_table = f.read()
-            # the runs' rows with placeholder accuracies, which `_csv_keys` cuts off
-            keys = _csv_keys(_csv_bytes((run, [0.0] * (run["nbf"] + 1)) for run in runs))
-            if _csv_keys(held_table) != keys:
-                raise other_results
     work = [(victims[g[0]["nq"]], eval_ds, g) for g in groups]
-    results = [None] * len(groups)
     jobs = min(jobs, len(groups))
     with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         starmap = pool.starmap if pool else itertools.starmap
-        for phase in (True, False):  # the groups that own a held trace's path run first
-            todo = [i for i, ps in enumerate(paths) if any(p in held for p in ps) == phase]
-            for i, group_traces in zip(todo, starmap(_run_group, [work[i] for i in todo])):
-                results[i] = group_traces
-                for path, trace in zip(paths[i], group_traces):
-                    if path in held and held[path] != trace:
-                        raise FileExistsError(f"{path} holds a different trace of the same run "
-                                              "config; choose another --out")
-    traces = list(itertools.chain(*results))
+        traces = list(itertools.chain(*starmap(_run_group, work)))
+    files = [(_trace_path(out, run), trace_bytes(trace)) for run, trace in zip(runs, traces)]
     if table is not None:
-        data = _csv_bytes((t.config, t.accuracies) for t in traces)
-        if held_table is not None and held_table != data:
-            raise other_results
+        files.append((os.path.join(out, table), _csv_bytes(traces)))
     os.makedirs(out, exist_ok=True)
-    for path, trace in zip(itertools.chain(*paths), traces):
-        save_trace(trace, path)
-    if table is not None:
-        _write_csv(data, table)
+    _write_new(files)
     return traces
 
 
@@ -295,6 +257,7 @@ def _cfg_hash(cfg):
 
 
 def _trace_path(out, config):
+    """A trace's path in `out`: its name hashes its RUN_CONFIG only."""
     return os.path.join(out, f"trace_{_cfg_hash(config)}.trace")
 
 
@@ -318,27 +281,17 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _csv_bytes(runs):
-    """The UTF-8 CSV of (RUN_CONFIG dict, accuracies) pairs: a header, then a row per
-    accuracy of each pair, the accuracy last."""
+def _csv_bytes(traces):
+    """The UTF-8 CSV of `traces`: a header, then a row per accuracy of each trace, the
+    accuracy last."""
     f = io.StringIO()
     w = csv.writer(f, lineterminator="\n")
     w.writerow(["nq", "rp", "seed", "ranking", "recon", "flip_index", "accuracy"])
-    for c, accuracies in runs:
-        for i, a in enumerate(accuracies):
+    for t in traces:
+        c = t.config
+        for i, a in enumerate(t.accuracies):
             w.writerow([c["nq"], repr(c["rp"]), c["seed"], c["ranking"], c["recon"], i, repr(a)])
     return f.getvalue().encode("utf-8")
-
-
-def _csv_keys(data):
-    """The lines of a `_csv_bytes` table, each row's accuracy cut off."""
-    header, *rows = data.split(b"\n")
-    return [header, *(row.rpartition(b",")[0] for row in rows)]
-
-
-def _write_csv(data, path):
-    with open(path, "wb") as f:
-        f.write(data)
 
 
 def cmd_report(args):
@@ -348,23 +301,23 @@ def cmd_report(args):
     traces = [load_trace(os.path.join(args.results, n)) for n in names]
     traces.sort(key=lambda t: (t.config["nq"], t.config["rp"], t.config["ranking"],
                                t.config["recon"], t.config["seed"]))
-    out = args.out or args.results
-    os.makedirs(out, exist_ok=True)
-    _write_csv(_csv_bytes((t.config, t.accuracies) for t in traces),
-               os.path.join(out, "report.csv"))
     groups = {}
     for t in traces:
         c = t.config
         groups.setdefault((c["nq"], c["rp"], c["ranking"], c["recon"]), []).append(t)
-    with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["nq", "rp", "ranking", "recon", "flips", "mean_accuracy"])
-        for key in sorted(groups):
-            ts = groups[key]
-            for flips in (0, 10, 20, 50, 100):
-                if flips < min(len(t.accuracies) for t in ts):  # nbf may differ
-                    mean = float(np.mean([t.accuracies[flips] for t in ts]))
-                    w.writerow([*key, flips, repr(mean)])
+    f = io.StringIO()
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow(["nq", "rp", "ranking", "recon", "flips", "mean_accuracy"])
+    for key in sorted(groups):
+        ts = groups[key]
+        for flips in (0, 10, 20, 50, 100):
+            if flips < min(len(t.accuracies) for t in ts):  # nbf may differ
+                mean = float(np.mean([t.accuracies[flips] for t in ts]))
+                w.writerow([*key, flips, repr(mean)])
+    out = args.out or args.results
+    os.makedirs(out, exist_ok=True)
+    _write_new([(os.path.join(out, "report.csv"), _csv_bytes(traces)),
+                (os.path.join(out, "summary.csv"), f.getvalue().encode("utf-8"))])
     print(f"wrote report.csv and summary.csv to {out}")
     return EXIT_OK
 

@@ -72,6 +72,17 @@ def test_the_flow_writes_the_pinned_bytes(flow):
     assert sha256s(flow, FLOW_SHA256) == FLOW_SHA256
 
 
+def test_the_same_block_again_rewrites_the_same_bytes(flow, monkeypatch):
+    def files():
+        return {p: hashlib.sha256(p.read_bytes()).hexdigest() for p in flow.rglob("*")
+                if p.is_file()}
+    before = files()
+    monkeypatch.chdir(flow)
+    for argv in readme_block():
+        assert argv[0] == "python" or main(argv[1:]) == EXIT_OK, argv
+    assert files() == before
+
+
 @pytest.mark.parametrize("ranking", ["fl2r", "random", "gradient"])
 def test_a_run_equals_the_same_run_in_the_sweep(flow, tmp_path, monkeypatch, ranking):
     # a copy of attack.cfg, whose own ranking is one of these, with that ranking: the run
