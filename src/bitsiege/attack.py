@@ -344,8 +344,9 @@ def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
     restarts built over it, are built once for `victim` and `eval_data` and kept for
     later calls on the same two objects: one pass serves a whole sweep group, and
     consecutive groups on one quantized victim; before each later list it is re-run in
-    place from the lowest layer flipped since. Each trace equals `run_attack`'s for its
-    pair, byte for byte.
+    place from the lowest layer flipped since. A sweep at `--jobs` above 1 pickles the
+    victim with each task chunk, so each chunk reaches its worker as a new object and
+    builds its own pass. Each trace equals `run_attack`'s for its pair, byte for byte.
     """
     partial = simulate_recovery(victim, rp, seed)
     surrogates = {}  # recon -> (its codes' bytes, surrogate)

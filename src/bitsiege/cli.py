@@ -141,6 +141,10 @@ def cmd_train(args):
         train_ds, test_ds = synth.gen_synthetic(spec)
     except ValueError as e:
         raise _UsageError(f"train config: {e}") from None
+    data_files = [(path, dataset_bytes(data, path)) for path, data in
+                  ((os.path.join(args.out, "train.data"), train_ds),
+                   (os.path.join(args.out, "test.data"), test_ds))]
+    _refuse_other_bytes(data_files)  # known before training; victim.model only after it
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
             model = synth.train(arch, train_ds, tc)
@@ -151,11 +155,8 @@ def cmd_train(args):
         files = [(victim, model_bytes(model, victim))]
     except ValueError as e:  # weights that grew beyond float32 range
         raise _UsageError(f"trained model cannot be saved ({e}); try a smaller lr") from None
-    for name, data in (("train.data", train_ds), ("test.data", test_ds)):
-        path = os.path.join(args.out, name)
-        files.append((path, dataset_bytes(data, path)))
     os.makedirs(args.out, exist_ok=True)  # no file in a new directory can refuse
-    _write_new(files)
+    _write_new(files + data_files)
     print(f"train accuracy {_chunked_accuracy(model, train_ds):.4f}")
     print(f"test accuracy  {_chunked_accuracy(model, test_ds):.4f}")
     return EXIT_OK
@@ -177,18 +178,24 @@ def cmd_quantize(args):
     return EXIT_OK
 
 
-def _write_new(files):
-    """Write each (path, bytes) pair of one command's `files`, once no path holds other
-    bytes, such as another run's output or this run's input: such a path is refused,
-    before any file is written. Only a path that exists is read. Every command writes
-    its files here, so the same command again rewrites the same bytes, and a different
-    one never replaces them."""
+def _refuse_other_bytes(files):
+    """Raise FileExistsError for the first (path, bytes) pair of `files` whose path holds
+    other bytes; only a path that exists is read."""
     for path, data in files:
         if os.path.exists(path):
             with open(path, "rb") as f:
                 if f.read() != data:
                     raise FileExistsError(f"{path} holds other bytes and is not replaced; "
                                           "choose another --out")
+
+
+def _write_new(files):
+    """Write each (path, bytes) pair of one command's `files`, once no path holds other
+    bytes, such as another run's output or this run's input: such a path is refused,
+    before any file is written (`_refuse_other_bytes`). Every command writes its files
+    here, so the same command again rewrites the same bytes, and a different one never
+    replaces them."""
+    _refuse_other_bytes(files)
     for path, data in files:
         write_file(path, data)
 

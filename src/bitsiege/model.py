@@ -450,32 +450,29 @@ def forward_layers(arch: Architecture, weights, biases, x, ws=None) -> np.ndarra
     return x
 
 
-def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True, plain_layout=True):
+def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True):
     """(dw, db, dx) of `_conv2d` at the patch matrix `cols` of an input shaped
     `x_shape` (N, C, H, W), given the output gradient `dout` (N, O, Ho, Wo); dx is
     None unless `input_grad`.
 
-    col2im is one add per kernel offset (i, j), in row-major order, of contiguous
-    (C, N) rows. The patch gradient is copied once into a (k, k, Ho, W', C, N) buffer,
-    W' the padded input width, whose W' - Wo gap columns hold -0.0. Flattened over
-    (Ho, W'), offset (i, j)'s slice is added into a zeroed (positions, C, N)
-    accumulator of the padded grid from position i*W' + j, at every `stride`-th
-    position: a gap entry adds -0.0 to some position, and x + -0.0 is x for every x.
-    So each entry of dx gets the same adds in the same order as in a zeros padded
-    (C, N, H', W') buffer, and the same bits, for every stride and padding; but for a
-    NaN's sign, which numpy's add loops take from one operand or the other by the loop
-    a layout selects, here as in any col2im. With `plain_layout`, dx is then copied
-    into the layout that buffer gives it, the (N, C, H, W) transpose of its unpadded
-    part, because a conv below may sum its dout in memory order for its db, and another
-    layout could give other bits. Otherwise dx is the (N, C, H, W) transpose of the
-    accumulator's own unpadded (H, W, C, N) part, with no copy: for a MaxPool below,
-    which reads its dout only elementwise."""
+    Both GEMMs and db's row sums read one C-ordered (O, N * Ho * Wo) copy of dout, so
+    dw, db and dx depend on dout's values only, not on its strides. col2im is one add
+    per kernel offset (i, j), in row-major order, of contiguous (C, N) rows. The patch
+    gradient is copied once into a (k, k, Ho, W', C, N) buffer, W' the padded input
+    width, whose W' - Wo gap columns hold -0.0. Flattened over (Ho, W'), offset (i, j)'s
+    slice is added into a zeroed (positions, C, N) accumulator of the padded grid from
+    position i*W' + j, at every `stride`-th position: a gap entry adds -0.0 to some
+    position, and x + -0.0 is x for every x. So each entry of dx gets the same adds in
+    the same order as in a zeros padded (C, N, H', W') buffer, and the same bits, for
+    every stride and padding; but for a NaN's sign, which numpy's add loops take from
+    one operand or the other by the loop a layout selects, here as in any col2im. dx is
+    the (N, C, H, W) transpose of the accumulator's unpadded (H, W, C, N) part."""
     n, c, h, wd = x_shape
     o, _, k, _ = w.shape
     ho, wo = dout.shape[2], dout.shape[3]
-    d2 = dout.transpose(1, 0, 2, 3).reshape(o, -1)
+    d2 = np.ascontiguousarray(dout.transpose(1, 0, 2, 3)).reshape(o, -1)
     dw = (d2 @ cols.T).reshape(w.shape)
-    db = dout.sum(axis=(0, 2, 3))
+    db = d2.sum(axis=1)
     if not input_grad:
         return dw, db, None
     hp, wp = h + 2 * padding, wd + 2 * padding
@@ -491,11 +488,7 @@ def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True, plain_la
             at = i * wp + j
             acc[at:at + span:stride] += src[i, j]
     acc = acc[:hp * wp].reshape(hp, wp, c, n)[padding:padding + h, padding:padding + wd]
-    if not plain_layout:
-        return dw, db, acc.transpose(3, 2, 0, 1)
-    dx = np.empty((c, n, hp, wp))[:, :, padding:padding + h, padding:padding + wd]
-    np.copyto(dx, acc.transpose(2, 3, 0, 1))
-    return dw, db, dx.transpose(1, 0, 2, 3)
+    return dw, db, acc.transpose(3, 2, 0, 1)
 
 
 def _pool_bwd(x, w, out, dout, relu=False):
@@ -512,11 +505,10 @@ def _pool_bwd(x, w, out, dout, relu=False):
 
     One pass per window offset, in row-major order, on (C, H, W, N) views as in
     `_maxpool`: the entries at that offset that equal `out`, in windows not yet
-    taken, get `dout`. dout is read only elementwise, in any layout. dx is a C-ordered
-    (N, C, H, W) array, because a conv below sums it in memory order for its db, and
-    another layout could give other bits."""
+    taken, get `dout`. dout is read only elementwise, in any layout, and dx is the
+    (N, C, H, W) transpose of a (C, H, W, N) array."""
     n, c, h, wd = x.shape
-    dx = np.empty((n, c, h, wd))  # each entry lies at one offset of one window
+    dx = np.empty((c, h, wd, n)).transpose(3, 0, 1, 2)  # each entry: one offset of one window
     t, o, g, d = (a.transpose(1, 2, 3, 0) for a in (x, out, dout, dx))
     if relu:
         g = g * (o > 0)
@@ -549,13 +541,10 @@ def backward_layers(arch: Architecture, weights, ws, dlogits):
     maxima it stored. The gradients are those of a plain backward, bit for bit: a
     pool window's gradient goes to its first entry, in row-major order, equal to the
     window's maximum, as `argmax` picks it; col2im adds the patch gradient's (i, j)
-    slices in row-major order, one add of contiguous (C, N) rows per slice (`_conv_bwd`);
-    and each input gradient a conv's db can read has the memory layout of a plain
-    backward's (a pool's C-ordered, a conv's that of a padded (C, N, H', W') col2im
-    buffer), because a conv's db sums its dout in memory order. A ReLU under a MaxPool
-    is folded into the pool's backward (`_pool_bwd`'s `relu`), and a conv over a MaxPool
-    hands the pool col2im's own (H, W, C, N) layout, which the pool reads only
-    elementwise."""
+    slices in row-major order, one add of contiguous (C, N) rows per slice; and a conv
+    copies its output gradient into one fixed order before it sums it (`_conv_bwd`), so
+    no layer hands it a chosen layout. A ReLU under a MaxPool is folded into the pool's
+    backward (`_pool_bwd`'s `relu`)."""
     layers = arch.layers
     below, above = (None,) + layers, layers[1:] + (None,)  # the layers under and over pos
     dws, dbs = [None] * len(weights), [None] * len(weights)
@@ -568,8 +557,7 @@ def backward_layers(arch: Architecture, weights, ws, dlogits):
         if isinstance(layer, Conv2D):
             p -= 1
             dws[p], dbs[p], d = _conv_bwd(x, weights[p], layer.stride, layer.padding,
-                                          (len(d),) + arch.shapes[pos], d, input_grad=p > 0,
-                                          plain_layout=not isinstance(below[pos], MaxPool))
+                                          (len(d),) + arch.shapes[pos], d, input_grad=p > 0)
         elif isinstance(layer, Dense):
             p -= 1
             dws[p] = d.T @ x

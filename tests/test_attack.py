@@ -887,9 +887,9 @@ def conv_bwd_reference(cols, w, stride, padding, x_shape, dout, input_grad=True)
     n, c, h, wd = x_shape
     o, _, k, _ = w.shape
     ho, wo = dout.shape[2], dout.shape[3]
-    d2 = dout.transpose(1, 0, 2, 3).reshape(o, -1)
+    d2 = np.ascontiguousarray(dout.transpose(1, 0, 2, 3)).reshape(o, -1)
     dw = (d2 @ cols.T).reshape(w.shape)
-    db = dout.sum(axis=(0, 2, 3))
+    db = d2.sum(axis=1)
     if not input_grad:
         return dw, db, None
     dcols = (w.reshape(o, -1).T @ d2).reshape(c, k, k, n, ho, wo)
@@ -910,16 +910,23 @@ def same_bits(a, b):
         np.where(np.isnan(a), np.nan, a).tobytes() == np.where(np.isnan(b), np.nan, b).tobytes()
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_conv_backward_matches_the_reference_bit_for_bit(data):
+def draw_conv_input(data):
+    """A drawn conv: its standard normal input x (N, C, H, W), o filters of size k, the
+    stride and padding, the output size (Ho, Wo), and an rng seeded by the draw."""
     n, c, o = (data.draw(st.integers(1, 4)) for _ in range(3))
     k, stride, padding = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)), \
         data.draw(st.integers(0, 1))
     h, wd = (max(1, k - 2 * padding) + data.draw(st.integers(0, 4)) for _ in range(2))
     ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    x = rng.standard_normal((n, c, h, wd))
+    return rng.standard_normal((n, c, h, wd)), o, k, stride, padding, (ho, wo), rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_conv_backward_matches_the_reference_bit_for_bit(data):
+    x, o, k, stride, padding, (ho, wo), rng = draw_conv_input(data)
+    n, c = x.shape[:2]
     w = {"zero": np.zeros((o, c, k, k)), "normal": rng.standard_normal((o, c, k, k)),
          "tied": rng.choice([-0.5, -0.0, 0.0, 1.0], (o, c, k, k))}[
         data.draw(st.sampled_from(["zero", "normal", "tied"]))]
@@ -927,14 +934,31 @@ def test_conv_backward_matches_the_reference_bit_for_bit(data):
         if data.draw(st.booleans()) else rng.standard_normal((n, o, ho, wo))
     cols = model_module._patches(x, k, stride, padding)
     with np.errstate(invalid="ignore"):  # inf - inf, inf * 0.0
+        got = _conv_bwd(cols, w, stride, padding, x.shape, dout)
         ref = conv_bwd_reference(cols, w, stride, padding, x.shape, dout)
-        for plain in (True, False):
-            got = _conv_bwd(cols, w, stride, padding, x.shape, dout, plain_layout=plain)
-            assert all(same_bits(g, r) for g, r in zip(got, ref))
-            # the layout a conv's db reads, where it may; the pool's, batch innermost
-            assert got[2].strides == ref[2].strides if plain else \
-                got[2].strides[0] == got[2].itemsize
+        assert all(same_bits(g, r) for g, r in zip(got, ref))
         assert _conv_bwd(cols, w, stride, padding, x.shape, dout, input_grad=False)[2] is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_conv_backward_gives_the_same_bits_for_any_output_gradient_layout(data):
+    x, o, k, stride, padding, (ho, wo), rng = draw_conv_input(data)
+    cols = model_module._patches(x, k, stride, padding)
+    w = rng.standard_normal((o, x.shape[1], k, k))
+    dout = rng.standard_normal((len(x), o, ho, wo))
+    if data.draw(st.booleans()):  # NaNs, infinities and zeros of both signs among them
+        special = rng.choice([np.nan, -np.inf, np.inf, -0.0, 0.0], dout.shape)
+        dout = np.where(rng.random(dout.shape) < 0.3, special, dout)
+    # in memory: C order, (O, N, Ho, Wo), (Ho, Wo, O, N) and Fortran order
+    layouts = [dout,
+               np.ascontiguousarray(dout.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
+               np.ascontiguousarray(dout.transpose(2, 3, 1, 0)).transpose(3, 2, 0, 1),
+               np.asfortranarray(dout)]
+    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0.0
+        first, *rest = (_conv_bwd(cols, w, stride, padding, x.shape, d) for d in layouts)
+        for got in rest:
+            assert all(g.tobytes() == f.tobytes() for g, f in zip(got, first))
 
 
 def reference_backward(arch, weights, ws, d, grads=None):
@@ -969,17 +993,15 @@ def reference_backward(arch, weights, ws, d, grads=None):
 def live_input_gradients(arch, weights, ws, d):
     """The input gradients of the live `_conv_bwd` and `_pool_bwd`, called as
     `backward_layers` calls them, down to the batch: {pos: gradient at layer pos's input}.
-    A ReLU under a MaxPool has the pool's, which holds the ReLU's step; the pool has none.
-    Also {pos: whether the input gradient of conv pos goes to a MaxPool}."""
-    layers, grads, to_pool, p = arch.layers, {}, {}, len(weights)
+    A ReLU under a MaxPool has the pool's, which holds the ReLU's step; the pool has none."""
+    layers, grads, p = arch.layers, {}, len(weights)
     for pos in reversed(range(len(layers))):
         layer, x = layers[pos], ws.input(pos)
         below = layers[pos - 1] if pos else None
         if isinstance(layer, bs.Conv2D):
             p -= 1
-            to_pool[pos] = isinstance(below, bs.MaxPool)
             d = _conv_bwd(x, weights[p], layer.stride, layer.padding,
-                          (len(d),) + arch.shapes[pos], d, plain_layout=not to_pool[pos])[2]
+                          (len(d),) + arch.shapes[pos], d)[2]
         elif isinstance(layer, bs.Dense):
             p -= 1
             d = d @ weights[p]
@@ -994,14 +1016,13 @@ def live_input_gradients(arch, weights, ws, d):
         else:
             d = d.reshape(x.shape)
         grads[pos] = d
-    return grads, to_pool
+    return grads
 
 
 def assert_gradients_match_reference(model, inputs, labels):
     """The gradients of `backward_layers` equal those of the unfused reference byte for
     byte, and so does the input gradient of every layer from the live `_conv_bwd` and
-    `_pool_bwd`; each with the reference's strides where a conv's db may read it: all but
-    a conv's input gradient that goes to a MaxPool, which reads it only elementwise."""
+    `_pool_bwd`."""
     arch = model.architecture
     ws = Workspace(arch, model.weights, model.biases)
     logits = forward_layers(arch, model.weights, model.biases, inputs, ws)
@@ -1012,11 +1033,8 @@ def assert_gradients_match_reference(model, inputs, labels):
         assert g.tobytes() == r.tobytes()
     ref_grads = {}
     reference_backward(arch, model.weights, ws, dlogits, ref_grads)
-    live, to_pool = live_input_gradients(arch, model.weights, ws, dlogits)
-    for pos, g in live.items():
-        r = ref_grads[pos]
-        assert g.tobytes() == r.tobytes()
-        assert to_pool.get(pos) or g.strides == r.strides
+    for pos, g in live_input_gradients(arch, model.weights, ws, dlogits).items():
+        assert g.tobytes() == ref_grads[pos].tobytes()
 
 
 def tied(rng, shape):
@@ -1071,7 +1089,7 @@ def test_pool_backward_matches_the_reference_on_ties_signed_zeros_and_nans(w):
         x = rng.choice(values, (c, n, ho * w, wo * w)).transpose(1, 0, 2, 3)  # a conv's layout
         out, dout = _maxpool(x, w), rng.choice([-2.0, -0.0, 0.0, 3.0], (n, c, ho, wo))
         got, ref = _pool_bwd(x, w, out, dout), pool_bwd_reference(x, w, out, dout)
-        assert got.tobytes() == ref.tobytes() and got.strides == ref.strides
+        assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("w", [1, 2, 3])
@@ -1089,7 +1107,7 @@ def test_pool_backward_with_the_relu_folded_in_matches_the_reference(w):
         with np.errstate(invalid="ignore"):  # inf * 0.0
             got = _pool_bwd(x, w, out, dout, relu=True)
             ref = pool_bwd_reference(x, w, out, dout) * (conv > 0)
-        assert got.tobytes() == ref.tobytes() and got.flags.c_contiguous
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_training_with_the_reference_backward_gives_the_same_weights(monkeypatch):

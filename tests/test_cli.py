@@ -41,8 +41,14 @@ def test_train_command(tmp_path):
     bs.load_model(out / "victim.model")
 
 
-def test_train_never_replaces_another_runs_files(tmp_path, capsys):
+def test_train_never_replaces_another_runs_files(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
+    trainings, train_model = [], cli.synth.train
+
+    def counted(*args):
+        trainings.append(args)
+        return train_model(*args)
+    monkeypatch.setattr(cli.synth, "train", counted)
 
     def train(epochs=2, test_per_class=5):
         cfg = write_cfg(tmp_path / "t.cfg", f"per_class = 20\ntest_per_class = {test_per_class}\n"
@@ -63,12 +69,14 @@ def test_train_never_replaces_another_runs_files(tmp_path, capsys):
     capsys.readouterr()
     assert train(epochs=3) == EXIT_IO
     refused("victim.model")
-    # every target is checked before any is written: with test.data, the last, refused,
-    # the missing victim.model, which that run trains as before, is not written either
+    # the data files are checked before training: with test.data refused, the missing
+    # victim.model is neither trained nor written
     (out / "victim.model").unlink()
     del before["victim.model"]
+    assert len(trainings) == 3
     assert train(test_per_class=6) == EXIT_IO
     refused("test.data")
+    assert len(trainings) == 3
 
 
 def test_train_rejects_more_classes_than_labels_hold(tmp_path, capsys):
@@ -251,7 +259,7 @@ nbf = 3
     lambda rows: rows + rows[-1:],
     lambda rows: rows[:-1] + [rows[-1].rpartition(",")[0] + ",0.5"]],
     ids=["other-rp", "other-header", "a-row-short", "a-row-more", "other-accuracy"])
-def test_a_results_table_with_other_keys_is_refused_before_the_first_run(
+def test_a_results_table_with_other_keys_is_refused_after_the_runs(
         workdir, tmp_path, capsys, edit):
     # a results.csv that differs from the sweep's in any byte is refused, with no file
     # written; the refusal comes after the runs
@@ -642,7 +650,7 @@ nbf = 3
 
 
 @pytest.mark.parametrize("jobs, sizes", [("1", []), ("2", [2])])
-def test_a_sweep_refused_by_a_held_trace_runs_only_the_groups_behind_it(
+def test_a_sweep_refused_by_a_held_trace_runs_every_group_first(
         workdir, tmp_path, desk, capsys, monkeypatch, jobs, sizes):
     # seed 1's trace on another eval set (the test set's first 100 inputs, labels moved
     # by one class) holds the path of the sweep's second group: every group runs, in run

@@ -53,20 +53,13 @@ def test_all_zeros_all_ones_on_unknown():
     assert bs.reconstruct_code(0, 0, 4, ONES) == -1
 
 
-@pytest.mark.parametrize("nq", [4, 6])
+@pytest.mark.parametrize("nq", [6])  # nq 4 and 8: test_acceptance.py's c01, every pair
 def test_czr_matches_oracle_exhaustive(nq):
     for mask in range(1 << nq):
         for bits in range(1 << nq):
             known = bits & mask
             assert bs.reconstruct_code(known, mask, nq, CZR) == bs.oracle_min_abs(known, mask, nq), \
                 f"bits={bits:0{nq}b} mask={mask:0{nq}b}"
-
-
-@settings(max_examples=400)
-@given(st.integers(0, 255), st.integers(0, 255))
-def test_czr_matches_oracle_nq8_fuzz(bits, mask):
-    known = bits & mask
-    assert bs.reconstruct_code(known, mask, 8, CZR) == bs.oracle_min_abs(known, mask, 8)
 
 
 @settings(max_examples=300)
