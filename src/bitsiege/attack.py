@@ -10,12 +10,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (Dataset, ModelFormatError, Workspace, check_dataset, forward_batch,
+from .model import (Dataset, ModelFormatError, Workspace, check_dataset, forward_layers,
                     magic_lines, read_fields, top1_hits, write_file)
-from .quantize import BITWIDTHS, QuantModel, bits_to_codes, dequantize, dequantize_model, flip_bit
+from .quantize import BITWIDTHS, QuantModel, bits_to_codes, dequantize, flip_bit
 from .reconstruct import ReconstructionMethod, reconstruct_model
 from .recovery import simulate_recovery
-from .synth import gradient
+from .synth import backprop
 
 TRACE_MAGIC = "bitsiege-trace-v1"
 
@@ -174,11 +174,12 @@ def select_gradient_bits(reconstructed: QuantModel, batch: Dataset, n_bf: int):
     and flip the sign bit only when the flip moves the weight up the loss gradient.
 
     Ties in |gradient| break to the lowest (layer, flat weight index): one stable
-    sort over every layer's weights concatenated in that order.
+    sort over every layer's weights concatenated in that order. The gradient is
+    `synth.gradient`'s, bit for bit, through a held pass of the batch (`_gradient`).
     """
     _check_nbf(reconstructed, n_bf)
     check_dataset(reconstructed.architecture, batch)
-    grads, _ = gradient(dequantize_model(reconstructed), batch.inputs, batch.labels)
+    grads = _gradient(reconstructed, batch)
     params = reconstructed.params
     sizes = np.array([c.size for c in reconstructed.codes])
     ends = np.cumsum(sizes)
@@ -224,52 +225,109 @@ def apply_flips(victim: QuantModel, records) -> QuantModel:
     return QuantModel(victim.architecture, list(victim.params), codes, victim.biases)
 
 
-class _VictimPass:
-    """What `_score_flips` builds from one victim and eval set, kept for later calls on
-    the same two objects: the dequantized victim, copies of the codes and weights that
-    flips rewrite, with each layer's flip table and weight per code, a Workspace that
-    holds the baseline pass, whose restarts read those weights, and `lowest`, the lowest
-    layer flipped since the last reset, if any."""
+def _dequantize_into(weights, q: QuantModel):
+    """Write the dequantized weights of `q` into `weights`, one array per parametric layer:
+    the bits of `dequantize_model(q).weights`, with no model built."""
+    for w, c, qp in zip(weights, q.codes, q.params):
+        np.multiply(c, qp.scale, out=w)
 
-    def __init__(self, victim: QuantModel, eval_data: Dataset):
-        self.victim, self.eval_data = victim, eval_data
-        self.fm = dequantize_model(victim)
+
+class _HeldPass:
+    """A Workspace over one fixed batch, with weight arrays of its own that its restarts
+    read, kept between calls. `aim` copies a quantized model's dequantized weights into
+    them and re-runs every layer from the first parametric one (`Workspace.restart(0)`),
+    which gives a fresh pass's bits. So the pass serves any model of its architecture
+    and biases on a batch of its inputs' bytes (`serves`): it is keyed on what it
+    computes, not on the objects it was built from. `model`: the model it was last
+    aimed at."""
+
+    def __init__(self, q: QuantModel, inputs):
+        self.model, self.inputs = q, inputs
+        self.weights = [np.empty(c.shape) for c in q.codes]
+        _dequantize_into(self.weights, q)
+        self.ws = Workspace(q.architecture, self.weights, q.biases)
+        forward_layers(q.architecture, self.weights, q.biases, inputs, self.ws)
+
+    def serves(self, q: QuantModel, inputs):
+        held = self.model
+        return (q.architecture == held.architecture and inputs.shape == self.inputs.shape
+                and all(a.tobytes() == b.tobytes() for a, b in zip(q.biases, held.biases))
+                and (inputs is self.inputs or inputs.tobytes() == self.inputs.tobytes()))
+
+    def aim(self, q: QuantModel):
+        """Re-run the pass for `q`, a model it `serves`; returns the logits."""
+        self.model = q
+        _dequantize_into(self.weights, q)
+        return self.ws.restart(0)
+
+
+class _VictimPass(_HeldPass):
+    """What `_score_flips` keeps of one victim on one eval set: the held pass, whose
+    weights flips rewrite, a copy of the codes, each layer's flip table and weight per
+    code, a copy of the baseline logits, and `lowest`, the lowest parametric layer whose
+    stored output may differ from the baseline pass's (the layer count if none)."""
+
+    def __init__(self, victim: QuantModel, inputs):
+        super().__init__(victim, inputs)
         self.codes = [c.copy() for c in victim.codes]
-        self.weights = [w.copy() for w in self.fm.weights]
+        self._aimed()
+
+    def aim(self, victim: QuantModel):
+        super().aim(victim)
+        for a, b in zip(self.codes, victim.codes):
+            np.copyto(a, b)
+        self._aimed()
+
+    def _aimed(self):
+        """Take up the model the pass now holds: its flip tables, its baseline logits, and
+        no layer changed since."""
         # per parametric layer: the flat codes and weights a flip rewrites, the flip table,
         # and the dequantized weight of each code, indexed as the table's rows are
         self.layers = [(c.reshape(-1), w.reshape(-1), flip_table(qp.bitwidth),
                         dequantize(_codes_by_pattern(qp.bitwidth), qp.scale).tolist())
-                       for c, w, qp in zip(self.codes, self.weights, victim.params)]
-        self.ws = Workspace(victim.architecture, self.weights, self.fm.biases)
-        self.baseline = forward_batch(self.fm, eval_data.inputs, self.ws)
+                       for c, w, qp in zip(self.codes, self.weights, self.model.params)]
+        self.baseline = self.ws.acts[-1].copy()
         self.lowest = len(self.layers)
 
     def reset(self):
-        """Bring the codes, weights and workspace back to the baseline; returns the
-        baseline logits. Once the weights are back, the workspace re-runs from the
-        lowest layer flipped since the last reset, if any (`Workspace.restart`)."""
-        for a, b in zip(self.codes + self.weights, self.victim.codes + self.fm.weights):
+        """Bring the codes and weights back to the baseline. The stored pass is left as
+        it is: it is the baseline's below `lowest`, and a list's first flip re-runs the
+        rest (`_score_flips`)."""
+        for a, b in zip(self.codes, self.model.codes):
             np.copyto(a, b)
-        if self.lowest < len(self.layers):
-            self.ws.restart(self.lowest)
-            self.lowest = len(self.layers)
-        return self.baseline
+        _dequantize_into(self.weights, self.model)
 
 
-# `.victim_pass`: the one _VictimPass this thread holds between `_score_flips` calls
+# the passes this thread holds between calls: `.victim_pass`, a _VictimPass of
+# `_score_flips`, and `.batch_pass`, a _HeldPass of `select_gradient_bits`
 _held = threading.local()
 
 
-def _take_pass(victim: QuantModel, eval_data: Dataset) -> _VictimPass:
-    """The held pass if it was built from these two objects, else a new one. Either
-    way the slot is emptied, so a call made from inside another's `score` builds its
-    own, and a held pass for other inputs is dropped before the new one is built."""
-    held, _held.victim_pass = getattr(_held, "victim_pass", None), None
-    if held is not None and held.victim is victim and held.eval_data is eval_data:
+def _take(slot, kind, q: QuantModel, inputs):
+    """The pass held in `slot` if it serves `q` on `inputs`, aimed at `q`, else a new
+    `kind` pass. Either way the slot is emptied, so a call made from inside another's
+    takes none, and a held pass that does not serve is dropped before the new one is
+    built. The caller hands the pass back (`_held`)."""
+    held = getattr(_held, slot, None)
+    setattr(_held, slot, None)
+    if held is not None and held.serves(q, inputs):
+        if held.model is not q:
+            held.aim(q)
         return held
     held = None
-    return _VictimPass(victim, eval_data)
+    return kind(q, inputs)
+
+
+def _gradient(q: QuantModel, batch: Dataset):
+    """The weight gradients of `synth.gradient` for the dequantized `q` on `batch`, bit
+    for bit, backpropagated through the pass of the batch that this thread holds between
+    calls (`_take`): keyed on q's architecture and biases and the batch inputs' bytes,
+    and re-aimed at each new model, so that the surrogates of one victim share one pass."""
+    held = _take("batch_pass", _HeldPass, q, batch.inputs)
+    try:
+        return backprop(q.architecture, held.weights, held.ws, batch.labels)[1]
+    finally:
+        _held.batch_pass = held
 
 
 def _score_flips(victim: QuantModel, record_lists, eval_data: Dataset, score) -> list:
@@ -279,34 +337,46 @@ def _score_flips(victim: QuantModel, record_lists, eval_data: Dataset, score) ->
 
     The logits equal `forward_batch` of the list's `apply_flips` victim, dequantized,
     bit for bit, and no list sees another's flips. A flip rewrites one code and one
-    weight and re-runs the network from its parametric layer on (`Workspace.restart`);
-    each list starts from the baseline pass, which `_VictimPass.reset` rebuilds in
-    place by re-running from the lowest layer flipped since the pass's last reset.
+    weight and re-runs the network from its parametric layer on (`Workspace.restart`).
+    The baseline is scored once per call, from a copy of its logits. A list starts
+    with the baseline's codes and weights put back (`_VictimPass.reset`), and its first
+    flip brings the stored pass up to date: at or above `lowest`, the lowest layer
+    another list changed, it re-runs every filter from that layer on (`restart(lowest)`);
+    below it, its own restart is enough, as it re-runs every layer after its own in full.
 
-    That pass, with the dequantized victim and the restarts built over it, is kept
-    between calls (`_VictimPass`): a thread holds at most one, keyed on the identity
-    of `victim` and `eval_data`, whose arrays are read-only. A call on the same two
-    objects takes it over, and any other call drops it and builds its own; a call with
-    no lists builds none. The call hands its pass back when it returns or raises, and a
-    pass handed back mid-list, by a `score` that raised, still knows the lowest layer
-    its next reset re-runs from.
+    That pass, with the restarts built over it, is kept between calls (`_VictimPass`):
+    a thread holds at most one, keyed on the victim's architecture and biases and the
+    eval inputs' bytes. A call that it serves takes it over, aimed at `victim` if it was
+    last used for another (`_take`); any other call drops it and builds its own, and a
+    call with no lists builds none. The call hands its pass back when it returns or
+    raises; a pass handed back mid-list, by a `score` that raised, still knows the
+    lowest layer it changed.
     """
     check_dataset(victim.architecture, eval_data)
     sites = [_flip_sites(victim, records) for records in record_lists]
     if not sites:
         return []
-    vp = _take_pass(victim, eval_data)
+    vp = _take("victim_pass", _VictimPass, victim, eval_data.inputs)
     try:
+        base, n = score(vp.baseline), len(vp.layers)
         scores = []
         for list_sites in sites:
-            scores.append([score(vp.reset())])
+            vp.reset()
+            scores.append([base])
+            stale = vp.lowest  # the stored pass is another list's from this layer on
             for l, f, i, bit in list_sites:
                 c, w, flips, weights = vp.layers[l]
                 code = flips[bit][c.item(i)]
                 c[i] = code
                 w[i] = weights[code]
-                vp.lowest = min(vp.lowest, l)
-                scores[-1].append(score(vp.ws.restart(l, f)))
+                if l < stale:
+                    vp.lowest = min(vp.lowest, l)
+                    logits = vp.ws.restart(l, f)
+                else:  # the list's first flip, at or above the stale layer
+                    vp.lowest = l
+                    logits = vp.ws.restart(stale)
+                stale = n
+                scores[-1].append(score(logits))
         return scores
     finally:
         _held.victim_pass = vp
@@ -341,12 +411,12 @@ def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
     and bitwidths (`reads_codes`), is ranked and evaluated once for every recon. These
     memos live only for the call. The distinct lists are scored in one `_score_flips`
     call with `_top1_scorer`. The victim's baseline pass over `eval_data`, and the
-    restarts built over it, are built once for `victim` and `eval_data` and kept for
-    later calls on the same two objects: one pass serves a whole sweep group, and
-    consecutive groups on one quantized victim; before each later list it is re-run in
-    place from the lowest layer flipped since. A sweep at `--jobs` above 1 pickles the
-    victim with each task chunk, so each chunk reaches its worker as a new object and
-    builds its own pass. Each trace equals `run_attack`'s for its pair, byte for byte.
+    restarts built over it, are kept per thread and keyed by content (`_score_flips`):
+    one pass serves every group of a sweep, every quantized victim of one float model
+    and, at `--jobs` above 1, every task chunk a worker process runs, though the pool
+    pickles the victim and eval set with each chunk. A new victim object re-aims the
+    pass (`_HeldPass.aim`); nothing is rebuilt. Each trace equals `run_attack`'s for its
+    pair, byte for byte.
     """
     partial = simulate_recovery(victim, rp, seed)
     surrogates = {}  # recon -> (its codes' bytes, surrogate)

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import synth
+from . import attack, synth
 from .attack import (RANKINGS, RECONS, RUN_CONFIG, _check_nbf, _score_flips, apply_flips,
                      check_config, evaluate_flips, load_trace, run_attacks,
                      select_random_bits, select_vulnerable_bits, trace_bytes)
@@ -382,35 +382,47 @@ def _verify_incremental():
     arch = Architecture((Conv2D(1, 4, 3, 1, 1), ReLU(), MaxPool(2), Conv2D(4, 5, 3, 2, 1), ReLU(),
                          Flatten(), Dense(20, 3)), (1, 8, 8), 3)
     layers = [l for _, l in arch.parametric_layers()]
-    victim = QuantModel(arch, [QuantParams(8, 0.02)] * len(layers),
-                        [rng.integers(-128, 128, weight_shape(l)).astype(np.int16) for l in layers],
-                        [rng.standard_normal(filter_count(l)) * 0.1 for l in layers])
+    biases = [rng.standard_normal(filter_count(l)) * 0.1 for l in layers]
+    victims = [QuantModel(arch, [QuantParams(nq, scale)] * len(layers),
+                          [rng.integers(-(1 << nq - 1), 1 << nq - 1, weight_shape(l)).astype(np.int16)
+                           for l in layers], biases) for nq, scale in ((8, 0.02), (6, 0.07))]
     inputs = rng.standard_normal((48, 1, 8, 8))
-    # labelled by the clean victim, so that flips move the accuracy off 1.0; its pass,
-    # of the evaluator's shapes, tells which GEMM the evaluator's conv restarts ran
-    clean = dequantize_model(victim)
+    # labelled by the first clean victim, so that flips move the accuracy off 1.0; its
+    # pass, of the evaluator's shapes, tells which GEMM the evaluator's conv restarts ran
+    clean = dequantize_model(victims[0])
     ws = Workspace(arch, clean.weights, clean.biases)
     data = Dataset(inputs, forward_batch(clean, inputs, ws).argmax(axis=1))
-    records = select_vulnerable_bits(victim, 40) + select_random_bits(victim, 20, 11)
-    rng.shuffle(records)
-    # three lists from one baseline pass: each after the first starts from a reset, which
-    # re-runs the pass from the lowest layer the list before it flipped
-    lists = [records, records[::2], records[1::2]]
-    logits = _score_flips(victim, lists, data, lambda logits: logits.tobytes())
-    for k, recs in enumerate(lists):
-        for i in range(len(recs) + 1):
-            ref = forward_batch(dequantize_model(apply_flips(victim, recs[:i])), data.inputs)
-            if logits[k][i] != ref.tobytes():
-                return False, (f"incremental logits differ from the apply_flips reference "
-                               f"after flip {i} of list {k}")
+    passes = []
+    for k, victim in enumerate(victims):
+        records = select_vulnerable_bits(victim, 40) + select_random_bits(victim, 20, 11)
+        rng.shuffle(records)
+        head = [r for r in records if r.layer == len(layers) - 1]
+        # lists from one pass, the second victim's re-aimed from the first's; each list
+        # starts from the pass the one before left, and both ways of starting must run:
+        # below the lowest layer that list flipped, and at or above it
+        lists = [records, head, sorted(records[::2], key=lambda r: r.layer), records[1::2]]
+        below = [b[0].layer < min(r.layer for r in a) for a, b in zip(lists, lists[1:])]
+        if set(below) != {True, False}:
+            return False, f"victim {k}'s lists do not start both below and at or above a layer"
+        logits = _score_flips(victim, lists, data, lambda logits: logits.tobytes())
+        for j, recs in enumerate(lists):
+            for i in range(len(recs) + 1):
+                ref = forward_batch(dequantize_model(apply_flips(victim, recs[:i])), data.inputs)
+                if logits[j][i] != ref.tobytes():
+                    return False, (f"incremental logits differ from the apply_flips reference "
+                                   f"after flip {i} of list {j} of victim {k}")
+        passes.append(attack._held.victim_pass)
+    if passes[1] is not passes[0]:
+        return False, "the second victim's call built a new pass instead of re-aiming the first's"
     accs = [accuracy_quant(apply_flips(victim, records[:i]), data) for i in range(len(records) + 1)]
     paths = ", ".join(f"layer {pos} {'two-row block' if ws.two_row_blocks(pos) else 'full GEMM'}"
                       for pos, layer in arch.parametric_layers() if isinstance(layer, Conv2D))
     return evaluate_flips(victim, records, data) == accs, (
         f"incremental evaluator vs apply_flips + accuracy_quant over {len(records)} flips, "
-        "then both halves from the restored baseline (padded and strided convs, an odd "
-        "filter count, pool, dense): logits bit-identical, accuracies equal; "
-        f"conv restarts: {paths}")
+        "then lists from the pass the list before left, starting at, above and below the "
+        "lowest layer it flipped, on one pass re-aimed at a second victim (padded and "
+        "strided convs, an odd filter count, pool, dense): logits bit-identical, accuracies "
+        f"equal; conv restarts: {paths}")
 
 
 def cmd_verify(_args):

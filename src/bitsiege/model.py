@@ -127,8 +127,13 @@ class Architecture:
 
 def frozen_array(a, dtype, what="array"):
     """A read-only, C-ordered copy of `a` as `dtype`; raises ValueError naming `what` if
-    the cast changes a value (wraps an integer, drops a fraction). NaN stays NaN."""
+    the cast changes a value (wraps an integer, drops a fraction). NaN stays NaN. An
+    array that is all of these already and owns its data is returned as it is: no view
+    of other memory can reach it (a caller freezes a fresh array to hand it over)."""
     a = np.asarray(a)
+    if (a.dtype == dtype and a.flags.c_contiguous and a.flags.owndata
+            and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=dtype, order="C", copy=True)
     if out.dtype != a.dtype and not np.array_equal(out, a, equal_nan=True):
         raise ValueError(f"{what}: values that do not fit {out.dtype.name}")

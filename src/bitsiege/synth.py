@@ -80,6 +80,7 @@ def gen_synthetic(spec: SynthSpec):
         x = rng.standard_normal((len(labels),) + spec.input_shape)
         x *= spec.noise
         x += protos[labels]
+        x.flags.writeable = labels.flags.writeable = False  # handed to the Dataset uncopied
         return Dataset(x, labels)
 
     return draw(spec.per_class), draw(spec.test_per_class)
@@ -98,12 +99,19 @@ def _softmax_ce(logits, labels):
     return loss, dlogits / n
 
 
-def _grads(arch, weights, biases, inputs, labels):
-    ws = Workspace(arch, weights, biases)
-    logits = forward_layers(arch, weights, biases, np.asarray(inputs, dtype=np.float64), ws)
-    loss, dlogits = _softmax_ce(logits, np.asarray(labels))
+def backprop(arch, weights, ws, labels):
+    """(loss, weight grads, bias grads) of mean cross-entropy on `labels`, at the pass
+    the Workspace `ws` holds: a `forward_layers` pass of `weights`, or one re-run in
+    place (`Workspace.restart`), which has its bits."""
+    loss, dlogits = _softmax_ce(ws.acts[-1], np.asarray(labels))
     dws, dbs = backward_layers(arch, weights, ws, dlogits)
     return loss, dws, dbs
+
+
+def _grads(arch, weights, biases, inputs, labels):
+    ws = Workspace(arch, weights, biases)
+    forward_layers(arch, weights, biases, np.asarray(inputs, dtype=np.float64), ws)
+    return backprop(arch, weights, ws, labels)
 
 
 def gradient(model: FloatModel, inputs, labels):

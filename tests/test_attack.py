@@ -272,7 +272,7 @@ def test_gradient_bits_ties_match_tuple_sort(monkeypatch):
     rng = np.random.default_rng(8)
     q = random_qmodel(rng)
     grads = [rng.integers(-2, 3, c.shape) * 0.25 for c in q.codes]
-    monkeypatch.setattr("bitsiege.attack.gradient", lambda fm, x, y: (grads, None))
+    monkeypatch.setattr("bitsiege.attack._gradient", lambda q, batch: grads)
     batch = bs.Dataset(np.zeros((1, 1, 6, 6)), np.zeros(1, dtype=int))
     n_aligned = len(gradient_bits_reference(q, grads, 10 ** 6))
     for n_bf in (1, 7, 40, n_aligned):
@@ -292,7 +292,7 @@ def test_gradient_bits_match_the_reference_across_bitwidths_and_scales(data):
     batch = bs.Dataset(np.zeros((1, *q.architecture.input_shape)), np.zeros(1, dtype=int))
     n_aligned = len(gradient_bits_reference(q, grads, 10 ** 6))
     n_bf = data.draw(st.integers(1, sum(c.size for c in q.codes)))
-    with mock.patch.object(attack, "gradient", lambda fm, x, y: (grads, None)):
+    with mock.patch.object(attack, "_gradient", lambda q, batch: grads):
         if n_bf > n_aligned:
             with pytest.raises(ValueError, match=f"only {n_aligned} gradient-aligned"):
                 bs.select_gradient_bits(q, batch, n_bf)
@@ -596,22 +596,39 @@ def test_load_trace_rejects_inconsistent_traces(tmp_path, desk):
 
 
 @pytest.fixture()
-def pass_builds(monkeypatch):
-    """How many baseline passes `_score_flips` builds (`attack.forward_batch` calls)."""
+def no_held_pass(monkeypatch):
+    """This thread holds no pass of `attack`'s during the test; the ones from before are
+    back afterwards."""
+    for slot in ("victim_pass", "batch_pass"):
+        monkeypatch.setattr(attack._held, slot, None, raising=False)
+
+
+@pytest.fixture()
+def pass_builds(monkeypatch, no_held_pass):
+    """The passes `attack` builds (`attack.forward_layers` calls), as the batch each runs,
+    from a thread that holds none."""
     builds = []
 
     def counted(*a):
-        builds.append(a[0])
-        return bs.forward_batch(*a)
-    monkeypatch.setattr(attack, "forward_batch", counted)
+        builds.append(a[3])
+        return forward_layers(*a)
+    monkeypatch.setattr(attack, "forward_layers", counted)
     return builds
 
 
 def fresh_inputs(desk, n=200):
-    """A new 8-bit desk victim and a new eval set of its first `n` test samples: objects
-    that no earlier call has seen, so that no held pass was built from them."""
+    """A new 8-bit desk victim and a new eval set of its first `n` test samples."""
     test = desk["test"]
     return bs.quantize_model(desk["model"], 8), bs.Dataset(test.inputs[:n], test.labels[:n])
+
+
+def other_codes(q, seed):
+    """A victim of q's architecture, biases and bitwidths, with other random codes and scales."""
+    rng = np.random.default_rng(seed)
+    params = [bs.QuantParams(qp.bitwidth, qp.scale * rng.uniform(0.5, 2)) for qp in q.params]
+    codes = [rng.integers(-(1 << (qp.bitwidth - 1)), 1 << (qp.bitwidth - 1), c.shape)
+             for qp, c in zip(q.params, q.codes)]
+    return bs.QuantModel(q.architecture, params, codes, q.biases)
 
 
 def test_victim_pass_serves_runs_on_one_victim_and_eval_set(desk, pass_builds):
@@ -621,7 +638,38 @@ def test_victim_pass_serves_runs_on_one_victim_and_eval_set(desk, pass_builds):
     for q, seed, ranking in runs:
         tr = bs.run_attack(q, 0.8, seed, ranking, bs.ReconstructionMethod.CZR, 30, data)
         assert list(tr.accuracies) == reference_accuracies(q, tr.records, data)
-    assert len(pass_builds) == 3  # a; the second run on a takes its pass; b; a again
+    # a's pass; the second run on a takes it over, and b, then a again, re-aim it
+    assert len(pass_builds) == 1
+
+
+def test_a_pass_re_aimed_at_another_victim_gives_a_fresh_pass_bytes(desk, pass_builds):
+    a, data = fresh_inputs(desk, 64)
+    copy = bs.Dataset(data.inputs.copy(), data.labels.copy())  # the same bytes, another object
+    calls = [(a, data), (bs.quantize_model(desk["model"], 4), copy), (other_codes(a, 1), data),
+             (a, copy)]
+    for q, d in calls:
+        lists = [bs.select_vulnerable_bits(q, 20), bs.select_random_bits(q, 20, 1)]
+        assert_fresh_logits(_score_flips(q, lists, d, keep_bytes), q, lists, d)
+        assert attack._held.victim_pass.model is q
+    assert len(pass_builds) == 1
+
+
+def nudged(a):
+    """A copy of the array `a` with its first entry one ulp up."""
+    out = a.copy()
+    out.reshape(-1)[0] = np.nextafter(out.reshape(-1)[0], np.inf)
+    return out
+
+
+def test_a_victim_with_other_biases_or_eval_bytes_gets_a_new_pass(desk, pass_builds):
+    a, data = fresh_inputs(desk, 64)
+    biased = bs.QuantModel(a.architecture, a.params, a.codes, [nudged(b) for b in a.biases])
+    moved = bs.Dataset(nudged(data.inputs), data.labels)  # the same shape, other bytes
+    calls = [(a, data), (biased, data), (a, data), (a, moved), (a, data)]
+    for q, d in calls:
+        lists = [bs.select_vulnerable_bits(q, 20)]
+        assert_fresh_logits(_score_flips(q, lists, d, keep_bytes), q, lists, d)
+    assert len(pass_builds) == len(calls)
 
 
 def test_victim_pass_is_kept_per_eval_set(desk, pass_builds):
@@ -631,6 +679,17 @@ def test_victim_pass_is_kept_per_eval_set(desk, pass_builds):
     for d in (data, half, half, data):
         assert_fresh_logits(_score_flips(q, lists, d, keep_bytes), q, lists, d)
     assert len(pass_builds) == 3
+
+
+def test_the_held_gradient_pass_gives_synth_gradient_bytes(desk, pass_builds):
+    q, test = desk["qmodel"], desk["test"]
+    batch, other = (bs.Dataset(test.inputs[i:i + 32], test.labels[i:i + 32]) for i in (0, 32))
+    partial = bs.simulate_recovery(q, 0.5, 1)
+    surrogates = [bs.reconstruct_model(partial, m) for m in bs.ReconstructionMethod]
+    for s, b in [(s, batch) for s in surrogates] + [(surrogates[0], other)]:
+        want, _ = synth_module.gradient(bs.dequantize_model(s), b.inputs, b.labels)
+        assert [g.tobytes() for g in attack._gradient(s, b)] == [g.tobytes() for g in want]
+    assert len(pass_builds) == 2  # one per batch
 
 
 class ScoreRaised(Exception):
@@ -698,68 +757,77 @@ def pass_calls(monkeypatch):
     return calls
 
 
-def stored_bytes(ws):
-    return [a.tobytes() for a in stored_arrays(ws)]
-
-
-def baseline_bytes(q, data):
-    """`stored_bytes` of a fresh Workspace after the first pass of the victim `q`."""
-    fm = bs.dequantize_model(q)
-    ws = Workspace(fm.architecture, fm.weights, fm.biases)
-    bs.forward_batch(fm, data.inputs, ws)
-    return stored_bytes(ws)
-
-
 def desk_flips(q, n=5):
     """Up to `n` random flips in each parametric layer of the desk victim `q`."""
     picks = bs.select_random_bits(q, 600, 4)
     return [[r for r in picks if r.layer == l][:n] for l in range(3)]
 
 
-# the desk's convs have 8 and 16 filters; its one pool follows conv1
-RESET_CALLS = {0: [8, "pool", 16], 1: [16], 2: [], None: []}
+# the desk's convs have 8 and 16 filters; its one pool follows conv1. The calls of a
+# restart of every filter from each parametric layer on
+FULL_CALLS = {0: [8, "pool", 16], 1: [16], 2: []}
 
 
-def test_a_reset_re_runs_from_the_lowest_layer_flipped_since_the_last_one(desk, pass_calls):
-    # after flips in layer l only, one full GEMM per conv from l on; with nothing
-    # flipped since the last reset, no conv and no pool. Either way, the baseline pass.
+def first_flip_calls(q, lists, data, pass_calls):
+    """The conv and pool calls of the first flip of `_score_flips(q, lists, data, ...)`,
+    whose logits are checked against fresh passes."""
+    steps, seen = itertools.count(1), []
+
+    def score(logits):  # the baseline is the first step, the first flip the second
+        if next(steps) == 2:
+            seen.append(list(pass_calls))
+        return keep_bytes(logits)
+    pass_calls.clear()
+    assert_fresh_logits(_score_flips(q, lists, data, score), q, lists, data)
+    return seen[0]
+
+
+def test_a_list_re_runs_from_the_lowest_layer_flipped_since_the_last_one(
+        desk, pass_builds, pass_calls):
+    # a list's first flip at or above the lowest layer another list flipped re-runs every
+    # filter from that layer on; below it, its own restart re-runs every later layer
     q, data = fresh_inputs(desk, 64)
-    by_layer, base = desk_flips(q), baseline_bytes(q, data)
-    _score_flips(q, [by_layer[2]], data, keep_bytes)
-    vp = attack._held.victim_pass
-    for lowest, lists in ((2, []), (None, []), (1, [by_layer[1]]), (0, [by_layer[0]]),
-                          (1, [by_layer[2] + by_layer[1]]), (0, [by_layer[1], by_layer[0]])):
-        _score_flips(q, lists, data, keep_bytes)  # hands vp back, with the last list's flips in
-        assert attack._held.victim_pass is vp
-        assert vp.lowest == (3 if lowest is None else lowest)
-        pass_calls.clear()
-        vp.reset()
-        assert pass_calls == RESET_CALLS[lowest], lowest
-        assert stored_bytes(vp.ws) == base, lowest
+    by_layer = desk_flips(q)
+    first_flip_calls(q, [by_layer[2]], data, pass_calls)
+    ws = attack._held.victim_pass.ws
+    block = [2 if ws.two_row_blocks(pos) else n for pos, n in ((0, 8), (3, 16))]
+    for first, calls in ((2, []), (1, [block[1]]), (1, FULL_CALLS[1]),
+                         (0, [block[0], "pool", 16]), (2, FULL_CALLS[0]), (2, [])):
+        assert first_flip_calls(q, [by_layer[first]], data, pass_calls) == calls, first
+    assert len(pass_builds) == 1
+
+
+@pytest.mark.parametrize("before", [0, 1, 2])
+@pytest.mark.parametrize("first", [0, 1, 2])
+def test_a_list_starting_below_at_or_above_the_last_lists_lowest_layer_is_fresh(
+        desk, before, first):
+    q, data = fresh_inputs(desk, 64)
+    by_layer = desk_flips(q, 3)
+    # the list before flips layer `before` only; the next starts at layer `first`
+    rest = [r for l in (2, 0, 1) for r in by_layer[l][1:]]
+    lists = [by_layer[before], [by_layer[first][0]] + rest, by_layer[before][::-1]]
+    assert_fresh_logits(_score_flips(q, lists, data, keep_bytes), q, lists, data)
 
 
 @pytest.mark.parametrize("steps, lowest", [(4, 1), (5, 0), (8, 0)])
 def test_a_pass_handed_back_mid_list_resets_from_the_lowest_layer_flipped_so_far(
-        desk, pass_calls, steps, lowest):
+        desk, pass_builds, pass_calls, steps, lowest):
     q, data = fresh_inputs(desk, 64)
     by_layer = desk_flips(q, 3)
     flips = by_layer[1] + by_layer[0][:1] + by_layer[2]
     with pytest.raises(ScoreRaised):  # after steps - 1 flips: 3 in conv2, 1 in conv1, ...
         _score_flips(q, [flips], data, raise_at(steps))
-    vp = attack._held.victim_pass
-    assert vp.lowest == lowest
-    pass_calls.clear()
-    vp.reset()
-    assert pass_calls == RESET_CALLS[lowest]
-    assert stored_bytes(vp.ws) == baseline_bytes(q, data)
+    assert attack._held.victim_pass.lowest == lowest
+    # the next list, from the dense layer, re-runs every filter from that layer on
+    assert first_flip_calls(q, [by_layer[2]], data, pass_calls) == FULL_CALLS[lowest]
 
 
 def test_a_victim_pass_holds_one_copy_of_the_baseline_pass(desk):
-    # the baseline is rebuilt by re-running (`_VictimPass.reset`), not kept twice
+    # the baseline is brought back by re-running, not kept twice; only its logits are
     q, test = desk["qmodel"], desk["test"]
     tracemalloc.start()
     try:
-        vp = attack._VictimPass(q, test)
+        vp = attack._VictimPass(q, test.inputs)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -767,24 +835,28 @@ def test_a_victim_pass_holds_one_copy_of_the_baseline_pass(desk):
     for a in sorted(stored_arrays(vp.ws), key=lambda a: -a.nbytes):
         if not any(np.may_share_memory(a, b) for b in kept + [test.inputs]):
             kept.append(a)
-    copies = vp.codes + vp.weights + vp.fm.weights
+    copies = vp.codes + vp.weights + [vp.baseline]
     assert held < sum(a.nbytes for a in kept + copies) + 64 * 1024
 
 
-def test_a_call_on_another_victim_frees_the_held_pass(desk, monkeypatch):
+def test_a_call_on_another_victim_frees_the_held_pass(desk, monkeypatch, pass_builds):
     a, data = fresh_inputs(desk, 32)
     alive = weakref.ref(a)
     assert _score_flips(a, [bs.select_vulnerable_bits(a, 5)], data, len) == [[len(data)] * 6]
     del a
     assert alive() is not None  # the held pass keeps its victim
-    seen = []
-
-    def forward(*args):  # b's pass is built only once a's is gone
-        seen.append(alive())
-        return bs.forward_batch(*args)
-    monkeypatch.setattr(attack, "forward_batch", forward)
+    # the same architecture and biases: the pass is re-aimed at b, and lets a go
     b = bs.quantize_model(desk["model"], 4)
     assert _score_flips(b, [bs.select_vulnerable_bits(b, 5)], data, len) == [[len(data)] * 6]
+    assert alive() is None and len(pass_builds) == 1
+    alive, seen = weakref.ref(attack._held.victim_pass), []
+
+    def forward(*args):  # c's pass is built only once b's is gone
+        seen.append(alive())
+        return forward_layers(*args)
+    monkeypatch.setattr(attack, "forward_layers", forward)
+    c = bs.QuantModel(b.architecture, b.params, b.codes, [nudged(x) for x in b.biases])
+    assert _score_flips(c, [bs.select_vulnerable_bits(c, 5)], data, len) == [[len(data)] * 6]
     assert seen == [None] and alive() is None
 
 
@@ -810,9 +882,9 @@ def test_run_attacks_equals_run_attack_pair_by_pair(desk, tmp_path, rp):
 
 
 @pytest.fixture()
-def work_counts(monkeypatch):
-    """Calls of FL2R, random and gradient ranking, and per-flip restarts, made through
-    `attack`."""
+def work_counts(monkeypatch, no_held_pass):
+    """Calls of FL2R, random and gradient ranking, and the victim pass's restarts, one
+    per flip, made through `attack` in a thread that holds no pass."""
     counts = {"fl2r": 0, "random": 0, "gradient": 0, "restart": 0}
 
     def counted(key, fn):
@@ -828,8 +900,8 @@ def work_counts(monkeypatch):
                         counted("gradient", attack.select_gradient_bits))
     restart = Workspace.restart
 
-    def per_flip(ws, p, f=None):  # a reset's restart of every filter is not counted
-        counts["restart"] += f is not None
+    def per_flip(ws, p, f=None):  # the victim pass's, over all 200 eval samples; the
+        counts["restart"] += len(ws.acts[0]) == 200  # gradient ranking's holds 32
         return restart(ws, p, f)
     monkeypatch.setattr(Workspace, "restart", per_flip)
     return counts

@@ -587,17 +587,25 @@ def test_sweep_traces_equal_one_run_attack_per_run(workdir, tmp_path):
 
 def test_sweep_shares_recovery_surrogates_and_baseline_per_group(workdir, tmp_path, monkeypatch):
     from bitsiege import attack
-    calls = {"simulate_recovery": 0, "reconstruct_model": 0, "forward_batch": 0}
-    for name in calls:
-        def counted(*a, _name=name, _fn=getattr(attack, name)):
-            calls[_name] += 1
-            return _fn(*a)
-        monkeypatch.setattr(attack, name, counted)
+    for slot in ("victim_pass", "batch_pass"):  # this thread starts with no held pass
+        monkeypatch.setattr(attack._held, slot, None, raising=False)
+    calls = {"simulate_recovery": 0, "reconstruct_model": 0, "forward_layers": 0, "aim": 0}
+
+    def counted(name, fn):
+        def call(*a):
+            calls[name] += 1
+            return fn(*a)
+        return call
+    for name in ("simulate_recovery", "reconstruct_model", "forward_layers"):
+        monkeypatch.setattr(attack, name, counted(name, getattr(attack, name)))
+    monkeypatch.setattr(attack._VictimPass, "aim", counted("aim", attack._VictimPass.aim))
     assert main(["sweep", "--config", grid_cfg(workdir, tmp_path), "--out",
                  str(tmp_path / "grid")]) == EXIT_OK
-    # 8 (nq, rp, seed) groups, 3 recons each; one baseline pass per run of consecutive
-    # groups on one quantized victim: nq 8, then nq 4
-    assert calls == {"simulate_recovery": 8, "reconstruct_model": 24, "forward_batch": 2}
+    # 8 (nq, rp, seed) groups, 3 recons each. Two passes for the whole sweep, the victim's
+    # over the eval set and the gradient ranking's over its batch; the victim pass is
+    # built for nq 8 and re-aimed once, at nq 4
+    assert calls == {"simulate_recovery": 8, "reconstruct_model": 24, "forward_layers": 2,
+                     "aim": 1}
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -52,6 +52,32 @@ def test_forward_pure():
         model.weights[0][0, 0] = 99.0  # frozen storage
 
 
+def test_a_dataset_takes_a_frozen_fresh_array_without_a_copy():
+    x = np.random.default_rng(0).standard_normal((3200, 1, 8, 8))  # 1.64 MB
+    labels = np.arange(3200) % 4
+    x.flags.writeable = labels.flags.writeable = False
+    tracemalloc.start()
+    try:
+        ds = bs.Dataset(x, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.inputs is x and ds.labels is labels and peak < 64 * 1024
+
+
+def test_a_dataset_copies_an_array_that_could_change_under_it():
+    base = np.arange(24.0).reshape(6, 4)
+    frozen_view = base[:3]
+    frozen_view.flags.writeable = False
+    strided = np.arange(48.0).reshape(6, 8)[:, ::2]
+    strided.flags.writeable = False
+    # writable; a read-only view of writable memory; not C-ordered; another dtype
+    for x in (base.copy(), frozen_view, strided, np.ones((6, 4), dtype=np.float32)):
+        ds = bs.Dataset(x, np.zeros(len(x), dtype=np.int64))
+        assert not np.may_share_memory(ds.inputs, x) and np.array_equal(ds.inputs, x)
+        assert not ds.inputs.flags.writeable and ds.inputs.flags.c_contiguous
+
+
 def conv_output(cols, w, b, out_hw):
     """The (N, O, Ho, Wo) output that `forward_layers` makes of `_conv2d`'s product."""
     o = len(w)

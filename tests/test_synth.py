@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bitsiege as bs
+from bitsiege import synth
 from bitsiege.synth import batch_loss, class_prototypes
 
 
@@ -44,6 +45,18 @@ def test_in_place_draw_gives_the_two_temporary_draws_bytes(noise, shape):
     for got, ref in zip(bs.gen_synthetic(spec), two_temporary_draw(spec)):
         assert got.inputs.tobytes() == ref.inputs.tobytes()
         assert got.labels.tobytes() == ref.labels.tobytes()
+
+
+def test_gen_synthetic_hands_its_draws_to_the_datasets_uncopied(monkeypatch):
+    handed = []
+
+    def dataset(x, labels):
+        handed.append((x, labels))
+        return bs.Dataset(x, labels)
+    monkeypatch.setattr(synth, "Dataset", dataset)
+    sets = bs.gen_synthetic(bs.SynthSpec(per_class=5, test_per_class=3))
+    assert len(handed) == len(sets) == 2
+    assert all(d.inputs is x and d.labels is labels for d, (x, labels) in zip(sets, handed))
 
 
 def test_prototypes_orthogonal():
