@@ -10,8 +10,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (Dataset, ModelFormatError, Workspace, check_dataset, forward_layers,
-                    magic_lines, read_fields, top1_hits, write_file)
+from .model import (Dataset, ModelFormatError, Workspace, check_dataset, magic_lines,
+                    read_fields, top1_hits, write_file)
 from .quantize import BITWIDTHS, QuantModel, bits_to_codes, dequantize, flip_bit
 from .reconstruct import ReconstructionMethod, reconstruct_model
 from .recovery import simulate_recovery
@@ -234,25 +234,23 @@ def _dequantize_into(weights, q: QuantModel):
 
 class _HeldPass:
     """A Workspace over one fixed batch, with weight arrays of its own that its restarts
-    read, kept between calls. `aim` copies a quantized model's dequantized weights into
-    them and re-runs every layer from the first parametric one (`Workspace.restart(0)`),
-    which gives a fresh pass's bits. So the pass serves any model of its architecture
-    and biases on a batch of its inputs' bytes (`serves`): it is keyed on what it
-    computes, not on the objects it was built from. `model`: the model it was last
-    aimed at."""
+    and its backward read, kept between calls. `aim` copies a quantized model's
+    dequantized weights into them and re-runs every layer from the first parametric
+    one (`Workspace.restart(0)`), which gives a fresh pass's bits. So the pass serves
+    any model of its architecture and biases on a batch of its inputs' bytes
+    (`serves`, which reads them from the Workspace): it is keyed on what it computes,
+    not on the objects it was built from. `model`: the model it was last aimed at."""
 
     def __init__(self, q: QuantModel, inputs):
-        self.model, self.inputs = q, inputs
-        self.weights = [np.empty(c.shape) for c in q.codes]
-        _dequantize_into(self.weights, q)
-        self.ws = Workspace(q.architecture, self.weights, q.biases)
-        forward_layers(q.architecture, self.weights, q.biases, inputs, self.ws)
+        self.model = q
+        self.weights = [dequantize(c, qp.scale) for c, qp in zip(q.codes, q.params)]
+        self.ws = Workspace(q.architecture, self.weights, q.biases, inputs)
 
     def serves(self, q: QuantModel, inputs):
-        held = self.model
-        return (q.architecture == held.architecture and inputs.shape == self.inputs.shape
-                and all(a.tobytes() == b.tobytes() for a, b in zip(q.biases, held.biases))
-                and (inputs is self.inputs or inputs.tobytes() == self.inputs.tobytes()))
+        ws = self.ws
+        return (q.architecture == ws.arch and inputs.shape == ws.acts[0].shape
+                and all(a.tobytes() == b.tobytes() for a, b in zip(q.biases, ws.biases))
+                and (inputs is ws.acts[0] or inputs.tobytes() == ws.acts[0].tobytes()))
 
     def aim(self, q: QuantModel):
         """Re-run the pass for `q`, a model it `serves`; returns the logits."""
@@ -325,7 +323,7 @@ def _gradient(q: QuantModel, batch: Dataset):
     and re-aimed at each new model, so that the surrogates of one victim share one pass."""
     held = _take("batch_pass", _HeldPass, q, batch.inputs)
     try:
-        return backprop(q.architecture, held.weights, held.ws, batch.labels)[1]
+        return backprop(held.ws, batch.labels)[1]
     finally:
         _held.batch_pass = held
 

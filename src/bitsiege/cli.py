@@ -21,7 +21,7 @@ from .attack import (RANKINGS, RECONS, RUN_CONFIG, _check_nbf, _score_flips, app
                      check_config, evaluate_flips, load_trace, run_attacks,
                      select_random_bits, select_vulnerable_bits, trace_bytes)
 from .model import (DATA_MAX_CLASSES, Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel,
-                    MaxPool, ModelFormatError, ReLU, Workspace, check_dataset, dataset_bytes,
+                    MaxPool, ModelFormatError, ReLU, check_dataset, dataset_bytes,
                     filter_count, forward_batch, load_dataset, load_model, model_bytes,
                     top1_hits, weight_shape, write_file)
 from .quantize import (BITWIDTHS, QuantModel, QuantParams, accuracy_quant, dequantize_model,
@@ -387,11 +387,8 @@ def _verify_incremental():
                           [rng.integers(-(1 << nq - 1), 1 << nq - 1, weight_shape(l)).astype(np.int16)
                            for l in layers], biases) for nq, scale in ((8, 0.02), (6, 0.07))]
     inputs = rng.standard_normal((48, 1, 8, 8))
-    # labelled by the first clean victim, so that flips move the accuracy off 1.0; its
-    # pass, of the evaluator's shapes, tells which GEMM the evaluator's conv restarts ran
-    clean = dequantize_model(victims[0])
-    ws = Workspace(arch, clean.weights, clean.biases)
-    data = Dataset(inputs, forward_batch(clean, inputs, ws).argmax(axis=1))
+    # labelled by the first clean victim, so that flips move the accuracy off 1.0
+    data = Dataset(inputs, forward_batch(dequantize_model(victims[0]), inputs).argmax(axis=1))
     passes = []
     for k, victim in enumerate(victims):
         records = select_vulnerable_bits(victim, 40) + select_random_bits(victim, 20, 11)
@@ -415,6 +412,7 @@ def _verify_incremental():
     if passes[1] is not passes[0]:
         return False, "the second victim's call built a new pass instead of re-aiming the first's"
     accs = [accuracy_quant(apply_flips(victim, records[:i]), data) for i in range(len(records) + 1)]
+    ws = passes[0].ws  # the pass checked names the GEMM its conv restarts ran
     paths = ", ".join(f"layer {pos} {'two-row block' if ws.two_row_blocks(pos) else 'full GEMM'}"
                       for pos, layer in arch.parametric_layers() if isinstance(layer, Conv2D))
     return evaluate_flips(victim, records, data) == accs, (

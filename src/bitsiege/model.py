@@ -185,35 +185,35 @@ class Dataset:
 
 
 class Workspace:
-    """The arrays of one batch's pass through `forward_layers`, and the restarts that
-    rewrite them in place after a filter of its weights changed.
+    """The arrays of the batch `x`'s pass through `forward_layers`, which the constructor
+    runs, and the restarts that rewrite them in place after a filter of its weights changed.
 
     `acts[pos]` is the input of layer `pos` as the layer before returned it (`acts[0]`
     the batch, `acts[-1]` the logits); `patches[pos]` is a Conv2D's [padded input,
-    patch matrix]. A first pass fills them with the arrays the layers return, so
+    patch matrix]. The pass fills them with the arrays the layers return, so
     every restart writes into the memory layout a fresh pass gives its result, and
     the GEMMs take the same BLAS path. A workspace belongs to one caller and one batch.
 
     `weights` and `biases`, one array per parametric layer, equal those of the pass;
-    restarts read them as the caller then changes them in place. `restart(p, f)`
-    re-runs the network after filter f of parametric layer p changed, with only the
-    numpy calls whose outputs change; `restart(p)` re-runs every filter of p, and so
-    gives back the first pass once the caller has put the weights back. Those calls
+    restarts and `backward_layers` read them as the caller then changes them in place.
+    `restart(p, f)` re-runs the network after filter f of parametric layer p changed,
+    with only the numpy calls whose outputs change; `restart(p)` re-runs every filter
+    of p, and so gives back the first pass once the caller has put the weights back. Those calls
     are built once per (p, f), on its first restart, over the arrays they write in
     their final form: a conv's (O, N*Ho*Wo) product, its weight matrix, a Dense's
     `W.T`. Each call writes a stored array, or rows of one; a conv's is the same
     `_conv2d` call as the first pass's, on a block of rows or on all of them.
     """
 
-    def __init__(self, arch: Architecture, weights, biases):
+    def __init__(self, arch: Architecture, weights, biases, x):
         self.arch = arch
         self.acts = [None] * (len(arch.layers) + 1)
-        self.patches = [[None, None] for _ in arch.layers]
+        self.patches = [None] * len(arch.layers)
         self.weights, self.biases = weights, biases
         self.index = {pos: p for p, (pos, _) in enumerate(arch.parametric_layers())}
         self.positions = list(self.index)
         self.steps = {}    # (p, f) -> the calls of that restart; f None: every filter
-        self.tails = {}    # position -> the calls that re-run it and every later layer in full
+        forward_layers(arch, weights, biases, x, self)
 
     def input(self, pos):
         """What layer `pos` consumes: a Conv2D's patch matrix, any other layer's input."""
@@ -251,12 +251,9 @@ class Workspace:
 
     def _calls(self, pos, ch):
         """The calls that bring layers `pos` on up to date after channels `ch` of layer
-        pos's stored input changed; those for every channel are kept per position."""
+        pos's stored input changed."""
         if pos == len(self.arch.layers):
             return []
-        full = ch == slice(None)
-        if full and pos in self.tails:
-            return self.tails[pos]
         layer, x, out = self.arch.layers[pos], self.acts[pos], self.acts[pos + 1]
         if isinstance(layer, Conv2D):
             calls, ch = self._feed(pos, ch) + [self._gemm(pos)], slice(None)
@@ -277,10 +274,7 @@ class Workspace:
         else:  # MaxPool
             src, dst, w = x[:, ch], out[:, ch], layer.window
             calls = [lambda: _maxpool(src, w, dst)]
-        calls += self._calls(pos + 1, ch)
-        if full:
-            self.tails[pos] = calls
-        return calls
+        return calls + self._calls(pos + 1, ch)
 
     def _feed(self, pos, ch):
         """The calls that copy channels `ch` of a Conv2D's stored input into its padded
@@ -365,20 +359,17 @@ def _windows(x, kernel, stride):
                                            writeable=False)
 
 
-def _patches(x, kernel, stride, padding, bufs=None):
-    """Patch matrix (C*k*k, N*Ho*Wo) of the batch `x` (N, C, H, W): column (n, h, w)
+def _patches(x, kernel, stride, padding):
+    """[padded input, patch matrix] of the batch `x` (N, C, H, W): the padded input is x
+    itself without padding, and column (n, h, w) of the (C*k*k, N*Ho*Wo) patch matrix
     holds the k x k window of sample n under output pixel (h, w).
 
-    `_windows` of the (padded) input, reshaped; numpy copies only where the
-    reshape cannot be a view. `bufs`: a Workspace's [padded input, patch matrix]
-    pair, which receives the arrays built here.
+    The patch matrix is `_windows` of the padded input, reshaped; numpy copies only
+    where the reshape cannot be a view. A Workspace keeps both arrays for its restarts.
     """
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
     win = _windows(xp, kernel, stride)
-    cols = win.reshape(-1, math.prod(win.shape[3:]))
-    if bufs is not None:
-        bufs[:] = xp, cols
-    return cols
+    return [xp, win.reshape(-1, math.prod(win.shape[3:]))]
 
 
 def _conv2d(cols, w, b, out=None):
@@ -405,10 +396,16 @@ def _maxpool(x, w, out=None):
     into `out`, an array this function returned for a batch of x's shape (a channel slice
     of one, for a channel slice of x). The first pass and every restart pool through this
     one routine: `np.maximum` of 0.0 and -0.0 depends on the operand order, so another
-    order of the same maxima could give other bits."""
+    order of the same maxima could give other bits. The fresh array starts on a 64-byte
+    line: restarts rewrite it and read it as the next conv's patch matrix, and off a line,
+    where malloc may put it, desk conv1 restarts ran ~12% slower (2-vCPU x86 VM, OpenBLAS
+    0.3.31)."""
     n, c, h, wd = x.shape
     if out is None:
-        out = np.empty((c, h // w, wd // w, n)).transpose(3, 0, 1, 2)
+        size = c * (h // w) * (wd // w) * n
+        buf = np.empty(size + 7)
+        start = -buf.ctypes.data % 64 // 8
+        out = buf[start:start + size].reshape(c, h // w, wd // w, n).transpose(3, 0, 1, 2)
     t, o = x.transpose(1, 2, 3, 0), out.transpose(1, 2, 3, 0)
     if w == 1:
         np.copyto(o, t)
@@ -425,17 +422,20 @@ def _maxpool(x, w, out=None):
 def forward_layers(arch: Architecture, weights, biases, x, ws=None) -> np.ndarray:
     """Run every layer of `arch` on the batch `x`; returns logits.
 
-    A Conv2D turns its 4-D input into its patch matrix (`_patches`) first. `ws`: an
-    empty Workspace, which receives every layer's result, so that `backward_layers`
-    can backprop through the pass and `Workspace.restart` can rewrite it in place.
+    A Conv2D turns its 4-D input into its patch matrix (`_patches`) first. `ws`: the
+    Workspace whose constructor runs this pass; it receives every layer's result and
+    each Conv2D's [padded input, patch matrix], so that `backward_layers` can backprop
+    through the pass and `Workspace.restart` can rewrite it in place.
     """
     if ws is not None:
         ws.acts[0] = x
     p = 0
     for pos, layer in enumerate(arch.layers):
         if isinstance(layer, Conv2D):
-            x = _patches(x, layer.kernel, layer.stride, layer.padding,
-                         None if ws is None else ws.patches[pos])
+            x = _patches(x, layer.kernel, layer.stride, layer.padding)
+            if ws is not None:
+                ws.patches[pos] = x
+            x = x[1]  # without a Workspace, an input the patch matrix copies is freed here
             o = layer.c_out
             x = _conv2d(x, weights[p].reshape(o, -1), biases[p])
             x = x.reshape((o, -1) + arch.shapes[pos + 1][1:]).transpose(1, 0, 2, 3)
@@ -537,19 +537,21 @@ def _pool_bwd(x, w, out, dout, relu=False):
     return dx
 
 
-def backward_layers(arch: Architecture, weights, ws, dlogits):
-    """Backprop the loss gradient `dlogits` through the layers down to the first
-    parametric one: (weight grads, bias grads). The input gradient of that layer is
-    never built, as nothing before it has parameters.
+def backward_layers(ws: Workspace, dlogits):
+    """Backprop the loss gradient `dlogits` through the pass the Workspace `ws` holds,
+    down to its first parametric layer: (weight grads, bias grads). The input gradient
+    of that layer is never built, as nothing before it has parameters.
 
-    `ws`: the Workspace of a `forward_layers` pass; a MaxPool's backward reads the
-    maxima it stored. The gradients are those of a plain backward, bit for bit: a
-    pool window's gradient goes to its first entry, in row-major order, equal to the
-    window's maximum, as `argmax` picks it; col2im adds the patch gradient's (i, j)
-    slices in row-major order, one add of contiguous (C, N) rows per slice; and a conv
-    copies its output gradient into one fixed order before it sums it (`_conv_bwd`), so
-    no layer hands it a chosen layout. A ReLU under a MaxPool is folded into the pool's
-    backward (`_pool_bwd`'s `relu`)."""
+    Everything but `dlogits` is read from `ws`: the architecture, the weights as they
+    are now (a restart after an in-place change has the changed model's pass), each
+    layer's stored input, and the maxima a MaxPool stored. The gradients are those of
+    a plain backward, bit for bit: a pool window's gradient goes to its first entry,
+    in row-major order, equal to the window's maximum, as `argmax` picks it; col2im
+    adds the patch gradient's (i, j) slices in row-major order, one add of contiguous
+    (C, N) rows per slice; and a conv copies its output gradient into one fixed order
+    before it sums it (`_conv_bwd`), so no layer hands it a chosen layout. A ReLU under
+    a MaxPool is folded into the pool's backward (`_pool_bwd`'s `relu`)."""
+    arch, weights = ws.arch, ws.weights
     layers = arch.layers
     below, above = (None,) + layers, layers[1:] + (None,)  # the layers under and over pos
     dws, dbs = [None] * len(weights), [None] * len(weights)
@@ -579,13 +581,12 @@ def backward_layers(arch: Architecture, weights, ws, dlogits):
     return dws, dbs
 
 
-def forward_batch(model: FloatModel, xs, ws=None) -> np.ndarray:
-    """Logits for a batch shaped (N, *input_shape); `ws`: a Workspace that receives
-    every layer's result, as in `forward_layers`."""
+def forward_batch(model: FloatModel, xs) -> np.ndarray:
+    """Logits for a batch shaped (N, *input_shape)."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.shape[1:] != model.architecture.input_shape:
         raise ValueError(f"input shape {xs.shape[1:]} != {model.architecture.input_shape}")
-    return forward_layers(model.architecture, model.weights, model.biases, xs, ws)
+    return forward_layers(model.architecture, model.weights, model.biases, xs)
 
 
 def check_dataset(arch: Architecture, data: Dataset):

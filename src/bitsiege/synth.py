@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel, MaxPool, ReLU,
-                    Workspace, backward_layers, filter_count, forward_layers, weight_shape)
+                    Workspace, backward_layers, filter_count, weight_shape)
 
 
 class TrainingDiverged(Exception):
@@ -99,19 +99,19 @@ def _softmax_ce(logits, labels):
     return loss, dlogits / n
 
 
-def backprop(arch, weights, ws, labels):
+def backprop(ws: Workspace, labels):
     """(loss, weight grads, bias grads) of mean cross-entropy on `labels`, at the pass
-    the Workspace `ws` holds: a `forward_layers` pass of `weights`, or one re-run in
-    place (`Workspace.restart`), which has its bits."""
+    the Workspace `ws` holds: its constructor's, or one re-run in place after its
+    weights changed (`Workspace.restart`), which has a fresh pass's bits. The backward
+    reads the architecture and the weights from `ws` (`backward_layers`)."""
     loss, dlogits = _softmax_ce(ws.acts[-1], np.asarray(labels))
-    dws, dbs = backward_layers(arch, weights, ws, dlogits)
+    dws, dbs = backward_layers(ws, dlogits)
     return loss, dws, dbs
 
 
 def _grads(arch, weights, biases, inputs, labels):
-    ws = Workspace(arch, weights, biases)
-    forward_layers(arch, weights, biases, np.asarray(inputs, dtype=np.float64), ws)
-    return backprop(arch, weights, ws, labels)
+    return backprop(Workspace(arch, weights, biases, np.asarray(inputs, dtype=np.float64)),
+                    labels)
 
 
 def gradient(model: FloatModel, inputs, labels):

@@ -50,7 +50,15 @@ def random_qmodel(rng, nq=8, arch=None):
 def stored_arrays(ws):
     """Every array a Workspace holds: its activations, then each conv's padded input
     and patch matrix."""
-    return ws.acts + [a for pair in ws.patches for a in pair if a is not None]
+    return ws.acts + [a for pair in ws.patches if pair is not None for a in pair]
+
+
+@pytest.fixture()
+def no_held_pass(monkeypatch):
+    """This thread holds no pass of `attack`'s during the test; the ones from before are
+    back afterwards."""
+    for slot in ("victim_pass", "batch_pass"):
+        monkeypatch.setattr(attack._held, slot, None, raising=False)
 
 
 @contextlib.contextmanager

@@ -15,7 +15,7 @@ from bitsiege import model as model_module
 from bitsiege import synth as synth_module
 from bitsiege.attack import RANKINGS, RECONS, RUN_CONFIG, FlipRecord, _score_flips
 from bitsiege.cli import _cfg_hash
-from bitsiege.model import ModelFormatError, Workspace, backward_layers, forward_layers
+from bitsiege.model import ModelFormatError, Workspace, backward_layers
 from bitsiege.model import _conv_bwd, _maxpool, _pool_bwd, filter_count, filter_size
 from bitsiege.synth import _softmax_ce
 from bitsiege.quantize import BITWIDTHS
@@ -596,23 +596,15 @@ def test_load_trace_rejects_inconsistent_traces(tmp_path, desk):
 
 
 @pytest.fixture()
-def no_held_pass(monkeypatch):
-    """This thread holds no pass of `attack`'s during the test; the ones from before are
-    back afterwards."""
-    for slot in ("victim_pass", "batch_pass"):
-        monkeypatch.setattr(attack._held, slot, None, raising=False)
-
-
-@pytest.fixture()
 def pass_builds(monkeypatch, no_held_pass):
-    """The passes `attack` builds (`attack.forward_layers` calls), as the batch each runs,
+    """The passes `attack` builds (`attack.Workspace` calls), as the batch each runs,
     from a thread that holds none."""
     builds = []
 
     def counted(*a):
         builds.append(a[3])
-        return forward_layers(*a)
-    monkeypatch.setattr(attack, "forward_layers", counted)
+        return Workspace(*a)
+    monkeypatch.setattr(attack, "Workspace", counted)
     return builds
 
 
@@ -851,10 +843,10 @@ def test_a_call_on_another_victim_frees_the_held_pass(desk, monkeypatch, pass_bu
     assert alive() is None and len(pass_builds) == 1
     alive, seen = weakref.ref(attack._held.victim_pass), []
 
-    def forward(*args):  # c's pass is built only once b's is gone
+    def build(*args):  # c's pass is built only once b's is gone
         seen.append(alive())
-        return forward_layers(*args)
-    monkeypatch.setattr(attack, "forward_layers", forward)
+        return Workspace(*args)
+    monkeypatch.setattr(attack, "Workspace", build)
     c = bs.QuantModel(b.architecture, b.params, b.codes, [nudged(x) for x in b.biases])
     assert _score_flips(c, [bs.select_vulnerable_bits(c, 5)], data, len) == [[len(data)] * 6]
     assert seen == [None] and alive() is None
@@ -1004,7 +996,7 @@ def test_conv_backward_matches_the_reference_bit_for_bit(data):
         data.draw(st.sampled_from(["zero", "normal", "tied"]))]
     dout = rng.choice([np.nan, -np.inf, np.inf, -0.0, 0.0, 1.5, -2.25], (n, o, ho, wo)) \
         if data.draw(st.booleans()) else rng.standard_normal((n, o, ho, wo))
-    cols = model_module._patches(x, k, stride, padding)
+    cols = model_module._patches(x, k, stride, padding)[1]
     with np.errstate(invalid="ignore"):  # inf - inf, inf * 0.0
         got = _conv_bwd(cols, w, stride, padding, x.shape, dout)
         ref = conv_bwd_reference(cols, w, stride, padding, x.shape, dout)
@@ -1016,7 +1008,7 @@ def test_conv_backward_matches_the_reference_bit_for_bit(data):
 @given(data=st.data())
 def test_conv_backward_gives_the_same_bits_for_any_output_gradient_layout(data):
     x, o, k, stride, padding, (ho, wo), rng = draw_conv_input(data)
-    cols = model_module._patches(x, k, stride, padding)
+    cols = model_module._patches(x, k, stride, padding)[1]
     w = rng.standard_normal((o, x.shape[1], k, k))
     dout = rng.standard_normal((len(x), o, ho, wo))
     if data.draw(st.booleans()):  # NaNs, infinities and zeros of both signs among them
@@ -1033,11 +1025,12 @@ def test_conv_backward_gives_the_same_bits_for_any_output_gradient_layout(data):
             assert all(g.tobytes() == f.tobytes() for g, f in zip(got, first))
 
 
-def reference_backward(arch, weights, ws, d, grads=None):
+def reference_backward(ws, d, grads=None):
     """`backward_layers` before the ReLU fold: the ReLU step `d * (x > 0)` on the full grid,
     `pool_bwd_reference` and `conv_bwd_reference`; (weight grads, bias grads). `grads`: a
     dict that receives the input gradient of every layer, {pos: gradient}; the backward then
     runs down to the batch."""
+    arch, weights = ws.arch, ws.weights
     dws, dbs, p = [None] * len(weights), [None] * len(weights), len(weights)
     for pos in reversed(range(len(arch.layers))):
         if not p and grads is None:
@@ -1062,10 +1055,11 @@ def reference_backward(arch, weights, ws, d, grads=None):
     return dws, dbs
 
 
-def live_input_gradients(arch, weights, ws, d):
+def live_input_gradients(ws, d):
     """The input gradients of the live `_conv_bwd` and `_pool_bwd`, called as
     `backward_layers` calls them, down to the batch: {pos: gradient at layer pos's input}.
     A ReLU under a MaxPool has the pool's, which holds the ReLU's step; the pool has none."""
+    arch, weights = ws.arch, ws.weights
     layers, grads, p = arch.layers, {}, len(weights)
     for pos in reversed(range(len(layers))):
         layer, x = layers[pos], ws.input(pos)
@@ -1095,17 +1089,15 @@ def assert_gradients_match_reference(model, inputs, labels):
     """The gradients of `backward_layers` equal those of the unfused reference byte for
     byte, and so does the input gradient of every layer from the live `_conv_bwd` and
     `_pool_bwd`."""
-    arch = model.architecture
-    ws = Workspace(arch, model.weights, model.biases)
-    logits = forward_layers(arch, model.weights, model.biases, inputs, ws)
-    _, dlogits = _softmax_ce(logits, labels)
-    got = backward_layers(arch, model.weights, ws, dlogits)
-    ref = reference_backward(arch, model.weights, ws, dlogits)
+    ws = Workspace(model.architecture, model.weights, model.biases, inputs)
+    _, dlogits = _softmax_ce(ws.acts[-1], labels)
+    got = backward_layers(ws, dlogits)
+    ref = reference_backward(ws, dlogits)
     for g, r in zip(got[0] + got[1], ref[0] + ref[1]):
         assert g.tobytes() == r.tobytes()
     ref_grads = {}
-    reference_backward(arch, model.weights, ws, dlogits, ref_grads)
-    for pos, g in live_input_gradients(arch, model.weights, ws, dlogits).items():
+    reference_backward(ws, dlogits, ref_grads)
+    for pos, g in live_input_gradients(ws, dlogits).items():
         assert g.tobytes() == ref_grads[pos].tobytes()
 
 
@@ -1139,8 +1131,20 @@ def test_backward_skips_only_the_first_input_gradient_on_random_architectures(da
     model = bs.dequantize_model(random_qmodel(rng, 4 if ties else 8, arch))
     n = data.draw(st.integers(1, 12))
     shape = (n,) + arch.input_shape
-    assert_gradients_match_reference(model, tied(rng, shape) if ties else rng.standard_normal(shape),
-                                     rng.integers(0, arch.num_classes, n))
+    inputs = tied(rng, shape) if ties else rng.standard_normal(shape)
+    labels = rng.integers(0, arch.num_classes, n)
+    assert_gradients_match_reference(model, inputs, labels)
+    # a pass re-run after one filter changed in place backprops through the changed
+    # weights: the changed model's gradient, bit for bit
+    weights = [w.copy() for w in model.weights]
+    ws = Workspace(arch, weights, model.biases, inputs)
+    p = data.draw(st.integers(0, len(weights) - 1))
+    f = data.draw(st.integers(0, len(weights[p]) - 1))
+    weights[p][f] -= 0.75
+    ws.restart(p, f)
+    _, dws, dbs = synth_module.backprop(ws, labels)
+    want = synth_module.gradient(bs.FloatModel(arch, weights, model.biases), inputs, labels)
+    assert [g.tobytes() for g in dws + dbs] == [g.tobytes() for g in want[0] + want[1]]
 
 
 def test_pool_backward_sends_each_window_to_its_first_maximum():

@@ -585,18 +585,17 @@ def test_sweep_traces_equal_one_run_attack_per_run(workdir, tmp_path):
         assert got == ref.read_bytes(), r
 
 
-def test_sweep_shares_recovery_surrogates_and_baseline_per_group(workdir, tmp_path, monkeypatch):
+def test_sweep_shares_recovery_surrogates_and_baseline_per_group(workdir, tmp_path, monkeypatch,
+                                                                 no_held_pass):
     from bitsiege import attack
-    for slot in ("victim_pass", "batch_pass"):  # this thread starts with no held pass
-        monkeypatch.setattr(attack._held, slot, None, raising=False)
-    calls = {"simulate_recovery": 0, "reconstruct_model": 0, "forward_layers": 0, "aim": 0}
+    calls = {"simulate_recovery": 0, "reconstruct_model": 0, "Workspace": 0, "aim": 0}
 
     def counted(name, fn):
         def call(*a):
             calls[name] += 1
             return fn(*a)
         return call
-    for name in ("simulate_recovery", "reconstruct_model", "forward_layers"):
+    for name in ("simulate_recovery", "reconstruct_model", "Workspace"):
         monkeypatch.setattr(attack, name, counted(name, getattr(attack, name)))
     monkeypatch.setattr(attack._VictimPass, "aim", counted("aim", attack._VictimPass.aim))
     assert main(["sweep", "--config", grid_cfg(workdir, tmp_path), "--out",
@@ -604,7 +603,7 @@ def test_sweep_shares_recovery_surrogates_and_baseline_per_group(workdir, tmp_pa
     # 8 (nq, rp, seed) groups, 3 recons each. Two passes for the whole sweep, the victim's
     # over the eval set and the gradient ranking's over its batch; the victim pass is
     # built for nq 8 and re-aimed once, at nq 4
-    assert calls == {"simulate_recovery": 8, "reconstruct_model": 24, "forward_layers": 2,
+    assert calls == {"simulate_recovery": 8, "reconstruct_model": 24, "Workspace": 2,
                      "aim": 1}
 
 

@@ -101,7 +101,7 @@ def test_conv_matches_six_loop_reference():
                         for k2 in range(3):
                             ref[o, h, wi] += x[c, h + k1, wi + k2] * w[o, c, k1, k2]
                 ref[o, h, wi] += b[o]
-    got = conv_output(_patches(x[None], 3, 1, 0), w, b, (3, 3))[0]
+    got = conv_output(_patches(x[None], 3, 1, 0)[1], w, b, (3, 3))[0]
     assert np.allclose(got, ref, atol=1e-12)
     # and the composed forward sees the same feature map
     assert np.allclose(bs.forward_batch(model, x[None])[0, 0], ref.reshape(-1)[0])
@@ -111,7 +111,7 @@ def test_conv_stride_padding():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((1, 1, 5, 5))
     w = rng.standard_normal((1, 1, 3, 3))
-    out = conv_output(_patches(x, 3, 2, 1), w, np.zeros(1), (3, 3))
+    out = conv_output(_patches(x, 3, 2, 1)[1], w, np.zeros(1), (3, 3))
     assert out.shape == (1, 1, 3, 3)
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     ref = sum(xp[0, 0, i:i + 5:2, j:j + 5:2] * w[0, 0, i, j] for i in range(3) for j in range(3))
@@ -161,7 +161,7 @@ def test_conv_engine_matches_six_loop_reference(n, c_in, c_out, k, stride, paddi
     dout = rng.standard_normal((n, c_out, ho, wo))
     ref_out, ref_dw, ref_db, ref_dx = _conv_reference(x, w, b, stride, padding, dout)
 
-    cols = _patches(x, k, stride, padding)
+    cols = _patches(x, k, stride, padding)[1]
     assert cols.shape == (c_in * k * k, n * ho * wo)
     out = conv_output(cols, w, b, (ho, wo))
     assert out.shape == ref_out.shape
@@ -450,8 +450,9 @@ def test_forward_layers_restart_from_cache_is_exact(desk):
     model, xs = desk["model"], desk["test"].inputs
     arch = model.architecture
     weights = [w.copy() for w in model.weights]
-    ws = Workspace(arch, weights, model.biases)
-    full = bs.forward_batch(model, xs, ws).copy()
+    ws = Workspace(arch, weights, model.biases, xs)
+    full = ws.acts[-1].copy()
+    assert full.tobytes() == bs.forward_batch(model, xs).tobytes()
     for pos, layer in enumerate(arch.layers):  # a conv position stores its input's patch matrix
         if isinstance(layer, bs.Conv2D):
             c, (_, ho, wo) = arch.shapes[pos][0], arch.shapes[pos + 1]
@@ -510,8 +511,7 @@ def test_conv_restarts_of_every_filter_equal_a_fresh_pass(desk, monkeypatch, odd
         if not blocks:
             stack.enter_context(full_gemm_restarts())
         weights = [w.copy() for w in model.weights]
-        ws = Workspace(arch, weights, model.biases)
-        bs.forward_batch(model, xs, ws)
+        ws = Workspace(arch, weights, model.biases, xs)
         base = [a.tobytes() for a in stored_arrays(ws)]
         monkeypatch.setattr(model_module, "_conv2d", counted)
         for p, (pos, layer) in enumerate(arch.parametric_layers()):
@@ -527,8 +527,7 @@ def test_conv_restarts_of_every_filter_equal_a_fresh_pass(desk, monkeypatch, odd
                 assert rows[0] == (2 if blocks else layer.c_out)
                 # every stored array equals a fresh pass's, the logits and the other row
                 # of f's block included: a later restart reads that row as it is
-                fresh = Workspace(arch, weights, model.biases)
-                bs.forward_batch(bs.FloatModel(arch, weights, model.biases), xs, fresh)
+                fresh = Workspace(arch, weights, model.biases, xs)
                 assert [a.tobytes() for a in stored_arrays(ws)] == [
                     a.tobytes() for a in stored_arrays(fresh)], (p, f)
                 weights[p][f].flat[-1] = kept
@@ -585,8 +584,7 @@ def test_workspace_restore_returns_every_array_to_the_first_pass(n, monkeypatch)
     rng = np.random.default_rng(n)
     model = random_model(arch, rng)
     weights = [w.copy() for w in model.weights]
-    ws = Workspace(arch, weights, model.biases)
-    bs.forward_batch(model, rng.standard_normal((n, 1, 8, 8)), ws)
+    ws = Workspace(arch, weights, model.biases, rng.standard_normal((n, 1, 8, 8)))
     arrays = stored_arrays(ws)
     before = [a.tobytes() for a in arrays]
     calls = []  # the names of the conv and pool calls made
