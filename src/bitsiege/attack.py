@@ -116,6 +116,13 @@ def flip_table(nq: int):
                  for p in range(nq))
 
 
+@functools.cache
+def _code_weights(qp):
+    """The weight of each `qp.bitwidth`-bit code at `qp.scale`, indexed by code as a
+    `flip_table` row is. One per QuantParams, kept for the life of the process."""
+    return tuple(dequantize(_codes_by_pattern(qp.bitwidth), qp.scale).tolist())
+
+
 def _check_nbf(model, n_bf):
     total = sum(c.size for c in model.codes)
     if not 1 <= n_bf <= total:
@@ -217,7 +224,8 @@ def _flip_sites(victim: QuantModel, records):
 
 
 def apply_flips(victim: QuantModel, records) -> QuantModel:
-    """XOR the named bits into a copy of the victim's true codes."""
+    """XOR the named bits into a copy of the victim's true codes (`flip_bit`): the
+    reference that `_FlipPass.flip` is tested against."""
     codes = [c.copy() for c in victim.codes]
     for l, _, i, bit in _flip_sites(victim, records):
         flat = codes[l].reshape(-1)
@@ -225,26 +233,26 @@ def apply_flips(victim: QuantModel, records) -> QuantModel:
     return QuantModel(victim.architecture, list(victim.params), codes, victim.biases)
 
 
-def _dequantize_into(weights, q: QuantModel):
-    """Write the dequantized weights of `q` into `weights`, one array per parametric layer:
-    the bits of `dequantize_model(q).weights`, with no model built."""
-    for w, c, qp in zip(weights, q.codes, q.params):
-        np.multiply(c, qp.scale, out=w)
-
-
-class _HeldPass:
-    """A Workspace over one fixed batch, with weight arrays of its own that its restarts
-    and its backward read, kept between calls. `aim` copies a quantized model's
-    dequantized weights into them and re-runs every layer from the first parametric
-    one (`Workspace.restart(0)`), which gives a fresh pass's bits. So the pass serves
-    any model of its architecture and biases on a batch of its inputs' bytes
-    (`serves`, which reads them from the Workspace): it is keyed on what it computes,
-    not on the objects it was built from. `model`: the model it was last aimed at."""
+class _FlipPass:
+    """A quantized model's pass over one fixed batch that flips bits in place, kept
+    between calls: a Workspace over the batch, with codes and weights of its own that
+    its restarts and its backward (`synth.backprop(ws, ...)`) read. `model`: the model
+    it was last aimed at; `baseline`: a copy of that model's logits. `reset` puts the
+    model's codes and weights back and leaves the stored pass as it is; `lowest` is the
+    lowest parametric layer whose stored output may differ from the baseline pass's (the
+    layer count if none), and the next `flip` re-runs what it must from there. So flips
+    that changed no conv1 weight leave conv1's output, ReLU and pool alone, and no copy
+    of the pass is kept. The pass `serves` any model of its architecture and biases on a
+    batch of its inputs' bytes: it is keyed on what it computes, not on the objects it
+    was built from, and `aim` takes such a model up."""
 
     def __init__(self, q: QuantModel, inputs):
         self.model = q
         self.weights = [dequantize(c, qp.scale) for c, qp in zip(q.codes, q.params)]
         self.ws = Workspace(q.architecture, self.weights, q.biases, inputs)
+        self.codes = [c.copy() for c in q.codes]
+        self.flat = [(c.reshape(-1), w.reshape(-1)) for c, w in zip(self.codes, self.weights)]
+        self._aimed()
 
     def serves(self, q: QuantModel, inputs):
         ws = self.ws
@@ -253,59 +261,63 @@ class _HeldPass:
                 and (inputs is ws.acts[0] or inputs.tobytes() == ws.acts[0].tobytes()))
 
     def aim(self, q: QuantModel):
-        """Re-run the pass for `q`, a model it `serves`; returns the logits."""
+        """Take up `q`, a model the pass `serves`: its codes, weights and flip tables go in,
+        and every layer from the first parametric one re-runs (`Workspace.restart(0)`),
+        which gives a fresh pass's bits."""
         self.model = q
-        _dequantize_into(self.weights, q)
-        return self.ws.restart(0)
-
-
-class _VictimPass(_HeldPass):
-    """What `_score_flips` keeps of one victim on one eval set: the held pass, whose
-    weights flips rewrite, a copy of the codes, each layer's flip table and weight per
-    code, a copy of the baseline logits, and `lowest`, the lowest parametric layer whose
-    stored output may differ from the baseline pass's (the layer count if none)."""
-
-    def __init__(self, victim: QuantModel, inputs):
-        super().__init__(victim, inputs)
-        self.codes = [c.copy() for c in victim.codes]
-        self._aimed()
-
-    def aim(self, victim: QuantModel):
-        super().aim(victim)
-        for a, b in zip(self.codes, victim.codes):
-            np.copyto(a, b)
+        self.reset()
+        self.ws.restart(0)
         self._aimed()
 
     def _aimed(self):
         """Take up the model the pass now holds: its flip tables, its baseline logits, and
         no layer changed since."""
         # per parametric layer: the flat codes and weights a flip rewrites, the flip table,
-        # and the dequantized weight of each code, indexed as the table's rows are
-        self.layers = [(c.reshape(-1), w.reshape(-1), flip_table(qp.bitwidth),
-                        dequantize(_codes_by_pattern(qp.bitwidth), qp.scale).tolist())
-                       for c, w, qp in zip(self.codes, self.weights, self.model.params)]
+        # and the weight of each code, indexed as the table's rows are
+        self.layers = [(c, w, flip_table(qp.bitwidth), _code_weights(qp))
+                       for (c, w), qp in zip(self.flat, self.model.params)]
         self.baseline = self.ws.acts[-1].copy()
-        self.lowest = len(self.layers)
+        self.lowest = self.stale = len(self.layers)
 
     def reset(self):
-        """Bring the codes and weights back to the baseline. The stored pass is left as
-        it is: it is the baseline's below `lowest`, and a list's first flip re-runs the
-        rest (`_score_flips`)."""
-        for a, b in zip(self.codes, self.model.codes):
-            np.copyto(a, b)
-        _dequantize_into(self.weights, self.model)
+        """Put the model's codes and weights back. The stored pass is left as it is: it is
+        the baseline's below `lowest`, and the next `flip` re-runs the rest."""
+        for c, w, a, qp in zip(self.codes, self.weights, self.model.codes, self.model.params):
+            np.copyto(c, a)
+            np.multiply(a, qp.scale, out=w)
+        self.stale = self.lowest  # from here on, the stored pass holds flips undone
+
+    def flip(self, l, f, i, bit):
+        """Flip bit `bit` of flat code `i` in filter `f` of parametric layer `l` (a
+        `_flip_sites` site) by the bitwidth's `flip_table` and the layer's weight per code;
+        return the logits, rewritten in place: a fresh pass's bits for `model` with every
+        flip since `reset` or `aim`. The first flip after `reset` brings the stored pass up
+        to date: at or above the layer `lowest` then named (`stale`), it re-runs every
+        filter from that layer on; below it, its own restart is enough, as that re-runs
+        every layer after its own in full."""
+        c, w, flips, weights = self.layers[l]
+        code = flips[bit][c.item(i)]
+        c[i] = code
+        w[i] = weights[code]
+        stale = self.stale
+        self.stale = len(self.layers)
+        if l < stale:
+            self.lowest = min(self.lowest, l)
+            return self.ws.restart(l, f)
+        self.lowest = l
+        return self.ws.restart(stale)
 
 
-# the passes this thread holds between calls: `.victim_pass`, a _VictimPass of
-# `_score_flips`, and `.batch_pass`, a _HeldPass of `select_gradient_bits`
+# the passes this thread holds between calls, each a _FlipPass: `.victim_pass`, of
+# `_score_flips`, and `.batch_pass`, of `select_gradient_bits`
 _held = threading.local()
 
 
-def _take(slot, kind, q: QuantModel, inputs):
+def _take(slot, q: QuantModel, inputs):
     """The pass held in `slot` if it serves `q` on `inputs`, aimed at `q`, else a new
-    `kind` pass. Either way the slot is emptied, so a call made from inside another's
-    takes none, and a held pass that does not serve is dropped before the new one is
-    built. The caller hands the pass back (`_held`)."""
+    one. Either way the slot is emptied, so a call made from inside another's takes
+    none, and a held pass that does not serve is dropped before the new one is built.
+    The caller hands the pass back (`_held`)."""
     held = getattr(_held, slot, None)
     setattr(_held, slot, None)
     if held is not None and held.serves(q, inputs):
@@ -313,15 +325,16 @@ def _take(slot, kind, q: QuantModel, inputs):
             held.aim(q)
         return held
     held = None
-    return kind(q, inputs)
+    return _FlipPass(q, inputs)
 
 
 def _gradient(q: QuantModel, batch: Dataset):
     """The weight gradients of `synth.gradient` for the dequantized `q` on `batch`, bit
     for bit, backpropagated through the pass of the batch that this thread holds between
     calls (`_take`): keyed on q's architecture and biases and the batch inputs' bytes,
-    and re-aimed at each new model, so that the surrogates of one victim share one pass."""
-    held = _take("batch_pass", _HeldPass, q, batch.inputs)
+    and re-aimed at each new model, so that the surrogates of one victim share one pass
+    (a `_FlipPass`, read as it stands: nothing flips it between calls)."""
+    held = _take("batch_pass", q, batch.inputs)
     try:
         return backprop(held.ws, batch.labels)[1]
     finally:
@@ -334,47 +347,27 @@ def _score_flips(victim: QuantModel, record_lists, eval_data: Dataset, score) ->
     list checked first; the next step rewrites the array `score` was given.
 
     The logits equal `forward_batch` of the list's `apply_flips` victim, dequantized,
-    bit for bit, and no list sees another's flips. A flip rewrites one code and one
-    weight and re-runs the network from its parametric layer on (`Workspace.restart`).
-    The baseline is scored once per call, from a copy of its logits. A list starts
-    with the baseline's codes and weights put back (`_VictimPass.reset`), and its first
-    flip brings the stored pass up to date: at or above `lowest`, the lowest layer
-    another list changed, it re-runs every filter from that layer on (`restart(lowest)`);
-    below it, its own restart is enough, as it re-runs every layer after its own in full.
+    bit for bit, and no list sees another's flips: each list starts from the baseline's
+    codes and weights (`_FlipPass.reset`), and its flips run through `_FlipPass.flip`.
+    The baseline is scored once per call, from a copy of its logits.
 
-    That pass, with the restarts built over it, is kept between calls (`_VictimPass`):
-    a thread holds at most one, keyed on the victim's architecture and biases and the
-    eval inputs' bytes. A call that it serves takes it over, aimed at `victim` if it was
-    last used for another (`_take`); any other call drops it and builds its own, and a
-    call with no lists builds none. The call hands its pass back when it returns or
-    raises; a pass handed back mid-list, by a `score` that raised, still knows the
-    lowest layer it changed.
+    The victim's pass is kept between calls: a thread holds at most one, keyed on the
+    victim's architecture and biases and the eval inputs' bytes. A call that it serves
+    takes it over, aimed at `victim` if it was last used for another (`_take`); any
+    other call drops it and builds its own, and a call with no lists builds none. The
+    call hands its pass back when it returns or raises; a pass handed back mid-list, by
+    a `score` that raised, still knows the lowest layer it changed.
     """
     check_dataset(victim.architecture, eval_data)
     sites = [_flip_sites(victim, records) for records in record_lists]
     if not sites:
         return []
-    vp = _take("victim_pass", _VictimPass, victim, eval_data.inputs)
+    vp = _take("victim_pass", victim, eval_data.inputs)
     try:
-        base, n = score(vp.baseline), len(vp.layers)
-        scores = []
+        base, scores = score(vp.baseline), []
         for list_sites in sites:
             vp.reset()
-            scores.append([base])
-            stale = vp.lowest  # the stored pass is another list's from this layer on
-            for l, f, i, bit in list_sites:
-                c, w, flips, weights = vp.layers[l]
-                code = flips[bit][c.item(i)]
-                c[i] = code
-                w[i] = weights[code]
-                if l < stale:
-                    vp.lowest = min(vp.lowest, l)
-                    logits = vp.ws.restart(l, f)
-                else:  # the list's first flip, at or above the stale layer
-                    vp.lowest = l
-                    logits = vp.ws.restart(stale)
-                stale = n
-                scores[-1].append(score(logits))
+            scores.append([base] + [score(vp.flip(*site)) for site in list_sites])
         return scores
     finally:
         _held.victim_pass = vp
@@ -413,7 +406,7 @@ def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
     one pass serves every group of a sweep, every quantized victim of one float model
     and, at `--jobs` above 1, every task chunk a worker process runs, though the pool
     pickles the victim and eval set with each chunk. A new victim object re-aims the
-    pass (`_HeldPass.aim`); nothing is rebuilt. Each trace equals `run_attack`'s for its
+    pass (`_FlipPass.aim`); nothing is rebuilt. Each trace equals `run_attack`'s for its
     pair, byte for byte.
     """
     partial = simulate_recovery(victim, rp, seed)

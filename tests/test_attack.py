@@ -637,8 +637,11 @@ def test_victim_pass_serves_runs_on_one_victim_and_eval_set(desk, pass_builds):
 def test_a_pass_re_aimed_at_another_victim_gives_a_fresh_pass_bytes(desk, pass_builds):
     a, data = fresh_inputs(desk, 64)
     copy = bs.Dataset(data.inputs.copy(), data.labels.copy())  # the same bytes, another object
-    calls = [(a, data), (bs.quantize_model(desk["model"], 4), copy), (other_codes(a, 1), data),
-             (a, copy)]
+    # a's codes at other 8-bit scales: only the weight of each code changes
+    rescaled = bs.QuantModel(a.architecture, [bs.QuantParams(8, qp.scale * 1.5) for qp in a.params],
+                             a.codes, a.biases)
+    calls = [(a, data), (rescaled, data), (bs.quantize_model(desk["model"], 4), copy),
+             (other_codes(a, 1), data), (a, copy)]
     for q, d in calls:
         lists = [bs.select_vulnerable_bits(q, 20), bs.select_random_bits(q, 20, 1)]
         assert_fresh_logits(_score_flips(q, lists, d, keep_bytes), q, lists, d)
@@ -682,6 +685,27 @@ def test_the_held_gradient_pass_gives_synth_gradient_bytes(desk, pass_builds):
         want, _ = synth_module.gradient(bs.dequantize_model(s), b.inputs, b.labels)
         assert [g.tobytes() for g in attack._gradient(s, b)] == [g.tobytes() for g in want]
     assert len(pass_builds) == 2  # one per batch
+
+
+def test_the_gradient_batch_pass_flips_and_backpropagates_a_fresh_pass_bytes(desk):
+    # each flip of two lists, the second after `reset`, then backprop through the pass
+    q, test = desk["qmodel"], desk["test"]
+    batch = bs.Dataset(test.inputs[:32], test.labels[:32])
+    s = bs.reconstruct_model(bs.simulate_recovery(q, 0.5, 1), bs.ReconstructionMethod.CZR)
+    recs = [r for pair in zip(bs.select_vulnerable_bits(s, 15), bs.select_random_bits(s, 15, 2))
+            for r in pair]
+    held = attack._FlipPass(s, batch.inputs)
+    for records in (recs, recs[::-1]):
+        held.reset()
+        for i, site in enumerate(attack._flip_sites(s, records), 1):
+            held.flip(*site)
+            got = synth_module.backprop(held.ws, batch.labels)
+            flipped = bs.dequantize_model(bs.apply_flips(s, records[:i]))
+            want = (synth_module.batch_loss(flipped, batch.inputs, batch.labels),
+                    *synth_module.gradient(flipped, batch.inputs, batch.labels))
+            assert got[0] == want[0], i
+            for a, b in zip(got[1] + got[2], want[1] + want[2]):
+                assert a.tobytes() == b.tobytes(), i
 
 
 class ScoreRaised(Exception):
@@ -819,7 +843,7 @@ def test_a_victim_pass_holds_one_copy_of_the_baseline_pass(desk):
     q, test = desk["qmodel"], desk["test"]
     tracemalloc.start()
     try:
-        vp = attack._VictimPass(q, test.inputs)
+        vp = attack._FlipPass(q, test.inputs)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

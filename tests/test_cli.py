@@ -588,7 +588,8 @@ def test_sweep_traces_equal_one_run_attack_per_run(workdir, tmp_path):
 def test_sweep_shares_recovery_surrogates_and_baseline_per_group(workdir, tmp_path, monkeypatch,
                                                                  no_held_pass):
     from bitsiege import attack
-    calls = {"simulate_recovery": 0, "reconstruct_model": 0, "Workspace": 0, "aim": 0}
+    calls = {"simulate_recovery": 0, "reconstruct_model": 0, "Workspace": 0,
+             "aim victim_pass": 0, "aim batch_pass": 0}
 
     def counted(name, fn):
         def call(*a):
@@ -597,14 +598,22 @@ def test_sweep_shares_recovery_surrogates_and_baseline_per_group(workdir, tmp_pa
         return call
     for name in ("simulate_recovery", "reconstruct_model", "Workspace"):
         monkeypatch.setattr(attack, name, counted(name, getattr(attack, name)))
-    monkeypatch.setattr(attack._VictimPass, "aim", counted("aim", attack._VictimPass.aim))
+    aim, batch = attack._FlipPass.aim, bs.GradientBaseline().batch_size
+
+    def aim_by_slot(held, q):  # the batch pass holds 32 samples, the victim pass 200
+        slot = "batch_pass" if len(held.ws.acts[0]) == batch else "victim_pass"
+        calls["aim " + slot] += 1
+        return aim(held, q)
+    monkeypatch.setattr(attack._FlipPass, "aim", aim_by_slot)
     assert main(["sweep", "--config", grid_cfg(workdir, tmp_path), "--out",
                  str(tmp_path / "grid")]) == EXIT_OK
     # 8 (nq, rp, seed) groups, 3 recons each. Two passes for the whole sweep, the victim's
-    # over the eval set and the gradient ranking's over its batch; the victim pass is
-    # built for nq 8 and re-aimed once, at nq 4
+    # over the eval set and the gradient ranking's over its batch. The victim pass is
+    # built for nq 8 and re-aimed once, at nq 4. The batch pass is built for the first
+    # surrogate and re-aimed at the other 15 distinct ones: 3 per group at rp 0.6, and 1
+    # at rp 1.0, where every recon gives the victim's codes
     assert calls == {"simulate_recovery": 8, "reconstruct_model": 24, "Workspace": 2,
-                     "aim": 1}
+                     "aim victim_pass": 1, "aim batch_pass": 15}
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
