@@ -159,7 +159,7 @@ def select_vulnerable_bits(model: QuantModel, n_bf: int):
 
 def _records(model: QuantModel, layers, flat, bits):
     """FlipRecords of bit `bits[i]` of the `flat[i]`th code of parametric layer `layers[i]`,
-    split by the inverse of `_flip_sites`' `filt * filter_size + weight`."""
+    split by the inverse of `_flip_sites`' `filt * size + weight`, size a filter's code count."""
     filt, weight = np.divmod(flat, np.array([c[0].size for c in model.codes])[layers])
     return list(map(FlipRecord, layers.tolist(), filt.tolist(), weight.tolist(), bits.tolist()))
 

@@ -163,9 +163,12 @@ def cmd_train(args):
 
 
 def _chunked_accuracy(model: FloatModel, data: Dataset):
-    """`accuracy`, scored 64 samples at a time, so that no pass over the whole set sets
-    the process's peak memory: at the desk's 1x8x8 and 1x16x16 inputs the allocator then
-    reuses one pass's memory for the next (larger inputs were not measured)."""
+    """Top-1 accuracy scored 64 samples at a time, so that no pass over the whole set
+    sets the process's peak memory: at the desk's 1x8x8 and 1x16x16 inputs the allocator
+    then reuses one pass's memory for the next (larger inputs were not measured). A
+    chunk's logits may differ from a whole-set pass's in the last bits (its conv GEMMs
+    run over fewer columns); the hits equaled `accuracy`'s on the desk and train-victim
+    sets checked, which no test holds for other shapes."""
     hits = sum(top1_hits(forward_batch(model, data.inputs[i:i + 64]), data.labels[i:i + 64])
                for i in range(0, len(data), 64))
     return hits / len(data)

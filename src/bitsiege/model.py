@@ -93,11 +93,6 @@ def filter_count(layer):
     return weight_shape(layer)[0]
 
 
-def filter_size(layer):
-    """Elements per filter: C_in*K*K for conv, in_features for a dense row."""
-    return math.prod(weight_shape(layer)[1:])
-
-
 @dataclass(frozen=True)
 class Architecture:
     layers: tuple
@@ -186,16 +181,18 @@ class Dataset:
 
 class Workspace:
     """The arrays of the batch `x`'s pass through `forward_layers`, which the constructor
-    runs, and the restarts that rewrite them in place after a filter of its weights changed.
+    runs, and the re-runs that rewrite them in place: after a filter of its weights
+    changed (`restart`), or on a new batch of x's shape (`run`).
 
     `acts[pos]` is the input of layer `pos` as the layer before returned it (`acts[0]`
     the batch, `acts[-1]` the logits); `patches[pos]` is a Conv2D's [padded input,
     patch matrix]. The pass fills them with the arrays the layers return, so
-    every restart writes into the memory layout a fresh pass gives its result, and
-    the GEMMs take the same BLAS path. A workspace belongs to one caller and one batch.
+    every re-run writes into the memory layout a fresh pass gives its result, and
+    the GEMMs take the same BLAS path. A workspace belongs to one caller.
 
     `weights` and `biases`, one array per parametric layer, equal those of the pass;
-    restarts and `backward_layers` read them as the caller then changes them in place.
+    re-runs and `backward_layers` read them as the caller then changes them in place,
+    but for the Dense biases of a filter restart, which are fixed at its first call.
     `restart(p, f)` re-runs the network after filter f of parametric layer p changed,
     with only the numpy calls whose outputs change; `restart(p)` re-runs every filter
     of p, and so gives back the first pass once the caller has put the weights back. Those calls
@@ -212,7 +209,8 @@ class Workspace:
         self.weights, self.biases = weights, biases
         self.index = {pos: p for p, (pos, _) in enumerate(arch.parametric_layers())}
         self.positions = list(self.index)
-        self.steps = {}    # (p, f) -> the calls of that restart; f None: every filter
+        # (p, f) -> the calls of that restart, f None for every filter; None -> `run`'s
+        self.steps = {}
         forward_layers(arch, weights, biases, x, self)
 
     def input(self, pos):
@@ -242,28 +240,42 @@ class Workspace:
             call()
         return self.acts[-1]
 
-    def _restart_calls(self, p, f):
-        pos = self.positions[p]
-        if isinstance(self.arch.layers[pos], Dense):
-            return self._calls(pos, slice(None))
-        ch = slice(None) if f is None else slice(f, f + 1)
-        return [self._gemm(pos, f)] + self._calls(pos + 1, ch)
+    def run(self, x):
+        """Re-run the pass on the batch `x`, of the first batch's shape, in place: x is
+        copied into `acts[0]`, the array the constructor was handed, and every layer
+        re-runs in full on the weights and biases as they are now, through calls built on
+        the first run as a restart's are. Returns the logits: a fresh pass's bits."""
+        calls = self.steps.get(None)
+        if calls is None:
+            calls = self.steps[None] = self._calls(0, slice(None))
+        np.copyto(self.acts[0], x)
+        for call in calls:
+            call()
+        return self.acts[-1]
 
-    def _calls(self, pos, ch):
+    def _restart_calls(self, p, f):
+        pos, tiled = self.positions[p], f is not None
+        if isinstance(self.arch.layers[pos], Dense):
+            return self._calls(pos, slice(None), tiled)
+        ch = slice(None) if f is None else slice(f, f + 1)
+        return [self._gemm(pos, f)] + self._calls(pos + 1, ch, tiled)
+
+    def _calls(self, pos, ch, tiled=False):
         """The calls that bring layers `pos` on up to date after channels `ch` of layer
-        pos's stored input changed."""
+        pos's stored input changed. `tiled`: a Dense adds its bias as it is now, tiled to
+        its output's shape (a filter restart's, under which nothing changes a bias): the
+        same sums as the broadcast over rows of a few features that it adds otherwise,
+        which costs about three times as much."""
         if pos == len(self.arch.layers):
             return []
         layer, x, out = self.arch.layers[pos], self.acts[pos], self.acts[pos + 1]
         if isinstance(layer, Conv2D):
             calls, ch = self._feed(pos, ch) + [self._gemm(pos)], slice(None)
         elif isinstance(layer, Dense):
-            # the bias tiled to out's shape: the same sums as a broadcast over rows of a
-            # few features, which cost about three times as much
             p = self.index[pos]
+            b = np.tile(self.biases[p], (len(out), 1)) if tiled else self.biases[p]
             calls, ch = [partial(np.matmul, x, self.weights[p].T, out=out),
-                         partial(np.add, out, np.tile(self.biases[p], (len(out), 1)), out=out)
-                         ], slice(None)
+                         partial(np.add, out, b, out=out)], slice(None)
         elif isinstance(layer, Flatten):
             # a view of the input follows it; past it, a channel is no longer an axis
             calls = [] if np.may_share_memory(out, x) else [
@@ -274,7 +286,7 @@ class Workspace:
         else:  # MaxPool
             src, dst, w = x[:, ch], out[:, ch], layer.window
             calls = [lambda: _maxpool(src, w, dst)]
-        return calls + self._calls(pos + 1, ch)
+        return calls + self._calls(pos + 1, ch, tiled)
 
     def _feed(self, pos, ch):
         """The calls that copy channels `ch` of a Conv2D's stored input into its padded

@@ -109,25 +109,39 @@ def backprop(ws: Workspace, labels):
     return loss, dws, dbs
 
 
-def _grads(arch, weights, biases, inputs, labels):
-    return backprop(Workspace(arch, weights, biases, np.asarray(inputs, dtype=np.float64)),
-                    labels)
+def _grads(held, arch, weights, biases, inputs, labels):
+    """`backprop` of the batch `inputs` through the Workspace that the dict `held` keeps
+    for the batch's length: built there on the first batch of that length, which it then
+    owns and overwrites, and re-run on each later one (`Workspace.run`) with the weights
+    and biases as they are then."""
+    ws = held.get(len(inputs))
+    if ws is None:
+        ws = held[len(inputs)] = Workspace(arch, weights, biases,
+                                           np.asarray(inputs, dtype=np.float64))
+    else:
+        ws.run(inputs)
+    return backprop(ws, labels)
 
 
 def gradient(model: FloatModel, inputs, labels):
     """Backprop gradients of mean cross-entropy: (weight grads, bias grads)."""
-    _, dws, dbs = _grads(model.architecture, model.weights, model.biases, inputs, labels)
+    _, dws, dbs = _grads({}, model.architecture, model.weights, model.biases, inputs, labels)
     return dws, dbs
 
 
 def batch_loss(model: FloatModel, inputs, labels) -> float:
-    loss, _, _ = _grads(model.architecture, model.weights, model.biases, inputs, labels)
+    loss, _, _ = _grads({}, model.architecture, model.weights, model.biases, inputs, labels)
     return loss
 
 
 def train(architecture: Architecture, data: Dataset, cfg: TrainConfig,
           loss_log: list | None = None) -> FloatModel:
-    """Plain minibatch SGD on cross-entropy; deterministic given cfg.seed."""
+    """Plain minibatch SGD on cross-entropy; deterministic given cfg.seed.
+
+    Each batch shape (the batch size, and a short last batch) has one Workspace for the
+    call, and each step re-runs it in place on its batch (`_grads`); SGD updates in
+    place the weight and bias arrays it reads. A step gives the bits of a fresh pass, a
+    fresh backward and `w - lr * dw`."""
     rng = np.random.default_rng(cfg.seed)
     weights, biases = [], []
     for _, layer in architecture.parametric_layers():
@@ -136,19 +150,20 @@ def train(architecture: Architecture, data: Dataset, cfg: TrainConfig,
         weights.append(rng.standard_normal(shape) * np.sqrt(2.0 / fan_in))
         biases.append(np.zeros(filter_count(layer)))
     n = len(data)
+    held = {}  # batch length -> its Workspace, over `weights` and `biases`
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, dws, dbs = _grads(architecture, weights, biases,
+            loss, dws, dbs = _grads(held, architecture, weights, biases,
                                     data.inputs[idx], data.labels[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss {loss} at epoch {epoch}")
             epoch_losses.append(loss)
-            for p in range(len(weights)):
-                weights[p] = weights[p] - cfg.lr * dws[p]
-                biases[p] = biases[p] - cfg.lr * dbs[p]
+            for w, b, dw, db in zip(weights, biases, dws, dbs):
+                w -= cfg.lr * dw
+                b -= cfg.lr * db
         if loss_log is not None:
             loss_log.append(float(np.mean(epoch_losses)))
     return FloatModel(architecture, weights, biases)

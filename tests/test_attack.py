@@ -16,7 +16,7 @@ from bitsiege import synth as synth_module
 from bitsiege.attack import RANKINGS, RECONS, RUN_CONFIG, FlipRecord, _score_flips
 from bitsiege.cli import _cfg_hash
 from bitsiege.model import ModelFormatError, Workspace, backward_layers
-from bitsiege.model import _conv_bwd, _maxpool, _pool_bwd, filter_count, filter_size
+from bitsiege.model import _conv_bwd, _maxpool, _pool_bwd, filter_count, weight_shape
 from bitsiege.synth import _softmax_ce
 from bitsiege.quantize import BITWIDTHS
 
@@ -156,7 +156,7 @@ def test_apply_flips_targets_named_bit(desk):
     q = desk["qmodel"]
     r = FlipRecord(0, 2, 4, 3)
     flipped = bs.apply_flips(q, [r])
-    fs = filter_size(q.architecture.parametric_layers()[0][1])
+    fs = math.prod(weight_shape(q.architecture.parametric_layers()[0][1])[1:])
     idx = r.filt * fs + r.weight
     before = int(q.codes[0].reshape(-1)[idx])
     after = int(flipped.codes[0].reshape(-1)[idx])
@@ -210,7 +210,7 @@ def test_random_bits_valid_positions(desk):
     for r in bs.select_random_bits(q, 200, seed=0):
         _, layer = layers[r.layer]
         assert 0 <= r.filt < filter_count(layer)
-        assert 0 <= r.weight < filter_size(layer)
+        assert 0 <= r.weight < math.prod(weight_shape(layer)[1:])
         assert 0 <= r.bit < 8
 
 
@@ -431,8 +431,9 @@ def draw_flips(data, q):
 
     def record(layer, bit):
         _, l = layers[layer]
+        size = math.prod(weight_shape(l)[1:])
         return FlipRecord(layer, data.draw(st.integers(0, filter_count(l) - 1)),
-                          data.draw(st.integers(0, filter_size(l) - 1)), data.draw(bit))
+                          data.draw(st.integers(0, size - 1)), data.draw(bit))
 
     records = [record(p, st.just(nq - 1)) for p in range(len(layers))]
     records += [record(p, st.integers(0, nq - 2)) for p in range(len(layers))]

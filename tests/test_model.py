@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 import bitsiege as bs
 from bitsiege import model as model_module
 from bitsiege.model import (ModelFormatError, Workspace, _block_start, _blocks_exact, _conv2d,
-                            _conv_bwd, _maxpool, _patches, filter_count, weight_shape)
+                            _conv_bwd, _maxpool, _patches, filter_count, forward_layers,
+                            weight_shape)
 
 from conftest import full_gemm_restarts, make_tiny_dense, stored_arrays
 
@@ -477,6 +478,28 @@ def test_forward_layers_restart_from_cache_is_exact(desk):
         assert peak < ws.acts[1].nbytes / 4  # the first conv's output: 460 KB
     # every restart rewrote the workspace's arrays in place
     assert [a.__array_interface__["data"][0] for a in ws.acts] == data
+
+
+def test_every_filter_restarts_and_runs_read_biases_changed_in_place(desk):
+    # a filter restart's Dense bias is fixed at its first call; every other re-run adds
+    # the biases as they are now, so its calls may be built before they change
+    model, xs = desk["model"], desk["test"].inputs
+    arch = model.architecture
+    biases = [b.copy() for b in model.biases]
+    ws = Workspace(arch, model.weights, biases, xs.copy())
+    data = [a.__array_interface__["data"][0] for a in stored_arrays(ws)]
+    for p in range(len(biases)):
+        ws.restart(p)
+    ws.run(xs)
+    biases[0][1] += 0.25   # conv1
+    biases[-1][2] -= 0.5   # the Dense head
+    want = forward_layers(arch, model.weights, biases, xs).tobytes()
+    for p in range(len(biases)):
+        assert ws.restart(p).tobytes() == want, p
+    # a new batch of the same shape runs in place, to a fresh pass's bits
+    other = desk["train"].inputs[:len(xs)]
+    assert ws.run(other).tobytes() == forward_layers(arch, model.weights, biases, other).tobytes()
+    assert [a.__array_interface__["data"][0] for a in stored_arrays(ws)] == data
 
 
 def random_model(arch, rng):

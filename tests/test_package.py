@@ -38,9 +38,10 @@ def test_every_module_uses_each_name_it_imports():
         assert imported <= used, (path.name, sorted(imported - used))
 
 
-def test_every_private_module_level_name_is_read_elsewhere_in_the_package():
-    # a helper that a refactor left behind shows up here: each module-level `_name` is
-    # read, as a Name or an Attribute, by another top-level statement of the package
+def module_level_names():
+    """(name, read) for each name a module-level def, class or assignment of the package
+    binds; `read`: whether another top-level statement of the package reads it, as a Name
+    or an Attribute."""
     stmts = [s for path in sorted(pathlib.Path(bs.__file__).parent.glob("*.py"))
              for s in ast.parse(path.read_text(encoding="utf-8")).body]
     reads = [{n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(s)
@@ -49,5 +50,20 @@ def test_every_private_module_level_name_is_read_elsewhere_in_the_package():
     for k, s in enumerate(stmts):  # a def or class by its name, an assignment by its targets
         for t in getattr(s, "targets", [getattr(s, "target", s)]):
             name = getattr(t, "name", getattr(t, "id", ""))
-            if name.startswith("_") and not name.endswith("__"):
-                assert any(name in r for j, r in enumerate(reads) if j != k), name
+            if name and not name.endswith("__"):
+                yield name, any(name in r for j, r in enumerate(reads) if j != k)
+
+
+def test_every_private_module_level_name_is_read_elsewhere_in_the_package():
+    # a helper that a refactor left behind shows up here
+    for name, read in module_level_names():
+        if name.startswith("_"):
+            assert read, name
+
+
+def test_every_public_module_level_name_is_read_elsewhere_in_the_package_or_exported():
+    # a public helper that only tests call shows up here; `cli.main` looks the `cmd_*`
+    # handlers up by name
+    unread = [name for name, read in module_level_names()
+              if not (read or name.startswith(("_", "cmd_")) or name in PUBLIC)]
+    assert unread == []

@@ -3,6 +3,7 @@ import pytest
 
 import bitsiege as bs
 from bitsiege import synth
+from bitsiege.model import Workspace, weight_shape
 from bitsiege.synth import batch_loss, class_prototypes
 
 
@@ -90,6 +91,62 @@ def test_training_deterministic():
     m2 = bs.train(arch, train_ds, cfg)
     for a, b in zip(m1.weights, m2.weights):
         assert np.array_equal(a, b)
+
+
+def reference_train(arch, data, cfg):
+    """Minibatch SGD with a fresh Workspace per step and out-of-place updates: (weights,
+    biases, loss log) with the bits `train` must give."""
+    rng = np.random.default_rng(cfg.seed)
+    weights, biases = [], []
+    for _, layer in arch.parametric_layers():
+        shape = weight_shape(layer)
+        weights.append(rng.standard_normal(shape) * np.sqrt(2.0 / int(np.prod(shape[1:]))))
+        biases.append(np.zeros(shape[0]))
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(data))
+        epoch = []
+        for start in range(0, len(data), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            loss, dws, dbs = synth.backprop(Workspace(arch, weights, biases, data.inputs[idx]),
+                                            data.labels[idx])
+            epoch.append(loss)
+            weights = [w - cfg.lr * dw for w, dw in zip(weights, dws)]
+            biases = [b - cfg.lr * db for b, db in zip(biases, dbs)]
+        losses.append(float(np.mean(epoch)))
+    return weights, biases, losses
+
+
+TRAIN_CASES = {
+    # 800 samples, 25 full batches a step
+    "desk": (bs.SynthSpec(), None, bs.TrainConfig()),
+    # 180 samples: 5 batches of 32 and one of 20, two held shapes
+    "16x16-short-last-batch": (bs.SynthSpec(per_class=45, input_shape=(1, 16, 16)), None,
+                               bs.TrainConfig(epochs=3)),
+    "padded-strided-first-conv": (
+        bs.SynthSpec(per_class=25),
+        bs.Architecture((bs.Conv2D(1, 4, 3, stride=2, padding=1), bs.ReLU(), bs.MaxPool(2),
+                         bs.Conv2D(4, 6, 2), bs.ReLU(), bs.Flatten(), bs.Dense(6, 4)),
+                        (1, 8, 8), 4),
+        bs.TrainConfig(epochs=4)),
+    "mlp": (bs.SynthSpec(per_class=25),
+            bs.Architecture((bs.Flatten(), bs.Dense(64, 16), bs.ReLU(), bs.Dense(16, 4)),
+                            (1, 8, 8), 4),
+            bs.TrainConfig(epochs=4)),
+}
+
+
+@pytest.mark.parametrize("case", list(TRAIN_CASES))
+def test_training_through_held_passes_gives_a_fresh_pass_per_steps_bytes(case):
+    spec, arch, cfg = TRAIN_CASES[case]
+    arch = arch or bs.desk_architecture(spec.classes, spec.input_shape)
+    data, _ = bs.gen_synthetic(spec)
+    losses = []
+    model = bs.train(arch, data, cfg, loss_log=losses)
+    weights, biases, ref_losses = reference_train(arch, data, cfg)
+    for got, want in zip(model.weights + model.biases, weights + biases):
+        assert got.tobytes() == want.tobytes()
+    assert losses == ref_losses
 
 
 def test_loss_non_increasing_noise_free():
