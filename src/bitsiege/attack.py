@@ -1,6 +1,7 @@
 """Vulnerable-bit ranking (normalized filter L2), baselines, flip injection, full pipeline."""
 from __future__ import annotations
 
+import contextlib
 import functools
 import heapq
 import math
@@ -182,7 +183,7 @@ def select_gradient_bits(reconstructed: QuantModel, batch: Dataset, n_bf: int):
 
     Ties in |gradient| break to the lowest (layer, flat weight index): one stable
     sort over every layer's weights concatenated in that order. The gradient is
-    `synth.gradient`'s, bit for bit, through a held pass of the batch (`_gradient`).
+    `synth.gradient`'s, bit for bit (`_gradient`).
     """
     _check_nbf(reconstructed, n_bf)
     check_dataset(reconstructed.architecture, batch)
@@ -234,17 +235,16 @@ def apply_flips(victim: QuantModel, records) -> QuantModel:
 
 
 class _FlipPass:
-    """A quantized model's pass over one fixed batch that flips bits in place, kept
-    between calls: a Workspace over the batch, with codes and weights of its own that
-    its restarts and its backward (`synth.backprop(ws, ...)`) read. `model`: the model
-    it was last aimed at; `baseline`: a copy of that model's logits. `reset` puts the
-    model's codes and weights back and leaves the stored pass as it is; `lowest` is the
-    lowest parametric layer whose stored output may differ from the baseline pass's (the
-    layer count if none), and the next `flip` re-runs what it must from there. So flips
-    that changed no conv1 weight leave conv1's output, ReLU and pool alone, and no copy
-    of the pass is kept. The pass `serves` any model of its architecture and biases on a
-    batch of its inputs' bytes: it is keyed on what it computes, not on the objects it
-    was built from, and `aim` takes such a model up."""
+    """A quantized model's pass over one fixed batch that flips bits in place: a
+    Workspace over the batch, with codes and weights of its own that its restarts and
+    its backward (`synth.backprop(ws, ...)`) read. `model`: the model it was last aimed
+    at; `baseline`: a copy of that model's logits. `reset` puts the model's codes and
+    weights back and leaves the stored pass as it is; `lowest` is the lowest parametric
+    layer whose stored output may differ from the baseline pass's (the layer count if
+    none), and the next `flip` re-runs what it must from there. So flips that changed no
+    conv1 weight leave conv1's output, ReLU and pool alone, and no copy of the pass is
+    kept. `serves` compares what the pass computes, not the objects it was built from;
+    `aim` takes up a model it serves. Held between calls by `_holding`."""
 
     def __init__(self, q: QuantModel, inputs):
         self.model = q
@@ -290,9 +290,11 @@ class _FlipPass:
     def flip(self, l, f, i, bit):
         """Flip bit `bit` of flat code `i` in filter `f` of parametric layer `l` (a
         `_flip_sites` site) by the bitwidth's `flip_table` and the layer's weight per code;
-        return the logits, rewritten in place: a fresh pass's bits for `model` with every
-        flip since `reset` or `aim`. The first flip after `reset` brings the stored pass up
-        to date: at or above the layer `lowest` then named (`stale`), it re-runs every
+        return the logits, rewritten in place. They are exact (`Workspace.restart`): the
+        bits of `forward_batch` of `model` with every flip since `reset` or `aim` applied
+        (`apply_flips`), whatever the pass ran before, so a trace is the same bytes alone,
+        in a sweep or at any `--jobs`. The first flip after `reset` brings the stored pass
+        up to date: at or above the layer `lowest` then named (`stale`), it re-runs every
         filter from that layer on; below it, its own restart is enough, as that re-runs
         every layer after its own in full."""
         c, w, flips, weights = self.layers[l]
@@ -308,37 +310,43 @@ class _FlipPass:
         return self.ws.restart(stale)
 
 
-# the passes this thread holds between calls, each a _FlipPass: `.victim_pass`, of
-# `_score_flips`, and `.batch_pass`, of `select_gradient_bits`
+# the passes this thread holds between calls (`_holding`): `.victim_pass`, of
+# `_score_flips`, and `.batch_pass`, of `_gradient`
 _held = threading.local()
 
 
-def _take(slot, q: QuantModel, inputs):
-    """The pass held in `slot` if it serves `q` on `inputs`, aimed at `q`, else a new
-    one. Either way the slot is emptied, so a call made from inside another's takes
-    none, and a held pass that does not serve is dropped before the new one is built.
-    The caller hands the pass back (`_held`)."""
+@contextlib.contextmanager
+def _holding(slot, q: QuantModel, inputs):
+    """The held-pass rule: a thread holds at most one `_FlipPass` in each slot of `_held`
+    between calls. A call takes it over if it `serves` q on `inputs` (q's architecture
+    and biases, the inputs' bytes), aimed at q if it was last aimed at another model;
+    otherwise the held pass is dropped before a new one is built. So one pass per slot
+    serves every group of a sweep, every quantized victim of one float model and every
+    surrogate of one victim, and, at `--jobs` above 1, every task chunk a worker process
+    runs, though the pool pickles the victim and eval set with each chunk: a process
+    builds two passes for a whole sweep. The slot is empty while its pass is taken, so
+    a call made from inside another's builds its own; the pass goes back to the slot
+    when the block returns or raises, and one handed back mid-list still knows the
+    lowest layer it changed."""
     held = getattr(_held, slot, None)
     setattr(_held, slot, None)
-    if held is not None and held.serves(q, inputs):
-        if held.model is not q:
-            held.aim(q)
-        return held
-    held = None
-    return _FlipPass(q, inputs)
+    if held is None or not held.serves(q, inputs):
+        held = None  # the old pass is freed before the new one is built
+        held = _FlipPass(q, inputs)
+    elif held.model is not q:
+        held.aim(q)
+    try:
+        yield held
+    finally:
+        setattr(_held, slot, held)
 
 
 def _gradient(q: QuantModel, batch: Dataset):
     """The weight gradients of `synth.gradient` for the dequantized `q` on `batch`, bit
-    for bit, backpropagated through the pass of the batch that this thread holds between
-    calls (`_take`): keyed on q's architecture and biases and the batch inputs' bytes,
-    and re-aimed at each new model, so that the surrogates of one victim share one pass
-    (a `_FlipPass`, read as it stands: nothing flips it between calls)."""
-    held = _take("batch_pass", q, batch.inputs)
-    try:
+    for bit, backpropagated through the batch pass (`_holding`) as it stands: nothing
+    flips it between calls."""
+    with _holding("batch_pass", q, batch.inputs) as held:
         return backprop(held.ws, batch.labels)[1]
-    finally:
-        _held.batch_pass = held
 
 
 def _score_flips(victim: QuantModel, record_lists, eval_data: Dataset, score) -> list:
@@ -346,31 +354,21 @@ def _score_flips(victim: QuantModel, record_lists, eval_data: Dataset, score) ->
     `eval_data` before any flip, then after each cumulative flip of that list, every
     list checked first; the next step rewrites the array `score` was given.
 
-    The logits equal `forward_batch` of the list's `apply_flips` victim, dequantized,
-    bit for bit, and no list sees another's flips: each list starts from the baseline's
-    codes and weights (`_FlipPass.reset`), and its flips run through `_FlipPass.flip`.
-    The baseline is scored once per call, from a copy of its logits.
-
-    The victim's pass is kept between calls: a thread holds at most one, keyed on the
-    victim's architecture and biases and the eval inputs' bytes. A call that it serves
-    takes it over, aimed at `victim` if it was last used for another (`_take`); any
-    other call drops it and builds its own, and a call with no lists builds none. The
-    call hands its pass back when it returns or raises; a pass handed back mid-list, by
-    a `score` that raised, still knows the lowest layer it changed.
+    Each list starts from the victim's codes and weights (`_FlipPass.reset`) and flips
+    through `_FlipPass.flip` on the victim pass (`_holding`), so no list sees another's
+    flips. The baseline is scored once per call, from a copy of its logits; a call with
+    no lists takes no pass.
     """
     check_dataset(victim.architecture, eval_data)
     sites = [_flip_sites(victim, records) for records in record_lists]
     if not sites:
         return []
-    vp = _take("victim_pass", victim, eval_data.inputs)
-    try:
+    with _holding("victim_pass", victim, eval_data.inputs) as vp:
         base, scores = score(vp.baseline), []
         for list_sites in sites:
             vp.reset()
             scores.append([base] + [score(vp.flip(*site)) for site in list_sites])
         return scores
-    finally:
-        _held.victim_pass = vp
 
 
 def _top1_scorer(labels):
@@ -383,8 +381,7 @@ def _top1_scorer(labels):
 def evaluate_flips(victim: QuantModel, records, eval_data: Dataset) -> list:
     """Accuracy of the victim before any flip and after each cumulative flip: the
     one-list case of `_score_flips` with `_top1_scorer`. Each accuracy equals
-    `accuracy_quant(apply_flips(victim, records[:i]), eval_data)` exactly (see
-    `Workspace.restart`).
+    `accuracy_quant(apply_flips(victim, records[:i]), eval_data)` (`_FlipPass.flip`).
     """
     return _score_flips(victim, [records], eval_data, _top1_scorer(eval_data.labels))[0]
 
@@ -401,13 +398,8 @@ def run_attacks(victim: QuantModel, rp: float, seed: int, methods, n_bf: int,
     rankings, and a random list, which reads only the seed and the surrogate's shapes
     and bitwidths (`reads_codes`), is ranked and evaluated once for every recon. These
     memos live only for the call. The distinct lists are scored in one `_score_flips`
-    call with `_top1_scorer`. The victim's baseline pass over `eval_data`, and the
-    restarts built over it, are kept per thread and keyed by content (`_score_flips`):
-    one pass serves every group of a sweep, every quantized victim of one float model
-    and, at `--jobs` above 1, every task chunk a worker process runs, though the pool
-    pickles the victim and eval set with each chunk. A new victim object re-aims the
-    pass (`_FlipPass.aim`); nothing is rebuilt. Each trace equals `run_attack`'s for its
-    pair, byte for byte.
+    call with `_top1_scorer`, and a repeated list takes its first run's accuracies.
+    Each trace equals `run_attack`'s for its pair, byte for byte.
     """
     partial = simulate_recovery(victim, rp, seed)
     surrogates = {}  # recon -> (its codes' bytes, surrogate)
@@ -441,8 +433,7 @@ def run_attack(victim: QuantModel, rp: float, seed: int, ranking, recon: Reconst
     """Full pipeline: simulate extraction, reconstruct a surrogate, rank on the
     surrogate only (`ranking.select`, `ranking` one of `RANKINGS`' methods), then
     flip cumulatively on the victim, recording accuracy. The one-pair case of
-    `run_attacks`. Each accuracy equals `accuracy_quant` of the victim after
-    `apply_flips` of the records so far, exactly (see `Workspace.restart`).
+    `run_attacks`; each accuracy is exact (`_FlipPass.flip`).
     """
     return run_attacks(victim, rp, seed, [(ranking, recon)], n_bf, eval_data)[0]
 

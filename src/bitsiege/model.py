@@ -120,7 +120,7 @@ class Architecture:
         return [(i, l) for i, l in enumerate(self.layers) if isinstance(l, (Conv2D, Dense))]
 
 
-def frozen_array(a, dtype, what="array"):
+def frozen_array(a, dtype, what):
     """A read-only, C-ordered copy of `a` as `dtype`; raises ValueError naming `what` if
     the cast changes a value (wraps an integer, drops a fraction). NaN stays NaN. An
     array that is all of these already and owns its data is returned as it is: no view
@@ -186,20 +186,23 @@ class Workspace:
 
     `acts[pos]` is the input of layer `pos` as the layer before returned it (`acts[0]`
     the batch, `acts[-1]` the logits); `patches[pos]` is a Conv2D's [padded input,
-    patch matrix]. The pass fills them with the arrays the layers return, so
-    every re-run writes into the memory layout a fresh pass gives its result, and
-    the GEMMs take the same BLAS path. A workspace belongs to one caller.
+    patch matrix]. The pass fills them with the arrays the layers return, so every
+    re-run writes into the memory layout a fresh pass gives its result, and the GEMMs
+    take the same BLAS path. A workspace belongs to one caller, which keeps the record
+    of what it restarted (`attack._FlipPass`); the workspace keeps none.
 
     `weights` and `biases`, one array per parametric layer, equal those of the pass;
     re-runs and `backward_layers` read them as the caller then changes them in place,
     but for the Dense biases of a filter restart, which are fixed at its first call.
     `restart(p, f)` re-runs the network after filter f of parametric layer p changed,
     with only the numpy calls whose outputs change; `restart(p)` re-runs every filter
-    of p, and so gives back the first pass once the caller has put the weights back. Those calls
-    are built once per (p, f), on its first restart, over the arrays they write in
-    their final form: a conv's (O, N*Ho*Wo) product, its weight matrix, a Dense's
-    `W.T`. Each call writes a stored array, or rows of one; a conv's is the same
-    `_conv2d` call as the first pass's, on a block of rows or on all of them.
+    of p, and so gives back the first pass once the caller has put the weights back, or
+    another model's pass once it has copied that model's weights in. Those calls are
+    built once per (p, f), on its first restart, over the arrays they write in their
+    final form: a conv's (O, N*Ho*Wo) product, its weight matrix, a Dense's `W.T`; so a
+    re-run does no layer dispatch, reshape or index arithmetic. Each call writes a
+    stored array, or rows of one; a conv's is the same `_conv2d` call as the first
+    pass's, on a block of rows or on all of them.
     """
 
     def __init__(self, arch: Architecture, weights, biases, x):
@@ -307,7 +310,9 @@ class Workspace:
         """Whether restarts of the Conv2D at `pos` run the two-row GEMM block of a
         changed row (else the full GEMM): where its weight matrix has two or more rows
         and `_blocks_exact` holds, on this BLAS, for its shape and its patch matrix's
-        shape and strides. The verdict is probed once per process for each of those."""
+        shape and strides. The verdict is probed once per process for each of those.
+        `bitsiege verify` names each conv's path; OpenBLAS 0.3.31's Nehalem kernels
+        (`OPENBLAS_CORETYPE=Nehalem`) take the full GEMM on the desk shapes."""
         w, cols = self._operands(pos)
         if len(w) < 2:
             return False
@@ -347,8 +352,9 @@ def _block_start(row, o):
 def _blocks_exact(w, cols):
     """Whether each two-row block GEMM that a restart can run, `w[lo:lo + 2] @ cols`,
     gives rows lo and lo + 1 of the full GEMM `w @ cols` bit for bit, for the live
-    operands and for 32 random weight matrices of w's shape: a sample, not a proof. A
-    BLAS may block a GEMM of two rows otherwise than one of all rows, and sum in another order."""
+    operands and for 32 random weight matrices of w's shape: a sample, not a proof (with
+    two draws, OpenBLAS's Nehalem kernels passed blocks that other weights showed unsound).
+    A BLAS may block two rows' GEMM otherwise than all rows', and sum in another order."""
     blocks = sorted({_block_start(f, len(w)) for f in range(len(w))})
     full, part = np.empty((len(w), cols.shape[1])), np.empty((2, cols.shape[1]))
     rng = np.random.default_rng(0)
@@ -515,10 +521,10 @@ def _pool_bwd(x, w, out, dout, relu=False):
     NaN): the entry `argmax` picks. Every other entry gets 0.0.
 
     `relu`: x is a ReLU's output, and the result is the gradient at that ReLU's input,
-    the ReLU's `d * (x > 0)` step folded in on the pooled grid as `dout * (out > 0)`.
-    This is exact: at the entry a window's gradient goes to, the ReLU's input is > 0
-    exactly when `out` is (a NaN or ±0 maximum included), and every other entry is
-    0.0 either way.
+    the ReLU's `d * (x > 0)` step folded in on the pooled grid, 1/w^2 of x's size, as
+    `dout * (out > 0)`. This is exact: at the entry a window's gradient goes to, the
+    ReLU's input is > 0 exactly when `out` is (a NaN or ±0 maximum included), and every
+    other entry is 0.0 either way.
 
     One pass per window offset, in row-major order, on (C, H, W, N) views as in
     `_maxpool`: the entries at that offset that equal `out`, in windows not yet

@@ -735,6 +735,22 @@ def test_a_pass_handed_back_by_a_score_that_raised_serves_the_next_call(desk, pa
     assert len(pass_builds) == 1
 
 
+def test_a_batch_pass_handed_back_by_a_backward_that_raised_serves_the_next_call(
+        desk, pass_builds):
+    q, test = desk["qmodel"], desk["test"]
+    batch = bs.Dataset(test.inputs[:32], test.labels[:32])
+    labels = batch.labels.copy()
+    labels[5] = q.architecture.num_classes  # past the logits' last column
+    with pytest.raises(IndexError):  # `_softmax_ce` indexes the log-probabilities by label
+        attack._gradient(q, bs.Dataset(batch.inputs, labels))
+    held = attack._held.batch_pass
+    assert held is not None and held.model is q
+    want, _ = synth_module.gradient(bs.dequantize_model(q), batch.inputs, batch.labels)
+    assert [g.tobytes() for g in attack._gradient(q, batch)] == [g.tobytes() for g in want]
+    assert attack._held.batch_pass is held
+    assert len(pass_builds) == 1
+
+
 def test_a_score_that_re_enters_the_evaluator_gets_its_own_pass(desk, pass_builds):
     q, data = fresh_inputs(desk, 64)
     outer, inner = [bs.select_random_bits(q, 20, 2)], [bs.select_vulnerable_bits(q, 20)]

@@ -1,8 +1,13 @@
 import ast
+import importlib
 import pathlib
+import re
 import types
 
 import bitsiege as bs
+from bitsiege import attack, model
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # What the pipeline, the CLI and the benchmark use; helpers only tests called are not exported.
 PUBLIC = {
@@ -67,3 +72,20 @@ def test_every_public_module_level_name_is_read_elsewhere_in_the_package_or_expo
     unread = [name for name, read in module_level_names()
               if not (read or name.startswith(("_", "cmd_")) or name in PUBLIC)]
     assert unread == []
+
+
+def test_every_name_the_readme_puts_in_backticks_resolves():
+    # README names entry points and leaves the rules to their docstrings; this keeps the
+    # names it gives from drifting. `module.name` for a module of the package, and
+    # `Workspace.name` or `_FlipPass.name` for a class attribute, call arguments and file
+    # names (`model.py`) aside.
+    owners = {path.stem: importlib.import_module(f"bitsiege.{path.stem}")
+              for path in pathlib.Path(bs.__file__).parent.glob("*.py")
+              if path.name != "__init__.py"}
+    owners.update(Workspace=model.Workspace, _FlipPass=attack._FlipPass)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    spans = (re.fullmatch(r"(\w+)\.(\w+)(?:\(.*\))?", s)
+             for s in re.findall(r"`([^`\n]+)`", readme))
+    names = [m.groups() for m in spans if m and m[1] in owners and m[2] != "py"]
+    assert len(names) >= 8
+    assert [n for n in names if not hasattr(owners[n[0]], n[1])] == []
