@@ -51,6 +51,9 @@ class RandomBits:
 
 @dataclass(frozen=True)
 class GradientBaseline:
+    """The one-shot gradient ranking (`select_gradient_bits`). Its batch is the eval set's
+    first `batch_size` samples, 32 by default: it models an attacker who holds those
+    samples, not a held-out split."""
     batch_size: int = 32
     name = "gradient"
     reads_codes = True

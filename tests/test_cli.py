@@ -6,7 +6,8 @@ import pytest
 
 import bitsiege as bs
 from bitsiege import cli
-from bitsiege.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main, parse_config
+from bitsiege.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, parse_config
+from bitsiege.model import dataset_bytes
 
 from conftest import full_gemm_restarts
 
@@ -17,6 +18,8 @@ def workdir(tmp_path_factory, desk):
     d = tmp_path_factory.mktemp("cli")
     bs.save_model(desk["model"], d / "victim.model")
     bs.save_dataset(desk["test"], d / "test.data")
+    bs.save_trace(bs.run_attack(desk["qmodel"], 0.8, 0, bs.FL2R(), bs.ReconstructionMethod.CZR, 2,
+                                desk["test"]), d / "run.trace")
     return d
 
 
@@ -79,54 +82,12 @@ def test_train_never_replaces_another_runs_files(tmp_path, capsys, monkeypatch):
     assert len(trainings) == 3
 
 
-def test_train_rejects_more_classes_than_labels_hold(tmp_path, capsys):
-    cfg = write_cfg(tmp_path / "t.cfg", "classes = 257\ninput_shape = 1 32 32\nepochs = 1\n")
-    out = tmp_path / "out"
-    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "classes" in err[0]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("line", ["classes = 2", "input_shape = 1 4 4", "input_shape = 8 8",
-                                  "lr = 0", "train_seed = -1", "lr = 1e120"])
-def test_bad_train_config_is_one_error_line(tmp_path, capsys, line):
-    cfg = write_cfg(tmp_path / "t.cfg", f"per_class = 10\ntest_per_class = 2\nepochs = 2\n{line}\n")
-    out = tmp_path / "out"
-    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:"), err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key", ["noise", "lr"])
-def test_non_finite_noise_or_lr_is_refused_before_training(tmp_path, capsys, monkeypatch, key):
-    # noise = inf used to train on all-inf inputs, then report a diverged loss
-    monkeypatch.setattr(cli.synth, "train", lambda *a: pytest.fail("training started"))
-    cfg = write_cfg(tmp_path / "t.cfg", f"per_class = 10\ntest_per_class = 2\n{key} = inf\n")
-    out = tmp_path / "out"
-    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: train config: {key} must be finite"), err
-    assert not out.exists()
-
-
 def test_main_builds_one_parser_and_finds_each_command_at_call_time(monkeypatch, capsys):
     # a function bound over cli.cmd_<command> after the parser was built still runs
     parser, calls = cli.build_parser(), []
     monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args.command) or EXIT_OK)
     assert main(["verify"]) == EXIT_OK and calls == ["verify"]
     assert cli.build_parser() is parser
-
-
-def test_train_refuses_weights_beyond_float32(tmp_path, capsys):
-    # lr 1e6 does not make the loss non-finite, but grows weights past float32
-    cfg = write_cfg(tmp_path / "t.cfg", "per_class = 20\nepochs = 2\nlr = 1000000\n")
-    out = tmp_path / "out"
-    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "float32" in err[0], err
-    assert not out.exists()
 
 
 def test_quantize_command(workdir, tmp_path, capsys):
@@ -320,31 +281,6 @@ def test_sweep_and_report(workdir, tmp_path):
     assert len(summary) == 1 + 8  # nbf=4 keeps only flips=0 per configuration group
 
 
-@pytest.mark.parametrize("edit", [("nq 8", "nq 9"), ("rp 0.8", "rp 7.5"),
-                                  ("ranking fl2r", "ranking rand0m")])
-def test_report_rejects_trace_values_attack_would_not_accept(workdir, tmp_path, capsys, edit):
-    cfg = write_cfg(tmp_path / "a.cfg", f"""
-victim = {workdir / 'victim.model'}
-eval = {workdir / 'test.data'}
-nq = 8
-rp = 0.8
-ranking = fl2r
-recon = czr
-nbf = 2
-""")
-    out = tmp_path / "out"
-    assert main(["attack", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    (trace,) = out.glob("*.trace")
-    text = trace.read_text(encoding="utf-8")
-    assert f"\n{edit[0]}\n" in text
-    trace.write_text(text.replace(f"\n{edit[0]}\n", f"\n{edit[1]}\n"), encoding="utf-8")
-    capsys.readouterr()
-    assert main(["report", str(out)]) == EXIT_IO
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and str(trace) in err[0] and edit[0].split()[0] in err[0], err
-    assert not (out / "summary.csv").exists()
-
-
 def test_sweep_seed_base(workdir, tmp_path):
     cfg = sweep_cfg(workdir, tmp_path)
     out = tmp_path / "sb"
@@ -352,30 +288,6 @@ def test_sweep_seed_base(workdir, tmp_path):
     rows = (out / "results.csv").read_text().strip().splitlines()[1:]
     seeds = {r.split(",")[2] for r in rows}
     assert seeds == {"50", "51"}
-
-
-def test_usage_errors():
-    assert main(["attack"]) == EXIT_USAGE
-    assert main(["sweep", "--config", "/nonexistent.cfg", "--out", "/tmp/x"]) in (EXIT_USAGE, EXIT_IO)
-    assert main(["frobnicate"]) == EXIT_USAGE
-
-
-def test_missing_config_key(workdir, tmp_path):
-    cfg = write_cfg(tmp_path / "m.cfg", "victim = x\n")
-    assert main(["attack", "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
-
-
-def test_io_error_on_missing_model(tmp_path):
-    cfg = write_cfg(tmp_path / "c.cfg", f"""
-victim = {tmp_path / 'missing.model'}
-eval = {tmp_path / 'missing.data'}
-nq = 8
-rp = 1.0
-ranking = fl2r
-recon = czr
-nbf = 2
-""")
-    assert main(["attack", "--config", cfg, "--out", str(tmp_path)]) == EXIT_IO
 
 
 def test_verify_command(capsys):
@@ -392,154 +304,59 @@ def test_verify_command(capsys):
         "conv restarts: layer 0 full GEMM, layer 3 full GEMM")
 
 
+# Stand-ins that each break one invariant `bitsiege verify` checks: the check, where the
+# functions are, their names, the stand-in built from each, and how its FAIL line starts
+BREAKS = {
+    "czr": ("czr-oracle", cli, ["reconstruct_code"],
+            lambda f: lambda *a: f(*a) + (a[:3] == (5, 7, 8)),  # (known bits, mask, nq)
+            "CZR mismatch at nq=8 bits=00000101 mask=00000111"),
+    "delta": ("sign-flip-algebra", cli, ["flip_bit"], lambda f: lambda c, *a: f(c, *a) + (c == 3),
+              "sign-flip delta wrong at nq=4 c=3"),
+    "no-wrap": ("sign-flip-algebra", cli, ["flip_bit"], lambda f: lambda c, bit, nq: c + (1 << bit),
+                "top-quartile code 6 not mapped near zero at nq=4"),
+    "gradient": ("gradient-check", cli.synth, ["gradient"],
+                 lambda f: lambda *a: tuple([2 * g for g in gs] for gs in f(*a)),
+                 "analytic gradients vs central finite differences"),
+    "one-layer": ("incremental-eval", cli, ["select_vulnerable_bits", "select_random_bits"],
+                  lambda f: lambda *a: [r for r in f(*a) if r.layer == 2],
+                  "victim 0's lists do not start both below and at or above a layer"),
+    "logits": ("incremental-eval", cli, ["_score_flips"],
+               lambda f: lambda *a: [[b""] + scores[1:] for scores in f(*a)],
+               "incremental logits differ from the apply_flips reference after flip 0 of list 0"),
+    "new-pass": ("incremental-eval", cli.attack._FlipPass, ["serves"], lambda f: lambda *a: False,
+                 "the second victim's call built a new pass instead of re-aiming the first's"),
+    "accuracies": ("incremental-eval", cli, ["evaluate_flips"], lambda f: lambda *a: f(*a)[:-1],
+                   "incremental evaluator vs apply_flips + accuracy_quant over 60 flips"),
+}
+
+
+# czr-oracle, broken at its 2054th of 65,792 inputs, fails in milliseconds; a pass takes seconds
+@pytest.mark.parametrize("broken", [["czr"], ["czr", "delta", "gradient", "logits"],
+                                    ["czr", "no-wrap", "one-layer"], ["czr", "new-pass"],
+                                    ["czr", "accuracies"]], ids="+".join)
+def test_verify_fails_where_an_invariant_breaks(monkeypatch, capsys, broken):
+    for _, owner, names, stand_in, _ in map(BREAKS.get, broken):
+        for name in names:
+            monkeypatch.setattr(owner, name, stand_in(getattr(owner, name)))
+    assert main(["verify"]) == EXIT_VERIFY
+    fails = {BREAKS[key][0]: BREAKS[key][-1] for key in broken}
+    checks = ["czr-oracle", "sign-flip-algebra", "gradient-check", "incremental-eval"]
+    for line, check in zip(capsys.readouterr().out.splitlines(), checks, strict=True):
+        assert line.startswith(f"FAIL {check}: {fails[check]}" if check in fails else
+                               f"PASS {check}: "), line
+
+
 def test_train_accuracy_in_chunks_equals_one_pass(desk):
-    model, rng = desk["model"], np.random.default_rng(8)
-    arch = model.architecture
-    data = bs.Dataset(rng.standard_normal((280,) + arch.input_shape),  # 4 x 64 + 24
-                      rng.integers(0, arch.num_classes, 280))
-    assert cli._chunked_accuracy(model, data) == bs.accuracy(model, data)
-
-
-@pytest.mark.parametrize("line", ["rp = abc", "nq = 5", "nbf = 99999"])
-def test_bad_config_value_is_one_error_line(workdir, tmp_path, capsys, line):
-    values = {"nq": "8", "rp": "0.8", "nbf": "5"}
-    key, _, value = line.partition(" = ")
-    values[key] = value
-    cfg = write_cfg(tmp_path / "bad.cfg", f"""
-victim = {workdir / 'victim.model'}
-eval = {workdir / 'test.data'}
-ranking = fl2r
-recon = czr
-""" + "".join(f"{k} = {v}\n" for k, v in values.items()))
-    assert main(["attack", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
-
-
-@pytest.mark.parametrize("command", ["attack", "sweep"])
-def test_gradient_shortfall_is_one_error_line(workdir, tmp_path, capsys, command, desk):
-    nbf = sum(w.size for w in desk["model"].weights)  # far more than are gradient-aligned
-    cfg = write_cfg(tmp_path / "g.cfg", f"""
-victim = {workdir / 'victim.model'}
-eval = {workdir / 'test.data'}
-nq = 8
-rp = 0.8
-seeds = 0
-ranking = gradient
-recon = czr
-nbf = {nbf}
-""")
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "gradient-aligned" in err[0]
-
-
-def test_bad_model_file_exits_io(workdir, tmp_path, capsys):
-    blob = (workdir / "victim.model").read_bytes()
-    non_utf8 = tmp_path / "header.model"
-    non_utf8.write_bytes(blob.replace(b"classes 4", b"classes \xff", 1))
-    non_finite = tmp_path / "nan.model"
-    body = blob.index(b"end-header\n") + len(b"end-header\n")
-    first = body + 4 + 4 * 4  # ndim and four dims of the first weight tensor
-    non_finite.write_bytes(blob[:first] + np.array([np.nan], dtype="<f4").tobytes() + blob[first + 4:])
-    # header lines: a field given twice, surplus values, a negative layer field
-    where = {non_utf8: "", non_finite: ""}
-    for name, old, new, line in [("twice", b"classes 4\n", b"classes 4\nclasses 4\n", 4),
-                                 ("surplus", b"classes 4\n", b"classes 4 7\n", 3),
-                                 ("negative", b"layer maxpool 2\n", b"layer maxpool -2\n", 6)]:
-        where[tmp_path / f"{name}.model"] = f" line {line}:"
-        (tmp_path / f"{name}.model").write_bytes(blob.replace(old, new, 1))
-    for path, at in where.items():
-        rc = main(["quantize", "--model", str(path), "--nq", "8", "--out", str(tmp_path / "q")])
-        assert rc == EXIT_IO
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and f"{path}{at}" in err[0], err
-
-
-@pytest.mark.parametrize("command, line, argv", [
-    ("attack", "seeds = -3", []), ("sweep", "seeds = 0 -3", []),
-    ("sweep", "seeds = 0 1", ["--seed-base", "-3"])])
-def test_negative_seed_is_one_error_line(workdir, tmp_path, capsys, command, line, argv):
-    cfg = write_cfg(tmp_path / "neg.cfg", f"""
-victim = {workdir / 'victim.model'}
-eval = {workdir / 'test.data'}
-nq = 8
-rp = 0.8
-ranking = gradient
-recon = czr
-nbf = 3
-{line}
-""")
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out), *argv]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "seeds" in err[0], err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, line", [
-    ("attack", "batch = -5"), ("sweep", "batch = -5"), ("attack", "batch = 4"),
-    ("sweep", "bacth = 3"), ("train", "bacth = 3"), ("train", "victim = v.model")])
-def test_unknown_config_key_is_one_error_line(workdir, tmp_path, capsys, command, line):
-    valid = ("per_class = 10\nepochs = 1\n" if command == "train" else
-             f"victim = {workdir / 'victim.model'}\neval = {workdir / 'test.data'}\n"
-             "nq = 8\nrp = 0.8\nranking = fl2r\nrecon = czr\nnbf = 3\n")
-    cfg = write_cfg(tmp_path / "k.cfg", f"{valid}{line}\n")
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    key = line.split()[0]
-    assert len(err) == 1 and err[0].startswith("error:") and repr(key) in err[0], err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, lines", [
-    ("attack", "nbf = 5\nnbf = 6\n"), ("sweep", "nbf = 5\n# a comment\n\nnbf = 6\n"),
-    ("train", "epochs = 1\nlr = 0.1\nepochs = 2\n")])
-def test_repeated_config_key_is_one_error_line(workdir, tmp_path, capsys, command, lines):
-    valid = ("per_class = 10\n" if command == "train" else
-             f"victim = {workdir / 'victim.model'}\neval = {workdir / 'test.data'}\n"
-             "nq = 8\nrp = 0.8\nranking = fl2r\nrecon = czr\n")
-    cfg = write_cfg(tmp_path / "d.cfg", valid + lines)
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    first = valid.count("\n") + 1
-    key, last = lines.split()[0], first + lines.count("\n") - 1
-    assert err == [f"error: {cfg} line {last}: config key {key!r} already set on line {first}"]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["attack", "sweep", "train"])
-def test_config_that_is_not_utf8_is_one_error_line(workdir, tmp_path, capsys, command):
-    valid = ("per_class = 10\nepochs = 1\n" if command == "train" else
-             f"eval = {workdir / 'test.data'}\nnq = 8\nrp = 0.8\nranking = fl2r\n"
-             "recon = czr\nnbf = 3\n")
-    cfg = tmp_path / "u.cfg"
-    cfg.write_bytes(valid.encode("utf-8") + b"victim = a\xff\n")
-    out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    line = valid.count("\n") + 1
-    assert len(err) == 1 and err[0].startswith("error:") and f"{cfg} line {line}" in err[0], err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, line", [
-    ("attack", "nq = 8 4"), ("attack", "rp = 0.5 1.0"), ("attack", "seeds = 0 1"),
-    ("attack", "nbf = 3 4"), ("sweep", "nbf = 3 4"), ("sweep", "victim = a.model b.model")])
-def test_several_values_where_one_is_taken_is_one_error_line(workdir, tmp_path, capsys, command,
-                                                             line):
-    values = {"victim": str(workdir / "victim.model"), "eval": str(workdir / "test.data"),
-              "nq": "8", "rp": "0.8", "seeds": "0", "ranking": "fl2r", "recon": "czr", "nbf": "3"}
-    key, _, value = line.partition(" = ")
-    values[key] = value
-    cfg = write_cfg(tmp_path / "m.cfg", "".join(f"{k} = {v}\n" for k, v in values.items()))
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:"), err
-    assert not out.exists()
+    # the desk victim on 4 x 64 + 24 samples, and one trained at 1x16x16 on the rest of
+    # examples/train.cfg (SynthSpec's and TrainConfig's defaults) on 12 x 64 + 32
+    spec = bs.SynthSpec(input_shape=(1, 16, 16))
+    model16 = bs.train(bs.desk_architecture(spec.classes, spec.input_shape),
+                       bs.gen_synthetic(spec)[0], bs.TrainConfig())
+    for model, n in ((desk["model"], 280), (model16, 800)):
+        rng, arch = np.random.default_rng(8), model.architecture
+        data = bs.Dataset(rng.standard_normal((n, *arch.input_shape)),
+                          rng.integers(0, arch.num_classes, n))
+        assert cli._chunked_accuracy(model, data) == bs.accuracy(model, data), arch.input_shape
 
 
 def test_sweep_reads_each_input_once(workdir, tmp_path, monkeypatch):
@@ -614,17 +431,6 @@ def test_sweep_shares_recovery_surrogates_and_baseline_per_group(workdir, tmp_pa
     # at rp 1.0, where every recon gives the victim's codes
     assert calls == {"simulate_recovery": 8, "reconstruct_model": 24, "Workspace": 2,
                      "aim victim_pass": 1, "aim batch_pass": 15}
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_is_one_error_line(tmp_path, capsys, jobs):
-    out = tmp_path / "out"
-    # the config does not exist: the check comes before anything is read
-    argv = ["sweep", "--config", str(tmp_path / "missing.cfg"), "--out", str(out), "--jobs", jobs]
-    assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "--jobs" in err[0], err
-    assert not out.exists()
 
 
 class FakePool:
@@ -733,94 +539,6 @@ def test_train_config_keys_set_the_dataclass_fields(tmp_path, lines, spec, tc):
     assert (out / "test.data").read_bytes() == (tmp_path / "ref.data").read_bytes()
 
 
-@pytest.mark.parametrize("command, ranking, inputs, label", [
-    ("attack", "fl2r", np.zeros((0, 1, 8, 8)), 0), ("sweep", "fl2r", np.zeros((0, 1, 8, 8)), 0),
-    ("attack", "fl2r", np.zeros((3, 1, 16, 16)), 0), ("sweep", "fl2r", np.zeros((3, 1, 16, 16)), 0),
-    # the desk victim has 4 classes
-    ("attack", "fl2r", np.zeros((3, 1, 8, 8)), 4), ("attack", "gradient", np.zeros((3, 1, 8, 8)), 4),
-    ("sweep", "fl2r", np.zeros((3, 1, 8, 8)), 4)],
-    ids=["empty-attack", "empty-sweep", "wrong-shape-attack", "wrong-shape-sweep",
-         "label-attack", "label-attack-gradient", "label-sweep"])
-def test_eval_set_the_victim_cannot_run_is_one_error_line(workdir, tmp_path, capsys, command,
-                                                          ranking, inputs, label):
-    eval_path = tmp_path / "bad.data"
-    bs.save_dataset(bs.Dataset(inputs, np.full(len(inputs), label)), eval_path)
-    cfg = write_cfg(tmp_path / "e.cfg", f"""
-victim = {workdir / 'victim.model'}
-eval = {eval_path}
-nq = 8
-rp = 0.8
-ranking = {ranking}
-recon = czr
-nbf = 3
-""")
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and str(eval_path) in err[0], err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, line", [
-    ("attack", "seeds = 0 0"), ("attack", "ranking = fl2r fl2r"), ("sweep", "seeds = 0 1 0"),
-    ("sweep", "rp = 0.5 0.50"), ("sweep", "ranking = fl2r random fl2r"),
-    ("sweep", "recon = czr czr")])
-def test_repeated_axis_value_is_one_error_line(workdir, tmp_path, capsys, command, line):
-    values = {"victim": str(workdir / "victim.model"), "eval": str(workdir / "test.data"),
-              "nq": "8", "rp": "0.8", "seeds": "0", "ranking": "fl2r", "recon": "czr", "nbf": "3"}
-    key, _, value = line.partition(" = ")
-    values[key] = value
-    cfg = write_cfg(tmp_path / "r.cfg", "".join(f"{k} = {v}\n" for k, v in values.items()))
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {key} ") and "distinct" in err[0], err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["attack", "sweep"])
-@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
-def test_out_that_cannot_be_a_directory_fails_before_any_run(workdir, tmp_path, capsys,
-                                                             monkeypatch, command, under):
-    runs = []
-    monkeypatch.setattr(cli, "run_attacks", lambda *a: runs.append(a))
-    cfg = write_cfg(tmp_path / "o.cfg", f"""
-victim = {workdir / 'victim.model'}
-eval = {workdir / 'test.data'}
-nq = 8
-rp = 0.8
-ranking = fl2r
-recon = czr
-nbf = 3
-""")
-    blocker = tmp_path / "taken"
-    blocker.write_text("not a directory\n", encoding="utf-8")
-    out = blocker / "sub" if under else blocker
-    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_IO
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("i/o error:") and str(out) in err[0], err
-    assert runs == []
-    assert sorted(os.listdir(tmp_path)) == ["o.cfg", "taken"]
-    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
-
-
-@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
-def test_train_out_that_cannot_be_a_directory_fails_before_training(tmp_path, capsys,
-                                                                   monkeypatch, under):
-    calls = []
-    monkeypatch.setattr(cli.synth, "train", lambda *a: calls.append(a))
-    cfg = write_cfg(tmp_path / "t.cfg", "per_class = 10\ntest_per_class = 2\nepochs = 1\n")
-    blocker = tmp_path / "taken"
-    blocker.write_text("not a directory\n", encoding="utf-8")
-    out = blocker / "sub" if under else blocker
-    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_IO
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("i/o error:") and str(out) in err[0], err
-    assert calls == []
-    assert sorted(os.listdir(tmp_path)) == ["t.cfg", "taken"]
-    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
-
-
 def test_report_summarizes_the_flips_every_trace_of_a_group_reaches(workdir, tmp_path):
     out = tmp_path / "mixed"
     for nbf, seed in ((20, 0), (12, 1)):
@@ -843,3 +561,206 @@ nbf = {nbf}
     assert summary == ["nq,rp,ranking,recon,flips,mean_accuracy"] + [
         f"8,0.8,fl2r,czr,{f},{float(np.mean([t.accuracies[f] for t in traces]))!r}"
         for f in (0, 10)]
+
+
+# The valid configs that the rows of REFUSALS, every input the CLI refuses, edit
+RUN = "victim = {victim}\neval = {eval}\nnq = 8\nrp = 0.8\nranking = fl2r\nrecon = czr\nnbf = 3"
+TRAIN = "per_class = 10\ntest_per_class = 2\nepochs = 1"
+
+
+def row(id, argv, files, code, text, before=True):
+    """`argv`, run with `files` written under {tmp}: its exit `code`, `text` and `before`."""
+    return pytest.param((argv, files, code, text, before), id=id)
+
+
+def on(cmd, lines, code, text, args="--out {tmp}/out", files=(), before=True, id=None):
+    """A row: `cmd` on its valid config with `lines` last, in place of the keys' lines."""
+    keys = {line.split("=")[0].strip() for line in lines.split("\n")}
+    kept = [l for l in (TRAIN if cmd == "train" else RUN).split("\n") if l.split()[0] not in keys]
+    return row(id or f"{cmd} {lines}".replace("\n", "; "), f"{cmd} --config {{tmp}}/c.cfg {args}",
+               {"c.cfg": "\n".join(kept + [lines, ""]), **dict(files)}, code, text, before)
+
+
+def edited(name, old, new):
+    """The workdir's `name` with its first `old` replaced by `new` (`new` appended if no `old`)."""
+    return lambda d: (lambda b: b.replace(old, new, 1) if old else b + new)((d / name).read_bytes())
+
+
+def out_taken(cmd, ids):
+    """The rows of `cmd` with an --out that is, or is under, a file: one per id in `ids`."""
+    return [on(cmd, "", 3, f"{text}: '{{tmp}}/{out}'", args=f"--out {{tmp}}/{out}",
+               files={"taken": "not a directory\n"}, id=id) for id, out, text in zip(ids, [
+        "taken", "taken/sub"], ["[Errno 17] File exists", "[Errno 20] Not a directory"])]
+
+
+DIMS = np.array([4, 8, 1, 3, 3], "<u4").tobytes()  # the shape record of the victim's conv1
+ARCH = "line 11: inconsistent architecture: "
+REFUSALS = {  # the test that runs them: its rows
+  "test_refusal": [
+    on("train", "classes = 257\ninput_shape = 1 32 32", 1, "classes must be <= 256: .data files"),
+    *[on("train", f"{key} = inf", 1, f"train config: {key} must be finite")
+      for key in ("noise", "lr")],
+    on("train", "per_class = 20\nepochs = 2\nlr = 1000000", 1, "float32", before=False),
+    *[row(f"report {new.decode()}", "report {tmp}", {"t.trace": edited("run.trace", old, new)}, 3,
+          f"{{tmp}}/t.trace: {text}") for old, new, text in [
+        (b"nq 8", b"nq 9", "nq must be one of (4, 6, 8), got 9"),
+        (b"rp 0.8", b"rp 7.5", "rp must be in [0, 1], got 7.5"),
+        (b"ranking fl2r", b"ranking rand0m", "ranking must be one of fl2r, random, gradient")]],
+    row("report no traces", "report {tmp}", {}, 1, "no .trace files in {tmp}"),
+    row("attack", "attack", {}, 1, "the following arguments are required: --config, --out"),
+    row("frobnicate", "frobnicate", {}, 1, "invalid choice: 'frobnicate'"),
+    row("sweep missing config", "sweep --config {tmp}/m.cfg --out {tmp}/o", {}, 3,
+        "No such file or directory: '{tmp}/m.cfg'"),
+    *[row(f"sweep --jobs {j}", f"sweep --config {{tmp}}/m.cfg --out {{tmp}}/o --jobs {j}", {}, 1,
+          f"--jobs must be >= 1, got {j}") for j in (0, -3)],
+    row("attack victim = x only", "attack --config {tmp}/c.cfg --out {tmp}/out",
+        {"c.cfg": "victim = x\n"}, 1, "config missing key 'nq'"),
+    on("attack", "victim", 1, "{tmp}/c.cfg line 7: expected 'key = value'"),
+    *[on(c, "victim = a\udcff", 1, f"{{tmp}}/c.cfg line {n}: not UTF-8 text")
+      for c, n in (("attack", 7), ("sweep", 7), ("train", 4))],
+    *[on(c, lines, 1, f"{{tmp}}/c.cfg line {n}: config key {lines.split()[0]!r} already set on "
+         f"line {first}") for c, lines, first, n in [("attack", "nbf = 5\nnbf = 6", 7, 8),
+        ("sweep", "nbf = 5\n# a comment\n\nnbf = 6", 7, 10),
+        ("train", "epochs = 1\nlr = 0.1\nepochs = 2", 3, 5)]],
+    on("attack", "rp = abc", 1, "config key 'rp': 'abc' is not a valid float"),
+    on("attack", "nq = 5", 1, "nq must be one of (4, 6, 8), got 5"),
+    on("attack", "nbf = 99999", 1, "nbf for {victim}: "),
+    on("attack", "seeds = -3", 1, "seeds must be >= 0, got -3"),
+    on("sweep", "seeds = 0 -3", 1, "seeds must be >= 0, got -3"),
+    on("sweep", "seeds = 0 1", 1, "seeds must be >= 0, got -3", args="--out {tmp}/o --seed-base -3",
+       id="sweep --seed-base -3"),
+    on("attack", "victim = {tmp}/v.model\neval = {tmp}/e.data", 3,
+       "No such file or directory: '{tmp}/v.model'"),
+    *[row(f"quantize {text.split(': ')[-1]}", "quantize --model {tmp}/m.model --nq 8 --out "
+          "{tmp}/q", {"m.model": edited("victim.model", old, new)}, 3, f"{{tmp}}/m.model {text}")
+      for old, new, text in [
+        (b"classes 4", b"classes \xff", "byte 44: not UTF-8 text"),
+        (DIMS, DIMS + np.array([np.nan], "<f4").tobytes(), "byte 193: non-finite value"),
+        (b"classes 4\n", b"classes 4\nclasses 4\n", "line 4: 'classes' already set on line 3"),
+        (b"classes 4\n", b"classes 4 7\n", "line 3: malformed line 'classes 4 7'"),
+        (b"maxpool 2", b"maxpool -2", "line 6: malformed line 'layer maxpool -2': negative value"),
+        (b"", b"\0\0", "byte 5513: 2 trailing bytes"),
+        (DIMS, np.array([4, 9, 1, 3, 3], "<u4").tobytes(),
+         "byte 193: tensor shape (9, 1, 3, 3) != expected (8, 1, 3, 3)"),
+        (b"conv2d 1 8 3 1 0", b"conv2d 1 8 3 0 0", ARCH + "conv2d dimensions must be positive"),
+        (b"dense 16 4", b"dense 16 0", ARCH + "dense dimensions must be positive"),
+        (b"input_shape 1 8 8", b"input_shape 1 0 8", ARCH + "input dimensions must be positive"),
+        (b"classes 4", b"classes 3", ARCH + "final output shape (4,) != (3,)")]],
+    *[on(c, "ranking = gradient\nnbf = 1288", 1, "gradient-aligned", before=False)  # every weight
+      for c in ("attack", "sweep")]],
+  "test_bad_train_config_is_one_error_line": [
+    *[on("train", line, 1, f"train config: {text}", id=line) for line, text in [
+        ("classes = 2", "need >= 4 classes"), ("input_shape = 1 4 4", "conv2d kernel 3 too large"),
+        ("input_shape = 8 8", "the desk architecture needs a (C, H, W) input shape"),
+        ("lr = 0", "lr must be finite and > 0, got 0.0"),
+        ("train_seed = -1", "seed must be >= 0")]],
+    on("train", "lr = 1e120", 1, "training diverged", before=False, id="lr = 1e120")],
+  "test_unknown_config_key_is_one_error_line": [
+    on(c, line, 1, f"{{tmp}}/c.cfg line {n}: unknown config key {line.split()[0]!r}",
+       id=f"{c}-{line}")
+    for c, line, n in (("attack", "batch = -5", 8), ("sweep", "batch = -5", 8),
+                       ("attack", "batch = 4", 8), ("sweep", "bacth = 3", 8),
+                       ("train", "bacth = 3", 4), ("train", "victim = v.model", 4))],
+  "test_several_values_where_one_is_taken_is_one_error_line": [
+    *[on("attack", line, 1, "attack takes one value per key, but the config gives 2 runs",
+         id=f"attack-{line}") for line in ("nq = 8 4", "rp = 0.5 1.0", "seeds = 0 1")],
+    *[on(c, line, 1, f"config key {line.split()[0]!r} takes one value, got 2", id=f"{c}-{line}")
+      for c, line in (("attack", "nbf = 3 4"), ("sweep", "nbf = 3 4"),
+                      ("sweep", "victim = a.model b.model"))]],
+  "test_repeated_axis_value_is_one_error_line": [
+    on(c, line, 1, f"{line.split()[0]} must list distinct values", id=f"{c}-{line}")
+    for c, line in (
+        ("attack", "seeds = 0 0"), ("attack", "ranking = fl2r fl2r"), ("sweep", "seeds = 0 1 0"),
+        ("sweep", "rp = 0.5 0.50"), ("sweep", "ranking = fl2r random fl2r"),
+        ("sweep", "recon = czr czr"))],
+  "test_eval_set_the_victim_cannot_run_is_one_error_line": [
+    on(c, f"eval = {{tmp}}/e.data\nranking = {r}", 1, f"eval set {{tmp}}/e.data for {{victim}}: "
+       f"{text}", id=f"{kind}-{c}" + "-gradient" * (r == "gradient"), files={"e.data": (
+           dataset_bytes(bs.Dataset(np.zeros((n, 1, size, size)), np.full(n, label)), "e"))})
+    for kind, n, size, label, text in [
+        ("empty", 0, 8, 0, "needs one or more (1, 8, 8) inputs, got 0 of shape (1, 8, 8)"),
+        ("wrong-shape", 3, 16, 0, "needs one or more (1, 8, 8) inputs, got 3 of shape (1, 16, 16)"),
+        ("label", 3, 8, 4, "labels must be in [0, 4), got 4 to 4")]
+    for c, r in [("attack", "fl2r"), ("sweep", "fl2r")] + [("attack", "gradient")] * (label > 0)],
+  "test_out_that_cannot_be_a_directory_fails_before_any_run": [
+    *out_taken("attack", ["file-attack", "under-file-attack"]),
+    *out_taken("sweep", ["file-sweep", "under-file-sweep"])],
+  "test_train_out_that_cannot_be_a_directory_fails_before_training":
+    out_taken("train", ["file", "under-file"]),
+}
+
+
+@pytest.fixture
+def refuse(workdir, tmp_path, capsys, monkeypatch):
+    def check(argv, files, code, text, before):
+        """Exit `code`, one stderr line (`error:` for 1, `i/o error:` for 3) holding `text`, no
+        stdout, nothing under tmp_path made or changed, and a run only if not refused `before`."""
+        runs = []
+        for owner, name in ((cli, "run_attacks"), (cli.synth, "train")):
+            f = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, f=f: runs.append(a) or f(*a))
+        at = {"tmp": tmp_path, "victim": workdir / "victim.model", "eval": workdir / "test.data"}
+        for name, content in files.items():  # a config's "\udcff" is written as the byte 0xff
+            if isinstance(content, str):
+                content = content.format(**at).encode("utf-8", "surrogateescape")
+            (tmp_path / name).write_bytes(content(workdir) if callable(content) else content)
+
+        def tree():
+            return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+        held, _ = tree(), capsys.readouterr()
+        assert main(argv.format(**at).split()) == code
+        out, err = capsys.readouterr()
+        prefix = {EXIT_USAGE: "error: ", EXIT_IO: "i/o error: "}[code]
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith(prefix), err
+        assert text.format(**at) in err, err
+        assert tree() == held and (runs == []) == before
+    return check
+
+
+def refusals(test):
+    """`test`, run on each of the rows that REFUSALS holds under its name."""
+    return pytest.mark.parametrize("case", REFUSALS[test.__name__])(test)
+
+
+@refusals
+def test_refusal(refuse, case):
+    refuse(*case)
+
+
+@refusals
+def test_bad_train_config_is_one_error_line(refuse, case):
+    refuse(*case)
+
+
+@refusals
+def test_unknown_config_key_is_one_error_line(refuse, case):
+    refuse(*case)
+
+
+@refusals
+def test_several_values_where_one_is_taken_is_one_error_line(refuse, case):
+    refuse(*case)
+
+
+@refusals
+def test_repeated_axis_value_is_one_error_line(refuse, case):
+    refuse(*case)
+
+
+@refusals
+def test_eval_set_the_victim_cannot_run_is_one_error_line(refuse, case):
+    refuse(*case)
+
+
+@refusals
+def test_out_that_cannot_be_a_directory_fails_before_any_run(refuse, case):
+    refuse(*case)
+
+
+@refusals
+def test_train_out_that_cannot_be_a_directory_fails_before_training(refuse, case):
+    refuse(*case)
+
+
+def test_every_row_of_refusals_is_run():
+    assert all(name in globals() for name in REFUSALS)
