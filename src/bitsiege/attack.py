@@ -83,11 +83,12 @@ RUN_CONFIG = {
 
 
 def check_config(key, value, name=None):
-    """Raise ValueError unless a run accepts `value` for the RUN_CONFIG key `key`; the
+    """`value`; raise ValueError unless a run accepts it for the RUN_CONFIG key `key`. The
     message calls the key `name`, by default `key`."""
     _, accepts, rule = RUN_CONFIG[key]
     if not accepts(value):
         raise ValueError(f"{name or key} must be {rule}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -457,12 +458,12 @@ def save_trace(trace: AttackTrace, path):
 def load_trace(path) -> AttackTrace:
     with open(path, "rb") as file:
         blob = file.read()
-    grammar = {**{k: (t, 1, False) for k, (t, _, _) in RUN_CONFIG.items()},
+    # a run-config value a run would not accept is refused at its line
+    grammar = {**{k: (lambda words, k=k, t=t: (check_config(k, t(*words)),), 1, False)
+                  for k, (t, _, _) in RUN_CONFIG.items()},
                "flip": (int, 4, True), "acc": (float, 1, True)}
     try:
         f = read_fields(magic_lines(blob, TRACE_MAGIC), grammar)
-        for k in RUN_CONFIG:
-            check_config(k, f[k])
         if len(f["flip"]) != f["nbf"] or len(f["acc"]) != f["nbf"] + 1:
             raise ValueError(f"nbf {f['nbf']} with {len(f['flip'])} flip and {len(f['acc'])} "
                              "acc lines; expected nbf flips and nbf+1 accs")

@@ -333,13 +333,18 @@ def cmd_report(args):
 
 
 def _verify_czr():
-    for nq in (4, 8):
+    count = 0  # reconstruct_code and the oracle read only a mask and its recovered bits
+    for nq in BITWIDTHS:
         for mask in range(1 << nq):
-            for bits in range(1 << nq):
-                got = reconstruct_code(bits & mask, mask, nq, ReconstructionMethod.CZR)
-                if got != oracle_min_abs(bits, mask, nq):
-                    return False, f"CZR mismatch at nq={nq} bits={bits:08b} mask={mask:08b}"
-    return True, "closer-to-zero completion matches exhaustive oracle (4-bit and 8-bit, all pairs)"
+            known = mask
+            for _ in range(1 << mask.bit_count()):  # every pattern of the recovered bits
+                count += 1
+                got = reconstruct_code(known, mask, nq, ReconstructionMethod.CZR)
+                if got != oracle_min_abs(known, mask, nq):
+                    return False, f"CZR mismatch at nq={nq} bits={known:0{nq}b} mask={mask:0{nq}b}"
+                known = known - 1 & mask
+    return True, ("closer-to-zero completion matches exhaustive oracle on every partial 4-, "
+                  f"6- and 8-bit code ({count} mask/bit pairs)")
 
 
 def _verify_sign_flip():
@@ -355,27 +360,31 @@ def _verify_sign_flip():
 
 def _verify_gradient():
     rng = np.random.default_rng(5)
-    arch = Architecture((Conv2D(1, 2, 3), ReLU(), MaxPool(2), Conv2D(2, 3, 3), ReLU(),
-                         Flatten(), Dense(3, 3)), (1, 8, 8), 3)
-    ws = [rng.standard_normal(weight_shape(l)) * 0.5 for _, l in arch.parametric_layers()]
-    bsz = [rng.standard_normal(filter_count(l)) * 0.1 for _, l in arch.parametric_layers()]
-    inputs = rng.standard_normal((4, 1, 8, 8))
-    labels = np.array([0, 1, 2, 1])
-    dws, _ = synth.gradient(FloatModel(arch, ws, bsz), inputs, labels)
-    step = 1e-3
-    worst = 0.0
-    for p, dw in enumerate(dws):
-        flat = ws[p].reshape(-1)
-        for i in range(flat.size):
-            mod = [w.copy() for w in ws]
-            mod[p].reshape(-1)[i] = flat[i] + step
-            up = synth.batch_loss(FloatModel(arch, mod, bsz), inputs, labels)
-            mod[p].reshape(-1)[i] = flat[i] - step
-            down = synth.batch_loss(FloatModel(arch, mod, bsz), inputs, labels)
-            fd = (up - down) / (2 * step)
-            worst = max(worst, abs(dw.reshape(-1)[i] - fd) / max(1.0, abs(fd)))
-    return worst <= 1e-4, ("analytic gradients vs central finite differences: "
-                           f"worst rel err {worst:.2e} (limit 1e-4)")
+    conv = (Conv2D(1, 2, 3), ReLU(), MaxPool(2))
+    archs = [  # two convs; a pool under the head; a padded strided conv; dense layers only
+        Architecture(conv + (Conv2D(2, 3, 3), ReLU(), Flatten(), Dense(3, 3)), (1, 8, 8), 3),
+        Architecture(conv + (Flatten(), Dense(2, 3)), (1, 4, 4), 3),
+        Architecture((Conv2D(1, 2, 3, 2, 1), *conv[1:], Flatten(), Dense(8, 3)), (1, 8, 8), 3),
+        Architecture((Flatten(), Dense(16, 5), ReLU(), Dense(5, 3)), (1, 4, 4), 3)]
+    labels, step, worst = np.array([0, 1, 2, 1]), 1e-3, 0.0
+    for arch in archs:
+        ws = [rng.standard_normal(weight_shape(l)) * 0.5 for _, l in arch.parametric_layers()]
+        bsz = [rng.standard_normal(filter_count(l)) * 0.1 for _, l in arch.parametric_layers()]
+        inputs = rng.standard_normal((4, *arch.input_shape))
+        dws, dbs = synth.gradient(FloatModel(arch, ws, bsz), inputs, labels)
+        params, n = ws + bsz, len(ws)  # the weights, then the biases
+        for p, grad in enumerate(dws + dbs):
+            flat = params[p].reshape(-1)
+            for i in range(flat.size):
+                mod = [a.copy() for a in params]
+                mod[p].reshape(-1)[i] = flat[i] + step
+                up = synth.batch_loss(FloatModel(arch, mod[:n], mod[n:]), inputs, labels)
+                mod[p].reshape(-1)[i] = flat[i] - step
+                down = synth.batch_loss(FloatModel(arch, mod[:n], mod[n:]), inputs, labels)
+                fd = (up - down) / (2 * step)
+                worst = max(worst, abs(grad.reshape(-1)[i] - fd) / max(1.0, abs(fd)))
+    return worst <= 1e-4, ("analytic weight and bias gradients vs central finite differences "
+                           f"on {len(archs)} architectures: worst rel err {worst:.2e} (limit 1e-4)")
 
 
 def _verify_incremental():

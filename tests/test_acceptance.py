@@ -1,12 +1,14 @@
 """Acceptance gate: one test per release criterion, each printing a pass/fail line."""
+import contextlib
+import io
+import re
 import time
 
 import numpy as np
 import pytest
 
 import bitsiege as bs
-from bitsiege.cli import (EXIT_OK, _verify_czr, _verify_gradient, _verify_incremental,
-                          _verify_sign_flip, main)
+from bitsiege.cli import EXIT_OK, main
 from bitsiege.quantize import code_range
 from bitsiege.reconstruct import ReconstructionMethod
 
@@ -20,17 +22,33 @@ def report(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def test_c01_czr_equals_exhaustive_oracle():
+@pytest.fixture(scope="module")
+def verify_run():
+    """`bitsiege verify`, run once for criteria 01, 02, 04 and 11: its exit code, its wall
+    time, and its lines by check name."""
+    out = io.StringIO()
     t0 = time.time()
-    ok, detail = _verify_czr()
+    with contextlib.redirect_stdout(out):
+        rc = main(["verify"])
     elapsed = time.time() - t0
-    report("criterion-01 czr-oracle-equivalence", ok and elapsed < 30.0,
-           f"({detail}, {elapsed:.1f}s)")
+    lines = {line.split(":")[0].split()[1]: line for line in out.getvalue().splitlines()}
+    return rc, elapsed, lines
 
 
-def test_c02_sign_bit_algebra():
-    ok, detail = _verify_sign_flip()
-    report("criterion-02 sign-bit-algebra", ok, f"({detail})")
+def test_c01_czr_equals_exhaustive_oracle(verify_run):
+    rc, elapsed, lines = verify_run
+    line = lines["czr-oracle"]
+    # verify runs its four checks, in order, and exits 0
+    whole = rc == EXIT_OK and list(lines) == ["czr-oracle", "sign-flip-algebra",
+                                             "gradient-check", "incremental-eval"]
+    report("criterion-01 czr-oracle-equivalence",
+           line.startswith("PASS") and "4-, 6- and 8-bit" in line and whole and elapsed < 30.0,
+           f"({line}; bitsiege verify {elapsed:.1f}s)")
+
+
+def test_c02_sign_bit_algebra(verify_run):
+    line = verify_run[2]["sign-flip-algebra"]
+    report("criterion-02 sign-bit-algebra", line.startswith("PASS"), f"({line})")
 
 
 def test_c03_quantization_round_trip():
@@ -46,9 +64,9 @@ def test_c03_quantization_round_trip():
     report("criterion-03 quantization-round-trip", worst <= 1e-9, f"(slack={worst:.2e})")
 
 
-def test_c04_gradient_correctness():
-    ok, detail = _verify_gradient()
-    report("criterion-04 gradient-correctness", ok, f"({detail})")
+def test_c04_gradient_correctness(verify_run):
+    line = verify_run[2]["gradient-check"]
+    report("criterion-04 gradient-correctness", line.startswith("PASS"), f"({line})")
 
 
 def test_c05_fl2r_beats_random(desk):
@@ -145,6 +163,9 @@ def test_c10_no_duplicate_and_involution_fuzz():
            dup_free and involution, f"(dup_free={dup_free}, involution={involution})")
 
 
-def test_c11_incremental_equals_reference():
-    ok, detail = _verify_incremental()
-    report("criterion-11 incremental-equals-reference", ok, f"({detail})")
+def test_c11_incremental_equals_reference(verify_run):
+    line = verify_run[2]["incremental-eval"]  # which names the GEMM each conv restart ran
+    named = re.search(r"conv restarts: layer 0 (two-row block|full GEMM), "
+                      r"layer 3 (two-row block|full GEMM)$", line)
+    report("criterion-11 incremental-equals-reference", line.startswith("PASS") and named,
+           f"({line})")

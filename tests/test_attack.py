@@ -75,15 +75,6 @@ def test_selection_order_scale_invariant(desk):
     assert bs.select_vulnerable_bits(q, 30) == bs.select_vulnerable_bits(scaled, 30)
 
 
-def test_no_duplicates_fuzz():
-    rng = np.random.default_rng(1234)
-    for _ in range(50):
-        q = random_qmodel(rng)
-        n_bf = int(rng.integers(1, 20))
-        records = bs.select_vulnerable_bits(q, n_bf)
-        assert len(set(records)) == len(records) == n_bf
-
-
 def fl2r_reference(q, n_bf):
     """Literal FL2R: on every pick, rescore every filter of the working copy from scratch
     (L2 norm over size; a filter with every weight taken is out), take the top filter's
@@ -142,14 +133,6 @@ def test_fl2r_matches_literal_reference_with_ties(data):
     total = sum(c.size for c in q.codes)
     n_bf = data.draw(st.integers(1, total) | st.just(total))
     assert bs.select_vulnerable_bits(q, n_bf) == fl2r_reference(q, n_bf)
-
-
-def test_apply_flips_involution(desk):
-    q = desk["qmodel"]
-    record = FlipRecord(1, 3, 10, 7)
-    twice = bs.apply_flips(bs.apply_flips(q, [record]), [record])
-    for a, b in zip(twice.codes, q.codes):
-        assert np.array_equal(a, b)
 
 
 def test_apply_flips_targets_named_bit(desk):
@@ -329,13 +312,6 @@ def test_run_attack_trace_shape(desk):
                          "nq": 8, "nbf": 12}
 
 
-def test_run_attack_full_recovery_matches_white_box(desk):
-    direct = bs.select_vulnerable_bits(desk["qmodel"], 25)
-    for recon in bs.ReconstructionMethod:
-        tr = bs.run_attack(desk["qmodel"], 1.0, 0, bs.FL2R(), recon, 25, desk["test"])
-        assert list(tr.records) == direct
-
-
 def test_run_attack_zero_recovery_ignores_victim_bits(desk):
     # with nothing recovered the ranking must not depend on the victim's codes
     q = desk["qmodel"]
@@ -443,29 +419,16 @@ def draw_flips(data, q):
     return data.draw(st.permutations(records))
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_flip_logits_equal_fresh_forward_on_random_architectures(data):
-    arch = draw_architecture(data)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    q = random_qmodel(rng, data.draw(st.sampled_from([4, 8])), arch)
-    n = data.draw(st.integers(1, 12))
-    inputs = rng.standard_normal((n,) + arch.input_shape)
-    eval_data = bs.Dataset(inputs, rng.integers(0, arch.num_classes, n))
-    records = draw_flips(data, q)
-    assert_fresh_logits(_score_flips(q, [records], eval_data, keep_bytes), q, [records], eval_data)
-
-
 def check_flip_lists_on_a_random_architecture(data):
-    """Several lists from one baseline pass: every list after the first starts from the
-    restored workspace, which must hold no trace of the flips before it."""
+    """One to three lists from one baseline pass: every list after the first starts from
+    the restored workspace, which must hold no trace of the flips before it."""
     arch = draw_architecture(data)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     q = random_qmodel(rng, data.draw(st.sampled_from([4, 8])), arch)
     n = data.draw(st.integers(1, 12))
     inputs = rng.standard_normal((n,) + arch.input_shape)
     eval_data = bs.Dataset(inputs, rng.integers(0, arch.num_classes, n))
-    lists = [draw_flips(data, q) for _ in range(data.draw(st.integers(2, 3)))]
+    lists = [draw_flips(data, q) for _ in range(data.draw(st.integers(1, 3)))]
     assert_fresh_logits(_score_flips(q, lists, eval_data, keep_bytes), q, lists, eval_data)
 
 
@@ -577,8 +540,9 @@ def test_load_trace_rejects_inconsistent_traces(tmp_path, desk):
         "accuracy above 1": header + flips + accs[:-1] + ["acc 1.5"],
         "short flip line": header + flips[:-1] + ["flip 0 5"] + accs,
     }
-    # values `bitsiege attack` would not accept
-    for line in ("nq 9", "rp 7.5", "rp nan", "ranking rand0m", "recon czr2", "seed -1"):
+    # values `bitsiege attack` would not accept, each refused at its own line
+    values = ("nq 9", "rp 7.5", "rp nan", "ranking rand0m", "recon czr2", "seed -1")
+    for line in values:
         key = line.split()[0]
         cases[line] = [line if l.split()[0] == key else l for l in lines]
     cases["nbf 0"] = [l.replace("nbf 3", "nbf 0") for l in header] + accs[:1]
@@ -591,6 +555,9 @@ def test_load_trace_rejects_inconsistent_traces(tmp_path, desk):
             bs.load_trace(p)
         if name == "nq twice":
             assert f"line {nq + 1}:" in str(e.value) and "line 2" in str(e.value)
+        if name in values + ("nbf 0",):
+            assert str(e.value).startswith(f"{p} line {text.index(name) + 1}: malformed line "
+                                           f"{name!r}: {name.split()[0]} must be "), e.value
     p.write_bytes(b"bitsiege-trace-v1\nrecon \xff\n")
     with pytest.raises(ModelFormatError):
         bs.load_trace(p)

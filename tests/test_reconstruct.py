@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import bitsiege as bs
@@ -51,15 +50,6 @@ def test_all_zeros_all_ones_on_unknown():
     assert bs.reconstruct_code(0, 0, 8, ZEROS) == 0
     assert bs.reconstruct_code(0, 0, 8, ONES) == -1
     assert bs.reconstruct_code(0, 0, 4, ONES) == -1
-
-
-@pytest.mark.parametrize("nq", [6])  # nq 4 and 8: test_acceptance.py's c01, every pair
-def test_czr_matches_oracle_exhaustive(nq):
-    for mask in range(1 << nq):
-        for bits in range(1 << nq):
-            known = bits & mask
-            assert bs.reconstruct_code(known, mask, nq, CZR) == bs.oracle_min_abs(known, mask, nq), \
-                f"bits={bits:0{nq}b} mask={mask:0{nq}b}"
 
 
 @settings(max_examples=300)
