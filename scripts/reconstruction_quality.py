@@ -12,10 +12,12 @@ It reads the victim that `bitsiege train` writes and the set to score on:
     python scripts/reconstruction_quality.py victim/victim.model victim/test.data
 """
 import argparse
+import sys
 
 import numpy as np
 
 import bitsiege as bs
+from bitsiege.cli import EXIT_IO
 from bitsiege.quantize import BITWIDTHS
 
 
@@ -28,8 +30,12 @@ def main():
     ap.add_argument("--rp", type=float, nargs="+", default=[0.3, 0.5, 0.7, 0.9, 1.0])
     args = ap.parse_args()
 
-    qmodel = bs.quantize_model(bs.load_model(args.victim), args.nq)
-    test_ds = bs.load_dataset(args.eval)
+    try:
+        qmodel = bs.quantize_model(bs.load_model(args.victim), args.nq)
+        test_ds = bs.load_dataset(args.eval)
+    except (OSError, bs.ModelFormatError) as e:  # one line and exit 3, as `bitsiege` does
+        print(f"i/o error: {e}", file=sys.stderr)
+        sys.exit(EXIT_IO)
     print(f"quantized victim accuracy: {bs.accuracy_quant(qmodel, test_ds):.4f}\n")
 
     methods = list(bs.ReconstructionMethod)

@@ -101,9 +101,16 @@ class AttackTrace:
         object.__setattr__(self, "records", tuple(self.records))
         object.__setattr__(self, "config",
                            {k: t(self.config[k]) for k, (t, _, _) in RUN_CONFIG.items()})
-        object.__setattr__(self, "accuracies", tuple(float(a) for a in self.accuracies))
-        if any(not 0.0 <= a <= 1.0 for a in self.accuracies):
-            raise ValueError("accuracy outside [0,1]")
+        object.__setattr__(self, "accuracies", tuple(map(_accuracy, self.accuracies)))
+
+
+def _accuracy(value):
+    """`value` as a float; raises ValueError unless it is in [0, 1]. The one accuracy
+    check, of `AttackTrace` and of a trace's `acc` lines."""
+    a = float(value)
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"accuracy outside [0,1]: {value}")
+    return a
 
 
 def _codes_by_pattern(nq):
@@ -348,7 +355,7 @@ def _holding(slot, q: QuantModel, inputs):
 def _gradient(q: QuantModel, batch: Dataset):
     """The weight gradients of `synth.gradient` for the dequantized `q` on `batch`, bit
     for bit, backpropagated through the batch pass (`_holding`) as it stands: nothing
-    flips it between calls."""
+    flips it between calls. They are the pass's own arrays, which its next call rewrites."""
     with _holding("batch_pass", q, batch.inputs) as held:
         return backprop(held.ws, batch.labels)[1]
 
@@ -461,12 +468,15 @@ def load_trace(path) -> AttackTrace:
     # a run-config value a run would not accept is refused at its line
     grammar = {**{k: (lambda words, k=k, t=t: (check_config(k, t(*words)),), 1, False)
                   for k, (t, _, _) in RUN_CONFIG.items()},
-               "flip": (int, 4, True), "acc": (float, 1, True)}
+               "flip": (int, 4, True), "acc": (lambda words: (_accuracy(*words),), 1, True)}
     try:
-        f = read_fields(magic_lines(blob, TRACE_MAGIC), grammar)
+        lines = magic_lines(blob, TRACE_MAGIC)
+        f = read_fields(lines, grammar)
         if len(f["flip"]) != f["nbf"] or len(f["acc"]) != f["nbf"] + 1:
-            raise ValueError(f"nbf {f['nbf']} with {len(f['flip'])} flip and {len(f['acc'])} "
-                             "acc lines; expected nbf flips and nbf+1 accs")
+            # refused where a missing line would go, as `read_fields` does a missing field
+            raise ModelFormatError(
+                f"line {len(lines) + 2}: nbf {f['nbf']} with {len(f['flip'])} flip and "
+                f"{len(f['acc'])} acc lines; expected nbf flips and nbf+1 accs")
         records = [FlipRecord(*flip) for flip in f["flip"]]
         return AttackTrace(records, f["acc"], f)  # the config: f's RUN_CONFIG keys
     except ModelFormatError as e:

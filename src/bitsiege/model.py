@@ -203,6 +203,13 @@ class Workspace:
     re-run does no layer dispatch, reshape or index arithmetic. Each call writes a
     stored array, or rows of one; a conv's is the same `_conv2d` call as the first
     pass's, on a block of rows or on all of them.
+
+    The backward is held the same way. `dlogits` and `backward` are None until the first
+    `backward_layers` call, which builds the list of calls once over arrays the workspace
+    then owns: the loss gradient it reads (`dlogits`), the weight and bias gradients it
+    returns, and each layer's own (`_backward_calls`). Every later call re-runs that list
+    in place. A workspace that never backpropagates, as the victim pass of incremental
+    evaluation, makes none of them.
     """
 
     def __init__(self, arch: Architecture, weights, biases, x):
@@ -214,6 +221,7 @@ class Workspace:
         self.positions = list(self.index)
         # (p, f) -> the calls of that restart, f None for every filter; None -> `run`'s
         self.steps = {}
+        self.dlogits = self.backward = None  # made by the first `backward_layers`
         forward_layers(arch, weights, biases, x, self)
 
     def input(self, pos):
@@ -473,7 +481,36 @@ def forward_layers(arch: Architecture, weights, biases, x, ws=None) -> np.ndarra
     return x
 
 
-def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True):
+def _conv_bwd_arrays(w_shape, x_shape, out_hw, stride, padding, input_grad):
+    """The arrays `_conv_bwd` writes for these shapes: [the (N, O, Ho, Wo) view of the
+    C-ordered (O, N * Ho * Wo) output-gradient copy, that copy, dw, db, col2im's arrays
+    or None unless `input_grad`]. col2im's are [the patch gradient, the (k, k, Ho, W', C,
+    N) buffer's first Wo columns and the patch gradient's view in that order, the
+    accumulator, its (slice, buffer slice) pair per kernel offset, dx]. The buffer's gap
+    columns are written once, here."""
+    n, c, h, wd = x_shape
+    o, _, k, _ = w_shape
+    ho, wo = out_hw
+    d2 = np.empty((o, n * ho * wo))
+    arrays = [d2.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), d2, np.empty(w_shape), np.empty(o)]
+    if not input_grad:
+        return arrays + [None]
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    dcols = np.empty((c * k * k, n * ho * wo))
+    src = np.empty((k, k, ho, wp, c, n))
+    src[:, :, :, wo:] = -0.0
+    flat = src.reshape(k, k, ho * wp, c, n)
+    span = stride * (ho * wp - 1) + 1  # the positions one offset's slice spans
+    acc = np.empty((max(hp * wp, (k - 1) * (wp + 1) + span), c, n))
+    adds = [(acc[i * wp + j:i * wp + j + span:stride], flat[i, j])
+            for i in range(k) for j in range(k)]
+    dx = acc[:hp * wp].reshape(hp, wp, c, n)[padding:padding + h, padding:padding + wd]
+    return arrays + [[dcols, src[:, :, :, :wo],
+                      dcols.reshape(c, k, k, n, ho, wo).transpose(1, 2, 4, 5, 0, 3), acc, adds,
+                      dx.transpose(3, 2, 0, 1)]]
+
+
+def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True, out=None):
     """(dw, db, dx) of `_conv2d` at the patch matrix `cols` of an input shaped
     `x_shape` (N, C, H, W), given the output gradient `dout` (N, O, Ho, Wo); dx is
     None unless `input_grad`.
@@ -489,56 +526,68 @@ def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True):
     the same order as in a zeros padded (C, N, H', W') buffer, and the same bits, for
     every stride and padding; but for a NaN's sign, which numpy's add loops take from
     one operand or the other by the loop a layout selects, here as in any col2im. dx is
-    the (N, C, H, W) transpose of the accumulator's unpadded (H, W, C, N) part."""
-    n, c, h, wd = x_shape
-    o, _, k, _ = w.shape
-    ho, wo = dout.shape[2], dout.shape[3]
-    d2 = np.ascontiguousarray(dout.transpose(1, 0, 2, 3)).reshape(o, -1)
-    dw = (d2 @ cols.T).reshape(w.shape)
-    db = d2.sum(axis=1)
-    if not input_grad:
+    the (N, C, H, W) transpose of the accumulator's unpadded (H, W, C, N) part.
+
+    `out`: the arrays of `_conv_bwd_arrays` for these shapes, which the call rewrites and
+    returns (the accumulator is zeroed first); without it, the call makes them. A `dout`
+    that is their copy's (N, O, Ho, Wo) view is not copied again: a ReLU above the conv
+    writes its product there (`backward_layers`)."""
+    if out is None:
+        out = _conv_bwd_arrays(w.shape, x_shape, dout.shape[2:], stride, padding, input_grad)
+    d4, d2, dw, db, col2im = out
+    if dout is not d4:
+        np.copyto(d4, dout)
+    w = w.reshape(len(w), -1)
+    np.matmul(d2, cols.T, out=dw.reshape(w.shape))
+    np.add.reduce(d2, axis=1, out=db)
+    if col2im is None:
         return dw, db, None
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    dcols = (w.reshape(o, -1).T @ d2).reshape(c, k, k, n, ho, wo)
-    src = np.empty((k, k, ho, wp, c, n))
-    src[:, :, :, wo:] = -0.0
-    np.copyto(src[:, :, :, :wo], dcols.transpose(1, 2, 4, 5, 0, 3))
-    src = src.reshape(k, k, ho * wp, c, n)
-    span = stride * (ho * wp - 1) + 1  # the positions one offset's slice spans
-    acc = np.zeros((max(hp * wp, (k - 1) * (wp + 1) + span), c, n))
-    for i in range(k):
-        for j in range(k):
-            at = i * wp + j
-            acc[at:at + span:stride] += src[i, j]
-    acc = acc[:hp * wp].reshape(hp, wp, c, n)[padding:padding + h, padding:padding + wd]
-    return dw, db, acc.transpose(3, 2, 0, 1)
+    dcols, src, dsrc, acc, adds, dx = col2im
+    np.matmul(w.T, d2, out=dcols)
+    np.copyto(src, dsrc)
+    acc.fill(0.0)
+    for a, b in adds:
+        np.add(a, b, out=a)
+    return dw, db, dx
 
 
-def _pool_bwd(x, w, out, dout, relu=False):
-    """Input gradient of `_maxpool` at `x`, whose result was `out`, given the output
+def _pool_bwd_arrays(x_shape, w, relu):
+    """The arrays `_pool_bwd` writes for an input shaped `x_shape`: [dx, two (C, H/w,
+    W/w, N) masks, the folded ReLU's product or None unless `relu`]."""
+    n, c, h, wd = x_shape
+    pooled = (c, h // w, wd // w, n)
+    return [np.empty((c, h, wd, n)).transpose(3, 0, 1, 2), np.empty(pooled, dtype=bool),
+            np.empty(pooled, dtype=bool), np.empty(pooled) if relu else None]
+
+
+def _pool_bwd(x, w, pooled, dout, relu=False, out=None):
+    """Input gradient of `_maxpool` at `x`, whose result was `pooled`, given the output
     gradient `dout`. Each window's gradient goes to its first entry, in row-major
-    order, equal to the window's maximum in `out` (its first NaN, if the maximum is
+    order, equal to the window's maximum in `pooled` (its first NaN, if the maximum is
     NaN): the entry `argmax` picks. Every other entry gets 0.0.
 
     `relu`: x is a ReLU's output, and the result is the gradient at that ReLU's input,
     the ReLU's `d * (x > 0)` step folded in on the pooled grid, 1/w^2 of x's size, as
-    `dout * (out > 0)`. This is exact: at the entry a window's gradient goes to, the
-    ReLU's input is > 0 exactly when `out` is (a NaN or ±0 maximum included), and every
-    other entry is 0.0 either way.
+    `dout * (pooled > 0)`. This is exact: at the entry a window's gradient goes to, the
+    ReLU's input is > 0 exactly when `pooled` is (a NaN or ±0 maximum included), and
+    every other entry is 0.0 either way.
 
     One pass per window offset, in row-major order, on (C, H, W, N) views as in
-    `_maxpool`: the entries at that offset that equal `out`, in windows not yet
+    `_maxpool`: the entries at that offset that equal `pooled`, in windows not yet
     taken, get `dout`. dout is read only elementwise, in any layout, and dx is the
-    (N, C, H, W) transpose of a (C, H, W, N) array."""
-    n, c, h, wd = x.shape
-    dx = np.empty((c, h, wd, n)).transpose(3, 0, 1, 2)  # each entry: one offset of one window
-    t, o, g, d = (a.transpose(1, 2, 3, 0) for a in (x, out, dout, dx))
+    (N, C, H, W) transpose of a (C, H, W, N) array. `out`: the arrays of
+    `_pool_bwd_arrays` for x's shape, which the call rewrites; without it, the call
+    makes them."""
+    if out is None:
+        out = _pool_bwd_arrays(x.shape, w, relu)
+    dx, free, hit, product = out  # each entry of dx: one offset of one window
+    t, o, g, d = (a.transpose(1, 2, 3, 0) for a in (x, pooled, dout, dx))
     if relu:
-        g = g * (o > 0)
+        np.greater(o, 0, out=hit)
+        g = np.multiply(g, hit, out=product)
     g, d = g.view(np.int64), d.view(np.int64)  # bits: dout's times 1, or 0 (+0.0's)
     offsets = [(slice(i, None, w), slice(j, None, w)) for i in range(w) for j in range(w)]
-    free = np.ones(o.shape, dtype=bool)  # the windows not yet taken
-    hit = np.empty(o.shape, dtype=bool)
+    free.fill(True)  # the windows not yet taken
     for k, (i, j) in enumerate(offsets):
         np.equal(t[:, i, j], o, out=hit)
         if k:  # at the first offset, every window is free
@@ -549,7 +598,8 @@ def _pool_bwd(x, w, out, dout, relu=False):
     np.isnan(o, out=free)  # the windows left: a NaN maximum equals no entry
     if free.any():
         for i, j in offsets:
-            hit = np.isnan(t[:, i, j]) & free
+            np.isnan(t[:, i, j], out=hit)
+            hit &= free
             free ^= hit
             np.copyto(d[:, i, j], g, where=hit)
     return dx
@@ -568,35 +618,83 @@ def backward_layers(ws: Workspace, dlogits):
     adds the patch gradient's (i, j) slices in row-major order, one add of contiguous
     (C, N) rows per slice; and a conv copies its output gradient into one fixed order
     before it sums it (`_conv_bwd`), so no layer hands it a chosen layout. A ReLU under
-    a MaxPool is folded into the pool's backward (`_pool_bwd`'s `relu`)."""
+    a MaxPool is folded into the pool's backward (`_pool_bwd`'s `relu`).
+
+    The first call on `ws` builds the backward once, as a list of calls over arrays
+    the Workspace then owns (`_backward_calls`), and every call re-runs that list: it
+    copies `dlogits` into `ws.dlogits`, unless it is that array, and returns the same
+    gradient arrays, rewritten in place."""
+    if ws.backward is None:
+        ws.dlogits, ws.backward = _backward_calls(ws)
+    if dlogits is not ws.dlogits:
+        np.copyto(ws.dlogits, dlogits)
+    dws, dbs, calls = ws.backward
+    for call in calls:
+        call()
+    return dws, dbs
+
+
+def _backward_calls(ws: Workspace):
+    """(the loss gradient array, (weight grads, bias grads, calls)) of `backward_layers`
+    on `ws`: the calls read the Workspace's stored pass and weights, and write arrays
+    made here. Each layer's gradient is C-ordered, or is a conv's or pool's input
+    gradient, so a Flatten's backward is a view. A ReLU right above a conv writes its
+    product into the conv's output-gradient copy; any other ReLU, into an array of its
+    own."""
     arch, weights = ws.arch, ws.weights
     layers = arch.layers
     below, above = (None,) + layers, layers[1:] + (None,)  # the layers under and over pos
     dws, dbs = [None] * len(weights), [None] * len(weights)
+    convs = {}  # pos -> a Conv2D's `_conv_bwd_arrays`, once the layer above needs them
+    n = len(ws.acts[0])
+
+    def conv_arrays(pos):
+        if pos not in convs:
+            layer = layers[pos]
+            convs[pos] = _conv_bwd_arrays(
+                weights[ws.index[pos]].shape, (n,) + arch.shapes[pos],
+                arch.shapes[pos + 1][1:], layer.stride, layer.padding, ws.index[pos] > 0)
+        return convs[pos]
+
     p = len(weights)
-    d = dlogits
+    dlogits = d = np.empty(ws.acts[-1].shape)
+    calls = []
     for pos in reversed(range(len(layers))):
         if not p:
             break
         layer, x = layers[pos], ws.input(pos)
         if isinstance(layer, Conv2D):
             p -= 1
-            dws[p], dbs[p], d = _conv_bwd(x, weights[p], layer.stride, layer.padding,
-                                          (len(d),) + arch.shapes[pos], d, input_grad=p > 0)
+            out = conv_arrays(pos)
+            calls.append(partial(_conv_bwd, x, weights[p], layer.stride, layer.padding,
+                                 (n,) + arch.shapes[pos], d, p > 0, out))
+            _, _, dws[p], dbs[p], col2im = out
+            d = col2im and col2im[-1]  # dx, or None below the first parametric layer
         elif isinstance(layer, Dense):
             p -= 1
-            dws[p] = d.T @ x
-            dbs[p] = d.sum(axis=0)
-            d = d @ weights[p] if p else None
+            dws[p], dbs[p] = np.empty(weights[p].shape), np.empty(len(weights[p]))
+            calls += [partial(np.matmul, d.T, x, out=dws[p]),
+                      partial(np.add.reduce, d, axis=0, out=dbs[p])]
+            if p:
+                dx = np.empty(x.shape)
+                calls.append(partial(np.matmul, d, weights[p], out=dx))
+                d = dx
         elif isinstance(layer, ReLU):
             if not isinstance(above[pos], MaxPool):
-                d = d * (x > 0)
+                mask = np.empty_like(x, dtype=bool)
+                dx = (conv_arrays(pos - 1)[0] if isinstance(below[pos], Conv2D)
+                      else np.empty(x.shape))
+                calls += [partial(np.greater, x, 0, out=mask),
+                          partial(np.multiply, d, mask, out=dx)]
+                d = dx
         elif isinstance(layer, MaxPool):
-            d = _pool_bwd(x, layer.window, ws.acts[pos + 1], d,
-                          relu=isinstance(below[pos], ReLU))
-        else:  # Flatten
+            relu = isinstance(below[pos], ReLU)
+            out = _pool_bwd_arrays(x.shape, layer.window, relu)
+            calls.append(partial(_pool_bwd, x, layer.window, ws.acts[pos + 1], d, relu, out))
+            d = out[0]
+        else:  # Flatten: a view of a C-ordered gradient
             d = d.reshape(x.shape)
-    return dws, dbs
+    return dlogits, (dws, dbs, calls)
 
 
 def forward_batch(model: FloatModel, xs) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel, MaxPool, ReLU,
-                    Workspace, backward_layers, filter_count, weight_shape)
+                    Workspace, backward_layers, filter_count, forward_batch, weight_shape)
 
 
 class TrainingDiverged(Exception):
@@ -88,23 +88,35 @@ def gen_synthetic(spec: SynthSpec):
 
 # ------------------------------------------------------------ loss and SGD
 
-def _softmax_ce(logits, labels):
-    """Mean cross-entropy and its gradient w.r.t. logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+def _softmax_ce(logits, labels, out=None):
+    """Mean cross-entropy and its gradient w.r.t. logits, written into `out`, an array of
+    the logits' shape, if given (else a new one). The shifted logits are computed twice,
+    before and after the exponentials' row sums, so that one array holds every step;
+    `np.add.reduce(...) / n` gives `np.mean`'s bits."""
     n = len(labels)
-    loss = -float(logp[np.arange(n), labels].mean())
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), labels] -= 1.0
-    return loss, dlogits / n
+    rows = np.arange(n)
+    top = logits.max(axis=1, keepdims=True)
+    out = np.subtract(logits, top, out=out)
+    lse = np.add.reduce(np.exp(out, out=out), axis=1, keepdims=True)
+    np.log(lse, out=lse)
+    np.subtract(logits, top, out=out)
+    out -= lse  # the log-probabilities
+    loss = -float(np.add.reduce(out[rows, labels]) / n)
+    np.exp(out, out=out)
+    out[rows, labels] -= 1.0
+    out /= n
+    return loss, out
 
 
 def backprop(ws: Workspace, labels):
     """(loss, weight grads, bias grads) of mean cross-entropy on `labels`, at the pass
     the Workspace `ws` holds: its constructor's, or one re-run in place after its
     weights changed (`Workspace.restart`), which has a fresh pass's bits. The backward
-    reads the architecture and the weights from `ws` (`backward_layers`)."""
-    loss, dlogits = _softmax_ce(ws.acts[-1], np.asarray(labels))
+    reads the architecture and the weights from `ws` (`backward_layers`). The loss
+    gradient goes into the Workspace's `dlogits`, once its first backward has made it;
+    the gradients returned are the Workspace's own arrays, which its next backward
+    rewrites, as `restart` does the logits."""
+    loss, dlogits = _softmax_ce(ws.acts[-1], np.asarray(labels), ws.dlogits)
     dws, dbs = backward_layers(ws, dlogits)
     return loss, dws, dbs
 
@@ -130,8 +142,9 @@ def gradient(model: FloatModel, inputs, labels):
 
 
 def batch_loss(model: FloatModel, inputs, labels) -> float:
-    loss, _, _ = _grads({}, model.architecture, model.weights, model.biases, inputs, labels)
-    return loss
+    """Mean cross-entropy of `model` on the batch: a forward pass and the loss, with the
+    bits of `backprop`'s loss; no backward runs."""
+    return _softmax_ce(forward_batch(model, inputs), np.asarray(labels))[0]
 
 
 def train(architecture: Architecture, data: Dataset, cfg: TrainConfig,
@@ -140,8 +153,9 @@ def train(architecture: Architecture, data: Dataset, cfg: TrainConfig,
 
     Each batch shape (the batch size, and a short last batch) has one Workspace for the
     call, and each step re-runs it in place on its batch (`_grads`); SGD updates in
-    place the weight and bias arrays it reads. A step gives the bits of a fresh pass, a
-    fresh backward and `w - lr * dw`."""
+    place the weight and bias arrays it reads, scaling the gradient arrays the step's
+    backward wrote (`backprop`) in place. A step gives the bits of a fresh pass, a fresh
+    backward and `w - lr * dw`."""
     rng = np.random.default_rng(cfg.seed)
     weights, biases = [], []
     for _, layer in architecture.parametric_layers():
@@ -161,9 +175,11 @@ def train(architecture: Architecture, data: Dataset, cfg: TrainConfig,
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss {loss} at epoch {epoch}")
             epoch_losses.append(loss)
-            for w, b, dw, db in zip(weights, biases, dws, dbs):
-                w -= cfg.lr * dw
-                b -= cfg.lr * db
+            for w, b, dw, db in zip(weights, biases, dws, dbs):  # the step's own arrays
+                dw *= cfg.lr
+                w -= dw
+                db *= cfg.lr
+                b -= db
         if loss_log is not None:
             loss_log.append(float(np.mean(epoch_losses)))
     return FloatModel(architecture, weights, biases)

@@ -558,6 +558,11 @@ def test_load_trace_rejects_inconsistent_traces(tmp_path, desk):
         if name in values + ("nbf 0",):
             assert str(e.value).startswith(f"{p} line {text.index(name) + 1}: malformed line "
                                            f"{name!r}: {name.split()[0]} must be "), e.value
+        if name == "accuracy above 1":  # at its own line
+            assert str(e.value) == (f"{p} line {len(text)}: malformed line 'acc 1.5': "
+                                    "accuracy outside [0,1]: 1.5"), e.value
+        if name in ("one acc short", "one flip short"):  # at the line after the last
+            assert str(e.value).startswith(f"{p} line {len(text) + 1}: nbf 3 with "), e.value
     p.write_bytes(b"bitsiege-trace-v1\nrecon \xff\n")
     with pytest.raises(ModelFormatError):
         bs.load_trace(p)
@@ -837,6 +842,14 @@ def test_a_victim_pass_holds_one_copy_of_the_baseline_pass(desk):
             kept.append(a)
     copies = vp.codes + vp.weights + [vp.baseline]
     assert held < sum(a.nbytes for a in kept + copies) + 64 * 1024
+
+
+def test_a_victim_pass_builds_no_backward(desk, no_held_pass):
+    # flips and scores only: the gradient ranking's batch pass alone backpropagates
+    q, data = fresh_inputs(desk, 64)
+    bs.evaluate_flips(q, bs.select_vulnerable_bits(q, 5), data)
+    ws = attack._held.victim_pass.ws
+    assert ws.backward is None and ws.dlogits is None
 
 
 def test_a_call_on_another_victim_frees_the_held_pass(desk, monkeypatch, pass_builds):

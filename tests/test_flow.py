@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from bitsiege.cli import EXIT_OK, main
+from bitsiege.cli import EXIT_IO, EXIT_OK, main
 from bitsiege.reconstruct import ReconstructionMethod
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -107,3 +107,15 @@ def test_reconstruction_quality_prints_a_row_per_recovery_rate(flow, monkeypatch
     assert [row[0] for row in rows] == [0.3, 0.5, 0.7, 0.9, 1.0], lines
     assert all(len(row) == 4 and all(0 <= a <= 1 for a in row[1:]) for row in rows), lines
     assert rows[-1][1:] == [1.0, 1.0, 1.0], lines
+
+
+def test_reconstruction_quality_refuses_a_missing_file_in_one_line(flow, monkeypatch, capsys):
+    (argv,) = [argv for argv in readme_block() if argv[0] == "python"]
+    monkeypatch.chdir(flow)
+    monkeypatch.setattr(sys, "argv", [argv[1], "victim/missing.model", *argv[3:]])
+    with pytest.raises(SystemExit) as e:
+        runpy.run_path(str(ROOT / argv[1]), run_name="__main__")
+    assert e.value.code == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("i/o error: ") and err.count("\n") == 1, err
+    assert "victim/missing.model" in err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,14 @@ TRAIN_CASES = {
                          bs.Conv2D(4, 6, 2), bs.ReLU(), bs.Flatten(), bs.Dense(6, 4)),
                         (1, 8, 8), 4),
         bs.TrainConfig(epochs=4)),
+    # col2im through held buffers: the second conv, padded and strided, has an input
+    # gradient; 100 samples, so a short last batch of 4 has a Workspace of its own
+    "padded-strided-second-conv": (
+        bs.SynthSpec(per_class=25),
+        bs.Architecture((bs.Conv2D(1, 4, 3), bs.ReLU(), bs.MaxPool(2),
+                         bs.Conv2D(4, 6, 3, stride=2, padding=1), bs.ReLU(), bs.Flatten(),
+                         bs.Dense(24, 4)), (1, 8, 8), 4),
+        bs.TrainConfig(epochs=4)),
     "mlp": (bs.SynthSpec(per_class=25),
             bs.Architecture((bs.Flatten(), bs.Dense(64, 16), bs.ReLU(), bs.Dense(16, 4)),
                             (1, 8, 8), 4),
@@ -147,6 +157,30 @@ def test_training_through_held_passes_gives_a_fresh_pass_per_steps_bytes(case):
     for got, want in zip(model.weights + model.biases, weights + biases):
         assert got.tobytes() == want.tobytes()
     assert losses == ref_losses
+
+
+def test_a_second_backprop_rewrites_the_first_ones_arrays_and_makes_none(desk):
+    model, test = desk["model"], desk["test"]
+    xs, labels = test.inputs[:32].copy(), test.labels[:32]
+    ws = Workspace(model.architecture, model.weights, model.biases, xs)
+    _, dws, dbs = synth.backprop(ws, labels)
+    dlogits, other = ws.dlogits, labels[::-1].copy()  # another loss gradient, same arrays
+    tracemalloc.start()
+    try:
+        loss, again_dws, again_dbs = synth.backprop(ws, other)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(a is b for a, b in zip(again_dws + again_dbs, dws + dbs))
+    assert ws.dlogits is dlogits
+    fresh = synth.backprop(Workspace(model.architecture, model.weights, model.biases, xs), other)
+    assert loss == fresh[0]
+    assert [g.tobytes() for g in dws + dbs] == [g.tobytes() for g in fresh[1] + fresh[2]]
+    # what is left is numpy's iterator scratch, ~39 kB, for the pool's ufuncs over strided
+    # window views: two buffers of the pooled grid's 2304 entries. The first call's arrays
+    # for conv1's output gradient and the pool's input gradient are 74 kB each.
+    assert kept < 1024
+    assert peak < 64 * 1024
 
 
 def test_loss_non_increasing_noise_free():
