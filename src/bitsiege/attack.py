@@ -481,5 +481,3 @@ def load_trace(path) -> AttackTrace:
         return AttackTrace(records, f["acc"], f)  # the config: f's RUN_CONFIG keys
     except ModelFormatError as e:
         raise ModelFormatError(f"{path} {e}") from None
-    except ValueError as e:
-        raise ModelFormatError(f"{path}: {e}") from None

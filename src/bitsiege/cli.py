@@ -139,11 +139,11 @@ def cmd_train(args):
         arch = synth.desk_architecture(spec.classes, spec.input_shape)
         _check_out(args.out)
         train_ds, test_ds = synth.gen_synthetic(spec)
+        data_files = [(path, dataset_bytes(data, path)) for path, data in  # a noise too large
+                      ((os.path.join(args.out, "train.data"), train_ds),
+                       (os.path.join(args.out, "test.data"), test_ds))]
     except ValueError as e:
         raise _UsageError(f"train config: {e}") from None
-    data_files = [(path, dataset_bytes(data, path)) for path, data in
-                  ((os.path.join(args.out, "train.data"), train_ds),
-                   (os.path.join(args.out, "test.data"), test_ds))]
     _refuse_other_bytes(data_files)  # known before training; victim.model only after it
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below

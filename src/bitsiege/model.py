@@ -761,10 +761,11 @@ def write_file(path, data):
 
 
 class _Reader:
-    """Bounds-checked reads of the records in `payload`, which starts at file byte `start`."""
+    """Bounds-checked reads of the records in `payload`, which starts at file byte `start`;
+    `at` is the file offset of the last record read."""
 
     def __init__(self, payload, start):
-        self.payload, self.start, self.pos = payload, start, 0
+        self.payload, self.start, self.pos, self.at = payload, start, 0, start
 
     def read(self, dtype, shape=()):
         """The next record: an array of `shape` (a scalar for `()`) as `dtype`."""
@@ -775,6 +776,7 @@ class _Reader:
         a = np.frombuffer(self.payload[self.pos:self.pos + size], dtype).reshape(shape)
         if dtype.kind == "f" and not np.isfinite(a).all():
             raise ModelFormatError(f"byte {self.byte()}: non-finite value in a {dtype.name} record")
+        self.at = self.byte()
         self.pos += size
         return a
 
@@ -787,9 +789,10 @@ def read_artifact(path, magic, parse):
     """Open the artifact at `path` and return `parse(header_lines, reader)`.
 
     `header_lines` are the lines after the magic (file line 2 on) and `reader.read`
-    returns the records. Every failure is a ModelFormatError naming `path` and a
-    line or byte: `parse` raises ModelFormatError("line N: ...") or ("byte N: ..."),
-    a ValueError it raises is placed at the reader's byte, and unread bytes are an error.
+    returns the records. Every failure is a ModelFormatError naming `path` and the line,
+    or the byte where the record at fault starts: `parse` raises ModelFormatError("line
+    N: ...") or ("byte N: ..."), a ValueError it raises is placed at the record last
+    read, so `parse` checks each record as it reads it, and unread bytes are an error.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -807,7 +810,7 @@ def read_artifact(path, magic, parse):
     except ModelFormatError as e:
         raise ModelFormatError(f"{path} {e}") from None
     except ValueError as e:
-        raise ModelFormatError(f"{path} byte {r.byte()}: {e}") from e
+        raise ModelFormatError(f"{path} byte {r.at}: {e}") from e
 
 
 def magic_lines(text, magic):

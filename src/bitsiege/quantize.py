@@ -78,6 +78,13 @@ class QuantParams:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError("scale must be finite and positive")
 
+    def check_codes(self, codes):
+        """`codes`; raises ValueError if one is outside this bitwidth's range."""
+        lo, hi = code_range(self.bitwidth)
+        if codes.min(initial=0) < lo or codes.max(initial=0) > hi:
+            raise ValueError(f"code outside {self.bitwidth}-bit range")
+        return codes
+
 
 @dataclass(frozen=True)
 class QuantModel:
@@ -89,9 +96,10 @@ class QuantModel:
     def __post_init__(self):
         cs = layer_arrays(self.architecture, self.codes, np.int16, weight_shape)
         for p, (qp, c) in enumerate(zip(self.params, cs, strict=True)):
-            lo, hi = code_range(qp.bitwidth)
-            if c.min(initial=0) < lo or c.max(initial=0) > hi:
-                raise ValueError(f"parametric layer {p}: code outside {qp.bitwidth}-bit range")
+            try:
+                qp.check_codes(c)
+            except ValueError as e:
+                raise ValueError(f"parametric layer {p}: {e}") from None
         object.__setattr__(self, "codes", cs)
         object.__setattr__(self, "biases",
                            layer_arrays(self.architecture, self.biases, np.float64, bias_shape))
@@ -133,8 +141,10 @@ def load_qmodel(path) -> QuantModel:
         arch = parse_arch_header(lines)
         params, codes, biases = [], [], []
         for _, layer in arch.parametric_layers():
-            params.append(QuantParams(int(r.read("<u1")), float(r.read("<f8"))))
-            codes.append(r.read("<i1", weight_shape(layer)))
+            # each record is checked as it is read (the bitwidth at a stand-in scale)
+            bitwidth = QuantParams(int(r.read("<u1")), 1.0).bitwidth
+            params.append(QuantParams(bitwidth, float(r.read("<f8"))))
+            codes.append(params[-1].check_codes(r.read("<i1", weight_shape(layer))))
             biases.append(r.read("<f4", bias_shape(layer)))
         return QuantModel(arch, params, codes, biases)
     return read_artifact(path, QMODEL_MAGIC, parse)

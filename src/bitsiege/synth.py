@@ -11,7 +11,7 @@ from .model import (Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel, M
 
 
 class TrainingDiverged(Exception):
-    """Loss became non-finite; message carries the epoch index."""
+    """Loss, or a trained weight, became non-finite; message carries the epoch index."""
 
 
 @dataclass(frozen=True)
@@ -182,4 +182,7 @@ def train(architecture: Architecture, data: Dataset, cfg: TrainConfig,
                 b -= db
         if loss_log is not None:
             loss_log.append(float(np.mean(epoch_losses)))
-    return FloatModel(architecture, weights, biases)
+    try:  # the last step's update, which no loss follows, may overflow a weight
+        return FloatModel(architecture, weights, biases)
+    except ValueError as e:
+        raise TrainingDiverged(f"{e} at epoch {epoch}") from None

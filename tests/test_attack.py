@@ -15,7 +15,7 @@ from bitsiege import model as model_module
 from bitsiege import synth as synth_module
 from bitsiege.attack import RANKINGS, RECONS, RUN_CONFIG, FlipRecord, _score_flips
 from bitsiege.cli import _cfg_hash
-from bitsiege.model import ModelFormatError, Workspace, backward_layers
+from bitsiege.model import Workspace, backward_layers
 from bitsiege.model import _conv_bwd, _maxpool, _pool_bwd, filter_count, weight_shape
 from bitsiege.synth import _softmax_ce
 from bitsiege.quantize import BITWIDTHS
@@ -521,51 +521,6 @@ def test_evaluate_flips_rejects_bad_record(desk, bad):
         bs.evaluate_flips(desk["qmodel"], [good, bad], desk["test"])
     with pytest.raises(ValueError):
         bs.apply_flips(desk["qmodel"], [good, bad])
-
-
-def test_load_trace_rejects_inconsistent_traces(tmp_path, desk):
-    tr = bs.run_attack(desk["qmodel"], 1.0, 0, bs.FL2R(), bs.ReconstructionMethod.CZR, 3,
-                       desk["test"])
-    p = tmp_path / "t.trace"
-    bs.save_trace(tr, p)
-    lines = p.read_text(encoding="utf-8").splitlines()
-    flips = [l for l in lines if l.startswith("flip")]
-    accs = [l for l in lines if l.startswith("acc")]
-    header = lines[:7]
-    cases = {
-        "no config": [lines[0], flips[0], accs[0]],
-        "missing rp": [l for l in lines if not l.startswith("rp ")],
-        "one acc short": header + flips + accs[:-1],
-        "one flip short": header + flips[:-1] + accs[:-1],
-        "accuracy above 1": header + flips + accs[:-1] + ["acc 1.5"],
-        "short flip line": header + flips[:-1] + ["flip 0 5"] + accs,
-    }
-    # values `bitsiege attack` would not accept, each refused at its own line
-    values = ("nq 9", "rp 7.5", "rp nan", "ranking rand0m", "recon czr2", "seed -1")
-    for line in values:
-        key = line.split()[0]
-        cases[line] = [line if l.split()[0] == key else l for l in lines]
-    cases["nbf 0"] = [l.replace("nbf 3", "nbf 0") for l in header] + accs[:1]
-    # a config field given twice: the last value must not win
-    nq = header.index("nq 8") + 1
-    cases["nq twice"] = header[:nq] + ["nq 4"] + header[nq:] + flips + accs
-    for name, text in cases.items():
-        p.write_text("\n".join(text) + "\n", encoding="utf-8")
-        with pytest.raises(ModelFormatError, match=str(p)) as e:
-            bs.load_trace(p)
-        if name == "nq twice":
-            assert f"line {nq + 1}:" in str(e.value) and "line 2" in str(e.value)
-        if name in values + ("nbf 0",):
-            assert str(e.value).startswith(f"{p} line {text.index(name) + 1}: malformed line "
-                                           f"{name!r}: {name.split()[0]} must be "), e.value
-        if name == "accuracy above 1":  # at its own line
-            assert str(e.value) == (f"{p} line {len(text)}: malformed line 'acc 1.5': "
-                                    "accuracy outside [0,1]: 1.5"), e.value
-        if name in ("one acc short", "one flip short"):  # at the line after the last
-            assert str(e.value).startswith(f"{p} line {len(text) + 1}: nbf 3 with "), e.value
-    p.write_bytes(b"bitsiege-trace-v1\nrecon \xff\n")
-    with pytest.raises(ModelFormatError):
-        bs.load_trace(p)
 
 
 @pytest.fixture()

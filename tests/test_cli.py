@@ -14,12 +14,13 @@ from conftest import full_gemm_restarts
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory, desk):
-    """victim/model/data files shared by the CLI tests."""
+    """victim/model/data/trace files shared by the CLI tests."""
     d = tmp_path_factory.mktemp("cli")
     bs.save_model(desk["model"], d / "victim.model")
     bs.save_dataset(desk["test"], d / "test.data")
-    bs.save_trace(bs.run_attack(desk["qmodel"], 0.8, 0, bs.FL2R(), bs.ReconstructionMethod.CZR, 2,
-                                desk["test"]), d / "run.trace")
+    (d / "run.trace").write_bytes(b"bitsiege-trace-v1\nnq 8\nrp 0.8\nseed 0\nranking fl2r\n"
+                                  b"recon czr\nnbf 2\nflip 0 5 3 7\nflip 1 2 0 7\n"
+                                  b"acc 1.0\nacc 0.5\nacc 0.25\n")
     return d
 
 
@@ -592,6 +593,7 @@ def out_taken(cmd, ids):
         "taken", "taken/sub"], ["[Errno 17] File exists", "[Errno 20] Not a directory"])]
 
 
+QUANTIZE = "quantize --model {tmp}/m.model --nq 8 --out {tmp}/q"
 DIMS = np.array([4, 8, 1, 3, 3], "<u4").tobytes()  # the shape record of the victim's conv1
 ARCH = "line 11: inconsistent architecture: "
 REFUSALS = {  # the test that runs them: its rows
@@ -600,12 +602,30 @@ REFUSALS = {  # the test that runs them: its rows
     *[on("train", f"{key} = inf", 1, f"train config: {key} must be finite")
       for key in ("noise", "lr")],
     on("train", "per_class = 20\nepochs = 2\nlr = 1000000", 1, "float32", before=False),
-    *[row(f"report {new.decode()}", "report {tmp}", {"t.trace": edited("run.trace", old, new)}, 3,
-          f"{{tmp}}/t.trace {text}") for old, new, text in [
+    *[row(f"report {id[0] if id else new.decode()}", "report {tmp}",
+          {"t.trace": edited("run.trace", old, new)}, 3, f"{{tmp}}/t.trace {text}")
+      for old, new, text, *id in [
         (b"nq 8", b"nq 9", "line 2: malformed line 'nq 9': nq must be one of (4, 6, 8), got 9"),
         (b"rp 0.8", b"rp 7.5", "line 3: malformed line 'rp 7.5': rp must be in [0, 1], got 7.5"),
         (b"ranking fl2r", b"ranking rand0m",
-         "line 5: malformed line 'ranking rand0m': ranking must be one of fl2r, random, gradient")]],
+         "line 5: malformed line 'ranking rand0m': ranking must be one of fl2r, random, gradient"),
+        (b"rp 0.8", b"rp nan", "line 3: malformed line 'rp nan': rp must be in [0, 1], got nan"),
+        (b"recon czr", b"recon czr2", "line 6: malformed line 'recon czr2': recon must be one of "
+         "czr, allzeros, allones, got 'czr2'"),
+        (b"seed 0", b"seed -1", "line 4: malformed line 'seed -1': seed must be >= 0, got -1"),
+        (b"nbf 2", b"nbf 0", "line 7: malformed line 'nbf 0': nbf must be >= 1, got 0"),
+        (b"nq 8\n", b"nq 8\nnq 4\n", "line 3: 'nq' already set on line 2", "nq twice"),
+        (b"flip 1 2 0 7", b"flip 0 5",
+         "line 9: malformed line 'flip 0 5': takes 4 value(s), got 2"),
+        (b"acc 0.25", b"acc 1.5", "line 12: malformed line 'acc 1.5': accuracy outside [0,1]: 1.5"),
+        (b"recon czr", b"recon \xff", "byte 56: not UTF-8 text", "recon not UTF-8"),
+        (b"nq 8\nrp 0.8\nseed 0\nranking fl2r\nrecon czr\nnbf 2\n", b"",
+         "line 7: missing field(s) nq, rp, seed, ranking, recon, nbf", "no config"),
+        (b"rp 0.8\n", b"", "line 12: missing field(s) rp", "missing rp"),
+        (b"acc 0.25\n", b"", "line 12: nbf 2 with 2 flip and 2 acc lines; expected nbf flips and "
+         "nbf+1 accs", "one acc short"),
+        (b"flip 1 2 0 7\n", b"", "line 12: nbf 2 with 1 flip and 3 acc lines; expected nbf flips "
+         "and nbf+1 accs", "one flip short")]],
     row("report no traces", "report {tmp}", {}, 1, "no .trace files in {tmp}"),
     row("attack", "attack", {}, 1, "the following arguments are required: --config, --out"),
     row("frobnicate", "frobnicate", {}, 1, "invalid choice: 'frobnicate'"),
@@ -631,13 +651,20 @@ REFUSALS = {  # the test that runs them: its rows
        id="sweep --seed-base -3"),
     on("attack", "victim = {tmp}/v.model\neval = {tmp}/e.data", 3,
        "No such file or directory: '{tmp}/v.model'"),
-    *[row(f"quantize {text.split(': ')[-1]}", "quantize --model {tmp}/m.model --nq 8 --out "
-          "{tmp}/q", {"m.model": edited("victim.model", old, new)}, 3, f"{{tmp}}/m.model {text}")
-      for old, new, text in [
+    *[row(f"quantize {id[0] if id else text.split(': ')[-1]}", QUANTIZE,
+          {"m.model": edited("victim.model", old, new)}, 3, f"{{tmp}}/m.model {text}")
+      for old, new, text, *id in [
+        (b"bitsiege-model-v1", b"bitsiege-model-v2", "line 1: expected magic 'bitsiege-model-v1'"),
+        (b"end-header\n", b"", "byte 5502: missing end-header marker"),
+        (b"input_shape 1 8 8\nclasses 4\n", b"", "line 9: missing field(s) input_shape, classes"),
+        (b"classes 4\n", b"classes 4\ninput_shape 1 8 8\n",
+         "line 4: 'input_shape' already set on line 2"),
         (b"classes 4", b"classes \xff", "byte 44: not UTF-8 text"),
-        (DIMS, DIMS + np.array([np.nan], "<f4").tobytes(), "byte 193: non-finite value"),
+        (DIMS, DIMS + np.array([np.nan], "<f4").tobytes(),
+         "byte 193: non-finite value in a float32 record", "non-finite value"),
         (b"classes 4\n", b"classes 4\nclasses 4\n", "line 4: 'classes' already set on line 3"),
-        (b"classes 4\n", b"classes 4 7\n", "line 3: malformed line 'classes 4 7'"),
+        (b"classes 4\n", b"classes 4 7\n", "line 3: malformed line 'classes 4 7': takes 1 "
+         "value(s), got 2", "malformed line 'classes 4 7'"),
         (b"maxpool 2", b"maxpool -2", "line 6: malformed line 'layer maxpool -2': negative value"),
         (b"", b"\0\0", "byte 5513: 2 trailing bytes"),
         (DIMS, np.array([4, 9, 1, 3, 3], "<u4").tobytes(),
@@ -646,6 +673,20 @@ REFUSALS = {  # the test that runs them: its rows
         (b"dense 16 4", b"dense 16 0", ARCH + "dense dimensions must be positive"),
         (b"input_shape 1 8 8", b"input_shape 1 0 8", ARCH + "input dimensions must be positive"),
         (b"classes 4", b"classes 3", ARCH + "final output shape (4,) != (3,)")]],
+    row("quantize truncated payload", QUANTIZE, {"m.model": lambda d: (d / "victim.model")
+        .read_bytes()[:-8]}, 3, "{tmp}/m.model byte 5497: truncated payload"),
+    *[on("attack", "eval = {tmp}/e.data", 3, f"{{tmp}}/e.data {text}", files={"e.data": edited(
+         "test.data", old, new)}, id="attack eval " + new.decode().strip().replace("\n", "; "))
+      for old, new, text in [
+        (b"shape 1 8 8", b"shape 1 x 8",
+         "line 2: malformed line 'shape 1 x 8': invalid literal for int() with base 10: 'x'"),
+        (b"shape 1 8 8", b"shape -1 8 8", "line 2: malformed line 'shape -1 8 8': negative value"),
+        (b"shape 1 8 8", b"shape 1 -8 8", "line 2: malformed line 'shape 1 -8 8': negative value"),
+        (b"samples 200", b"samples -1", "line 4: malformed line 'samples -1': negative value"),
+        (b"classes 4", b"classes 4 7",
+         "line 3: malformed line 'classes 4 7': takes 1 value(s), got 2"),
+        (b"samples 200\n", b"samples 200\nshape 2 1\n", "line 5: 'shape' already set on line 2"),
+        (b"classes 4", b"classes 2", "byte 51262: label 3 is not below the header's classes 2")]],
     *[on(c, "ranking = gradient\nnbf = 1288", 1, "gradient-aligned", before=False)  # every weight
       for c in ("attack", "sweep")]],
   "test_bad_train_config_is_one_error_line": [
@@ -653,8 +694,12 @@ REFUSALS = {  # the test that runs them: its rows
         ("classes = 2", "need >= 4 classes"), ("input_shape = 1 4 4", "conv2d kernel 3 too large"),
         ("input_shape = 8 8", "the desk architecture needs a (C, H, W) input shape"),
         ("lr = 0", "lr must be finite and > 0, got 0.0"),
-        ("train_seed = -1", "seed must be >= 0")]],
-    on("train", "lr = 1e120", 1, "training diverged", before=False, id="lr = 1e120")],
+        ("train_seed = -1", "seed must be >= 0"),
+        ("noise = 1e39", "{tmp}/out/train.data: a non-finite value, or one beyond float32 range")]],
+    on("train", "lr = 1e120", 1, "training diverged", before=False, id="lr = 1e120"),
+    # one SGD step, whose loss is finite and whose update overflows a weight
+    on("train", "per_class = 5\nnoise = 5\nlr = 1.7e308", 1, "training diverged (non-finite "
+       "parameter at epoch 0); try a smaller lr", before=False, id="lr = 1.7e308")],
   "test_unknown_config_key_is_one_error_line": [
     on(c, line, 1, f"{{tmp}}/c.cfg line {n}: unknown config key {line.split()[0]!r}",
        id=f"{c}-{line}")
@@ -763,4 +808,6 @@ def test_train_out_that_cannot_be_a_directory_fails_before_training(refuse, case
 
 
 def test_every_row_of_refusals_is_run():
-    assert all(name in globals() for name in REFUSALS)
+    # under its own id: pytest would suffix a repeated one, and a row named by its id be missed
+    for name, rows in REFUSALS.items():
+        assert name in globals() and len({r.id for r in rows}) == len(rows), name
