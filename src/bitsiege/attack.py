@@ -11,8 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (Dataset, ModelFormatError, Workspace, check_dataset, magic_lines,
-                    read_fields, top1_hits, write_file)
+from .model import (CHUNK, Dataset, ModelFormatError, Workspace, check_dataset, chunks,
+                    magic_lines, read_fields, top1_hits, write_file)
 from .quantize import BITWIDTHS, QuantModel, bits_to_codes, dequantize, flip_bit
 from .reconstruct import ReconstructionMethod, reconstruct_model
 from .recovery import simulate_recovery
@@ -246,30 +246,36 @@ def apply_flips(victim: QuantModel, records) -> QuantModel:
 
 
 class _FlipPass:
-    """A quantized model's pass over one fixed batch that flips bits in place: a
-    Workspace over the batch, with codes and weights of its own that its restarts and
-    its backward (`synth.backprop(ws, ...)`) read. `model`: the model it was last aimed
-    at; `baseline`: a copy of that model's logits. `reset` puts the model's codes and
-    weights back and leaves the stored pass as it is; `lowest` is the lowest parametric
-    layer whose stored output may differ from the baseline pass's (the layer count if
-    none), and the next `flip` re-runs what it must from there. So flips that changed no
-    conv1 weight leave conv1's output, ReLU and pool alone, and no copy of the pass is
-    kept. `serves` compares what the pass computes, not the objects it was built from;
-    `aim` takes up a model it serves. Held between calls by `_holding`."""
+    """A quantized model's pass over one fixed batch that flips bits in place: one
+    Workspace per chunk of the batch (`model.chunks`, of `size` samples), with codes and
+    weights of its own that their restarts and backward (`synth.backprop(ws, ...)`) read.
+    `model`: the model it was last aimed at; `baseline`: a copy of that model's logits.
+    `reset` puts the model's codes and weights back and leaves the stored passes as they
+    are; `lowest` is the lowest parametric layer whose stored output may differ from the
+    baseline pass's (the layer count if none), and the next `flip` re-runs what it must
+    from there. So flips that changed no conv1 weight leave conv1's output, ReLU and pool
+    alone, and no copy of the pass is kept. `serves` compares what the pass computes, not
+    the objects it was built from; `aim` takes up a model it serves. Held between calls
+    by `_holding`."""
 
-    def __init__(self, q: QuantModel, inputs):
-        self.model = q
+    def __init__(self, q: QuantModel, inputs, size=CHUNK):
+        self.model, self.size, self.shape = q, size, inputs.shape
         self.weights = [dequantize(c, qp.scale) for c, qp in zip(q.codes, q.params)]
-        self.ws = Workspace(q.architecture, self.weights, q.biases, inputs)
+        self.workspaces = [Workspace(q.architecture, self.weights, q.biases, x)
+                           for x in chunks(inputs, size)]
+        # the logits `flip` returns: one Workspace's own array, else the chunks' stacked
+        self.logits = (self.workspaces[0].acts[-1] if len(self.workspaces) == 1 else
+                       np.concatenate([ws.acts[-1] for ws in self.workspaces]))
         self.codes = [c.copy() for c in q.codes]
         self.flat = [(c.reshape(-1), w.reshape(-1)) for c, w in zip(self.codes, self.weights)]
         self._aimed()
 
     def serves(self, q: QuantModel, inputs):
-        ws = self.ws
-        return (q.architecture == ws.arch and inputs.shape == ws.acts[0].shape
-                and all(a.tobytes() == b.tobytes() for a, b in zip(q.biases, ws.biases))
-                and (inputs is ws.acts[0] or inputs.tobytes() == ws.acts[0].tobytes()))
+        first = self.workspaces[0]
+        return (q.architecture == first.arch and inputs.shape == self.shape
+                and all(a.tobytes() == b.tobytes() for a, b in zip(q.biases, first.biases))
+                and all(x is ws.acts[0] or x.tobytes() == ws.acts[0].tobytes()
+                        for x, ws in zip(chunks(inputs, self.size), self.workspaces)))
 
     def aim(self, q: QuantModel):
         """Take up `q`, a model the pass `serves`: its codes, weights and flip tables go in,
@@ -277,7 +283,7 @@ class _FlipPass:
         which gives a fresh pass's bits."""
         self.model = q
         self.reset()
-        self.ws.restart(0)
+        self._restart(0)
         self._aimed()
 
     def _aimed(self):
@@ -287,8 +293,16 @@ class _FlipPass:
         # and the weight of each code, indexed as the table's rows are
         self.layers = [(c, w, flip_table(qp.bitwidth), _code_weights(qp))
                        for (c, w), qp in zip(self.flat, self.model.params)]
-        self.baseline = self.ws.acts[-1].copy()
+        self.baseline = self.logits.copy()
         self.lowest = self.stale = len(self.layers)
+
+    def _restart(self, p, f=None):
+        """`Workspace.restart(p, f)` on every chunk; returns `logits`, brought up to date."""
+        for ws in self.workspaces:
+            ws.restart(p, f)
+        if len(self.workspaces) > 1:
+            np.concatenate([ws.acts[-1] for ws in self.workspaces], out=self.logits)
+        return self.logits
 
     def reset(self):
         """Put the model's codes and weights back. The stored pass is left as it is: it is
@@ -301,13 +315,14 @@ class _FlipPass:
     def flip(self, l, f, i, bit):
         """Flip bit `bit` of flat code `i` in filter `f` of parametric layer `l` (a
         `_flip_sites` site) by the bitwidth's `flip_table` and the layer's weight per code;
-        return the logits, rewritten in place. They are exact (`Workspace.restart`): the
-        bits of `forward_batch` of `model` with every flip since `reset` or `aim` applied
-        (`apply_flips`), whatever the pass ran before, so a trace is the same bytes alone,
-        in a sweep or at any `--jobs`. The first flip after `reset` brings the stored pass
-        up to date: at or above the layer `lowest` then named (`stale`), it re-runs every
-        filter from that layer on; below it, its own restart is enough, as that re-runs
-        every layer after its own in full."""
+        return the logits, rewritten in place: the Workspace's own array if the batch is
+        one chunk. They are exact (`Workspace.restart`): the bits of `forward_batch` of
+        `model` with every flip since `reset` or `aim` applied (`apply_flips`), whatever
+        the pass ran before, so a trace is the same bytes alone, in a sweep or at any
+        `--jobs`. The first flip after `reset` brings the stored pass up to date: at or
+        above the layer `lowest` then named (`stale`), it re-runs every filter from that
+        layer on; below it, its own restart is enough, as that re-runs every layer after
+        its own in full."""
         c, w, flips, weights = self.layers[l]
         code = flips[bit][c.item(i)]
         c[i] = code
@@ -316,9 +331,9 @@ class _FlipPass:
         self.stale = len(self.layers)
         if l < stale:
             self.lowest = min(self.lowest, l)
-            return self.ws.restart(l, f)
+            return self._restart(l, f)
         self.lowest = l
-        return self.ws.restart(stale)
+        return self._restart(stale)
 
 
 # the passes this thread holds between calls (`_holding`): `.victim_pass`, of
@@ -327,23 +342,23 @@ _held = threading.local()
 
 
 @contextlib.contextmanager
-def _holding(slot, q: QuantModel, inputs):
+def _holding(slot, q: QuantModel, inputs, size=CHUNK):
     """The held-pass rule: a thread holds at most one `_FlipPass` in each slot of `_held`
-    between calls. A call takes it over if it `serves` q on `inputs` (q's architecture
-    and biases, the inputs' bytes), aimed at q if it was last aimed at another model;
-    otherwise the held pass is dropped before a new one is built. So one pass per slot
-    serves every group of a sweep, every quantized victim of one float model and every
-    surrogate of one victim, and, at `--jobs` above 1, every task chunk a worker process
-    runs, though the pool pickles the victim and eval set with each chunk: a process
-    builds two passes for a whole sweep. The slot is empty while its pass is taken, so
-    a call made from inside another's builds its own; the pass goes back to the slot
-    when the block returns or raises, and one handed back mid-list still knows the
-    lowest layer it changed."""
+    between calls; a new one runs in chunks of `size` samples. A call takes it over if it
+    `serves` q on `inputs` (q's architecture and biases, the inputs' bytes), aimed at q if
+    it was last aimed at another model; otherwise the held pass is dropped before a new
+    one is built. So one pass per slot serves every group of a sweep, every quantized
+    victim of one float model and every surrogate of one victim, and, at `--jobs` above 1,
+    every task chunk a worker process runs, though the pool pickles the victim and eval
+    set with each chunk: a process builds two passes for a whole sweep. The slot is empty
+    while its pass is taken, so a call made from inside another's builds its own; the
+    pass goes back to the slot when the block returns or raises, and one handed back
+    mid-list still knows the lowest layer it changed."""
     held = getattr(_held, slot, None)
     setattr(_held, slot, None)
     if held is None or not held.serves(q, inputs):
         held = None  # the old pass is freed before the new one is built
-        held = _FlipPass(q, inputs)
+        held = _FlipPass(q, inputs, size)
     elif held.model is not q:
         held.aim(q)
     try:
@@ -355,9 +370,10 @@ def _holding(slot, q: QuantModel, inputs):
 def _gradient(q: QuantModel, batch: Dataset):
     """The weight gradients of `synth.gradient` for the dequantized `q` on `batch`, bit
     for bit, backpropagated through the batch pass (`_holding`) as it stands: nothing
-    flips it between calls. They are the pass's own arrays, which its next call rewrites."""
-    with _holding("batch_pass", q, batch.inputs) as held:
-        return backprop(held.ws, batch.labels)[1]
+    flips it between calls. The pass is one chunk of the whole batch, as the loss sums
+    over it. The gradients are the pass's own arrays, which its next call rewrites."""
+    with _holding("batch_pass", q, batch.inputs, len(batch)) as held:
+        return backprop(held.workspaces[0], batch.labels)[1]
 
 
 def _score_flips(victim: QuantModel, record_lists, eval_data: Dataset, score) -> list:

@@ -20,10 +20,10 @@ from . import attack, synth
 from .attack import (RANKINGS, RECONS, RUN_CONFIG, _check_nbf, _score_flips, apply_flips,
                      check_config, evaluate_flips, load_trace, run_attacks,
                      select_random_bits, select_vulnerable_bits, trace_bytes)
-from .model import (DATA_MAX_CLASSES, Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel,
-                    MaxPool, ModelFormatError, ReLU, check_dataset, dataset_bytes,
-                    filter_count, forward_batch, load_dataset, load_model, model_bytes,
-                    top1_hits, weight_shape, write_file)
+from .model import (CHUNK, DATA_MAX_CLASSES, Architecture, Conv2D, Dataset, Dense, Flatten,
+                    FloatModel, MaxPool, ModelFormatError, ReLU, accuracy, check_dataset,
+                    dataset_bytes, filter_count, forward_batch, load_dataset, load_model,
+                    model_bytes, weight_shape, write_file)
 from .quantize import (BITWIDTHS, QuantModel, QuantParams, accuracy_quant, dequantize_model,
                        flip_bit, qmodel_bytes, quantize_model)
 from .reconstruct import ReconstructionMethod, oracle_min_abs, reconstruct_code
@@ -138,12 +138,12 @@ def cmd_train(args):
         tc = synth.TrainConfig(**fields[synth.TrainConfig])
         arch = synth.desk_architecture(spec.classes, spec.input_shape)
         _check_out(args.out)
-        train_ds, test_ds = synth.gen_synthetic(spec)
-        data_files = [(path, dataset_bytes(data, path)) for path, data in  # a noise too large
-                      ((os.path.join(args.out, "train.data"), train_ds),
-                       (os.path.join(args.out, "test.data"), test_ds))]
+        train_ds, test_ds = synth.gen_synthetic(spec)  # a noise too large for float32
     except ValueError as e:
         raise _UsageError(f"train config: {e}") from None
+    data_files = [(path, dataset_bytes(data, path)) for path, data in
+                  ((os.path.join(args.out, "train.data"), train_ds),
+                   (os.path.join(args.out, "test.data"), test_ds))]
     _refuse_other_bytes(data_files)  # known before training; victim.model only after it
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
@@ -157,21 +157,9 @@ def cmd_train(args):
         raise _UsageError(f"trained model cannot be saved ({e}); try a smaller lr") from None
     os.makedirs(args.out, exist_ok=True)  # no file in a new directory can refuse
     _write_new(files + data_files)
-    print(f"train accuracy {_chunked_accuracy(model, train_ds):.4f}")
-    print(f"test accuracy  {_chunked_accuracy(model, test_ds):.4f}")
+    print(f"train accuracy {accuracy(model, train_ds):.4f}")
+    print(f"test accuracy  {accuracy(model, test_ds):.4f}")
     return EXIT_OK
-
-
-def _chunked_accuracy(model: FloatModel, data: Dataset):
-    """Top-1 accuracy scored 64 samples at a time, so that no pass over the whole set
-    sets the process's peak memory: at the desk's 1x8x8 and 1x16x16 inputs the allocator
-    then reuses one pass's memory for the next (larger inputs were not measured). A
-    chunk's logits may differ from a whole-set pass's in the last bits (its conv GEMMs
-    run over fewer columns); the hits equaled `accuracy`'s on the desk and train-victim
-    sets checked, which no test holds for other shapes."""
-    hits = sum(top1_hits(forward_batch(model, data.inputs[i:i + 64]), data.labels[i:i + 64])
-               for i in range(0, len(data), 64))
-    return hits / len(data)
 
 
 def cmd_quantize(args):
@@ -401,6 +389,18 @@ def _verify_incremental():
     inputs = rng.standard_normal((48, 1, 8, 8))
     # labelled by the first clean victim, so that flips move the accuracy off 1.0
     data = Dataset(inputs, forward_batch(dequantize_model(victims[0]), inputs).argmax(axis=1))
+
+    def first_difference(victim, lists, data):
+        """Where the first logits of `_score_flips` differ from a fresh `forward_batch` of
+        the `apply_flips` victim, or None."""
+        logits = _score_flips(victim, lists, data, lambda logits: logits.tobytes())
+        for j, recs in enumerate(lists):
+            for i in range(len(recs) + 1):
+                ref = forward_batch(dequantize_model(apply_flips(victim, recs[:i])), data.inputs)
+                if logits[j][i] != ref.tobytes():
+                    return f"after flip {i} of list {j}"
+        return None
+
     passes = []
     for k, victim in enumerate(victims):
         records = select_vulnerable_bits(victim, 40) + select_random_bits(victim, 20, 11)
@@ -413,25 +413,32 @@ def _verify_incremental():
         below = [b[0].layer < min(r.layer for r in a) for a, b in zip(lists, lists[1:])]
         if set(below) != {True, False}:
             return False, f"victim {k}'s lists do not start both below and at or above a layer"
-        logits = _score_flips(victim, lists, data, lambda logits: logits.tobytes())
-        for j, recs in enumerate(lists):
-            for i in range(len(recs) + 1):
-                ref = forward_batch(dequantize_model(apply_flips(victim, recs[:i])), data.inputs)
-                if logits[j][i] != ref.tobytes():
-                    return False, (f"incremental logits differ from the apply_flips reference "
-                                   f"after flip {i} of list {j} of victim {k}")
+        wrong = first_difference(victim, lists, data)
+        if wrong:
+            return False, (f"incremental logits differ from the apply_flips reference {wrong} "
+                           f"of victim {k}")
         passes.append(attack._held.victim_pass)
     if passes[1] is not passes[0]:
         return False, "the second victim's call built a new pass instead of re-aiming the first's"
     accs = [accuracy_quant(apply_flips(victim, records[:i]), data) for i in range(len(records) + 1)]
-    ws = passes[0].ws  # the pass checked names the GEMM its conv restarts ran
+    # lists of the second victim on two full chunks and a short one: from a new pass, then
+    # at or above the lowest layer the list before flipped, then below it
+    n = 2 * CHUNK + 37
+    wrong = first_difference(victim, [records[:10], head[:5], records[3:13]],
+                             Dataset(rng.standard_normal((n, 1, 8, 8)), rng.integers(0, 3, n)))
+    if wrong:
+        return False, (f"incremental logits differ from the apply_flips reference {wrong} "
+                       f"of victim {k} on {n} samples")
+    chunked = len(attack._held.victim_pass.workspaces)
+    ws = passes[0].workspaces[0]  # the pass checked names the GEMM its conv restarts ran
     paths = ", ".join(f"layer {pos} {'two-row block' if ws.two_row_blocks(pos) else 'full GEMM'}"
                       for pos, layer in arch.parametric_layers() if isinstance(layer, Conv2D))
     return evaluate_flips(victim, records, data) == accs, (
         f"incremental evaluator vs apply_flips + accuracy_quant over {len(records)} flips, "
         "then lists from the pass the list before left, starting at, above and below the "
         "lowest layer it flipped, on one pass re-aimed at a second victim (padded and "
-        "strided convs, an odd filter count, pool, dense): logits bit-identical, accuracies "
+        "strided convs, an odd filter count, pool, dense), and three lists on "
+        f"{n} samples, {chunked} chunks of up to {CHUNK}: logits bit-identical, accuracies "
         f"equal; conv restarts: {paths}")
 
 

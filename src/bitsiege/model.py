@@ -697,12 +697,29 @@ def _backward_calls(ws: Workspace):
     return dlogits, (dws, dbs, calls)
 
 
+# The batch shape every pass that only scores runs in: `forward_batch`, and so `accuracy`
+# and `quantize.accuracy_quant`, and each Workspace of `attack._FlipPass`. A sample's logits
+# depend on the GEMM shapes it was summed in, so scoring in one fixed chunk size makes
+# every scorer give the same bits on any set. Passes that backpropagate run one batch.
+CHUNK = 200
+
+
+def chunks(x, size=CHUNK):
+    """The batch `x` itself if it has at most `size` samples, else its runs of `size`
+    samples in order (views), the last one shorter if `size` does not divide its length."""
+    return [x] if len(x) <= size else [x[i:i + size] for i in range(0, len(x), size)]
+
+
 def forward_batch(model: FloatModel, xs) -> np.ndarray:
-    """Logits for a batch shaped (N, *input_shape)."""
+    """Logits for a batch shaped (N, *input_shape): those of `forward_layers` on each of
+    its `chunks`, stacked; a batch of one chunk gets that pass's own array. Only one
+    chunk's pass is held at a time."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.shape[1:] != model.architecture.input_shape:
         raise ValueError(f"input shape {xs.shape[1:]} != {model.architecture.input_shape}")
-    return forward_layers(model.architecture, model.weights, model.biases, xs)
+    logits = [forward_layers(model.architecture, model.weights, model.biases, x)
+              for x in chunks(xs)]
+    return logits[0] if len(logits) == 1 else np.concatenate(logits)
 
 
 def check_dataset(arch: Architecture, data: Dataset):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (Architecture, Conv2D, Dataset, Dense, Flatten, FloatModel, MaxPool, ReLU,
-                    Workspace, backward_layers, filter_count, forward_batch, weight_shape)
+                    Workspace, backward_layers, filter_count, forward_layers, weight_shape)
 
 
 class TrainingDiverged(Exception):
@@ -69,7 +69,8 @@ def class_prototypes(spec: SynthSpec) -> np.ndarray:
 
 
 def gen_synthetic(spec: SynthSpec):
-    """(train, test) datasets: prototype + Gaussian noise, disjoint seeded draws."""
+    """(train, test) datasets: prototype + Gaussian noise, disjoint seeded draws. Raises
+    ValueError if an input does not fit float32, as a `.data` file stores it."""
     protos = class_prototypes(spec)
     rng = np.random.default_rng(spec.seed + 1)
 
@@ -80,6 +81,9 @@ def gen_synthetic(spec: SynthSpec):
         x = rng.standard_normal((len(labels),) + spec.input_shape)
         x *= spec.noise
         x += protos[labels]
+        with np.errstate(over="ignore"):  # the largest magnitude rounds to inf, or none does
+            if not np.isfinite(np.float32(max(-x.min(), x.max()))):
+                raise ValueError(f"noise {spec.noise!r} draws inputs beyond float32 range")
         x.flags.writeable = labels.flags.writeable = False  # handed to the Dataset uncopied
         return Dataset(x, labels)
 
@@ -142,9 +146,12 @@ def gradient(model: FloatModel, inputs, labels):
 
 
 def batch_loss(model: FloatModel, inputs, labels) -> float:
-    """Mean cross-entropy of `model` on the batch: a forward pass and the loss, with the
-    bits of `backprop`'s loss; no backward runs."""
-    return _softmax_ce(forward_batch(model, inputs), np.asarray(labels))[0]
+    """Mean cross-entropy of `model` on the batch: one forward pass over the whole batch,
+    not `forward_batch`'s chunks, as `backprop`'s is, and the loss, with the bits of
+    `backprop`'s loss; no backward runs."""
+    logits = forward_layers(model.architecture, model.weights, model.biases,
+                            np.asarray(inputs, dtype=np.float64))
+    return _softmax_ce(logits, np.asarray(labels))[0]
 
 
 def train(architecture: Architecture, data: Dataset, cfg: TrainConfig,

@@ -167,5 +167,6 @@ def test_c11_incremental_equals_reference(verify_run):
     line = verify_run[2]["incremental-eval"]  # which names the GEMM each conv restart ran
     named = re.search(r"conv restarts: layer 0 (two-row block|full GEMM), "
                       r"layer 3 (two-row block|full GEMM)$", line)
-    report("criterion-11 incremental-equals-reference", line.startswith("PASS") and named,
-           f"({line})")
+    chunked = ", 3 chunks of up to 200: " in line  # two full chunks and a short one
+    report("criterion-11 incremental-equals-reference",
+           line.startswith("PASS") and named and chunked, f"({line})")

@@ -15,7 +15,7 @@ from bitsiege import model as model_module
 from bitsiege import synth as synth_module
 from bitsiege.attack import RANKINGS, RECONS, RUN_CONFIG, FlipRecord, _score_flips
 from bitsiege.cli import _cfg_hash
-from bitsiege.model import Workspace, backward_layers
+from bitsiege.model import CHUNK, Workspace, backward_layers
 from bitsiege.model import _conv_bwd, _maxpool, _pool_bwd, filter_count, weight_shape
 from bitsiege.synth import _softmax_ce
 from bitsiege.quantize import BITWIDTHS
@@ -399,6 +399,17 @@ def test_evaluate_flips_matches_reference(desk, victims, nq, data):
     assert bs.evaluate_flips(q, records, desk["test"]) == reference_accuracies(q, records, desk["test"])
 
 
+def test_evaluate_flips_matches_reference_on_several_chunks(desk, victims, no_held_pass):
+    # two full chunks and a short one: each chunk's Workspace flips, and each prefix's
+    # accuracy is accuracy_quant's, which scores the same chunks
+    n = 2 * CHUNK + 37
+    data = bs.Dataset(desk["train"].inputs[:n], desk["train"].labels[:n])
+    for q in victims.values():
+        records = bs.select_vulnerable_bits(q, 25) + bs.select_random_bits(q, 25, 6)
+        assert bs.evaluate_flips(q, records, data) == reference_accuracies(q, records, data)
+    assert [len(ws.acts[0]) for ws in attack._held.victim_pass.workspaces] == [CHUNK, CHUNK, 37]
+
+
 def draw_flips(data, q):
     """A sign and a non-sign bit in every parametric layer, some free picks, then one
     bit flipped a second time, in a drawn order."""
@@ -627,7 +638,7 @@ def test_the_gradient_batch_pass_flips_and_backpropagates_a_fresh_pass_bytes(des
         held.reset()
         for i, site in enumerate(attack._flip_sites(s, records), 1):
             held.flip(*site)
-            got = synth_module.backprop(held.ws, batch.labels)
+            got = synth_module.backprop(held.workspaces[0], batch.labels)
             flipped = bs.dequantize_model(bs.apply_flips(s, records[:i]))
             want = (synth_module.batch_loss(flipped, batch.inputs, batch.labels),
                     *synth_module.gradient(flipped, batch.inputs, batch.labels))
@@ -749,7 +760,7 @@ def test_a_list_re_runs_from_the_lowest_layer_flipped_since_the_last_one(
     q, data = fresh_inputs(desk, 64)
     by_layer = desk_flips(q)
     first_flip_calls(q, [by_layer[2]], data, pass_calls)
-    ws = attack._held.victim_pass.ws
+    (ws,) = attack._held.victim_pass.workspaces
     block = [2 if ws.two_row_blocks(pos) else n for pos, n in ((0, 8), (3, 16))]
     for first, calls in ((2, []), (1, [block[1]]), (1, FULL_CALLS[1]),
                          (0, [block[0], "pool", 16]), (2, FULL_CALLS[0]), (2, [])):
@@ -791,19 +802,38 @@ def test_a_victim_pass_holds_one_copy_of_the_baseline_pass(desk):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    (ws,) = vp.workspaces  # the desk eval set is one chunk
     kept = []  # the stored arrays, one per block of memory; each view here spans its base
-    for a in sorted(stored_arrays(vp.ws), key=lambda a: -a.nbytes):
+    for a in sorted(stored_arrays(ws), key=lambda a: -a.nbytes):
         if not any(np.may_share_memory(a, b) for b in kept + [test.inputs]):
             kept.append(a)
     copies = vp.codes + vp.weights + [vp.baseline]
     assert held < sum(a.nbytes for a in kept + copies) + 64 * 1024
 
 
+def test_a_pass_over_one_chunk_runs_on_the_callers_inputs_and_returns_its_own_logits(
+        desk, monkeypatch, no_held_pass):
+    # the desk eval set is one chunk, so the pass runs the numpy calls of a whole-set pass
+    q, test = desk["qmodel"], desk["test"]
+    assert len(test) == CHUNK
+    records = bs.select_vulnerable_bits(q, 10) + bs.select_random_bits(q, 10, 3)
+    stacked = []
+    with attack._holding("victim_pass", q, test.inputs) as vp, monkeypatch.context() as m:
+        (ws,) = vp.workspaces
+        assert ws.acts[0] is test.inputs  # so `serves` compares no bytes
+        m.setattr(np, "concatenate", lambda *a, **k: stacked.append(a))
+        for site in attack._flip_sites(q, records):
+            assert vp.flip(*site) is ws.acts[-1]
+    assert stacked == []
+    want = bs.forward_batch(bs.dequantize_model(bs.apply_flips(q, records)), test.inputs)
+    assert ws.acts[-1].tobytes() == want.tobytes()
+
+
 def test_a_victim_pass_builds_no_backward(desk, no_held_pass):
     # flips and scores only: the gradient ranking's batch pass alone backpropagates
     q, data = fresh_inputs(desk, 64)
     bs.evaluate_flips(q, bs.select_vulnerable_bits(q, 5), data)
-    ws = attack._held.victim_pass.ws
+    (ws,) = attack._held.victim_pass.workspaces
     assert ws.backward is None and ws.dlogits is None
 
 

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import bitsiege as bs
 from bitsiege import model as model_module
-from bitsiege.model import (ModelFormatError, Workspace, _block_start, _blocks_exact, _conv2d,
-                            _conv_bwd, _maxpool, _patches, filter_count, forward_layers,
-                            weight_shape)
+from bitsiege.model import (CHUNK, ModelFormatError, Workspace, _block_start, _blocks_exact,
+                            _conv2d, _conv_bwd, _maxpool, _patches, filter_count,
+                            forward_layers, weight_shape)
 
 from conftest import full_gemm_restarts, make_tiny_dense, stored_arrays
 
@@ -481,6 +481,19 @@ def random_model(arch, rng):
     shapes = [weight_shape(l) for _, l in arch.parametric_layers()]
     return bs.FloatModel(arch, [rng.standard_normal(s) for s in shapes],
                          [rng.standard_normal(s[0]) for s in shapes])
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 8), (1, 16, 16)], ids=["1x8x8", "1x16x16"])
+def test_forward_batch_gives_the_chunk_passes_stacked(shape):
+    # two full chunks and a short one: a sample's logits are summed in its chunk's GEMMs,
+    # which every scorer runs, whatever the set's length
+    rng = np.random.default_rng(8)
+    model = random_model(bs.desk_architecture(4, shape), rng)
+    xs = rng.standard_normal((2 * CHUNK + 37, *shape))
+    passes = [forward_layers(model.architecture, model.weights, model.biases, xs[i:i + CHUNK])
+              for i in (0, CHUNK, 2 * CHUNK)]
+    assert [len(p) for p in passes] == [CHUNK, CHUNK, 37]
+    assert bs.forward_batch(model, xs).tobytes() == np.concatenate(passes).tobytes()
 
 
 # convs of 3 and 5 filters: the last two-row block of each, rows O-2 and O-1, shares

@@ -5,7 +5,7 @@ import pytest
 
 import bitsiege as bs
 from bitsiege import synth
-from bitsiege.model import Workspace, weight_shape
+from bitsiege.model import CHUNK, Workspace, weight_shape
 from bitsiege.synth import class_prototypes
 
 
@@ -181,6 +181,20 @@ def test_a_second_backprop_rewrites_the_first_ones_arrays_and_makes_none(desk):
     # for conv1's output gradient and the pool's input gradient are 74 kB each.
     assert kept < 1024
     assert peak < 64 * 1024
+
+
+def test_batch_loss_on_more_than_a_chunk_is_backprops_loss():
+    # one pass over the whole batch, as backprop's, not forward_batch's chunks, whose
+    # logits may differ in the last bits (on OpenBLAS 0.3.31's default x86 kernels they do)
+    rng = np.random.default_rng(0)
+    arch = bs.desk_architecture(4, (1, 16, 16))
+    shapes = [weight_shape(l) for _, l in arch.parametric_layers()]
+    model = bs.FloatModel(arch, [rng.standard_normal(s) * 0.3 for s in shapes],
+                          [rng.standard_normal(s[0]) for s in shapes])
+    n = 2 * CHUNK + 37
+    xs, labels = rng.standard_normal((n, 1, 16, 16)), rng.integers(0, 4, n)
+    ws = Workspace(arch, model.weights, model.biases, xs)
+    assert synth.batch_loss(model, xs, labels) == synth.backprop(ws, labels)[0]
 
 
 def test_loss_non_increasing_noise_free():
