@@ -201,8 +201,8 @@ class Workspace:
     built once per (p, f), on its first restart, over the arrays they write in their
     final form: a conv's (O, N*Ho*Wo) product, its weight matrix, a Dense's `W.T`; so a
     re-run does no layer dispatch, reshape or index arithmetic. Each call writes a
-    stored array, or rows of one; a conv's is the same `_conv2d` call as the first
-    pass's, on a block of rows or on all of them.
+    stored array, or rows of one; a conv's is `_conv2d` on all its rows or on one of the
+    fixed row blocks that the first pass's `_conv2d` computed apart.
 
     The backward is held the same way. `dlogits` and `backward` are None until the first
     `backward_layers` call, which builds the list of calls once over arrays the workspace
@@ -233,14 +233,11 @@ class Workspace:
         weights, or after any of p's filters did with `f` None (every row and channel
         then runs); returns the logits, the stored array rewritten in place.
 
-        A Conv2D runs one GEMM, plus the bias, straight into rows of its stored
-        product: those of the two-row block of its weight matrix that holds row f.
-        numpy hands a one-row product `W[f:f+1] @ cols` to gemv, whose sums need not
-        give the full GEMM's bits; so the block runs only where `two_row_blocks` has
-        shown that every block gives them, and elsewhere the GEMM of every row does.
-        Either way the rows other than f come out as stored. The layers after it run
-        on channel f only (ReLU, MaxPool and Flatten are elementwise or copies), and
-        the next Conv2D rewrites only channel f's rows of its patch matrix. From the
+        A Conv2D re-runs `_conv2d`, plus the bias, straight into the rows of its stored
+        product in `_conv2d`'s fixed block that holds row f: the BLAS call that made
+        them, so a row of the block other than f comes out as stored. The layers after
+        it run on channel f only (ReLU, MaxPool and Flatten are elementwise or copies),
+        and the next Conv2D rewrites only channel f's rows of its patch matrix. From the
         next parametric layer on, and after a Dense, every layer runs in full. So the
         logits equal a fresh full pass bit for bit.
         """
@@ -314,64 +311,18 @@ class Workspace:
             calls.append(partial(np.copyto, cols.reshape(win.shape)[ch], win[ch]))
         return calls
 
-    def two_row_blocks(self, pos):
-        """Whether restarts of the Conv2D at `pos` run the two-row GEMM block of a
-        changed row (else the full GEMM): where its weight matrix has two or more rows
-        and `_blocks_exact` holds, on this BLAS, for its shape and its patch matrix's
-        shape and strides. The verdict is probed once per process for each of those.
-        `bitsiege verify` names each conv's path; OpenBLAS 0.3.31's Nehalem kernels
-        (`OPENBLAS_CORETYPE=Nehalem`) take the full GEMM on the desk shapes."""
-        w, cols = self._operands(pos)
-        if len(w) < 2:
-            return False
-        key = (w.shape, cols.shape, cols.strides)
-        if key not in _BLOCKS_EXACT:
-            _BLOCKS_EXACT[key] = _blocks_exact(w, cols)
-        return _BLOCKS_EXACT[key]
-
-    def _operands(self, pos):
-        """A Conv2D's (O, C*k*k) weight matrix, a view, and its stored patch matrix."""
-        w = self.weights[self.index[pos]]
-        return w.reshape(len(w), -1), self.patches[pos][1]
-
     def _gemm(self, pos, row=None):
-        """The call that re-runs a Conv2D's GEMM over its stored patch matrix into rows
-        of its stored (O, N*Ho*Wo) product, in place: with `row`, the rows of the two-row
-        block of weight rows that holds it, where `two_row_blocks` holds; else every row."""
-        (w, cols), b = self._operands(pos), self.biases[self.index[pos]]
+        """The call that re-runs a Conv2D's `_conv2d` over its stored patch matrix into
+        rows of its stored (O, N*Ho*Wo) product, in place: with `row`, those of
+        `_conv2d`'s fixed block that holds it; else every row."""
+        p = self.index[pos]
+        w, cols, b = self.weights[p], self.patches[pos][1], self.biases[p]
+        w = w.reshape(len(w), -1)
         out = self.acts[pos + 1].transpose(1, 0, 2, 3).reshape(len(w), -1)  # a view, by layout
-        rows = slice(None)
-        if row is not None and self.two_row_blocks(pos):
-            lo = _block_start(row, len(w))
-            rows = slice(lo, lo + 2)
-        w, b, out = w[rows], b[rows], out[rows]
+        if row is not None:
+            rows = slice(row - row % 2, row - row % 2 + 2)
+            w, b, out = w[rows], b[rows], out[rows]
         return lambda: _conv2d(cols, w, b, out)  # looked up at each call, for tracers
-
-
-# (weight matrix shape, patch matrix shape, patch matrix strides) -> `_blocks_exact`
-_BLOCKS_EXACT = {}
-
-
-def _block_start(row, o):
-    """The first row of the two-row block of an o-row weight matrix that holds `row`."""
-    return min(row - row % 2, o - 2)
-
-
-def _blocks_exact(w, cols):
-    """Whether each two-row block GEMM that a restart can run, `w[lo:lo + 2] @ cols`,
-    gives rows lo and lo + 1 of the full GEMM `w @ cols` bit for bit, for the live
-    operands and for 32 random weight matrices of w's shape: a sample, not a proof (with
-    two draws, OpenBLAS's Nehalem kernels passed blocks that other weights showed unsound).
-    A BLAS may block two rows' GEMM otherwise than all rows', and sum in another order."""
-    blocks = sorted({_block_start(f, len(w)) for f in range(len(w))})
-    full, part = np.empty((len(w), cols.shape[1])), np.empty((2, cols.shape[1]))
-    rng = np.random.default_rng(0)
-    for a in [w, *(rng.standard_normal(w.shape) for _ in range(32))]:
-        np.matmul(a, cols, out=full)
-        for lo in blocks:
-            if np.matmul(a[lo:lo + 2], cols, out=part).tobytes() != full[lo:lo + 2].tobytes():
-                return False
-    return True
 
 
 def _windows(x, kernel, stride):
@@ -399,15 +350,32 @@ def _patches(x, kernel, stride, padding):
 
 
 def _conv2d(cols, w, b, out=None):
-    """Convolution as one GEMM of the (O, C*k*k) weight matrix `w` over the patch
+    """Convolution as the GEMM of the (O, C*k*k) weight matrix `w` over the patch
     matrix `cols` of `_patches`, plus the bias: the (O, N*Ho*Wo) product, whose
     (N, O, Ho, Wo) transpose is the layer's output.
+
+    The product runs in fixed blocks of rows: (0, 1), (2, 3), ..., and for an odd O the
+    last row alone. A block of one or two rows is one 2-D matmul; more rows are one
+    stacked matmul over the pairs, plus the lone last row. So each row comes from the
+    same BLAS call on the same operands whether every row runs or only its block (what
+    a `Workspace` restart runs), and restarts give a fresh pass's bits on any BLAS that
+    gives the same bits for the same call: a BLAS may sum a GEMM of two rows in another
+    order than one of all rows.
 
     `out`: a product this function returned for the same shapes (or a block of its
     rows, for the same block of `w` and `b`), rewritten in place. The bias is added
     in place: a fresh `product + bias` array cost far more than the GEMM (page faults
     on every call), for the same bits."""
-    out = np.matmul(w, cols, out=out)
+    o = len(w)
+    if out is None:
+        out = np.empty((o, cols.shape[1]))
+    if o <= 2:
+        np.matmul(w, cols, out=out)
+    else:
+        e = o - o % 2
+        np.matmul(w[:e].reshape(e // 2, 2, -1), cols, out=out[:e].reshape(e // 2, 2, -1))
+        if o % 2:
+            np.matmul(w[e:], cols, out=out[e:])
     out += b[:, None]
     return out
 

@@ -1,6 +1,4 @@
-import contextlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,17 +57,6 @@ def no_held_pass(monkeypatch):
     back afterwards."""
     for slot in ("victim_pass", "batch_pass"):
         monkeypatch.setattr(attack._held, slot, None, raising=False)
-
-
-@contextlib.contextmanager
-def full_gemm_restarts():
-    """Conv restarts built inside run the full GEMM: the two-row block probe rejects
-    every shape, no earlier verdict is used, and no held victim pass is taken over.
-    The verdicts and the held pass from before are back afterwards."""
-    with mock.patch.object(model, "_blocks_exact", lambda *a: False), \
-            mock.patch.dict(model._BLOCKS_EXACT, clear=True), \
-            mock.patch.object(attack._held, "victim_pass", None, create=True):
-        yield
 
 
 def draw_architecture(data):

@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import math
 import tracemalloc
@@ -20,7 +19,7 @@ from bitsiege.model import _conv_bwd, _maxpool, _pool_bwd, filter_count, weight_
 from bitsiege.synth import _softmax_ce
 from bitsiege.quantize import BITWIDTHS
 
-from conftest import draw_architecture, full_gemm_restarts, random_qmodel, stored_arrays
+from conftest import draw_architecture, random_qmodel, stored_arrays
 
 
 def two_filter_model(w0=5.0, w1=1.0):
@@ -430,7 +429,9 @@ def draw_flips(data, q):
     return data.draw(st.permutations(records))
 
 
-def check_flip_lists_on_a_random_architecture(data):
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_flip_lists_restart_from_the_baseline_on_random_architectures(data):
     """One to three lists from one baseline pass: every list after the first starts from
     the restored workspace, which must hold no trace of the flips before it."""
     arch = draw_architecture(data)
@@ -443,22 +444,8 @@ def check_flip_lists_on_a_random_architecture(data):
     assert_fresh_logits(_score_flips(q, lists, eval_data, keep_bytes), q, lists, eval_data)
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_flip_lists_restart_from_the_baseline_on_random_architectures(data):
-    check_flip_lists_on_a_random_architecture(data)
-
-
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_flip_lists_through_the_full_gemm_on_random_architectures(data):
-    with full_gemm_restarts():
-        check_flip_lists_on_a_random_architecture(data)
-
-
-@pytest.mark.parametrize("blocks", [True, False], ids=["probed", "full-gemm"])
 @pytest.mark.parametrize("conv1_first", [False, True])
-def test_lists_that_spare_conv1_restore_around_lists_that_flip_it(desk, blocks, conv1_first):
+def test_lists_that_spare_conv1_restore_around_lists_that_flip_it(desk, conv1_first):
     # A list that flips only conv2 and dense weights leaves conv1's output, ReLU and pool
     # as the first pass left them, so the restore after it re-runs from conv2 on only.
     q, data = fresh_inputs(desk, 64)
@@ -468,8 +455,7 @@ def test_lists_that_spare_conv1_restore_around_lists_that_flip_it(desk, blocks, 
     flip = by_layer[0][:3] + by_layer[1][6:9] + by_layer[0][3:5]
     dense = by_layer[2][4:8]
     lists = [flip, spare, dense, flip] if conv1_first else [spare, flip, dense, spare]
-    with contextlib.nullcontext() if blocks else full_gemm_restarts():
-        assert_fresh_logits(_score_flips(q, lists, data, keep_bytes), q, lists, data)
+    assert_fresh_logits(_score_flips(q, lists, data, keep_bytes), q, lists, data)
 
 
 def keep_bytes(logits):
@@ -760,10 +746,9 @@ def test_a_list_re_runs_from_the_lowest_layer_flipped_since_the_last_one(
     q, data = fresh_inputs(desk, 64)
     by_layer = desk_flips(q)
     first_flip_calls(q, [by_layer[2]], data, pass_calls)
-    (ws,) = attack._held.victim_pass.workspaces
-    block = [2 if ws.two_row_blocks(pos) else n for pos, n in ((0, 8), (3, 16))]
-    for first, calls in ((2, []), (1, [block[1]]), (1, FULL_CALLS[1]),
-                         (0, [block[0], "pool", 16]), (2, FULL_CALLS[0]), (2, [])):
+    # a flip's own restart re-runs the two-row block of its filter's conv
+    for first, calls in ((2, []), (1, [2]), (1, FULL_CALLS[1]),
+                         (0, [2, "pool", 16]), (2, FULL_CALLS[0]), (2, [])):
         assert first_flip_calls(q, [by_layer[first]], data, pass_calls) == calls, first
     assert len(pass_builds) == 1
 

@@ -1,4 +1,3 @@
-import contextlib
 import re
 import struct
 import tracemalloc
@@ -9,11 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import bitsiege as bs
 from bitsiege import model as model_module
-from bitsiege.model import (CHUNK, ModelFormatError, Workspace, _block_start, _blocks_exact,
-                            _conv2d, _conv_bwd, _maxpool, _patches, filter_count,
-                            forward_layers, weight_shape)
+from bitsiege.model import (CHUNK, ModelFormatError, Workspace, _conv2d, _conv_bwd, _maxpool,
+                            _patches, filter_count, forward_layers, weight_shape)
 
-from conftest import full_gemm_restarts, make_tiny_dense, stored_arrays
+from conftest import make_tiny_dense, stored_arrays
 
 
 def test_dense_identity():
@@ -496,17 +494,37 @@ def test_forward_batch_gives_the_chunk_passes_stacked(shape):
     assert bs.forward_batch(model, xs).tobytes() == np.concatenate(passes).tobytes()
 
 
-# convs of 3 and 5 filters: the last two-row block of each, rows O-2 and O-1, shares
-# row O-2 with the block before it, and a restart of either rewrites it
+# convs of 3 and 5 filters, whose last rows are blocks of their own; the second is
+# strided and padded, so that its patch matrix is a copy
 ODD_FILTERS = bs.Architecture((bs.Conv2D(1, 3, 3, 1, 1), bs.ReLU(), bs.MaxPool(2),
                                bs.Conv2D(3, 5, 3, 2, 1), bs.ReLU(), bs.Flatten(),
                                bs.Dense(20, 3)), (1, 8, 8), 3)
 
 
-@pytest.mark.parametrize("odd, blocks", [(False, True), (False, False), (True, True),
-                                         (True, False)],
-                         ids=["block", "full-gemm", "odd-block", "odd-full-gemm"])
-def test_conv_restarts_of_every_filter_equal_a_fresh_pass(desk, monkeypatch, odd, blocks):
+@pytest.mark.parametrize("o, conv", [*[(o, "odd-conv2") for o in (1, 2, 3, 5, 8, 16)],
+                                     (8, "desk-conv1"), (16, "desk-conv2")])
+def test_conv2d_gives_each_row_block_the_bits_of_its_own_call(o, conv):
+    # the one BLAS assumption left under restarts, checked on whatever BLAS is loaded: the
+    # product of all o rows gives each fixed block (rows 2i and 2i + 1, or the last row
+    # alone) the bits of `_conv2d` on that block's rows, run into them as a restart does.
+    # The patch matrices are a pass's over a chunk: the desk victim's two, or ODD_FILTERS's
+    # strided, padded conv2 with o filters
+    arch = bs.desk_architecture(4, (1, 8, 8)) if conv.startswith("desk") else ODD_FILTERS
+    rng = np.random.default_rng(o)
+    model = random_model(arch, rng)
+    ws = Workspace(arch, model.weights, model.biases, rng.standard_normal((CHUNK, 1, 8, 8)))
+    cols = ws.patches[0 if conv == "desk-conv1" else 3][1]
+    w, b = rng.standard_normal((o, len(cols))), rng.standard_normal(o)
+    full = _conv2d(cols, w, b)
+    for lo in range(0, o, 2):
+        rows, out = slice(lo, lo + 2), full.copy()
+        out[rows] = np.nan
+        _conv2d(cols, w[rows], b[rows], out[rows])
+        assert out.tobytes() == full.tobytes(), (o, conv, lo)
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["block", "odd-block"])
+def test_conv_restarts_of_every_filter_equal_a_fresh_pass(desk, monkeypatch, odd):
     model, xs = desk["model"], desk["test"].inputs
     if odd:
         model = random_model(ODD_FILTERS, np.random.default_rng(5))
@@ -517,71 +535,28 @@ def test_conv_restarts_of_every_filter_equal_a_fresh_pass(desk, monkeypatch, odd
         out = _conv2d(*args)
         rows.append(len(out))
         return out
-    with contextlib.ExitStack() as stack:
-        if not blocks:
-            stack.enter_context(full_gemm_restarts())
-        weights = [w.copy() for w in model.weights]
-        ws = Workspace(arch, weights, model.biases, xs)
-        base = [a.tobytes() for a in stored_arrays(ws)]
-        monkeypatch.setattr(model_module, "_conv2d", counted)
-        for p, (pos, layer) in enumerate(arch.parametric_layers()):
-            if not isinstance(layer, bs.Conv2D):
-                continue
-            if ws.two_row_blocks(pos) != blocks:
-                pytest.skip("this BLAS's two-row GEMM blocks differ from its full GEMM")
-            for f in range(layer.c_out):  # the last filter too, in the block of rows O-2, O-1
-                kept = weights[p][f].flat[-1]
-                weights[p][f].flat[-1] -= 0.25
-                rows.clear()
-                ws.restart(p, f)
-                assert rows[0] == (2 if blocks else layer.c_out)
-                # every stored array equals a fresh pass's, the logits and the other row
-                # of f's block included: a later restart reads that row as it is
-                fresh = Workspace(arch, weights, model.biases, xs)
-                assert [a.tobytes() for a in stored_arrays(ws)] == [
-                    a.tobytes() for a in stored_arrays(fresh)], (p, f)
-                weights[p][f].flat[-1] = kept
-                ws.restart(p, f)
-                assert [a.tobytes() for a in stored_arrays(ws)] == base
-
-
-@pytest.mark.parametrize("nudged", [None] + list(range(6)))
-def test_block_probe_rejects_a_block_one_ulp_off(monkeypatch, nudged):
-    # one term per dot product: any BLAS gives each block the full GEMM's bits, so the
-    # probe rejects only the nudged block. Three rows make blocks at rows 0 and 1; the
-    # probe runs both on the live weights and on 32 random draws.
-    rng = np.random.default_rng(3)
-    w, cols = rng.standard_normal((3, 1)), rng.standard_normal((1, 50))
-    real, blocks = np.matmul, []
-
-    def matmul(a, b, out=None):
-        got = real(a, b, out=out)
-        if len(a) == 2:
-            if len(blocks) == nudged:
-                got[1, 7] = np.nextafter(got[1, 7], np.inf)
-            blocks.append(a)
-        return got
-    monkeypatch.setattr(np, "matmul", matmul)
-    assert _blocks_exact(w, cols) == (nudged is None)
-    assert len(blocks) == (2 * 33 if nudged is None else nudged + 1)
-
-
-def test_blocks_the_probe_accepts_give_the_full_gemm_bits_for_other_weights():
-    # on whatever BLAS is loaded: wherever the probe accepts a small conv shape, 200
-    # further weight draws give every two-row block the full GEMM's rows, bit for bit.
-    # Under OPENBLAS_CORETYPE=Nehalem (OpenBLAS 0.3.31) a probe of two draws fails this.
-    rng = np.random.default_rng(21)
-    for _ in range(400):
-        o, k, m = rng.integers(2, 7), rng.integers(1, 13), rng.integers(1, 65)
-        cols = rng.standard_normal((k, m))
-        if not _blocks_exact(rng.standard_normal((o, k)), cols):
+    weights = [w.copy() for w in model.weights]
+    ws = Workspace(arch, weights, model.biases, xs)
+    base = [a.tobytes() for a in stored_arrays(ws)]
+    monkeypatch.setattr(model_module, "_conv2d", counted)
+    for p, (pos, layer) in enumerate(arch.parametric_layers()):
+        if not isinstance(layer, bs.Conv2D):
             continue
-        blocks = sorted({_block_start(f, o) for f in range(o)})
-        for _ in range(200):
-            w = rng.standard_normal((o, k))
-            full = w @ cols
-            for lo in blocks:
-                assert (w[lo:lo + 2] @ cols).tobytes() == full[lo:lo + 2].tobytes(), (o, k, m, lo)
+        for f in range(layer.c_out):
+            kept = weights[p][f].flat[-1]
+            weights[p][f].flat[-1] -= 0.25
+            rows.clear()
+            ws.restart(p, f)
+            # f's block: two rows, or the last row of an odd count alone
+            assert rows[0] == min(2, layer.c_out - f + f % 2)
+            # every stored array equals a fresh pass's, the logits and the other row of
+            # f's block included: a later restart reads that row as it is
+            fresh = Workspace(arch, weights, model.biases, xs)
+            assert [a.tobytes() for a in stored_arrays(ws)] == [
+                a.tobytes() for a in stored_arrays(fresh)], (p, f)
+            weights[p][f].flat[-1] = kept
+            ws.restart(p, f)
+            assert [a.tobytes() for a in stored_arrays(ws)] == base
 
 
 @pytest.mark.parametrize("n", [1, 5])
