@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 import bitsiege as bs
-from bitsiege.cli import EXIT_IO
+from bitsiege.attack import check_config
+from bitsiege.cli import EXIT_IO, EXIT_USAGE
 from bitsiege.quantize import BITWIDTHS
 
 
@@ -30,6 +31,14 @@ def main():
     ap.add_argument("--rp", type=float, nargs="+", default=[0.3, 0.5, 0.7, 0.9, 1.0])
     args = ap.parse_args()
 
+    try:  # every argument is checked before any file is read
+        for rp in args.rp:
+            check_config("rp", rp, "--rp")
+        if args.seeds < 1:
+            raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
+    except ValueError as e:  # one line and exit 1, as `bitsiege` does
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
     try:
         qmodel = bs.quantize_model(bs.load_model(args.victim), args.nq)
         test_ds = bs.load_dataset(args.eval)

@@ -11,8 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (CHUNK, Dataset, ModelFormatError, Workspace, check_dataset, chunks,
-                    magic_lines, read_fields, top1_hits, write_file)
+from .model import (Dataset, ModelFormatError, Workspace, check_dataset, chunks, magic_lines,
+                    read_fields, top1_hits, write_file)
 from .quantize import BITWIDTHS, QuantModel, bits_to_codes, dequantize, flip_bit
 from .reconstruct import ReconstructionMethod, reconstruct_model
 from .recovery import simulate_recovery
@@ -246,9 +246,9 @@ def apply_flips(victim: QuantModel, records) -> QuantModel:
 
 
 class _FlipPass:
-    """A quantized model's pass over one fixed batch that flips bits in place: one
-    Workspace per chunk of the batch (`model.chunks`, of `size` samples), with codes and
-    weights of its own that their restarts and backward (`synth.backprop(ws, ...)`) read.
+    """A quantized model's pass over fixed batches that flips bits in place: one
+    Workspace per batch (`model.chunks` of an eval set, or one gradient batch), with codes
+    and weights of its own that their restarts and backward (`synth.backprop(ws, ...)`) read.
     `model`: the model it was last aimed at; `baseline`: a copy of that model's logits.
     `reset` puts the model's codes and weights back and leaves the stored passes as they
     are; `lowest` is the lowest parametric layer whose stored output may differ from the
@@ -258,24 +258,24 @@ class _FlipPass:
     the objects it was built from; `aim` takes up a model it serves. Held between calls
     by `_holding`."""
 
-    def __init__(self, q: QuantModel, inputs, size=CHUNK):
-        self.model, self.size, self.shape = q, size, inputs.shape
+    def __init__(self, q: QuantModel, batches):
+        self.model = q
         self.weights = [dequantize(c, qp.scale) for c, qp in zip(q.codes, q.params)]
-        self.workspaces = [Workspace(q.architecture, self.weights, q.biases, x)
-                           for x in chunks(inputs, size)]
-        # the logits `flip` returns: one Workspace's own array, else the chunks' stacked
+        self.workspaces = [Workspace(q.architecture, self.weights, q.biases, x) for x in batches]
+        # the logits `flip` returns: one Workspace's own array, else the batches' stacked
         self.logits = (self.workspaces[0].acts[-1] if len(self.workspaces) == 1 else
                        np.concatenate([ws.acts[-1] for ws in self.workspaces]))
         self.codes = [c.copy() for c in q.codes]
         self.flat = [(c.reshape(-1), w.reshape(-1)) for c, w in zip(self.codes, self.weights)]
         self._aimed()
 
-    def serves(self, q: QuantModel, inputs):
+    def serves(self, q: QuantModel, batches):
         first = self.workspaces[0]
-        return (q.architecture == first.arch and inputs.shape == self.shape
+        return (q.architecture == first.arch and len(batches) == len(self.workspaces)
                 and all(a.tobytes() == b.tobytes() for a, b in zip(q.biases, first.biases))
-                and all(x is ws.acts[0] or x.tobytes() == ws.acts[0].tobytes()
-                        for x, ws in zip(chunks(inputs, self.size), self.workspaces)))
+                and all(x is ws.acts[0] or (x.shape == ws.acts[0].shape
+                                            and x.tobytes() == ws.acts[0].tobytes())
+                        for x, ws in zip(batches, self.workspaces)))
 
     def aim(self, q: QuantModel):
         """Take up `q`, a model the pass `serves`: its codes, weights and flip tables go in,
@@ -297,7 +297,7 @@ class _FlipPass:
         self.lowest = self.stale = len(self.layers)
 
     def _restart(self, p, f=None):
-        """`Workspace.restart(p, f)` on every chunk; returns `logits`, brought up to date."""
+        """`Workspace.restart(p, f)` on every batch; returns `logits`, brought up to date."""
         for ws in self.workspaces:
             ws.restart(p, f)
         if len(self.workspaces) > 1:
@@ -315,8 +315,8 @@ class _FlipPass:
     def flip(self, l, f, i, bit):
         """Flip bit `bit` of flat code `i` in filter `f` of parametric layer `l` (a
         `_flip_sites` site) by the bitwidth's `flip_table` and the layer's weight per code;
-        return the logits, rewritten in place: the Workspace's own array if the batch is
-        one chunk. They are exact (`Workspace.restart`): the bits of `forward_batch` of
+        return the logits, rewritten in place: the Workspace's own array if there is one
+        batch. They are exact (`Workspace.restart`): the bits of `forward_batch` of
         `model` with every flip since `reset` or `aim` applied (`apply_flips`), whatever
         the pass ran before, so a trace is the same bytes alone, in a sweep or at any
         `--jobs`. The first flip after `reset` brings the stored pass up to date: at or
@@ -342,23 +342,23 @@ _held = threading.local()
 
 
 @contextlib.contextmanager
-def _holding(slot, q: QuantModel, inputs, size=CHUNK):
+def _holding(slot, q: QuantModel, batches):
     """The held-pass rule: a thread holds at most one `_FlipPass` in each slot of `_held`
-    between calls; a new one runs in chunks of `size` samples. A call takes it over if it
-    `serves` q on `inputs` (q's architecture and biases, the inputs' bytes), aimed at q if
-    it was last aimed at another model; otherwise the held pass is dropped before a new
-    one is built. So one pass per slot serves every group of a sweep, every quantized
-    victim of one float model and every surrogate of one victim, and, at `--jobs` above 1,
-    every task chunk a worker process runs, though the pool pickles the victim and eval
-    set with each chunk: a process builds two passes for a whole sweep. The slot is empty
+    between calls. A call takes it over if it `serves` q on the list `batches` (q's
+    architecture and biases, each batch's shape and bytes), aimed at q if it was last
+    aimed at another model; otherwise the held pass is dropped before a new one is built,
+    one Workspace per batch. So one pass per slot serves every group of a sweep, every
+    quantized victim of one float model and every surrogate of one victim, and, at
+    `--jobs` above 1, every task chunk a worker process runs, though the pool pickles the
+    victim and eval set with each chunk: a process builds two passes for a whole sweep. The slot is empty
     while its pass is taken, so a call made from inside another's builds its own; the
     pass goes back to the slot when the block returns or raises, and one handed back
     mid-list still knows the lowest layer it changed."""
     held = getattr(_held, slot, None)
     setattr(_held, slot, None)
-    if held is None or not held.serves(q, inputs):
+    if held is None or not held.serves(q, batches):
         held = None  # the old pass is freed before the new one is built
-        held = _FlipPass(q, inputs, size)
+        held = _FlipPass(q, batches)
     elif held.model is not q:
         held.aim(q)
     try:
@@ -370,9 +370,9 @@ def _holding(slot, q: QuantModel, inputs, size=CHUNK):
 def _gradient(q: QuantModel, batch: Dataset):
     """The weight gradients of `synth.gradient` for the dequantized `q` on `batch`, bit
     for bit, backpropagated through the batch pass (`_holding`) as it stands: nothing
-    flips it between calls. The pass is one chunk of the whole batch, as the loss sums
-    over it. The gradients are the pass's own arrays, which its next call rewrites."""
-    with _holding("batch_pass", q, batch.inputs, len(batch)) as held:
+    flips it between calls. The pass runs the whole batch as one, as the loss sums over
+    it. The gradients are the pass's own arrays, which its next call rewrites."""
+    with _holding("batch_pass", q, [batch.inputs]) as held:
         return backprop(held.workspaces[0], batch.labels)[1]
 
 
@@ -390,7 +390,7 @@ def _score_flips(victim: QuantModel, record_lists, eval_data: Dataset, score) ->
     sites = [_flip_sites(victim, records) for records in record_lists]
     if not sites:
         return []
-    with _holding("victim_pass", victim, eval_data.inputs) as vp:
+    with _holding("victim_pass", victim, chunks(eval_data.inputs)) as vp:
         base, scores = score(vp.baseline), []
         for list_sites in sites:
             vp.reset()

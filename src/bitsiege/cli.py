@@ -40,102 +40,99 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# The keys each command's config file may set: a train key names a synth.SynthSpec or
-# synth.TrainConfig field (three by another name); a run file lists `seed` as `seeds`.
-_TRAIN_RENAMED = {(synth.SynthSpec, "seed"): "data_seed", (synth.TrainConfig, "seed"): "train_seed",
-                  (synth.TrainConfig, "batch_size"): "batch"}
-TRAIN_CONFIG = {_TRAIN_RENAMED.get((cls, f.name), f.name): (cls, f)
-                for cls in (synth.SynthSpec, synth.TrainConfig) for f in dataclasses.fields(cls)}
+def _check_axis(k, name, values):
+    """Raise ValueError unless a run accepts each of `values` for RUN_CONFIG's `k`, listed
+    as `name`, and none repeats: a repeated run would write one trace twice."""
+    for v in values:
+        check_config(k, v, name)
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} must list distinct values, got {list(values)}")
+
+
+def _check_classes(values):
+    if values[0] > DATA_MAX_CLASSES:
+        raise ValueError(f"classes must be <= {DATA_MAX_CLASSES}: .data files store labels "
+                         "as uint8")
+
+
 RUN_FILE_KEYS = {k: "seeds" if k == "seed" else k for k in RUN_CONFIG}
-RUN_KEYS = ("victim", "eval", *RUN_FILE_KEYS.values())
+# nbf takes one value: results.csv has no nbf column
+RUN_KEYS = {**{name: (RUN_CONFIG[k][0], k == "nbf", functools.partial(_check_axis, k, name))
+               for k, name in RUN_FILE_KEYS.items()},
+            "victim": (str, True, None), "eval": (str, True, None)}
+TRAIN_CONFIG = {f.name: (type(f.default[0]), False, None) if isinstance(f.default, tuple) else
+                (type(f.default), True, _check_classes if f.name == "classes" else None)
+                for cls in (synth.SynthSpec, synth.TrainConfig) for f in dataclasses.fields(cls)}
 
 
-def parse_config(path, keys):
-    """key = value [value ...] lines of UTF-8 text; '#' starts a comment. A key not in
-    `keys`, or set twice, is an error."""
-    cfg, where = {}, {}  # key -> values, line number
+def parse_config(path, table):
+    """{key: value, or the tuple of a list key's values} of the config file `path`: `key =
+    value [value ...]` lines of UTF-8 text, '#' starting a comment; a key left empty is
+    left out. The key table `table` maps each key the command reads to (cast, one, check):
+    `cast` reads each value, `one` says the key takes one value, and `check`, unless None,
+    raises ValueError for refused values. RUN_KEYS: RUN_CONFIG's types and `check_config`,
+    distinct values per axis, `seed` listed as `seeds`, one value for nbf, victim and eval.
+    TRAIN_CONFIG: the synth.SynthSpec and synth.TrainConfig fields, of their defaults'
+    types (a tuple default's items'), and classes at most DATA_MAX_CLASSES. Each line is
+    read, cast and checked where it stands: an unknown or repeated key, or a value
+    refused, is one error that names the file and line."""
+    cfg, where = {}, {}  # key -> value(s), line number
     with open(path, "rb") as f:
         lines = f.read().splitlines()
     for i, raw in enumerate(lines, start=1):
+        at = f"{path} line {i}"
         try:
             line = raw.decode("utf-8").split("#", 1)[0].strip()
         except UnicodeDecodeError:
-            raise _UsageError(f"{path} line {i}: not UTF-8 text") from None
+            raise _UsageError(f"{at}: not UTF-8 text") from None
         if not line:
             continue
         if "=" not in line:
-            raise _UsageError(f"{path} line {i}: expected 'key = value'")
+            raise _UsageError(f"{at}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in keys:
-            raise _UsageError(f"{path} line {i}: unknown config key {key!r}")
+        if key not in table:
+            raise _UsageError(f"{at}: unknown config key {key!r}")
         if key in where:
-            raise _UsageError(f"{path} line {i}: config key {key!r} already set on line "
-                              f"{where[key]}")
-        cfg[key], where[key] = val.split(), i
+            raise _UsageError(f"{at}: config key {key!r} already set on line {where[key]}")
+        cast, one, check = table[key]
+        try:
+            values = tuple(map(cast, val.split()))
+            if one and len(values) > 1:
+                raise ValueError(f"takes one value, got {len(values)}")
+            if values and check:
+                check(values)
+        except ValueError as e:
+            raise _UsageError(f"{at}: config key {key!r}: {e}") from None
+        where[key] = i
+        if values:
+            cfg[key] = values[0] if one else values
     return cfg
 
 
-def _cast(key, cast, value):
-    try:
-        return cast(value)
-    except ValueError:
-        raise _UsageError(f"config key {key!r}: {value!r} is not a valid {cast.__name__}") from None
-
-
-def _one(cfg, key, cast=str):
-    values = _many(cfg, key, cast)
-    if len(values) > 1:
-        raise _UsageError(f"config key {key!r} takes one value, got {len(values)}")
-    return values[0]
-
-
-def _many(cfg, key, cast=str, default=None):
-    if not cfg.get(key):
-        if default is not None:
-            return default
-        raise _UsageError(f"config missing key {key!r}")
-    return [_cast(key, cast, v) for v in cfg[key]]
-
-
 def _runs(cfg, seed_base=None):
-    """The runs of an attack/sweep config: one RUN_CONFIG dict per point of the product
-    over nq, rp, seeds, ranking and recon, in that order. `seeds` defaults to 0, and
-    `seed_base` replaces the seeds with seed_base, seed_base + 1, ... Every value is
-    checked before any run starts."""
-    axes = {}
-    for k, name in RUN_FILE_KEYS.items():
-        cast = RUN_CONFIG[k][0]
-        if k == "nbf":  # one value: results.csv has no nbf column
-            axes[k] = [_one(cfg, name, cast)]
-        else:
-            axes[k] = _many(cfg, name, cast, [0] if k == "seed" else None)
+    """The runs of an attack/sweep config read by `parse_config`: one RUN_CONFIG dict per
+    point of the product over nq, rp, seeds, ranking and recon, in that order. `seeds`
+    defaults to 0, and `seed_base` replaces the seeds with seed_base, seed_base + 1, ..."""
+    for key in RUN_KEYS:
+        if key not in cfg and key != "seeds":
+            raise _UsageError(f"config missing key {key!r}")
+    axes = {k: (cfg[name],) if k == "nbf" else cfg.get(name, (0,))
+            for k, name in RUN_FILE_KEYS.items()}
     if seed_base is not None:
-        axes["seed"] = [seed_base + i for i in range(len(axes["seed"]))]
-    try:
-        for k, values in axes.items():
-            for v in values:
-                check_config(k, v, RUN_FILE_KEYS[k])
-            if len(set(values)) < len(values):  # a repeated run would write one trace twice
-                raise ValueError(f"{RUN_FILE_KEYS[k]} must list distinct values, got {values}")
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
+        try:
+            axes["seed"] = [check_config("seed", seed_base, "seeds") + i
+                            for i in range(len(axes["seed"]))]
+        except ValueError as e:
+            raise _UsageError(str(e)) from None
     return [dict(zip(axes, run)) for run in itertools.product(*axes.values())]
 
 
 def cmd_train(args):
     cfg = parse_config(args.config, TRAIN_CONFIG)
-    fields = {synth.SynthSpec: {}, synth.TrainConfig: {}}
-    for key, (cls, f) in TRAIN_CONFIG.items():
-        if cfg.get(key):  # a key left out, or left empty, keeps the field's default
-            d = f.default  # values take its type; a tuple default's, its items' type
-            fields[cls][f.name] = (tuple(_many(cfg, key, type(d[0]))) if isinstance(d, tuple)
-                                   else _one(cfg, key, type(d)))
-    try:
-        spec = synth.SynthSpec(**fields[synth.SynthSpec])
-        if spec.classes > DATA_MAX_CLASSES:
-            raise _UsageError(f"classes must be <= {DATA_MAX_CLASSES}: .data files store labels as uint8")
-        tc = synth.TrainConfig(**fields[synth.TrainConfig])
+    try:  # a key left out keeps the field's default
+        spec, tc = (cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls) if f.name in cfg})
+                    for cls in (synth.SynthSpec, synth.TrainConfig))
         arch = synth.desk_architecture(spec.classes, spec.input_shape)
         _check_out(args.out)
         train_ds, test_ds = synth.gen_synthetic(spec)  # a noise too large for float32
@@ -210,14 +207,14 @@ def _run_all(cfg, runs, out, jobs=1, table=None):
     `table`: a file name in `out` that then receives the traces' `_csv_bytes`.
 
     `runs` comes from `_runs`, whose product order puts each group's runs together."""
-    victim_path = _one(cfg, "victim")
+    victim_path = cfg["victim"]
     model = load_model(victim_path)
     victims = {nq: quantize_model(model, nq) for nq in dict.fromkeys(r["nq"] for r in runs)}
     try:
         _check_nbf(victims[runs[0]["nq"]], runs[0]["nbf"])
     except ValueError as e:
         raise _UsageError(f"nbf for {victim_path}: {e}") from None
-    eval_path = _one(cfg, "eval")
+    eval_path = cfg["eval"]
     eval_ds = load_dataset(eval_path)
     try:
         check_dataset(model.architecture, eval_ds)

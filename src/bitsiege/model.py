@@ -478,10 +478,11 @@ def _conv_bwd_arrays(w_shape, x_shape, out_hw, stride, padding, input_grad):
                       dx.transpose(3, 2, 0, 1)]]
 
 
-def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True, out=None):
-    """(dw, db, dx) of `_conv2d` at the patch matrix `cols` of an input shaped
-    `x_shape` (N, C, H, W), given the output gradient `dout` (N, O, Ho, Wo); dx is
-    None unless `input_grad`.
+def _conv_bwd(cols, w, dout, out):
+    """(dw, db, dx) of `_conv2d` at the patch matrix `cols` of an input (N, C, H, W),
+    given the output gradient `dout` (N, O, Ho, Wo), in `out`: the arrays of
+    `_conv_bwd_arrays` for these shapes, which the call rewrites and returns (the
+    accumulator is zeroed first). dx is None if `out` holds no col2im arrays.
 
     Both GEMMs and db's row sums read one C-ordered (O, N * Ho * Wo) copy of dout, so
     dw, db and dx depend on dout's values only, not on its strides. col2im is one add
@@ -496,12 +497,8 @@ def _conv_bwd(cols, w, stride, padding, x_shape, dout, input_grad=True, out=None
     one operand or the other by the loop a layout selects, here as in any col2im. dx is
     the (N, C, H, W) transpose of the accumulator's unpadded (H, W, C, N) part.
 
-    `out`: the arrays of `_conv_bwd_arrays` for these shapes, which the call rewrites and
-    returns (the accumulator is zeroed first); without it, the call makes them. A `dout`
-    that is their copy's (N, O, Ho, Wo) view is not copied again: a ReLU above the conv
-    writes its product there (`backward_layers`)."""
-    if out is None:
-        out = _conv_bwd_arrays(w.shape, x_shape, dout.shape[2:], stride, padding, input_grad)
+    A `dout` that is the copy's (N, O, Ho, Wo) view in `out` is not copied again: a ReLU
+    above the conv writes its product there (`backward_layers`)."""
     d4, d2, dw, db, col2im = out
     if dout is not d4:
         np.copyto(d4, dout)
@@ -528,29 +525,26 @@ def _pool_bwd_arrays(x_shape, w, relu):
             np.empty(pooled, dtype=bool), np.empty(pooled) if relu else None]
 
 
-def _pool_bwd(x, w, pooled, dout, relu=False, out=None):
+def _pool_bwd(x, w, pooled, dout, out):
     """Input gradient of `_maxpool` at `x`, whose result was `pooled`, given the output
-    gradient `dout`. Each window's gradient goes to its first entry, in row-major
-    order, equal to the window's maximum in `pooled` (its first NaN, if the maximum is
-    NaN): the entry `argmax` picks. Every other entry gets 0.0.
+    gradient `dout`, in `out`: the arrays of `_pool_bwd_arrays` for x's shape, which the
+    call rewrites. Each window's gradient goes to its first entry, in row-major order,
+    equal to the window's maximum in `pooled` (its first NaN, if the maximum is NaN):
+    the entry `argmax` picks. Every other entry gets 0.0.
 
-    `relu`: x is a ReLU's output, and the result is the gradient at that ReLU's input,
-    the ReLU's `d * (x > 0)` step folded in on the pooled grid, 1/w^2 of x's size, as
-    `dout * (pooled > 0)`. This is exact: at the entry a window's gradient goes to, the
-    ReLU's input is > 0 exactly when `pooled` is (a NaN or ±0 maximum included), and
-    every other entry is 0.0 either way.
+    If `out` holds a product array (`_pool_bwd_arrays`'s `relu`), x is a ReLU's output and
+    the result is the gradient at that ReLU's input, the ReLU's `d * (x > 0)` step folded
+    in on the pooled grid, 1/w^2 of x's size, as `dout * (pooled > 0)`. This is exact: at
+    the entry a window's gradient goes to, the ReLU's input is > 0 exactly when `pooled`
+    is (a NaN or ±0 maximum included), and every other entry is 0.0 either way.
 
     One pass per window offset, in row-major order, on (C, H, W, N) views as in
     `_maxpool`: the entries at that offset that equal `pooled`, in windows not yet
     taken, get `dout`. dout is read only elementwise, in any layout, and dx is the
-    (N, C, H, W) transpose of a (C, H, W, N) array. `out`: the arrays of
-    `_pool_bwd_arrays` for x's shape, which the call rewrites; without it, the call
-    makes them."""
-    if out is None:
-        out = _pool_bwd_arrays(x.shape, w, relu)
+    (N, C, H, W) transpose of a (C, H, W, N) array."""
     dx, free, hit, product = out  # each entry of dx: one offset of one window
     t, o, g, d = (a.transpose(1, 2, 3, 0) for a in (x, pooled, dout, dx))
-    if relu:
+    if product is not None:
         np.greater(o, 0, out=hit)
         g = np.multiply(g, hit, out=product)
     g, d = g.view(np.int64), d.view(np.int64)  # bits: dout's times 1, or 0 (+0.0's)
@@ -586,7 +580,7 @@ def backward_layers(ws: Workspace, dlogits):
     adds the patch gradient's (i, j) slices in row-major order, one add of contiguous
     (C, N) rows per slice; and a conv copies its output gradient into one fixed order
     before it sums it (`_conv_bwd`), so no layer hands it a chosen layout. A ReLU under
-    a MaxPool is folded into the pool's backward (`_pool_bwd`'s `relu`).
+    a MaxPool is folded into the pool's backward (`_pool_bwd`'s product array).
 
     The first call on `ws` builds the backward once, as a list of calls over arrays
     the Workspace then owns (`_backward_calls`), and every call re-runs that list: it
@@ -634,8 +628,7 @@ def _backward_calls(ws: Workspace):
         if isinstance(layer, Conv2D):
             p -= 1
             out = conv_arrays(pos)
-            calls.append(partial(_conv_bwd, x, weights[p], layer.stride, layer.padding,
-                                 (n,) + arch.shapes[pos], d, p > 0, out))
+            calls.append(partial(_conv_bwd, x, weights[p], d, out))
             _, _, dws[p], dbs[p], col2im = out
             d = col2im and col2im[-1]  # dx, or None below the first parametric layer
         elif isinstance(layer, Dense):
@@ -656,9 +649,8 @@ def _backward_calls(ws: Workspace):
                           partial(np.multiply, d, mask, out=dx)]
                 d = dx
         elif isinstance(layer, MaxPool):
-            relu = isinstance(below[pos], ReLU)
-            out = _pool_bwd_arrays(x.shape, layer.window, relu)
-            calls.append(partial(_pool_bwd, x, layer.window, ws.acts[pos + 1], d, relu, out))
+            out = _pool_bwd_arrays(x.shape, layer.window, isinstance(below[pos], ReLU))
+            calls.append(partial(_pool_bwd, x, layer.window, ws.acts[pos + 1], d, out))
             d = out[0]
         else:  # Flatten: a view of a C-ordered gradient
             d = d.reshape(x.shape)
@@ -672,10 +664,10 @@ def _backward_calls(ws: Workspace):
 CHUNK = 200
 
 
-def chunks(x, size=CHUNK):
-    """The batch `x` itself if it has at most `size` samples, else its runs of `size`
-    samples in order (views), the last one shorter if `size` does not divide its length."""
-    return [x] if len(x) <= size else [x[i:i + size] for i in range(0, len(x), size)]
+def chunks(x):
+    """The batch `x` itself if it has at most CHUNK samples, else its runs of CHUNK samples
+    in order (views), the last one shorter if CHUNK does not divide its length."""
+    return [x] if len(x) <= CHUNK else [x[i:i + CHUNK] for i in range(0, len(x), CHUNK)]
 
 
 def forward_batch(model: FloatModel, xs) -> np.ndarray:

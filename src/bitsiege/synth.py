@@ -21,31 +21,31 @@ class SynthSpec:
     test_per_class: int = 50
     input_shape: tuple = (1, 8, 8)
     noise: float = 0.5
-    seed: int = 7
+    data_seed: int = 7
 
     def __post_init__(self):
         if self.classes < 4 or self.per_class < 1 or self.test_per_class < 1:
             raise ValueError("need >= 4 classes and positive sample counts")
         if not 0 <= self.noise < math.inf:
             raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if self.data_seed < 0:
+            raise ValueError(f"data_seed must be >= 0, got {self.data_seed}")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
     lr: float = 0.1
-    batch_size: int = 32
-    seed: int = 2
+    batch: int = 32
+    train_seed: int = 2
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs/batch_size must be positive")
+        if self.epochs < 1 or self.batch < 1:
+            raise ValueError(f"epochs and batch must be >= 1, got {self.epochs} and {self.batch}")
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if self.train_seed < 0:
+            raise ValueError(f"train_seed must be >= 0, got {self.train_seed}")
 
 
 def desk_architecture(classes: int, input_shape) -> Architecture:
@@ -63,7 +63,7 @@ def class_prototypes(spec: SynthSpec) -> np.ndarray:
     dim = int(np.prod(spec.input_shape))
     if spec.classes > dim:
         raise ValueError("more classes than input dimensions")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.data_seed)
     q, _ = np.linalg.qr(rng.standard_normal((dim, spec.classes)))
     return (q.T * np.sqrt(dim)).reshape((spec.classes,) + spec.input_shape)
 
@@ -72,7 +72,7 @@ def gen_synthetic(spec: SynthSpec):
     """(train, test) datasets: prototype + Gaussian noise, disjoint seeded draws. Raises
     ValueError if an input does not fit float32, as a `.data` file stores it."""
     protos = class_prototypes(spec)
-    rng = np.random.default_rng(spec.seed + 1)
+    rng = np.random.default_rng(spec.data_seed + 1)
 
     def draw(per_class):
         labels = np.repeat(np.arange(spec.classes), per_class)
@@ -156,14 +156,14 @@ def batch_loss(model: FloatModel, inputs, labels) -> float:
 
 def train(architecture: Architecture, data: Dataset, cfg: TrainConfig,
           loss_log: list | None = None) -> FloatModel:
-    """Plain minibatch SGD on cross-entropy; deterministic given cfg.seed.
+    """Plain minibatch SGD on cross-entropy; deterministic given cfg.train_seed.
 
     Each batch shape (the batch size, and a short last batch) has one Workspace for the
     call, and each step re-runs it in place on its batch (`_grads`); SGD updates in
     place the weight and bias arrays it reads, scaling the gradient arrays the step's
     backward wrote (`backprop`) in place. A step gives the bits of a fresh pass, a fresh
     backward and `w - lr * dw`."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.train_seed)
     weights, biases = [], []
     for _, layer in architecture.parametric_layers():
         shape = weight_shape(layer)
@@ -175,8 +175,8 @@ def train(architecture: Architecture, data: Dataset, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+        for start in range(0, n, cfg.batch):
+            idx = order[start:start + cfg.batch]
             loss, dws, dbs = _grads(held, architecture, weights, biases,
                                     data.inputs[idx], data.labels[idx])
             if not np.isfinite(loss):

@@ -51,6 +51,31 @@ def stored_arrays(ws):
     return ws.acts + [a for pair in ws.patches if pair is not None for a in pair]
 
 
+def conv_bwd_twice(cols, w, stride, padding, x_shape, dout, input_grad=True):
+    """(dw, db, dx) of `model._conv_bwd` on arrays sized by `_conv_bwd_arrays`, from the
+    second of two calls over them, whose bits must equal a call's on fresh arrays: the
+    accumulator is zeroed and col2im's gap columns stay -0.0 across reuse."""
+    def arrays():
+        return model._conv_bwd_arrays(w.shape, x_shape, dout.shape[2:], stride, padding,
+                                      input_grad)
+    held = arrays()
+    model._conv_bwd(cols, w, dout, held)
+    got, fresh = model._conv_bwd(cols, w, dout, held), model._conv_bwd(cols, w, dout, arrays())
+    assert all(g is f is None or g.tobytes() == f.tobytes() for g, f in zip(got, fresh))
+    return got
+
+
+def pool_bwd_twice(x, w, pooled, dout, relu=False):
+    """dx of `model._pool_bwd` on arrays sized by `_pool_bwd_arrays`, from the second of two
+    calls over them, whose bits must equal a call's on fresh arrays."""
+    held = model._pool_bwd_arrays(x.shape, w, relu)
+    model._pool_bwd(x, w, pooled, dout, held)
+    got = model._pool_bwd(x, w, pooled, dout, held)
+    fresh = model._pool_bwd(x, w, pooled, dout, model._pool_bwd_arrays(x.shape, w, relu))
+    assert got.tobytes() == fresh.tobytes()
+    return got
+
+
 @pytest.fixture()
 def no_held_pass(monkeypatch):
     """This thread holds no pass of `attack`'s during the test; the ones from before are

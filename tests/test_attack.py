@@ -15,11 +15,12 @@ from bitsiege import synth as synth_module
 from bitsiege.attack import RANKINGS, RECONS, RUN_CONFIG, FlipRecord, _score_flips
 from bitsiege.cli import _cfg_hash
 from bitsiege.model import CHUNK, Workspace, backward_layers
-from bitsiege.model import _conv_bwd, _maxpool, _pool_bwd, filter_count, weight_shape
+from bitsiege.model import _maxpool, filter_count, weight_shape
 from bitsiege.synth import _softmax_ce
 from bitsiege.quantize import BITWIDTHS
 
-from conftest import draw_architecture, random_qmodel, stored_arrays
+from conftest import (conv_bwd_twice, draw_architecture, pool_bwd_twice, random_qmodel,
+                      stored_arrays)
 
 
 def two_filter_model(w0=5.0, w1=1.0):
@@ -399,14 +400,15 @@ def test_evaluate_flips_matches_reference(desk, victims, nq, data):
 
 
 def test_evaluate_flips_matches_reference_on_several_chunks(desk, victims, no_held_pass):
-    # two full chunks and a short one: each chunk's Workspace flips, and each prefix's
-    # accuracy is accuracy_quant's, which scores the same chunks
-    n = 2 * CHUNK + 37
-    data = bs.Dataset(desk["train"].inputs[:n], desk["train"].labels[:n])
-    for q in victims.values():
-        records = bs.select_vulnerable_bits(q, 25) + bs.select_random_bits(q, 25, 6)
-        assert bs.evaluate_flips(q, records, data) == reference_accuracies(q, records, data)
-    assert [len(ws.acts[0]) for ws in attack._held.victim_pass.workspaces] == [CHUNK, CHUNK, 37]
+    # a full chunk and a one-sample one, then two full chunks and a short one: each chunk's
+    # Workspace flips, and each prefix's accuracy is accuracy_quant's, which scores the
+    # same chunks
+    for n, lengths in ((CHUNK + 1, [CHUNK, 1]), (2 * CHUNK + 37, [CHUNK, CHUNK, 37])):
+        data = bs.Dataset(desk["train"].inputs[:n], desk["train"].labels[:n])
+        for q in victims.values():
+            records = bs.select_vulnerable_bits(q, 25) + bs.select_random_bits(q, 25, 6)
+            assert bs.evaluate_flips(q, records, data) == reference_accuracies(q, records, data)
+        assert [len(ws.acts[0]) for ws in attack._held.victim_pass.workspaces] == lengths
 
 
 def draw_flips(data, q):
@@ -487,7 +489,7 @@ def test_evaluate_flips_leaves_shared_state_alone(desk):
 
     def training_bytes():
         dws, dbs = bs.gradient(model, batch.inputs, batch.labels)
-        m = bs.train(model.architecture, batch, bs.TrainConfig(epochs=2, batch_size=16))
+        m = bs.train(model.architecture, batch, bs.TrainConfig(epochs=2, batch=16))
         return b"".join(a.tobytes() for a in dws + dbs + m.weights + m.biases)
 
     def inputs_bytes():
@@ -619,7 +621,7 @@ def test_the_gradient_batch_pass_flips_and_backpropagates_a_fresh_pass_bytes(des
     s = bs.reconstruct_model(bs.simulate_recovery(q, 0.5, 1), bs.ReconstructionMethod.CZR)
     recs = [r for pair in zip(bs.select_vulnerable_bits(s, 15), bs.select_random_bits(s, 15, 2))
             for r in pair]
-    held = attack._FlipPass(s, batch.inputs)
+    held = attack._FlipPass(s, [batch.inputs])
     for records in (recs, recs[::-1]):
         held.reset()
         for i, site in enumerate(attack._flip_sites(s, records), 1):
@@ -783,7 +785,7 @@ def test_a_victim_pass_holds_one_copy_of_the_baseline_pass(desk):
     q, test = desk["qmodel"], desk["test"]
     tracemalloc.start()
     try:
-        vp = attack._FlipPass(q, test.inputs)
+        vp = attack._FlipPass(q, [test.inputs])
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -803,7 +805,8 @@ def test_a_pass_over_one_chunk_runs_on_the_callers_inputs_and_returns_its_own_lo
     assert len(test) == CHUNK
     records = bs.select_vulnerable_bits(q, 10) + bs.select_random_bits(q, 10, 3)
     stacked = []
-    with attack._holding("victim_pass", q, test.inputs) as vp, monkeypatch.context() as m:
+    batches = model_module.chunks(test.inputs)
+    with attack._holding("victim_pass", q, batches) as vp, monkeypatch.context() as m:
         (ws,) = vp.workspaces
         assert ws.acts[0] is test.inputs  # so `serves` compares no bytes
         m.setattr(np, "concatenate", lambda *a, **k: stacked.append(a))
@@ -989,10 +992,10 @@ def test_conv_backward_matches_the_reference_bit_for_bit(data):
         if data.draw(st.booleans()) else rng.standard_normal((n, o, ho, wo))
     cols = model_module._patches(x, k, stride, padding)[1]
     with np.errstate(invalid="ignore"):  # inf - inf, inf * 0.0
-        got = _conv_bwd(cols, w, stride, padding, x.shape, dout)
+        got = conv_bwd_twice(cols, w, stride, padding, x.shape, dout)
         ref = conv_bwd_reference(cols, w, stride, padding, x.shape, dout)
         assert all(same_bits(g, r) for g, r in zip(got, ref))
-        assert _conv_bwd(cols, w, stride, padding, x.shape, dout, input_grad=False)[2] is None
+        assert conv_bwd_twice(cols, w, stride, padding, x.shape, dout, input_grad=False)[2] is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -1011,7 +1014,7 @@ def test_conv_backward_gives_the_same_bits_for_any_output_gradient_layout(data):
                np.ascontiguousarray(dout.transpose(2, 3, 1, 0)).transpose(3, 2, 0, 1),
                np.asfortranarray(dout)]
     with np.errstate(invalid="ignore"):  # inf - inf, inf * 0.0
-        first, *rest = (_conv_bwd(cols, w, stride, padding, x.shape, d) for d in layouts)
+        first, *rest = (conv_bwd_twice(cols, w, stride, padding, x.shape, d) for d in layouts)
         for got in rest:
             assert all(g.tobytes() == f.tobytes() for g, f in zip(got, first))
 
@@ -1057,8 +1060,8 @@ def live_input_gradients(ws, d):
         below = layers[pos - 1] if pos else None
         if isinstance(layer, bs.Conv2D):
             p -= 1
-            d = _conv_bwd(x, weights[p], layer.stride, layer.padding,
-                          (len(d),) + arch.shapes[pos], d)[2]
+            d = conv_bwd_twice(x, weights[p], layer.stride, layer.padding,
+                               (len(d),) + arch.shapes[pos], d)[2]
         elif isinstance(layer, bs.Dense):
             p -= 1
             d = d @ weights[p]
@@ -1068,7 +1071,7 @@ def live_input_gradients(ws, d):
             d = d * (x > 0)
         elif isinstance(layer, bs.MaxPool):
             relu = isinstance(below, bs.ReLU)
-            d = _pool_bwd(x, layer.window, ws.acts[pos + 1], d, relu=relu)
+            d = pool_bwd_twice(x, layer.window, ws.acts[pos + 1], d, relu)
             pos -= relu  # the gradient at the folded ReLU's input
         else:
             d = d.reshape(x.shape)
@@ -1142,7 +1145,7 @@ def test_pool_backward_sends_each_window_to_its_first_maximum():
     # windows: a NaN maximum (its first NaN), two equal maxima, and 0.0 against -0.0
     x = np.array([[[[1.0, np.nan, 2.0, 2.0, -0.0, 0.0], [np.nan, 0.0, -0.0, 0.0, 0.0, -0.0]]]])
     out, dout = _maxpool(x, 2), np.array([[[[3.0, -4.0, -0.0]]]])
-    got = _pool_bwd(x, 2, out, dout)
+    got = pool_bwd_twice(x, 2, out, dout)
     assert got.tobytes() == np.array([[[[0.0, 3.0, -4.0, 0.0, -0.0, 0.0], [0.0] * 6]]]).tobytes()
     assert got.tobytes() == pool_bwd_reference(x, 2, out, dout).tobytes()
 
@@ -1155,7 +1158,7 @@ def test_pool_backward_matches_the_reference_on_ties_signed_zeros_and_nans(w):
         values = [np.nan, -np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]
         x = rng.choice(values, (c, n, ho * w, wo * w)).transpose(1, 0, 2, 3)  # a conv's layout
         out, dout = _maxpool(x, w), rng.choice([-2.0, -0.0, 0.0, 3.0], (n, c, ho, wo))
-        got, ref = _pool_bwd(x, w, out, dout), pool_bwd_reference(x, w, out, dout)
+        got, ref = pool_bwd_twice(x, w, out, dout), pool_bwd_reference(x, w, out, dout)
         assert got.tobytes() == ref.tobytes()
 
 
@@ -1172,7 +1175,7 @@ def test_pool_backward_with_the_relu_folded_in_matches_the_reference(w):
         out = _maxpool(x, w)
         dout = rng.choice([-2.0, -0.0, 0.0, 3.0, np.inf, np.nan], (ho, wo, c, n)).transpose(3, 2, 0, 1)
         with np.errstate(invalid="ignore"):  # inf * 0.0
-            got = _pool_bwd(x, w, out, dout, relu=True)
+            got = pool_bwd_twice(x, w, out, dout, relu=True)
             ref = pool_bwd_reference(x, w, out, dout) * (conv > 0)
         assert got.tobytes() == ref.tobytes()
 

@@ -29,8 +29,9 @@ def write_cfg(path, text):
 
 def test_parse_config(tmp_path):
     p = tmp_path / "c.cfg"
-    p.write_text("a = 1 2 3  # comment\n\nb = x\n")
-    assert parse_config(p, ("a", "b")) == {"a": ["1", "2", "3"], "b": ["x"]}
+    p.write_text("a = 1 2 3  # comment\n\nb = x\nc =\n")
+    table = {"a": (int, False, None), "b": (str, True, None), "c": (float, True, None)}
+    assert parse_config(p, table) == {"a": (1, 2, 3), "b": "x"}
 
 
 def test_train_command(tmp_path):
@@ -574,7 +575,8 @@ DIMS = np.array([4, 8, 1, 3, 3], "<u4").tobytes()  # the shape record of the vic
 ARCH = "line 11: inconsistent architecture: "
 REFUSALS = {  # the test that runs them: its rows
   "test_refusal": [
-    on("train", "classes = 257\ninput_shape = 1 32 32", 1, "classes must be <= 256: .data files"),
+    on("train", "classes = 257\ninput_shape = 1 32 32", 1,
+       "{tmp}/c.cfg line 4: config key 'classes': classes must be <= 256: .data files"),
     *[on("train", f"{key} = inf", 1, f"train config: {key} must be finite")
       for key in ("noise", "lr")],
     on("train", "per_class = 20\nepochs = 2\nlr = 1000000", 1, "float32", before=False),
@@ -618,11 +620,15 @@ REFUSALS = {  # the test that runs them: its rows
          f"line {first}") for c, lines, first, n in [("attack", "nbf = 5\nnbf = 6", 7, 8),
         ("sweep", "nbf = 5\n# a comment\n\nnbf = 6", 7, 10),
         ("train", "epochs = 1\nlr = 0.1\nepochs = 2", 3, 5)]],
-    on("attack", "rp = abc", 1, "config key 'rp': 'abc' is not a valid float"),
-    on("attack", "nq = 5", 1, "nq must be one of (4, 6, 8), got 5"),
+    on("attack", "rp = abc", 1,
+       "{tmp}/c.cfg line 7: config key 'rp': could not convert string to float: 'abc'"),
+    on("attack", "nq = 5", 1, "{tmp}/c.cfg line 7: config key 'nq': nq must be one of (4, 6, 8), "
+       "got 5"),
     on("attack", "nbf = 99999", 1, "nbf for {victim}: "),
-    on("attack", "seeds = -3", 1, "seeds must be >= 0, got -3"),
-    on("sweep", "seeds = 0 -3", 1, "seeds must be >= 0, got -3"),
+    on("attack", "seeds = -3", 1, "{tmp}/c.cfg line 8: config key 'seeds': seeds must be >= 0, "
+       "got -3"),
+    on("sweep", "seeds = 0 -3", 1, "{tmp}/c.cfg line 8: config key 'seeds': seeds must be >= 0, "
+       "got -3"),
     on("sweep", "seeds = 0 1", 1, "seeds must be >= 0, got -3", args="--out {tmp}/o --seed-base -3",
        id="sweep --seed-base -3"),
     on("attack", "victim = {tmp}/v.model\neval = {tmp}/e.data", 3,
@@ -670,7 +676,9 @@ REFUSALS = {  # the test that runs them: its rows
         ("classes = 2", "need >= 4 classes"), ("input_shape = 1 4 4", "conv2d kernel 3 too large"),
         ("input_shape = 8 8", "the desk architecture needs a (C, H, W) input shape"),
         ("lr = 0", "lr must be finite and > 0, got 0.0"),
-        ("train_seed = -1", "seed must be >= 0"),
+        ("train_seed = -1", "train_seed must be >= 0, got -1"),
+        ("data_seed = -1", "data_seed must be >= 0, got -1"),
+        ("batch = 0", "epochs and batch must be >= 1, got 1 and 0"),
         ("noise = 1e39", "noise 1e+39 draws inputs beyond float32 range"),
         # data no 64-bit address space holds (past 2**57 bytes), which numpy refuses
         # before it touches memory, whatever the machine's overcommit
@@ -689,15 +697,18 @@ REFUSALS = {  # the test that runs them: its rows
   "test_several_values_where_one_is_taken_is_one_error_line": [
     *[on("attack", line, 1, "attack takes one value per key, but the config gives 2 runs",
          id=f"attack-{line}") for line in ("nq = 8 4", "rp = 0.5 1.0", "seeds = 0 1")],
-    *[on(c, line, 1, f"config key {line.split()[0]!r} takes one value, got 2", id=f"{c}-{line}")
+    *[on(c, line, 1, f"{{tmp}}/c.cfg line 7: config key {line.split()[0]!r}: takes one value, "
+         "got 2", id=f"{c}-{line}")
       for c, line in (("attack", "nbf = 3 4"), ("sweep", "nbf = 3 4"),
                       ("sweep", "victim = a.model b.model"))]],
   "test_repeated_axis_value_is_one_error_line": [
-    on(c, line, 1, f"{line.split()[0]} must list distinct values", id=f"{c}-{line}")
-    for c, line in (
-        ("attack", "seeds = 0 0"), ("attack", "ranking = fl2r fl2r"), ("sweep", "seeds = 0 1 0"),
-        ("sweep", "rp = 0.5 0.50"), ("sweep", "ranking = fl2r random fl2r"),
-        ("sweep", "recon = czr czr"))],
+    on(c, line, 1, f"{{tmp}}/c.cfg line {n}: config key {line.split()[0]!r}: {line.split()[0]} "
+       f"must list distinct values, got {got}", id=f"{c}-{line}")
+    for c, line, n, got in (
+        ("attack", "seeds = 0 0", 8, [0, 0]), ("attack", "ranking = fl2r fl2r", 7, ["fl2r"] * 2),
+        ("sweep", "seeds = 0 1 0", 8, [0, 1, 0]), ("sweep", "rp = 0.5 0.50", 7, [0.5, 0.5]),
+        ("sweep", "ranking = fl2r random fl2r", 7, ["fl2r", "random", "fl2r"]),
+        ("sweep", "recon = czr czr", 7, ["czr"] * 2))],
   "test_eval_set_the_victim_cannot_run_is_one_error_line": [
     on(c, f"eval = {{tmp}}/e.data\nranking = {r}", 1, f"eval set {{tmp}}/e.data for {{victim}}: "
        f"{text}", id=f"{kind}-{c}" + "-gradient" * (r == "gradient"), files={"e.data": (

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from bitsiege.cli import EXIT_IO, EXIT_OK, main
+from bitsiege.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from bitsiege.reconstruct import ReconstructionMethod
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -109,13 +109,30 @@ def test_reconstruction_quality_prints_a_row_per_recovery_rate(flow, monkeypatch
     assert rows[-1][1:] == [1.0, 1.0, 1.0], lines
 
 
-def test_reconstruction_quality_refuses_a_missing_file_in_one_line(flow, monkeypatch, capsys):
+def script_refusal(flow, monkeypatch, capsys, *args):
+    """(exit code, stderr) of the README's script on the missing victim
+    `victim/missing.model` and `args`: it must refuse them, with no stdout and one line."""
     (argv,) = [argv for argv in readme_block() if argv[0] == "python"]
     monkeypatch.chdir(flow)
-    monkeypatch.setattr(sys, "argv", [argv[1], "victim/missing.model", *argv[3:]])
+    monkeypatch.setattr(sys, "argv", [argv[1], "victim/missing.model", *argv[3:], *args])
     with pytest.raises(SystemExit) as e:
         runpy.run_path(str(ROOT / argv[1]), run_name="__main__")
-    assert e.value.code == EXIT_IO
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("i/o error: ") and err.count("\n") == 1, err
-    assert "victim/missing.model" in err
+    assert out == "" and err.count("\n") == 1, err
+    return e.value.code, err
+
+
+def test_reconstruction_quality_refuses_a_missing_file_in_one_line(flow, monkeypatch, capsys):
+    code, err = script_refusal(flow, monkeypatch, capsys)
+    assert code == EXIT_IO and err.startswith("i/o error: ") and "victim/missing.model" in err
+
+
+@pytest.mark.parametrize("args, text", [
+    ("--rp 7.5", "--rp must be in [0, 1], got 7.5"),
+    ("--rp 0.5 nan", "--rp must be in [0, 1], got nan"),
+    ("--seeds 0", "--seeds must be >= 1, got 0")], ids=["rp-7.5", "rp-nan", "seeds-0"])
+def test_reconstruction_quality_refuses_a_bad_argument_before_any_file(
+        flow, monkeypatch, capsys, args, text):
+    # the victim is missing, so a file read first would be refused with exit 3
+    assert script_refusal(flow, monkeypatch, capsys, *args.split()) == (EXIT_USAGE,
+                                                                       f"error: {text}\n")

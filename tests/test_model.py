@@ -8,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import bitsiege as bs
 from bitsiege import model as model_module
-from bitsiege.model import (CHUNK, ModelFormatError, Workspace, _conv2d, _conv_bwd, _maxpool,
+from bitsiege.model import (CHUNK, ModelFormatError, Workspace, _conv2d, _maxpool,
                             _patches, filter_count, forward_layers, weight_shape)
 
-from conftest import make_tiny_dense, stored_arrays
+from conftest import conv_bwd_twice, make_tiny_dense, stored_arrays
 
 
 def test_dense_identity():
@@ -166,7 +166,7 @@ def test_conv_engine_matches_six_loop_reference(n, c_in, c_out, k, stride, paddi
     out = conv_output(cols, w, b, (ho, wo))
     assert out.shape == ref_out.shape
     assert np.allclose(out, ref_out, rtol=0, atol=1e-12)
-    dw, db, dx = _conv_bwd(cols, w, stride, padding, x.shape, dout)
+    dw, db, dx = conv_bwd_twice(cols, w, stride, padding, x.shape, dout)
     assert dw.shape == w.shape and db.shape == b.shape and dx.shape == x.shape
     assert np.allclose(dw, ref_dw, rtol=0, atol=1e-12)
     assert np.allclose(db, ref_db, rtol=0, atol=1e-12)
@@ -502,18 +502,23 @@ ODD_FILTERS = bs.Architecture((bs.Conv2D(1, 3, 3, 1, 1), bs.ReLU(), bs.MaxPool(2
 
 
 @pytest.mark.parametrize("o, conv", [*[(o, "odd-conv2") for o in (1, 2, 3, 5, 8, 16)],
-                                     (8, "desk-conv1"), (16, "desk-conv2")])
+                                     (8, "desk-conv1"), (16, "desk-conv2"),
+                                     (8, "desk-conv1-one-sample"), (16, "desk-conv2-one-sample")])
 def test_conv2d_gives_each_row_block_the_bits_of_its_own_call(o, conv):
     # the one BLAS assumption left under restarts, checked on whatever BLAS is loaded: the
     # product of all o rows gives each fixed block (rows 2i and 2i + 1, or the last row
     # alone) the bits of `_conv2d` on that block's rows, run into them as a restart does.
     # The patch matrices are a pass's over a chunk: the desk victim's two, or ODD_FILTERS's
-    # strided, padded conv2 with o filters
+    # strided, padded conv2 with o filters, over 200 samples; or the desk victim's over a
+    # one-sample last chunk, (9, 36) and (72, 1), where conv2 is a matrix-vector product
     arch = bs.desk_architecture(4, (1, 8, 8)) if conv.startswith("desk") else ODD_FILTERS
     rng = np.random.default_rng(o)
     model = random_model(arch, rng)
-    ws = Workspace(arch, model.weights, model.biases, rng.standard_normal((CHUNK, 1, 8, 8)))
-    cols = ws.patches[0 if conv == "desk-conv1" else 3][1]
+    n = 1 if conv.endswith("one-sample") else CHUNK
+    ws = Workspace(arch, model.weights, model.biases, rng.standard_normal((n, 1, 8, 8)))
+    cols = ws.patches[0 if conv.startswith("desk-conv1") else 3][1]
+    if n == 1:
+        assert cols.shape == ((9, 36) if conv.startswith("desk-conv1") else (72, 1))
     w, b = rng.standard_normal((o, len(cols))), rng.standard_normal(o)
     full = _conv2d(cols, w, b)
     for lo in range(0, o, 2):

@@ -31,7 +31,7 @@ def two_temporary_draw(spec):
     """`gen_synthetic`'s draw with two temporaries, a scaled noise array and then
     `protos[labels] + noise`: the bytes the in-place draw must give."""
     protos = class_prototypes(spec)
-    rng = np.random.default_rng(spec.seed + 1)
+    rng = np.random.default_rng(spec.data_seed + 1)
 
     def draw(per_class):
         labels = np.repeat(np.arange(spec.classes), per_class)
@@ -70,11 +70,11 @@ def test_prototypes_orthogonal():
 
 
 def test_generation_deterministic():
-    a_train, a_test = bs.gen_synthetic(bs.SynthSpec(seed=3))
-    b_train, b_test = bs.gen_synthetic(bs.SynthSpec(seed=3))
+    a_train, a_test = bs.gen_synthetic(bs.SynthSpec(data_seed=3))
+    b_train, b_test = bs.gen_synthetic(bs.SynthSpec(data_seed=3))
     assert np.array_equal(a_train.inputs, b_train.inputs)
     assert np.array_equal(a_test.inputs, b_test.inputs)
-    c_train, _ = bs.gen_synthetic(bs.SynthSpec(seed=4))
+    c_train, _ = bs.gen_synthetic(bs.SynthSpec(data_seed=4))
     assert not np.array_equal(a_train.inputs, c_train.inputs)
 
 
@@ -98,7 +98,7 @@ def test_training_deterministic():
 def reference_train(arch, data, cfg):
     """Minibatch SGD with a fresh Workspace per step and out-of-place updates: (weights,
     biases, loss log) with the bits `train` must give."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.train_seed)
     weights, biases = [], []
     for _, layer in arch.parametric_layers():
         shape = weight_shape(layer)
@@ -108,8 +108,8 @@ def reference_train(arch, data, cfg):
     for _ in range(cfg.epochs):
         order = rng.permutation(len(data))
         epoch = []
-        for start in range(0, len(data), cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+        for start in range(0, len(data), cfg.batch):
+            idx = order[start:start + cfg.batch]
             loss, dws, dbs = synth.backprop(Workspace(arch, weights, biases, data.inputs[idx]),
                                             data.labels[idx])
             epoch.append(loss)
@@ -227,10 +227,10 @@ def test_bad_specs_rejected():
         bs.SynthSpec(noise=-0.1)
     with pytest.raises(ValueError):
         bs.TrainConfig(lr=0.0)
-    for bad in (dict(noise=float("nan")), dict(noise=float("inf")), dict(seed=-1)):
+    for bad in (dict(noise=float("nan")), dict(noise=float("inf")), dict(data_seed=-1)):
         with pytest.raises(ValueError):
             bs.SynthSpec(**bad)
-    for bad in (dict(lr=float("nan")), dict(lr=float("inf")), dict(seed=-1)):
+    for bad in (dict(lr=float("nan")), dict(lr=float("inf")), dict(train_seed=-1)):
         with pytest.raises(ValueError):
             bs.TrainConfig(**bad)
     with pytest.raises(ValueError):
